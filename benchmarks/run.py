@@ -4,7 +4,8 @@
 
 ``--trace 0`` measures the end-to-end metrics with no wrappers installed.
 ``--trace 1`` installs span wrappers (see ``tracing.py``) and reports the
-per-layer metrics instead, including the tracing overhead. ``--workload
+per-layer metrics instead, including the tracing overhead, over a fixed
+number of items whatever ``--seconds`` is. ``--workload
 all`` runs every workload in its own process and prints one table of the
 named metrics. ``--tiny`` shrinks every workload for the self-check.
 
@@ -32,9 +33,12 @@ from pathlib import Path  # noqa: E402
 
 ROOT = Path(__file__).resolve().parent.parent
 
-# The end-to-end metrics of BENCHMARK.json: every workload reports each one,
-# and each slot means one thing per workload (README.md, "Metrics").
-END_TO_END = {"setup_s": "s", "step1_s": "s", "step2_s": "s"}
+# Metric name -> unit, as BENCHMARK.json lists them. Every workload reports
+# each end-to-end slot, and each slot means one thing per workload
+# (README.md, "Metrics").
+SPEC = json.loads((ROOT / "BENCHMARK.json").read_text())
+END_TO_END = {m["name"]: m["unit"] for m in SPEC["end_to_end"]}
+PER_LAYER = {m["name"]: m["unit"] for m in SPEC["per_layer"]}
 STEP_SLOTS = {"paper_classical": ("lbp", "tikhonov"),
               "desk_dar": ("fdunet", "dar"),
               "desk_train": ("dataset_per_entry", "training_per_image_epoch")}
@@ -149,7 +153,7 @@ def end_to_end(report):
 
 def run_one(args):
     import workloads
-    from tracing import PER_LAYER, Tracer, per_layer_metrics
+    from tracing import Tracer, per_layer_metrics
 
     tracer = Tracer() if args.trace else None
     sizes = workloads.TINY if args.tiny else workloads.FULL
@@ -161,11 +165,13 @@ def run_one(args):
     if tracer is None:
         for name, (value, unit, note) in named_metrics(report).items():
             print(f"metric {name} {value:.6g} {unit} {note}".rstrip())
-        metrics = {k: {"value": v, "unit": END_TO_END[k]}
-                   for k, v in end_to_end(report).items()}
+        slots = end_to_end(report)
+        metrics = {k: {"value": slots[k], "unit": u}
+                   for k, u in END_TO_END.items()}
     else:
         values, fired, silent = per_layer_metrics(
-            tracer, report, workloads.EXPECTED_SPANS[args.workload])
+            tracer, report, workloads.EXPECTED_SPANS[args.workload],
+            PER_LAYER)
         run.outcome.check(not silent, f"expected spans never fired: {silent}")
         path = tracer.write_jsonl(ROOT / ".bench_work" / "traces" /
                                   f"{args.workload}-seed{args.seed}.jsonl")

@@ -329,104 +329,18 @@ class Tracer:
 # Per-layer metrics of a traced run
 # ---------------------------------------------------------------------------
 
-def _stats(span, *stats):
-    return tuple(f"{span}.{s}" for s in stats)
-
-
-# name -> unit; the order is the order BENCHMARK.json lists them in.
-PER_LAYER = {}
-for _names, _unit in (
-        (_stats("kernels.otf_apply", "calls") + _stats("kernels.otf_adjoint",
-                                                       "calls"), "count"),
-        (_stats("kernels.otf_apply", "s") + _stats("kernels.otf_adjoint", "s")
-         + _stats("kernels.forward_entries", "s")
-         + _stats("kernels.assemble_csr", "s"), "s"),
-        (("kernels.forward_entries.entries", "kernels.assemble_csr.nnz"),
-         "count"),
-        (_stats("kernels.csr_matvec", "calls")
-         + _stats("kernels.csr_rmatvec", "calls"), "count"),
-        (_stats("kernels.csr_matvec", "s") + _stats("kernels.csr_rmatvec", "s"),
-         "s"),
-        (_stats("kernels.csr_matvec", "bytes_computed")
-         + _stats("kernels.csr_rmatvec", "bytes_computed"), "B"),
-        (_stats("kernels.render_capsules", "calls", "segments"), "count"),
-        (_stats("kernels.render_capsules", "s"), "s"),
-        (_stats("operator.build_forward_operator", "s", "self_s"), "s"),
-        (_stats("operator.time_derivative", "calls")
-         + _stats("operator.time_derivative_adjoint", "calls"), "count"),
-        (_stats("operator.time_derivative", "s")
-         + _stats("operator.time_derivative_adjoint", "s"), "s"),
-        (_stats("operator.tikhonov_solve", "s", "s_per_iter"), "s"),
-        (_stats("operator.tikhonov_solve", "iterations"), "count"),
-        (_stats("operator.apply_forward", "calls")
-         + _stats("operator.apply_adjoint", "calls"), "count"),
-        (_stats("operator.apply_forward", "s")
-         + _stats("operator.apply_adjoint", "s"), "s"),
-        (_stats("autodiff.conv2d", "fwd_calls"), "count"),
-        (_stats("autodiff.conv2d", "fwd_s", "bwd_s"), "s"),
-        (_stats("autodiff.conv2d", "gflop_computed"), "GFLOP"),
-        (sum((_stats(f"autodiff.{op}", "fwd_s", "bwd_s") for op in
-              ("group_norm", "matmul", "softmax", "max_pool2")), ())
-         + _stats("autodiff.Tensor.backward", "s"), "s"),
-        (_stats("autodiff.Tensor.backward", "tape_nodes"), "count"),
-        (("layers.cross_attention.s", "layers.ResBlock.s"), "s"),
-        (_stats("models.denoise_predict", "calls", "batch")
-         + _stats("models.fd_unet_forward", "calls")
-         + _stats("models.cip_encode", "calls"), "count"),
-        (_stats("models.denoise_predict", "s")
-         + _stats("models.fd_unet_forward", "s")
-         + _stats("models.cip_encode", "s")
-         + _stats("diffusion.sample_batch", "self_s"), "s"),
-        (_stats("diffusion.ddim_step", "calls"), "count"),
-        (_stats("diffusion.ddim_step", "s"), "s"),
-        (_stats("optim.adam_update", "calls", "params"), "count"),
-        (_stats("optim.adam_update", "s"), "s"),
-        (sum((_stats(f"training.{t}", "s", "self_s") for t in
-              ("train_fdunet", "train_cip", "train_diffusion")), ()), "s"),
-        (tuple(f"training.{t}.batches" for t in
-               ("train_fdunet", "train_cip", "train_diffusion"))
-         + _stats("training.save_checkpoint", "calls"), "count"),
-        (_stats("training.save_checkpoint", "s"), "s"),
-        (_stats("training.save_checkpoint", "bytes"), "B"),
-        (sum((_stats(f"tensorfile.{f}", "calls") for f in
-              ("write_tensor", "read_tensor", "write_bundle", "read_bundle")),
-             ()), "count"),
-        (sum((_stats(f"tensorfile.{f}", "s") for f in
-              ("write_tensor", "read_tensor", "write_bundle", "read_bundle")),
-             ()), "s"),
-        (sum((_stats(f"tensorfile.{f}", "bytes") for f in
-              ("write_tensor", "read_tensor", "write_bundle", "read_bundle")),
-             ()), "B"),
-        (_stats("phantoms.generate_phantom", "calls"), "count"),
-        (_stats("phantoms.generate_phantom", "s")
-         + _stats("dataset.build_dataset", "s", "self_s")
-         + tuple(f"pipeline.{f}.s" for f in
-                 ("reconstruct_lbp", "reconstruct_fdunet", "reconstruct_dar",
-                  "load_models")), "s"),
-        (_stats("metrics.ssim", "calls") + _stats("metrics.psnr", "calls"),
-         "count"),
-        (_stats("metrics.ssim", "s") + _stats("metrics.psnr", "s"), "s"),
-        (("share.csr_in_tikhonov", "share.otf_in_setup",
-          "share.denoise_predict_in_dar", "trace.coverage", "trace.overhead"),
-         "frac"),
-        (("trace.wrappers_fired", "trace.expected_silent",
-          "trace.bindings_patched", "trace.spans", "trace.traced_items"),
-         "count")):
-    for _name in _names:
-        PER_LAYER[_name] = _unit
-
 _STAT_FROM_DURATION = {"calls": 0, "fwd_calls": 0, "s": 1, "fwd_s": 1,
                        "self_s": 2}
 
 
-def per_layer_metrics(tracer, report, expected):
-    """PER_LAYER name -> value for one traced run.
+def per_layer_metrics(tracer, report, expected, names):
+    """name -> value of the per-layer metrics ``names`` for one traced run.
 
     Returns the metrics and the expected span names that never fired.
     """
     dur = tracer.durations()
     values = {}
-    for name in PER_LAYER:
+    for name in names:
         span, stat = name.rsplit(".", 1)
         if stat == "bwd_s":
             values[name] = dur.get(span + ".bwd", (0, 0.0, 0.0))[1]

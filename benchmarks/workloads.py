@@ -13,8 +13,10 @@ counts as a failed operation.
 * ``desk_train``: desk profile; dataset build plus the three trainers,
   repeated in fresh run directories.
 
-With a tracer, items alternate between traced and untraced so that the
-traced run also measures its own overhead.
+With a tracer, a fixed number of items (``TRACED_PAIRS``) runs twice on
+the same input, traced and untraced, so that the per-layer totals
+cover a fixed amount of work and the traced run also measures its own
+overhead.
 """
 
 from __future__ import annotations
@@ -37,6 +39,11 @@ from oatdar import (config, dataset, geometry, metrics, operator, phantoms,
 
 WORKLOADS = ("paper_classical", "desk_dar", "desk_train")
 WARMUP_ROUND = 999_999     # seed key of desk_train's untimed warm-up round
+# Warm-up ends when the last WARMUP_REPS times agree within WARMUP_TOL.
+WARMUP_REPS = 3
+WARMUP_TOL = 0.15
+# Items a traced run times, each once traced and once untraced.
+TRACED_PAIRS = {"paper_classical": 1, "desk_dar": 8, "desk_train": 2}
 
 # Span names each workload must fire in a traced run.
 _OPERATOR_BUILD = ("operator.build_forward_operator", "kernels.forward_entries",
@@ -79,11 +86,10 @@ class Sizes:
 
     paper_geometry: bool = True   # paper_classical on the paper profile
     setup_reps: dict = field(default_factory=lambda: {
-        "paper_classical": 2, "desk_dar": 9, "desk_train": 5})
+        "paper_classical": 2, "desk_dar": 9, "desk_train": 11})
     n_inputs: int = 8             # distinct sinograms, reused cyclically
     nis: int | None = None        # None: the config's inference.nis
     train_entries: int = 32
-    train_epochs: int = 1
     warmup_max_s: float = 6.0
     warmup_max_reps: int = 12
 
@@ -92,7 +98,7 @@ FULL = Sizes()
 TINY = Sizes(paper_geometry=False,
              setup_reps={"paper_classical": 1, "desk_dar": 1,
                          "desk_train": 1},
-             n_inputs=2, nis=2, train_entries=4, train_epochs=1,
+             n_inputs=2, nis=2, train_entries=4,
              warmup_max_s=1.0, warmup_max_reps=3)
 
 
@@ -162,16 +168,18 @@ def timed(fn, *args, **kwargs):
     return out, time.perf_counter() - t0
 
 
-def warm_up(fn, sizes, min_reps=3, tol=0.15):
-    """Call ``fn`` until the last three times agree within ``tol``."""
+def warm_up(fn, sizes):
+    """Call ``fn`` until the last WARMUP_REPS times agree within
+    WARMUP_TOL."""
     times, outs = [], []
     t_start = time.perf_counter()
     while True:
         out, dt = timed(fn)
         times.append(dt)
         outs.append(out)
-        last = times[-min_reps:]
-        if len(times) >= min_reps and max(last) <= (1 + tol) * min(last):
+        last = times[-WARMUP_REPS:]
+        if (len(times) >= WARMUP_REPS
+                and max(last) <= (1 + WARMUP_TOL) * min(last)):
             break
         if (len(times) >= sizes.warmup_max_reps
                 or time.perf_counter() - t_start > sizes.warmup_max_s):
@@ -210,34 +218,42 @@ class Run:
     # -- traced / untraced items ---------------------------------------------
 
     def loop(self, step, report, after=None):
-        """Call ``step(i)`` until ``seconds`` have passed. ``step`` returns
-        the item's main-step seconds for the overhead comparison;
-        ``after(i)``, if given, checks the item outside any trace. With a
-        tracer, even items are traced and odd ones are not."""
-        min_items = 1 if self.tracer is None else 2
+        """Call ``step(i)`` until ``seconds`` have passed.
+        ``step`` returns the item's main-step seconds for the overhead
+        comparison; ``after(i)``, if given, checks the item outside any
+        trace. With a tracer, items 0 .. TRACED_PAIRS - 1 each run once
+        traced and once untraced, the traced run first on even items, and
+        ``seconds`` is not used."""
+        if self.tracer is not None:
+            for i in range(TRACED_PAIRS[self.workload]):
+                for traced in (i % 2 == 0, i % 2 == 1):
+                    self._item(step, i, report, after, traced)
+            return
         t_start = time.perf_counter()
         item_s = []
         # stop before an item that would end past ``seconds``
-        while len(item_s) < min_items or (time.perf_counter() - t_start
-                                          + statistics.median(item_s)
-                                          <= self.seconds):
-            i = len(item_s)
-            traced = self.tracer is not None and i % 2 == 0
+        while not item_s or (time.perf_counter() - t_start
+                             + statistics.median(item_s) <= self.seconds):
+            item_s.append(self._item(step, len(item_s), report, after))
+
+    def _item(self, step, i, report, after, traced=False):
+        """Run item ``i``; returns its wall seconds."""
+        if traced:
+            self.tracer.request = i + 1
+            self.tracer.install()
+        w0 = time.perf_counter()
+        try:
+            main_s = step(i)
+        finally:
             if traced:
-                self.tracer.request = i + 1
-                self.tracer.install()
-            w0 = time.perf_counter()
-            try:
-                main_s = step(i)
-            finally:
-                if traced:
-                    self.tracer.uninstall()
-                    report.trace_windows.append((w0, time.perf_counter()))
-            item_s.append(time.perf_counter() - w0)
-            if after is not None:
-                after(i)
-            if main_s is not None:
-                (report.traced if traced else report.untraced).append(main_s)
+                self.tracer.uninstall()
+                report.trace_windows.append((w0, time.perf_counter()))
+        item_s = time.perf_counter() - w0
+        if after is not None:
+            after(i)
+        if main_s is not None:
+            (report.traced if traced else report.untraced).append(main_s)
+        return item_s
 
     def set_up(self, fn, report):
         """Time ``fn`` ``setup_reps`` times; with a tracer the first rep is
@@ -473,7 +489,7 @@ def desk_dar(run: Run) -> Report:
 # ---------------------------------------------------------------------------
 
 
-def _check_round(run, run_dir, n_entries, epochs):
+def _check_round(run, run_dir, n_entries):
     out = run.outcome
     data_dir = run_dir / "dataset"
     manifest = dataset.DatasetManifest.read(data_dir)
@@ -487,7 +503,7 @@ def _check_round(run, run_dir, n_entries, epochs):
             continue
         arrays, meta = bundle
         losses = meta.get("losses", [])
-        out.check(len(losses) == epochs and all(np.isfinite(losses))
+        out.check(len(losses) == 1 and all(np.isfinite(losses))
                   and all(np.all(np.isfinite(a)) for a in arrays.values()),
                   f"{name}: losses {losses!r}")
 
@@ -497,16 +513,16 @@ class RoundFailed(Exception):
 
 
 def desk_train(run: Run) -> Report:
-    sizes = run.sizes
-    n, epochs = sizes.train_entries, sizes.train_epochs
+    n = run.sizes.train_entries
     batch = min(16, n)
 
-    def round_cfg(r, entries, n_epochs):
+    def round_cfg(r, entries):
+        # one epoch: losses and per-image rates are per epoch
         return _desk_cfg(dataset={"train": entries, "val": 0, "test": 0,
                                   "master_seed": run.sub_seed(5, r) % 2**31},
-                         training={"epochs": n_epochs, "batch_size": batch})
+                         training={"epochs": 1, "batch_size": batch})
 
-    cfg = round_cfg(0, n, epochs)
+    cfg = round_cfg(0, n)
     report = Report("desk_train", config.config_hash(cfg), run.outcome)
     geom = config.geometry_from_config(cfg)
     grid = cfg["patch"]
@@ -516,12 +532,12 @@ def desk_train(run: Run) -> Report:
     run.set_up(lambda: (
         operator.build_forward_operator(geom, jittered=True),
         operator.build_forward_operator(geom, jittered=False)), report)
-    _train_all(round_cfg(WARMUP_ROUND, batch, 1), run.fresh_dir("warmup"))
+    _train_all(round_cfg(WARMUP_ROUND, batch), run.fresh_dir("warmup"))
 
     ds_s, fd_s, den_s, train_s = [], [], [], []
 
     def step(i):
-        cfg_i = round_cfg(i, n, epochs)
+        cfg_i = round_cfg(i, n)
         run_dir = run.fresh_dir(f"round{i}")
         times = {}
 
@@ -537,15 +553,15 @@ def desk_train(run: Run) -> Report:
         except RoundFailed:
             return None
         ds_s.append(times["dataset"] / n)
-        fd_s.append(times["fdunet"] / (n * epochs))
-        den_s.append(times["diffusion"] / (n * epochs * patches_per_image))
-        train_s.append((times["fdunet"] + times["diffusion"]) / (n * epochs))
+        fd_s.append(times["fdunet"] / n)
+        den_s.append(times["diffusion"] / (n * patches_per_image))
+        train_s.append((times["fdunet"] + times["diffusion"]) / n)
         return sum(times.values())
 
     def after(i):
         run_dir = run.work / f"desk_train-{run.seed}" / f"round{i}"
         if (run_dir / "checkpoints" / "denoiser_fdunet.ckpt").is_dir():
-            _check_round(run, run_dir, n, epochs)
+            _check_round(run, run_dir, n)
         shutil.rmtree(run_dir, ignore_errors=True)
 
     run.loop(step, report, after=after)
