@@ -13,6 +13,11 @@ counts as a failed operation.
 * ``desk_train``: desk profile; dataset build plus the three trainers,
   repeated in fresh run directories.
 
+Around every timed call (or batch of short calls) an untraced run times
+``reference_s``, a fixed loop that calls no oatdar code, and stores the
+call with the mean of the reference times before and after it, so that
+the gated slots can be given in multiples of it (README, "Metrics").
+
 With a tracer, a fixed number of items (``TRACED_PAIRS``) runs twice on
 the same input, traced and untraced, so that the per-layer totals
 cover a fixed amount of work and the traced run also measures its own
@@ -21,6 +26,7 @@ overhead.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import pickle
@@ -126,7 +132,8 @@ class Report:
     config_hash: str
     outcome: Outcome
     setup: list = field(default_factory=list)
-    steps: dict = field(default_factory=dict)     # step name -> [seconds]
+    # step name -> [(seconds, reference_s around the call)]
+    steps: dict = field(default_factory=dict)
     values: dict = field(default_factory=dict)    # other named values
     traced: list = field(default_factory=list)    # main-step s, traced items
     untraced: list = field(default_factory=list)  # main-step s, untraced
@@ -136,6 +143,38 @@ class Report:
 
 def median(xs):
     return float(statistics.median(xs))
+
+
+@functools.cache
+def _reference_arrays():
+    rng = np.random.default_rng(0)
+    return (rng.random((64, 288), dtype=np.float32),
+            rng.random((288, 1024), dtype=np.float32),
+            rng.random((8, 64, 32, 32), dtype=np.float32),
+            rng.random(2_000_000, dtype=np.float32),
+            np.empty(2_000_000, dtype=np.float32))
+
+
+def reference_s():
+    """Median wall seconds of three passes of a fixed loop that calls no
+    oatdar code: a float32 GEMM, elementwise and reduction ops on
+    activation-sized arrays, an 8 MB stream and an interpreter loop, the
+    kinds of work the workloads do. It tracks the host's speed, which
+    drifts by up to a third between runs."""
+    a, b, c, d, out = _reference_arrays()
+    passes = []
+    for _ in range(3):
+        t0 = time.perf_counter()
+        a @ b
+        np.concatenate([np.maximum(c, 0.0) * 1.5 + c, c], axis=1)
+        c.sum(axis=(2, 3))
+        d.sum()
+        np.multiply(d, 1.0001, out=out)
+        acc = 0
+        for k in range(3000):
+            acc += k * k
+        passes.append(time.perf_counter() - t0)
+    return statistics.median(passes)
 
 
 def tail(xs):
@@ -199,6 +238,7 @@ class Run:
         self.sizes = sizes
         self.tracer = tracer
         self.outcome = Outcome()
+        self._ref = None        # reference_s that ended the last timed call
 
     def sub_seed(self, *keys):
         return int(np.random.SeedSequence((self.seed, *keys))
@@ -238,6 +278,7 @@ class Run:
 
     def _item(self, step, i, report, after, traced=False):
         """Run item ``i``; returns its wall seconds."""
+        self._ref = None
         if traced:
             self.tracer.request = i + 1
             self.tracer.install()
@@ -254,6 +295,18 @@ class Run:
         if main_s is not None:
             (report.traced if traced else report.untraced).append(main_s)
         return item_s
+
+    def timed_ref(self, fn, *args):
+        """(out, seconds, reference): ``fn(*args)`` timed, and the mean of
+        ``reference_s`` just before and just after it. Calls in a row
+        within one item share the reference time between them. Traced runs
+        are not gated, so they skip the reference loop and give NaN."""
+        if self.tracer is not None:
+            return (*timed(fn, *args), float("nan"))
+        before = self._ref if self._ref is not None else reference_s()
+        out, dt = timed(fn, *args)
+        self._ref = reference_s()
+        return out, dt, (before + self._ref) / 2
 
     def set_up(self, fn, report):
         """Time ``fn`` ``setup_reps`` times; with a tracer the first rep is
@@ -380,17 +433,21 @@ def paper_classical(run: Run) -> Report:
                                       ev["tikhonov_iters"], ev["tikhonov_tol"])
         return res, geometry.Image(training.normalize01(res.image.data))
 
+    def lbp_all():
+        return [timed(pipeline.reconstruct_lbp, rec_op, sino)
+                for _, sino in inputs]
+
     def step(i):
         # LBP costs ~1% of Tikhonov, so every item backprojects all inputs
-        for j, (phantom, sino) in enumerate(inputs):
-            img, dt = timed(pipeline.reconstruct_lbp, rec_op, sino)
-            lbp_s.append(dt)
+        results, _, ref = run.timed_ref(lbp_all)
+        for j, ((img, dt), (phantom, _)) in enumerate(zip(results, inputs)):
+            lbp_s.append((dt, ref))
             if run.outcome.check(image_ok(img, geom.image_shape),
                                  f"lbp image {j} out of range or shape"):
                 _score(report, "lbp_psnr_db", img, phantom)
         phantom, sino = inputs[i % len(inputs)]
-        (res, img), dt = timed(tikhonov, sino)
-        tik_s.append(dt)
+        (res, img), dt, ref = run.timed_ref(tikhonov, sino)
+        tik_s.append((dt, ref))
         iters.append(res.iterations)
         ok = (res.converged and res.residual <= ev["tikhonov_tol"]
               and image_ok(img, geom.image_shape))
@@ -461,16 +518,22 @@ def desk_dar(run: Run) -> Report:
 
     fd_s, dar_s = [], []
 
+    def fdunet_all():
+        return [timed(pipeline.reconstruct_fdunet, rec_op, models.fdunet,
+                      sino) for _, sino in inputs]
+
     def step(i):
+        # FD-UNet costs ~2% of DAR, so every item runs it on all inputs;
+        # its samples then cover as much of the run as DAR's do
+        results, _, ref = run.timed_ref(fdunet_all)
+        for j, ((img, dt), (phantom, _)) in enumerate(zip(results, inputs)):
+            fd_s.append((dt, ref))
+            if run.outcome.check(image_ok(img, geom.image_shape),
+                                 f"fdunet image {j} out of range or shape"):
+                _score(report, "fdunet_psnr_db", img, phantom)
         phantom, sino = inputs[i % len(inputs)]
-        img, dt = timed(pipeline.reconstruct_fdunet, rec_op, models.fdunet,
-                        sino)
-        fd_s.append(dt)
-        if run.outcome.check(image_ok(img, geom.image_shape),
-                             f"fdunet image {i} out of range or shape"):
-            _score(report, "fdunet_psnr_db", img, phantom)
-        img, dt = timed(dar, i, run.sub_seed(4, i))
-        dar_s.append(dt)
+        img, dt, ref = run.timed_ref(dar, i, run.sub_seed(4, i))
+        dar_s.append((dt, ref))
         if run.outcome.check(image_ok(img, geom.image_shape),
                              f"dar image {i} out of range or shape"):
             _score(report, "dar_psnr_db", img, phantom)
@@ -539,11 +602,11 @@ def desk_train(run: Run) -> Report:
     def step(i):
         cfg_i = round_cfg(i, n)
         run_dir = run.fresh_dir(f"round{i}")
-        times = {}
+        times, refs = {}, {}
 
         def call(name, fn, *args):
-            out, times[name] = timed(run.attempt, f"{name} round {i}", fn,
-                                     *args)
+            out, times[name], refs[name] = run.timed_ref(
+                run.attempt, f"{name} round {i}", fn, *args)
             if out is None:
                 raise RoundFailed(name)
             return out
@@ -552,10 +615,15 @@ def desk_train(run: Run) -> Report:
             _train_all(cfg_i, run_dir, call)
         except RoundFailed:
             return None
-        ds_s.append(times["dataset"] / n)
-        fd_s.append(times["fdunet"] / n)
-        den_s.append(times["diffusion"] / (n * patches_per_image))
-        train_s.append((times["fdunet"] + times["diffusion"]) / n)
+        ds_s.append((times["dataset"] / n, refs["dataset"]))
+        fd_s.append((times["fdunet"] / n, refs["fdunet"]))
+        den_s.append((times["diffusion"] / (n * patches_per_image),
+                      refs["diffusion"]))
+        # the two trainers' references, weighted by their times
+        t_fd, t_den = times["fdunet"], times["diffusion"]
+        train_s.append(((t_fd + t_den) / n,
+                        (t_fd * refs["fdunet"] + t_den * refs["diffusion"])
+                        / (t_fd + t_den)))
         return sum(times.values())
 
     def after(i):
