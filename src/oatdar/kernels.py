@@ -1,51 +1,32 @@
-"""Hot numeric kernels with two interchangeable lanes.
+"""Hot numeric kernels, one numpy/scipy lane.
 
-Every kernel here exists twice: a numba ``@njit`` build and a vectorized
-pure-numpy build. The numba lane is used whenever numba imports cleanly and
-the environment variable ``OATDAR_DISABLE_NUMBA`` is unset/falsy; setting
-``OATDAR_DISABLE_NUMBA=1`` forces the numpy lane. Both lanes evaluate the
-same float64 expressions so results agree to round-off (bit-exact for the
-entry generator, which emits triplets in the same order).
+* :func:`forward_entries` emits the spreading matrix as COO triplets, one
+  vectorized pass per (detector, sub-element) pair.
+* :func:`assemble_csr` sorts them into a CSR matrix with int32 offsets and
+  column indices.
+* :func:`csr_matvec` / :func:`csr_rmatvec` apply that matrix and its
+  transpose through ``scipy.sparse``. The operator's apply, adjoint and
+  spectral-gain power iteration all run through these two products.
+* :func:`render_capsules` rasterizes phantom vessels.
 
-``benchmarks/bench_kernels.py`` times the two lanes against each other.
+The CSR arrays are int32 because scipy keeps int32 index arrays as they
+are but copies int64 ones on every wrap; :func:`assemble_csr` therefore
+refuses matrices whose entry or column count does not fit in int32.
 
-No kernel uses fastmath or parallel loops: accumulation order is part of the
-determinism contract.
+Nothing here is threaded or uses fused/reordered arithmetic: the CSR
+product sums each row in stored order and the transpose product scatters
+rows in stored order, so results are a fixed function of the inputs.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
+import scipy.sparse as sp
 
-_env = os.environ.get("OATDAR_DISABLE_NUMBA", "").strip().lower()
-_DISABLED = _env in ("1", "true", "yes", "on")
+from .errors import GeometryError
 
-try:
-    if _DISABLED:
-        raise ImportError("numba disabled by OATDAR_DISABLE_NUMBA")
-    from numba import njit
-
-    NUMBA_AVAILABLE = True
-except ImportError:
-    NUMBA_AVAILABLE = False
-
-    def njit(*args, **kwargs):  # identity decorator fallback
-        if args and callable(args[0]) and len(args) == 1 and not kwargs:
-            return args[0]
-
-        def wrap(fn):
-            return fn
-
-        return wrap
-
-
-USE_NUMBA = NUMBA_AVAILABLE
-
-
-def backend_name() -> str:
-    return "numba" if USE_NUMBA else "numpy"
+INDEX_DTYPE = np.int32
+_INDEX_MAX = int(np.iinfo(INDEX_DTYPE).max)
 
 
 # ---------------------------------------------------------------------------
@@ -60,7 +41,13 @@ def backend_name() -> str:
 # ---------------------------------------------------------------------------
 
 
-def _entries_numpy(px, py, dsx, dsy, vs, dt, nt, base):
+def forward_entries(px, py, dsx, dsy, vs, dt, nt, base):
+    """COO triplets (row = detector*nt + time_index, col = pixel, value)."""
+    px = np.ascontiguousarray(px, dtype=np.float64)
+    py = np.ascontiguousarray(py, dtype=np.float64)
+    dsx = np.ascontiguousarray(dsx, dtype=np.float64)
+    dsy = np.ascontiguousarray(dsy, dtype=np.float64)
+    vs, dt, nt, base = float(vs), float(dt), int(nt), float(base)
     n_det, n_sub = dsx.shape
     rows_out, cols_out, vals_out = [], [], []
     half = 0.5 * dt
@@ -85,47 +72,12 @@ def _entries_numpy(px, py, dsx, dsy, vs, dt, nt, base):
             np.concatenate(vals_out))
 
 
-@njit(cache=True)
-def _entries_numba(px, py, dsx, dsy, vs, dt, nt, base):
-    n_det, n_sub = dsx.shape
-    n_pix = px.shape[0]
-    cap = n_det * n_sub * n_pix
-    rows = np.empty(cap, dtype=np.int64)
-    cols = np.empty(cap, dtype=np.int64)
-    vals = np.empty(cap, dtype=np.float64)
-    half = 0.5 * dt
-    m = 0
-    for l in range(n_det):
-        for s in range(n_sub):
-            for kc_off in range(2):
-                for j in range(n_pix):
-                    dx = px[j] - dsx[l, s]
-                    dy = py[j] - dsy[l, s]
-                    dist = np.sqrt(dx * dx + dy * dy)
-                    tau = dist / vs
-                    kc = int(tau / dt) + kc_off
-                    if 0 <= kc < nt and abs(kc * dt - tau) < half:
-                        rows[m] = l * nt + kc
-                        cols[m] = j
-                        vals[m] = base / dist
-                        m += 1
-    return rows[:m], cols[:m], vals[:m]
-
-
-def forward_entries(px, py, dsx, dsy, vs, dt, nt, base):
-    """COO triplets (row = detector*nt + time_index, col = pixel, value)."""
-    args = (np.ascontiguousarray(px, dtype=np.float64),
-            np.ascontiguousarray(py, dtype=np.float64),
-            np.ascontiguousarray(dsx, dtype=np.float64),
-            np.ascontiguousarray(dsy, dtype=np.float64),
-            float(vs), float(dt), int(nt), float(base))
-    if USE_NUMBA:
-        return _entries_numba(*args)
-    return _entries_numpy(*args)
-
-
 def assemble_csr(rows, cols, vals, n_rows, n_cols):
-    """Sort COO triplets into CSR, summing duplicates in stable order."""
+    """Sort COO triplets into CSR, summing duplicates in stable order.
+
+    Returns int32 ``indptr``/``indices`` and float64 ``data``; raises
+    :class:`GeometryError` when the entry or column count exceeds int32.
+    """
     order = np.lexsort((cols, rows))
     rows, cols, vals = rows[order], cols[order], vals[order]
     if rows.size:
@@ -135,10 +87,13 @@ def assemble_csr(rows, cols, vals, n_rows, n_cols):
         starts = np.flatnonzero(new)
         vals = np.add.reduceat(vals, starts)
         rows, cols = rows[starts], cols[starts]
-    indptr = np.zeros(n_rows + 1, dtype=np.int64)
-    np.add.at(indptr, rows + 1, 1)
-    np.cumsum(indptr, out=indptr)
-    return indptr, cols.astype(np.int64), vals
+    if max(rows.size, n_cols) > _INDEX_MAX:
+        raise GeometryError(
+            f"operator has {rows.size} entries and {n_cols} columns; CSR "
+            f"indices are int32, so both must stay below 2**31")
+    indptr = np.zeros(n_rows + 1, dtype=INDEX_DTYPE)
+    np.cumsum(np.bincount(rows, minlength=n_rows), out=indptr[1:])
+    return indptr, cols.astype(INDEX_DTYPE), vals
 
 
 # ---------------------------------------------------------------------------
@@ -146,149 +101,20 @@ def assemble_csr(rows, cols, vals, n_rows, n_cols):
 # ---------------------------------------------------------------------------
 
 
-@njit(cache=True)
-def _csr_matvec_numba(indptr, indices, data, x):
-    n = indptr.shape[0] - 1
-    y = np.zeros(n, dtype=np.float64)
-    for r in range(n):
-        acc = 0.0
-        for p in range(indptr[r], indptr[r + 1]):
-            acc += data[p] * x[indices[p]]
-        y[r] = acc
-    return y
-
-
-@njit(cache=True)
-def _csr_rmatvec_numba(indptr, indices, data, y, n_cols):
-    x = np.zeros(n_cols, dtype=np.float64)
-    n = indptr.shape[0] - 1
-    for r in range(n):
-        yr = y[r]
-        for p in range(indptr[r], indptr[r + 1]):
-            x[indices[p]] += data[p] * yr
-    return x
-
-
-def _csr_matvec_numpy(indptr, indices, data, x):
-    prod = data * x[indices]
-    row_ids = np.repeat(np.arange(indptr.size - 1), np.diff(indptr))
-    return np.bincount(row_ids, weights=prod, minlength=indptr.size - 1)
-
-
-def _csr_rmatvec_numpy(indptr, indices, data, y, n_cols):
-    row_ids = np.repeat(np.arange(indptr.size - 1), np.diff(indptr))
-    prod = data * y[row_ids]
-    return np.bincount(indices, weights=prod, minlength=n_cols)
+def _csr(indptr, indices, data, n_cols):
+    # int32 index arrays are wrapped as they are; nothing is copied
+    return sp.csr_matrix((data, indices, indptr),
+                         shape=(indptr.size - 1, n_cols), copy=False)
 
 
 def csr_matvec(indptr, indices, data, x):
     x = np.ascontiguousarray(x, dtype=np.float64)
-    if USE_NUMBA:
-        return _csr_matvec_numba(indptr, indices, data, x)
-    return _csr_matvec_numpy(indptr, indices, data, x)
+    return _csr(indptr, indices, data, x.size) @ x
 
 
 def csr_rmatvec(indptr, indices, data, y, n_cols):
     y = np.ascontiguousarray(y, dtype=np.float64)
-    if USE_NUMBA:
-        return _csr_rmatvec_numba(indptr, indices, data, y, n_cols)
-    return _csr_rmatvec_numpy(indptr, indices, data, y, n_cols)
-
-
-# ---------------------------------------------------------------------------
-# Matrix-free (on-the-fly) apply / adjoint: same entries, never stored.
-# ---------------------------------------------------------------------------
-
-
-@njit(cache=True)
-def _otf_apply_numba(px, py, dsx, dsy, vs, dt, nt, base, x):
-    n_det, n_sub = dsx.shape
-    n_pix = px.shape[0]
-    y = np.zeros(n_det * nt, dtype=np.float64)
-    half = 0.5 * dt
-    for l in range(n_det):
-        for s in range(n_sub):
-            for j in range(n_pix):
-                dx = px[j] - dsx[l, s]
-                dy = py[j] - dsy[l, s]
-                dist = np.sqrt(dx * dx + dy * dy)
-                tau = dist / vs
-                kf = int(tau / dt)
-                for kc in (kf, kf + 1):
-                    if 0 <= kc < nt and abs(kc * dt - tau) < half:
-                        y[l * nt + kc] += (base / dist) * x[j]
-    return y
-
-
-@njit(cache=True)
-def _otf_adjoint_numba(px, py, dsx, dsy, vs, dt, nt, base, y):
-    n_det, n_sub = dsx.shape
-    n_pix = px.shape[0]
-    x = np.zeros(n_pix, dtype=np.float64)
-    half = 0.5 * dt
-    for l in range(n_det):
-        for s in range(n_sub):
-            for j in range(n_pix):
-                dx = px[j] - dsx[l, s]
-                dy = py[j] - dsy[l, s]
-                dist = np.sqrt(dx * dx + dy * dy)
-                tau = dist / vs
-                kf = int(tau / dt)
-                for kc in (kf, kf + 1):
-                    if 0 <= kc < nt and abs(kc * dt - tau) < half:
-                        x[j] += (base / dist) * y[l * nt + kc]
-    return x
-
-
-def _otf_apply_numpy(px, py, dsx, dsy, vs, dt, nt, base, x):
-    n_det, n_sub = dsx.shape
-    y = np.zeros(n_det * nt)
-    half = 0.5 * dt
-    for l in range(n_det):
-        for s in range(n_sub):
-            dx = px - dsx[l, s]
-            dy = py - dsy[l, s]
-            dist = np.sqrt(dx * dx + dy * dy)
-            tau = dist / vs
-            kf = np.floor(tau / dt).astype(np.int64)
-            for kc in (kf, kf + 1):
-                mask = (kc >= 0) & (kc < nt) & (np.abs(kc * dt - tau) < half)
-                if mask.any():
-                    y[l * nt:(l + 1) * nt] += np.bincount(
-                        kc[mask], weights=(base / dist[mask]) * x[mask],
-                        minlength=nt)
-    return y
-
-
-def _otf_adjoint_numpy(px, py, dsx, dsy, vs, dt, nt, base, y):
-    n_det, n_sub = dsx.shape
-    x = np.zeros(px.shape[0])
-    half = 0.5 * dt
-    for l in range(n_det):
-        block = y[l * nt:(l + 1) * nt]
-        for s in range(n_sub):
-            dx = px - dsx[l, s]
-            dy = py - dsy[l, s]
-            dist = np.sqrt(dx * dx + dy * dy)
-            tau = dist / vs
-            kf = np.floor(tau / dt).astype(np.int64)
-            for kc in (kf, kf + 1):
-                mask = (kc >= 0) & (kc < nt) & (np.abs(kc * dt - tau) < half)
-                if mask.any():
-                    x[mask] += (base / dist[mask]) * block[kc[mask]]
-    return x
-
-
-def otf_apply(px, py, dsx, dsy, vs, dt, nt, base, x):
-    x = np.ascontiguousarray(x, dtype=np.float64)
-    fn = _otf_apply_numba if USE_NUMBA else _otf_apply_numpy
-    return fn(px, py, dsx, dsy, float(vs), float(dt), int(nt), float(base), x)
-
-
-def otf_adjoint(px, py, dsx, dsy, vs, dt, nt, base, y):
-    y = np.ascontiguousarray(y, dtype=np.float64)
-    fn = _otf_adjoint_numba if USE_NUMBA else _otf_adjoint_numpy
-    return fn(px, py, dsx, dsy, float(vs), float(dt), int(nt), float(base), y)
+    return _csr(indptr, indices, data, n_cols).T @ y
 
 
 # ---------------------------------------------------------------------------
@@ -298,44 +124,10 @@ def otf_adjoint(px, py, dsx, dsy, vs, dt, nt, base, y):
 # ---------------------------------------------------------------------------
 
 
-@njit(cache=True)
-def _render_numba(img, segs, vals):
-    ny, nx = img.shape
-    for m in range(segs.shape[0]):
-        x0 = segs[m, 0]
-        y0 = segs[m, 1]
-        x1 = segs[m, 2]
-        y1 = segs[m, 3]
-        r = segs[m, 4]
-        v = vals[m]
-        lo_i = max(int(np.floor(min(y0, y1) - r)), 0)
-        hi_i = min(int(np.ceil(max(y0, y1) + r)) + 1, ny)
-        lo_j = max(int(np.floor(min(x0, x1) - r)), 0)
-        hi_j = min(int(np.ceil(max(x0, x1) + r)) + 1, nx)
-        ex = x1 - x0
-        ey = y1 - y0
-        ee = ex * ex + ey * ey
-        r2 = r * r
-        for i in range(lo_i, hi_i):
-            for j in range(lo_j, hi_j):
-                wx = j - x0
-                wy = i - y0
-                if ee > 0.0:
-                    t = (wx * ex + wy * ey) / ee
-                    if t < 0.0:
-                        t = 0.0
-                    elif t > 1.0:
-                        t = 1.0
-                else:
-                    t = 0.0
-                cx = wx - t * ex
-                cy = wy - t * ey
-                if cx * cx + cy * cy <= r2 and v > img[i, j]:
-                    img[i, j] = v
-    return img
-
-
-def _render_numpy(img, segs, vals):
+def render_capsules(img, segs, vals):
+    """Composite capsule segments into ``img`` (in place, max blend)."""
+    segs = np.ascontiguousarray(segs, dtype=np.float64)
+    vals = np.ascontiguousarray(vals, dtype=np.float64)
     ny, nx = img.shape
     for m in range(segs.shape[0]):
         x0, y0, x1, y1, r = segs[m]
@@ -359,13 +151,3 @@ def _render_numpy(img, segs, vals):
         sub = img[lo_i:hi_i, lo_j:hi_j]
         np.maximum(sub, np.where(inside, v, 0.0), out=sub)
     return img
-
-
-def render_capsules(img, segs, vals):
-    """Composite capsule segments into ``img`` (in place, max blend)."""
-    segs = np.ascontiguousarray(segs, dtype=np.float64)
-    vals = np.ascontiguousarray(vals, dtype=np.float64)
-    if segs.size == 0:
-        return img
-    fn = _render_numba if USE_NUMBA else _render_numpy
-    return fn(img, segs, vals)

@@ -8,19 +8,23 @@ sub-detector position ``r_s`` of detector l, the spreading matrix has
 
 at time row k iff ``|k*dt - |r_s - r_j|/vs| < dt/2`` (S = sub-element count;
 finite apertures average S point sub-detectors along a tangential chord).
+The spreading matrix is assembled once as CSR, and every product with it
+(apply, adjoint, and the power iteration below) goes through
+:func:`kernels.csr_matvec` / :func:`kernels.csr_rmatvec`.
 
 The derivative along the time axis uses a central difference in the interior
 and one-sided first-order differences at both ends; the adjoint applies the
 exact transpose, so ``apply_forward``/``apply_adjoint`` pass the dot-product
-test at float64 round-off in both materialized and on-the-fly modes.
+test at float64 round-off.
 
 The assembled map is normalized by a scalar gain ``output_scale`` chosen so
-its spectral norm is ~1 (estimated by a fixed 30-step power iteration on the
-matrix-free form, so both modes share the identical constant). Without it the
-1/dt in the derivative dominates every other scale, quadratic-penalty weights
-lose meaning, and the normal equations become numerically rank deficient.
-The gain multiplies the whole map, so it cancels anywhere reconstructions
-are range-normalized.
+its spectral norm is ~1, estimated by a fixed 30-step power iteration from
+an all-ones start on the assembled CSR. Without it the 1/dt in the
+derivative dominates every other scale, quadratic-penalty weights lose
+meaning, and the normal equations become numerically rank deficient. The
+gain multiplies the whole map, so it cancels anywhere reconstructions are
+range-normalized. Serialized operators store the gain, so loading one does
+not run the power iteration again.
 """
 
 from __future__ import annotations
@@ -35,8 +39,6 @@ from .geometry import (ImagingGeometry, Image, Sinogram, check_image,
                        check_sinogram)
 from .tensorfile import read_bundle, write_bundle
 
-MODES = ("materialized", "on_the_fly")
-
 
 @dataclass
 class ForwardOperator:
@@ -47,17 +49,9 @@ class ForwardOperator:
 
     geometry: ImagingGeometry
     jittered: bool
-    mode: str
-    base: float                      # spreading-entry scale factor
-    dsx: np.ndarray                  # sub-detector x, (n_det, S)
-    dsy: np.ndarray
-    px: np.ndarray                   # pixel centers, flattened row-major
-    py: np.ndarray
-    indptr: np.ndarray | None = None  # CSR of the spreading matrix
-    indices: np.ndarray | None = None
-    values: np.ndarray | None = None
-    # one-sided / central coefficients of the time-derivative stencil
-    derivative_stencil: tuple = ()
+    indptr: np.ndarray               # CSR of the spreading matrix (int32)
+    indices: np.ndarray
+    values: np.ndarray
     output_scale: float = 1.0
 
     @property
@@ -71,21 +65,11 @@ class ForwardOperator:
     # -- raw vector interface (float64, flattened) ---------------------------
 
     def _spread_apply(self, x: np.ndarray) -> np.ndarray:
-        if self.mode == "materialized":
-            return kernels.csr_matvec(self.indptr, self.indices, self.values, x)
-        g = self.geometry
-        return kernels.otf_apply(self.px, self.py, self.dsx, self.dsy,
-                                 g.sound_speed, g.dt, g.time_samples,
-                                 self.base, x)
+        return kernels.csr_matvec(self.indptr, self.indices, self.values, x)
 
     def _spread_adjoint(self, y: np.ndarray) -> np.ndarray:
-        if self.mode == "materialized":
-            return kernels.csr_rmatvec(self.indptr, self.indices, self.values,
-                                       y, self.n_cols)
-        g = self.geometry
-        return kernels.otf_adjoint(self.px, self.py, self.dsx, self.dsy,
-                                   g.sound_speed, g.dt, g.time_samples,
-                                   self.base, y)
+        return kernels.csr_rmatvec(self.indptr, self.indices, self.values,
+                                   y, self.n_cols)
 
     def apply_vec(self, x: np.ndarray) -> np.ndarray:
         ps = self._spread_apply(np.asarray(x, dtype=np.float64))
@@ -103,8 +87,6 @@ class ForwardOperator:
 
     def spreading_dense(self) -> np.ndarray:
         """Dense copy of the spreading matrix (toy geometries only)."""
-        if self.mode != "materialized":
-            raise ValueError("dense export requires materialized mode")
         out = np.zeros((self.n_rows, self.n_cols))
         for r in range(self.n_rows):
             lo, hi = self.indptr[r], self.indptr[r + 1]
@@ -114,8 +96,6 @@ class ForwardOperator:
     # -- persistence ----------------------------------------------------------
 
     def to_bundle(self, path):
-        if self.mode != "materialized":
-            raise ValueError("only materialized operators are serializable")
         # the container is float-only; offsets/indices are exact below 2**53
         arrays = {"row_offsets": self.indptr.astype(np.float64),
                   "col_indices": self.indices.astype(np.float64),
@@ -127,18 +107,35 @@ class ForwardOperator:
 
     @classmethod
     def from_bundle(cls, path) -> "ForwardOperator":
+        """Load a saved operator, including its stored gain."""
         arrays, meta = read_bundle(path)
         if meta.get("kind") != "forward_operator":
             raise ValueError(f"{path} is not a serialized operator")
         geom = ImagingGeometry.from_dict(meta["geometry"])
-        op = build_forward_operator(geom, mode="on_the_fly",
-                                    jittered=meta["jittered"])
-        op.mode = "materialized"
-        op.indptr = arrays["row_offsets"].astype(np.int64)
-        op.indices = arrays["col_indices"].astype(np.int64)
-        op.values = arrays["values"]
-        op.output_scale = float(meta["output_scale"])
-        return op
+        offsets = arrays["row_offsets"]
+        n_rows = geom.detector_count * geom.time_samples
+        if offsets.shape != (n_rows + 1,):
+            raise ValueError(
+                f"{path}: row_offsets has shape {offsets.shape}, the "
+                f"geometry needs ({n_rows + 1},)")
+        nnz = int(offsets[-1])
+        for name in ("col_indices", "values"):
+            if arrays[name].shape != (nnz,):
+                raise ValueError(
+                    f"{path}: {name} has shape {arrays[name].shape}, the "
+                    f"row offsets need ({nnz},)")
+        # the sparse product does not bounds-check, so out-of-range
+        # offsets or columns would read outside the arrays
+        cols = arrays["col_indices"]
+        if offsets[0] != 0 or np.any(np.diff(offsets) < 0) or (nnz and (
+                cols.min() < 0 or cols.max() >= geom.n_pixels)):
+            raise ValueError(f"{path}: row_offsets or col_indices out of "
+                             f"range for the geometry")
+        return cls(geometry=geom, jittered=meta["jittered"],
+                   indptr=offsets.astype(kernels.INDEX_DTYPE),
+                   indices=cols.astype(kernels.INDEX_DTYPE),
+                   values=arrays["values"],
+                   output_scale=float(meta["output_scale"]))
 
 
 def entry_scale(geometry: ImagingGeometry) -> float:
@@ -148,15 +145,13 @@ def entry_scale(geometry: ImagingGeometry) -> float:
         / g.sir_subelements
 
 
-def build_forward_operator(geometry: ImagingGeometry, mode: str = "materialized",
+def build_forward_operator(geometry: ImagingGeometry,
                            jittered: bool = False) -> ForwardOperator:
     """Construct the forward operator for ``geometry``.
 
     ``jittered=True`` uses the perturbed detector positions (simulation
     operator); ``False`` uses nominal positions (reconstruction operator).
     """
-    if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}")
     if geometry.ring_radius <= geometry.half_diagonal():
         raise GeometryError(
             f"ring_radius {geometry.ring_radius:g} m must exceed the grid "
@@ -169,17 +164,14 @@ def build_forward_operator(geometry: ImagingGeometry, mode: str = "materialized"
             f"{max_dist:g} m away; increase time_samples or dt")
     px, py = geometry.pixel_coords()
     dsx, dsy = geometry.subelement_positions(jittered=jittered)
-    base = entry_scale(geometry)
-    op = ForwardOperator(
-        geometry=geometry, jittered=jittered, mode=mode, base=base,
-        dsx=dsx, dsy=dsy, px=px, py=py,
-        derivative_stencil=(-0.5 / geometry.dt, 0.0, 0.5 / geometry.dt))
-    if mode == "materialized":
-        rows, cols, vals = kernels.forward_entries(
-            px, py, dsx, dsy, geometry.sound_speed, geometry.dt,
-            geometry.time_samples, base)
-        op.indptr, op.indices, op.values = kernels.assemble_csr(
-            rows, cols, vals, op.n_rows, op.n_cols)
+    rows, cols, vals = kernels.forward_entries(
+        px, py, dsx, dsy, geometry.sound_speed, geometry.dt,
+        geometry.time_samples, entry_scale(geometry))
+    n_rows = geometry.detector_count * geometry.time_samples
+    indptr, indices, values = kernels.assemble_csr(
+        rows, cols, vals, n_rows, geometry.n_pixels)
+    op = ForwardOperator(geometry=geometry, jittered=jittered, indptr=indptr,
+                         indices=indices, values=values)
     op.output_scale = _spectral_gain(op)
     return op
 
@@ -187,22 +179,19 @@ def build_forward_operator(geometry: ImagingGeometry, mode: str = "materialized"
 def _spectral_gain(op: ForwardOperator, iters: int = 30) -> float:
     """1 / (power-iteration estimate of the unnormalized spectral norm).
 
-    Runs on the matrix-free form with a fixed all-ones start so every mode
-    of the same geometry gets the bit-identical constant.
+    A fixed all-ones start and step count make the gain a deterministic
+    function of the assembled matrix.
     """
     g = op.geometry
-    args = (op.px, op.py, op.dsx, op.dsy, g.sound_speed, g.dt, g.time_samples,
-            op.base)
     v = np.full(op.n_cols, 1.0 / np.sqrt(op.n_cols))
     sigma = 0.0
     for _ in range(iters):
-        w = time_derivative(
-            kernels.otf_apply(*args, v).reshape(g.sinogram_shape), g.dt)
+        w = time_derivative(op._spread_apply(v).reshape(g.sinogram_shape),
+                            g.dt)
         sigma = float(np.linalg.norm(w))
         if sigma == 0.0:
             return 1.0
-        v = kernels.otf_adjoint(
-            *args, time_derivative_adjoint(w, g.dt).ravel())
+        v = op._spread_adjoint(time_derivative_adjoint(w, g.dt).ravel())
         nv = float(np.linalg.norm(v))
         if nv == 0.0:
             return 1.0

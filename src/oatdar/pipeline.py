@@ -18,7 +18,7 @@ import numpy as np
 from .config import config_hash, geometry_from_config
 from .dataset import DatasetManifest, entry_seeds, load_images
 from .diffusion import sample_batch
-from .errors import PrerequisiteError, ShapeError
+from .errors import ConfigError, PrerequisiteError, ShapeError
 from .geometry import Image, ImagingGeometry, Sinogram
 from .grayio import write_pgm
 from .metrics import MetricRecord, MetricReport, Stopwatch, psnr, ssim
@@ -169,6 +169,9 @@ def evaluate_methods(cfg: dict, run_dir, manifest: DatasetManifest,
     the stored sinograms are replaced by fresh simulations renoised at each
     requested SNR (seeds derived from the dataset master seed).
     """
+    if snr_list is not None and not all(
+            np.isfinite(s) or s == np.inf for s in snr_list):
+        raise ConfigError(f"SNRs must be finite or inf, got {snr_list}")
     run_dir = Path(run_dir)
     data_dir = run_dir / "dataset"
     geometry = geometry_from_config(cfg)
@@ -237,10 +240,12 @@ def evaluate_methods(cfg: dict, run_dir, manifest: DatasetManifest,
             phantom = Image(read_tensor(data_dir / entry.phantom))
             clean = apply_forward(sim_op, phantom)
             for snr in snr_list:
-                seed = int(np.random.SeedSequence(
-                    (master, entry.index, 3, int(round(snr * 1000))))
-                    .generate_state(1)[0])
-                sino = add_noise(clean, snr, seed)
+                sino = clean
+                if snr != np.inf:
+                    seed = int(np.random.SeedSequence(
+                        (master, entry.index, 3, int(round(snr * 1000))))
+                        .generate_state(1)[0])
+                    sino = add_noise(clean, snr, seed)
                 run_variants(entry, sino, float(snr))
     report = MetricReport(records=records, config_hash=config_hash(cfg))
     report.compute_aggregates()

@@ -9,6 +9,7 @@ from oatdar.operator import (ForwardOperator, add_noise, apply_adjoint,
                              apply_forward, build_forward_operator,
                              entry_scale, tikhonov_solve, time_derivative,
                              time_derivative_adjoint)
+from oatdar.tensorfile import read_bundle, write_bundle
 
 from conftest import (dense_derivative_oracle, dense_full_oracle,
                       dense_spreading_oracle)
@@ -113,7 +114,41 @@ def test_operator_bundle_roundtrip(tmp_path, toy_geometry):
     assert np.array_equal(back.indptr, op.indptr)
     assert np.array_equal(back.indices, op.indices)
     assert np.array_equal(back.values, op.values)
+    assert back.indptr.dtype == op.indptr.dtype == kernels.INDEX_DTYPE
+    assert back.indices.dtype == op.indices.dtype == kernels.INDEX_DTYPE
     assert back.geometry == op.geometry
+    assert back.output_scale == op.output_scale
+    x = np.random.default_rng(2).standard_normal(op.n_cols)
+    assert np.array_equal(back.apply_vec(x), op.apply_vec(x))
+
+
+def test_operator_bundle_rejects_wrong_shapes(tmp_path, toy_geometry):
+    op = build_forward_operator(toy_geometry)
+    op.to_bundle(tmp_path / "op")
+    arrays, meta = read_bundle(tmp_path / "op")
+    cols = arrays["col_indices"].copy()
+    cols[0] = toy_geometry.n_pixels
+    bad = {"row_offsets": dict(arrays, row_offsets=arrays["row_offsets"][:-1]),
+           "values": dict(arrays, values=arrays["values"][:-1]),
+           "col_indices": dict(arrays, col_indices=cols)}
+    for name, broken in bad.items():
+        write_bundle(tmp_path / name, broken, meta)
+        with pytest.raises(ValueError, match=name):
+            ForwardOperator.from_bundle(tmp_path / name)
+
+
+def test_assemble_csr_int32_and_limit(monkeypatch):
+    rows = np.array([2, 0, 2, 0], dtype=np.int64)
+    cols = np.array([1, 3, 1, 0], dtype=np.int64)
+    vals = np.array([1.0, 2.0, 3.0, 4.0])
+    indptr, indices, data = kernels.assemble_csr(rows, cols, vals, 3, 4)
+    assert indptr.dtype == indices.dtype == np.int32
+    assert indptr.tolist() == [0, 2, 2, 3]
+    assert indices.tolist() == [0, 3, 1]
+    assert data.tolist() == [4.0, 2.0, 4.0]
+    monkeypatch.setattr(kernels, "_INDEX_MAX", 2)
+    with pytest.raises(GeometryError, match="int32"):
+        kernels.assemble_csr(rows, cols, vals, 3, 4)
 
 
 # ---------------------------------------------------------------------------
@@ -177,36 +212,33 @@ def test_adjoint_identity(toy_geometry):
         assert abs(lhs - rhs) <= 1e-12 * np.linalg.norm(ax) * np.linalg.norm(y)
 
 
-def test_modes_agree(toy_geometry):
-    op_m = build_forward_operator(toy_geometry, mode="materialized")
-    op_f = build_forward_operator(toy_geometry, mode="on_the_fly")
-    rng = np.random.default_rng(7)
-    x = rng.standard_normal(op_m.n_cols)
-    y = rng.standard_normal(op_m.n_rows)
-    ax_m, ax_f = op_m.apply_vec(x), op_f.apply_vec(x)
-    at_m, at_f = op_m.adjoint_vec(y), op_f.adjoint_vec(y)
-    assert np.allclose(ax_m, ax_f, rtol=1e-12, atol=1e-12 * np.abs(ax_m).max())
-    assert np.allclose(at_m, at_f, rtol=1e-12, atol=1e-12 * np.abs(at_m).max())
+def test_output_scale_matches_dense_power_iteration(toy_geometry):
+    op = build_forward_operator(toy_geometry)
+    full = dense_full_oracle(toy_geometry)
+    v = np.full(op.n_cols, 1.0 / np.sqrt(op.n_cols))
+    for _ in range(30):
+        w = full @ v
+        sigma = np.linalg.norm(w)
+        v = full.T @ w
+        v /= np.linalg.norm(v)
+    assert abs(op.output_scale * sigma - 1.0) <= 1e-12
 
 
-def test_kernel_lanes_agree(toy_geometry):
-    g = toy_geometry
-    px, py = g.pixel_coords()
-    dsx, dsy = g.subelement_positions()
-    base = entry_scale(g)
-    args = (px, py, dsx, dsy, g.sound_speed, g.dt, g.time_samples, base)
-    r1, c1, v1 = kernels._entries_numpy(*args)
-    if kernels.NUMBA_AVAILABLE:
-        r2, c2, v2 = kernels._entries_numba(*args)
-        assert np.array_equal(r1, r2)
-        assert np.array_equal(c1, c2)
-        assert np.array_equal(v1, v2)
+def test_csr_products_match_bincount_reference(toy_geometry):
+    op = build_forward_operator(toy_geometry)
+    indptr, indices, data = op.indptr, op.indices, op.values
     rng = np.random.default_rng(8)
-    x = rng.standard_normal(g.n_pixels)
-    y1 = kernels._otf_apply_numpy(*args, x)
-    if kernels.NUMBA_AVAILABLE:
-        y2 = kernels._otf_apply_numba(*args, x)
-        assert np.allclose(y1, y2, rtol=1e-13, atol=1e-13 * np.abs(y1).max())
+    x = rng.standard_normal(op.n_cols)
+    y = rng.standard_normal(op.n_rows)
+    row_ids = np.repeat(np.arange(op.n_rows), np.diff(indptr))
+    want_ax = np.bincount(row_ids, weights=data * x[indices],
+                          minlength=op.n_rows)
+    want_aty = np.bincount(indices, weights=data * y[row_ids],
+                           minlength=op.n_cols)
+    assert np.array_equal(kernels.csr_matvec(indptr, indices, data, x),
+                          want_ax)
+    assert np.array_equal(
+        kernels.csr_rmatvec(indptr, indices, data, y, op.n_cols), want_aty)
 
 
 def test_shape_mismatch_rejected(toy_geometry):

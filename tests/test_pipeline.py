@@ -1,0 +1,41 @@
+import json
+
+import numpy as np
+
+from oatdar import cli
+from oatdar.config import geometry_from_config, load_config
+from oatdar.dataset import DatasetManifest
+from oatdar.geometry import Image
+from oatdar.metrics import psnr
+from oatdar.operator import apply_forward, build_forward_operator
+from oatdar.pipeline import evaluate_methods, reconstruct_lbp
+from oatdar.tensorfile import read_tensor
+
+TINY = {"profile": "desk", "dataset": {"train": 1, "val": 0, "test": 1}}
+
+
+def test_eval_snr_inf_scores_the_clean_simulation(tmp_path):
+    cfg_path = tmp_path / "tiny.json"
+    cfg_path.write_text(json.dumps(TINY))
+    run = tmp_path / "run"
+    common = ["--config", str(cfg_path), "--run-dir", str(run)]
+    assert cli.main(["dataset", "build", *common]) == 0
+    assert cli.main(["eval", *common, "--methods", "lbp", "--snr", "inf,30",
+                     "--out", str(tmp_path / "report")]) == 0
+    rows = (tmp_path / "report" / "records.tsv").read_text().splitlines()
+    assert [r.split("\t")[3] for r in rows[3:]] == ["inf", "30.0"]
+    assert cli.main(["eval", *common, "--methods", "lbp", "--snr=-inf",
+                     "--out", str(tmp_path / "bad")]) == 2
+
+    cfg = load_config(cfg_path)
+    manifest = DatasetManifest.read(run / "dataset")
+    report = evaluate_methods(cfg, run, manifest, ["lbp"], snr_list=[np.inf])
+    (rec,) = report.records
+    (entry,) = manifest.split("test")
+    gt = read_tensor(run / "dataset" / entry.phantom)
+    geom = geometry_from_config(cfg)
+    clean = apply_forward(build_forward_operator(geom, jittered=True),
+                          Image(gt))
+    want = reconstruct_lbp(build_forward_operator(geom), clean)
+    assert rec.snr_db == np.inf
+    assert rec.psnr == psnr(want.data, gt)
