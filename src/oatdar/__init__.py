@@ -10,7 +10,7 @@ from .phantoms import PhantomParams, generate_phantom, ingest_image
 from .patches import PatchGrid, merge_patches, split_patches
 from .diffusion import (NoiseSchedule, ddim_step, ddpm_step, loss_terms,
                         make_inference_timesteps, make_linear_schedule,
-                        q_sample, sample, sample_batch)
+                        q_sample, sample_batch)
 from .metrics import MetricReport, psnr, ssim
 from .optim import OptimizerState, adam_update
 
@@ -20,6 +20,6 @@ __all__ = [
     "tikhonov_solve", "PhantomParams", "generate_phantom", "ingest_image",
     "PatchGrid", "split_patches", "merge_patches", "NoiseSchedule",
     "make_linear_schedule", "q_sample", "loss_terms", "ddpm_step",
-    "ddim_step", "make_inference_timesteps", "sample", "sample_batch",
+    "ddim_step", "make_inference_timesteps", "sample_batch",
     "MetricReport", "psnr", "ssim", "OptimizerState", "adam_update",
 ]

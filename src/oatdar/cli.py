@@ -13,8 +13,6 @@ import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .config import (apply_flag_overrides, config_hash, geometry_from_config,
                      load_config, phantom_params_from_config)
 from .dataset import DatasetManifest, build_dataset
@@ -112,7 +110,8 @@ def cmd_train(args):
         print(f"fdunet trained -> {ckpt}")
     elif args.block == "cip":
         ckpt = training.train_cip(cfg, run_dir, manifest,
-                                  condition_on=args.condition_on)
+                                  condition_on=args.condition_on,
+                                  resume=args.resume)
         print(f"cip[{args.condition_on}] trained -> {ckpt}")
     elif args.block == "diffusion":
         ckpt = training.train_diffusion(cfg, run_dir, manifest,

@@ -24,7 +24,6 @@ import numpy as np
 from .config import (config_hash, geometry_from_config,
                      phantom_params_from_config)
 from .errors import ConfigError, TensorFileError
-from .geometry import Image, Sinogram
 from .operator import add_noise, apply_adjoint, apply_forward, \
     build_forward_operator
 from .phantoms import generate_phantom

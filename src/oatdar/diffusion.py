@@ -13,7 +13,7 @@ the sampled corrupting noise and the network's prediction of it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -180,47 +180,16 @@ def make_inference_timesteps(T: int, nis: int) -> list:
     return [-(-T * (nis - i) // nis) for i in range(nis)]
 
 
-def sample(denoiser, cond, shape, sched: NoiseSchedule, nis: int,
-           eta: float = 0.0, seed: int = 0, x_init=None, timesteps=None,
-           t_end: int = 0):
-    """Generate one patch by iterating reduced reverse steps from pure noise.
-
-    ``denoiser(x_t, cond, t)`` predicts the corrupting noise. The initial
-    draw comes from a stream keyed by (seed, 0) and the step-t injection
-    noise from (seed, t), so a trajectory can be split and resumed exactly:
-    run ``timesteps=ts[:k], t_end=ts[k]``, then feed the result back through
-    ``x_init=..., timesteps=ts[k:]`` to finish, reproducing the one-shot run
-    bit for bit.
-    """
-    if timesteps is None:
-        timesteps = make_inference_timesteps(sched.T, nis)
-    if x_init is None:
-        rng = np.random.default_rng(np.random.SeedSequence((seed, 0)))
-        x = rng.standard_normal(shape)
-    else:
-        x = np.asarray(x_init).copy()
-    for i, t in enumerate(timesteps):
-        t_prev = timesteps[i + 1] if i + 1 < len(timesteps) else t_end
-        eps_pred = denoiser(x, cond, t)
-        if eps_pred.shape != x.shape:
-            raise ShapeError(f"denoiser returned {eps_pred.shape}, "
-                             f"expected {x.shape}")
-        if eta > 0.0:
-            z = np.random.default_rng(
-                np.random.SeedSequence((seed, t))).standard_normal(shape)
-        else:
-            z = 0.0
-        x = ddim_step(x, eps_pred, t, t_prev, eta, z, sched)
-    return x
-
-
 def sample_batch(denoiser, conds, shape, sched: NoiseSchedule, nis: int,
                  eta: float = 0.0, seeds=()):
-    """Sample several patches in lockstep through one batched denoiser.
+    """Sample patches in lockstep by iterating reduced reverse steps from
+    pure noise through one batched denoiser.
 
-    ``denoiser(x_batch, conds, t)`` maps (B, H, W) to (B, H, W). Patch b
-    draws its own noise streams keyed by ``seeds[b]`` exactly as
-    :func:`sample` would, so the batch dimension only amortizes network
+    ``denoiser(x_batch, conds, t)`` predicts the corrupting noise, mapping
+    (B, H, W) to (B, H, W). Patch b draws its initial noise from a stream
+    keyed by (seeds[b], 0) and its step-t injection noise from
+    (seeds[b], t), so sampling seeds [s0, s1] in one call equals two
+    one-seed calls row for row: the batch dimension only amortizes network
     calls.
     """
     seeds = [int(s) for s in seeds]

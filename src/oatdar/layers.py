@@ -8,6 +8,8 @@ seed are bit-identical.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from . import autodiff as ad
@@ -141,6 +143,21 @@ class GroupNorm(Module):
 
     def __call__(self, x):
         return ad.group_norm(x, self.gamma, self.beta, self.groups, self.eps)
+
+
+@functools.lru_cache(maxsize=None)
+def _upsample2_matrices(h: int, w: int, dtype):
+    mats = ad.upsample2_matrices(h, w, dtype=dtype)
+    for m in mats:
+        m.setflags(write=False)      # shared by every model in the process
+    return mats
+
+
+def upsample2(x):
+    """Bilinear x2 upsampling of an NCHW tensor; the interpolation matrices
+    are built once per (H, W, dtype)."""
+    h, w = x.data.shape[2:]
+    return ad.upsample2_bilinear(x, *_upsample2_matrices(h, w, x.data.dtype))
 
 
 # ---------------------------------------------------------------------------

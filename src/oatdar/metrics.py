@@ -32,7 +32,7 @@ def psnr(x: np.ndarray, ref: np.ndarray, data_range: float = 1.0) -> float:
     mse = float(np.mean((x - ref) ** 2))
     if mse == 0.0:
         return PSNR_CAP
-    return min(10.0 * np.log10(data_range ** 2 / mse), PSNR_CAP)
+    return min(float(10.0 * np.log10(data_range ** 2 / mse)), PSNR_CAP)
 
 
 def _gaussian_kernel():
@@ -130,9 +130,6 @@ class MetricReport:
             }
         self.aggregates = out
         return out
-
-    def median_psnr(self, name: str) -> float:
-        return float(np.median([r.psnr for r in self.variant_records(name)]))
 
     def write(self, directory) -> Path:
         """records.tsv carries only deterministic columns (it is the

@@ -8,14 +8,14 @@ istically from a seed, with a single parameter set shared across timesteps
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
 from .layers import (Conv2d, CrossAttentionBlock, GroupNorm, Linear, Module,
-                     ModuleList, ResBlock)
+                     ModuleList, ResBlock, upsample2)
 
 # ---------------------------------------------------------------------------
 # sinusoidal time embedding
@@ -197,15 +197,6 @@ class ConditionalDenoiser(Module):
             self.up_attn.append(attn(ch[i]))
         self.norm_out = GroupNorm(ch[0], cfg.norm_groups, dtype=dtype)
         self.conv_out = Conv2d(ch[0], 1, 3, rng, dtype=dtype)
-        self._up_mats = {}
-
-    def _upsample(self, x):
-        n, c, h, w = x.data.shape
-        key = (h, w, x.data.dtype)
-        if key not in self._up_mats:
-            self._up_mats[key] = ad.upsample2_matrices(h, w, dtype=x.data.dtype)
-        uh, uw = self._up_mats[key]
-        return ad.upsample2_bilinear(x, uh, uw)
 
     def _cond_tokens(self, cond):
         cond = ad.as_tensor(cond)
@@ -238,7 +229,7 @@ class ConditionalDenoiser(Module):
         h = self.mid_attn(h, cond_tokens)
         h = self.mid_res2(h, temb)
         for j, i in enumerate(reversed(range(n_scales - 1))):
-            h = self._upsample(h)
+            h = upsample2(h)
             h = ad.concat([h, skips[i]], axis=1)
             for block in self.up_res[j]:
                 h = block(h, temb)
@@ -340,15 +331,6 @@ class FDUNet(Module):
             self.dec_trans.append(Conv2d(db.out_channels, ch[i], 1, rng,
                                          dtype=dtype))
         self.head = Conv2d(ch[0], 1, 1, rng, dtype=dtype)
-        self._up_mats = {}
-
-    def _upsample(self, x):
-        n, c, h, w = x.data.shape
-        key = (h, w, x.data.dtype)
-        if key not in self._up_mats:
-            self._up_mats[key] = ad.upsample2_matrices(h, w, dtype=x.data.dtype)
-        uh, uw = self._up_mats[key]
-        return ad.upsample2_bilinear(x, uh, uw)
 
     def __call__(self, x):
         x = ad.as_tensor(x)
@@ -361,7 +343,7 @@ class FDUNet(Module):
             if i < n_scales - 1:
                 h = ad.max_pool2(h)
         for j, i in enumerate(reversed(range(n_scales - 1))):
-            h = self._upsample(h)
+            h = upsample2(h)
             h = ad.concat([h, skips[i]], axis=1)
             h = ad.relu(self.dec_trans[j](self.dec_blocks[j](h)))
         return self.head(h)

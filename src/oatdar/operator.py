@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .errors import GeometryError, NumericalError, ShapeError, SignalWindowError
+from .errors import GeometryError, NumericalError, SignalWindowError
 from .geometry import (ImagingGeometry, Image, Sinogram, check_image,
                        check_sinogram)
 from .tensorfile import read_bundle, write_bundle

@@ -10,7 +10,7 @@ zero. Generation is bit-deterministic given the parameter seed.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 
 import numpy as np
 

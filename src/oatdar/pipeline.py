@@ -16,9 +16,9 @@ from pathlib import Path
 import numpy as np
 
 from .config import config_hash, geometry_from_config
-from .dataset import DatasetManifest, entry_seeds, load_images
+from .dataset import DatasetManifest
 from .diffusion import sample_batch
-from .errors import ConfigError, PrerequisiteError, ShapeError
+from .errors import ConfigError, PrerequisiteError
 from .geometry import Image, ImagingGeometry, Sinogram
 from .grayio import write_pgm
 from .metrics import MetricRecord, MetricReport, Stopwatch, psnr, ssim
@@ -26,10 +26,8 @@ from .models import denoise_predict
 from .operator import (add_noise, apply_adjoint, apply_forward,
                        build_forward_operator, tikhonov_solve)
 from .patches import PatchGrid, merge_patches, split_patches
-from .phantoms import generate_phantom
 from .tensorfile import read_tensor, write_tensor
-from .training import (load_cip_encoder, load_denoiser, load_fdunet,
-                       normalize01, schedule_from_config)
+from .training import load_denoiser, load_fdunet, normalize01
 
 log = logging.getLogger(__name__)
 
@@ -60,11 +58,8 @@ def load_models(run_dir, condition_on: str = "fdunet",
         if not path.is_dir():
             raise PrerequisiteError(
                 f"missing stage: train diffusion --condition-on {condition_on}")
-        den, enc, sched = load_denoiser(path)
-        bundle.denoiser, bundle.encoder, bundle.schedule = den, enc, sched
-        from .training import load_checkpoint
-        _, _, meta = load_checkpoint(path)
-        bundle.patch = (meta["patch"]["h"], meta["patch"]["w"])
+        (bundle.denoiser, bundle.encoder, bundle.schedule,
+         bundle.patch) = load_denoiser(path)
     return bundle
 
 
@@ -151,12 +146,10 @@ def export_image(img: Image, path, fmt: str | None = None) -> Path:
 # ---------------------------------------------------------------------------
 
 
-def _parse_method(name: str):
-    """'dar' / 'dar_lbp' carry an optional '-<nis>' suffix."""
-    if name.startswith("dar") and "-" in name:
-        base, nis = name.rsplit("-", 1)
-        return base, int(nis)
-    return name, 0
+def _check_snrs(snrs):
+    """An SNR is a finite dB value or +inf (no noise)."""
+    if not all(np.isfinite(s) or s == np.inf for s in snrs):
+        raise ConfigError(f"SNRs must be finite or inf, got {list(snrs)}")
 
 
 def evaluate_methods(cfg: dict, run_dir, manifest: DatasetManifest,
@@ -169,9 +162,8 @@ def evaluate_methods(cfg: dict, run_dir, manifest: DatasetManifest,
     the stored sinograms are replaced by fresh simulations renoised at each
     requested SNR (seeds derived from the dataset master seed).
     """
-    if snr_list is not None and not all(
-            np.isfinite(s) or s == np.inf for s in snr_list):
-        raise ConfigError(f"SNRs must be finite or inf, got {snr_list}")
+    if snr_list is not None:
+        _check_snrs(snr_list)
     run_dir = Path(run_dir)
     data_dir = run_dir / "dataset"
     geometry = geometry_from_config(cfg)
@@ -254,6 +246,7 @@ def evaluate_methods(cfg: dict, run_dir, manifest: DatasetManifest,
 
 def simulate_sinogram(cfg: dict, phantom: Image, snr_db: float,
                       seed: int) -> Sinogram:
+    _check_snrs([snr_db])
     geometry = geometry_from_config(cfg)
     sim_op = build_forward_operator(geometry, jittered=True)
     sino = apply_forward(sim_op, phantom)

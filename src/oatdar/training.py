@@ -1,10 +1,15 @@
-"""Training loops for the three trainable blocks, with resumable
-checkpoints.
+"""Training for the three trainable blocks through one resumable epoch loop.
+
+Each trainer builds its data, its ``{name: Tensor}`` parameters and a
+per-batch loss, then hands them to :func:`fit`, which owns batching, Adam,
+the non-finite-loss abort, per-epoch checkpoints and the loss log.
 
 All stochasticity in a stage (shuffles, timestep draws, corruption noise)
-comes from a single generator whose state is checkpointed after every epoch,
-so interrupt + resume reproduces the uninterrupted run bit for bit. Stage
-streams derive from the dataset master seed.
+comes from a single generator whose state is checkpointed after every epoch
+together with the parameters and Adam moments, so for every stage (enhancer,
+conditioning autoencoder, denoiser) interrupt + resume reproduces the
+uninterrupted run bit for bit. Stage streams derive from the dataset master
+seed.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ from .autodiff import Tensor
 from .config import config_hash
 from .dataset import DatasetManifest, attach_fdunet_outputs, load_images
 from .diffusion import NoiseSchedule, make_linear_schedule
-from .errors import NumericalError, PrerequisiteError
+from .errors import ConfigError, NumericalError, PrerequisiteError
 from .models import (CIPAutoencoder, CIPEncoder, ConditionalDenoiser,
                      DenoiserConfig, FDUNet, FDUNetConfig)
 from .optim import OptimizerState, adam_update
@@ -95,12 +100,75 @@ def _epoch_batches(rng, n, batch_size):
         yield perm[s:s + batch_size]
 
 
-def _finite_or_abort(loss, path, params, opt, meta, rng, stage):
-    if np.isfinite(loss):
-        return
-    save_checkpoint(path, params, opt, {**meta, "aborted": True}, rng)
-    raise NumericalError(f"{stage}: non-finite loss {loss}; "
-                         f"checkpoint saved to {path}")
+def _mse(pred: Tensor, target: Tensor) -> Tensor:
+    d = ad.sub(pred, target)
+    return ad.mean_(ad.mul(d, d))
+
+
+def _load_params(params: dict, arrays: dict, path):
+    if set(arrays) != set(params) or any(
+            arrays[k].shape != t.data.shape for k, t in params.items()):
+        raise ConfigError(f"{path} does not match the configured model; "
+                          "train without --resume")
+    for k, t in params.items():
+        t.data = arrays[k].astype(t.data.dtype, copy=True)
+
+
+def fit(cfg: dict, run_dir, stage: str, ckpt_name: str, params: dict,
+        n: int, batch_loss, meta: dict, resume: bool = False) -> Path:
+    """The epoch loop every trainer shares.
+
+    ``params`` maps checkpoint names to the trainable tensors;
+    ``batch_loss(idx, rng)`` returns the scalar loss Tensor of the training
+    items ``idx`` and may draw from the stage generator ``rng``. Every epoch
+    ends with a checkpoint of the parameters, Adam moments, generator state
+    and losses; ``resume`` continues from it. A non-finite epoch loss saves
+    an ``aborted`` checkpoint and raises :class:`NumericalError`.
+    """
+    run_dir = Path(run_dir)
+    ckpt = run_dir / "checkpoints" / ckpt_name
+    tr = cfg["training"]
+    opt = OptimizerState(learning_rate=tr["learning_rate"],
+                         beta1=tr["adam_beta1"], beta2=tr["adam_beta2"])
+    rng = stage_rng(cfg["dataset"]["master_seed"], stage)
+    start_epoch, losses = 0, []
+    if resume and ckpt.is_dir():
+        saved, opt_arrays, m = load_checkpoint(ckpt)
+        _load_params(params, saved, ckpt)
+        opt.load_state_arrays(opt_arrays, m["opt_step"])
+        _restore_rng(rng, m)
+        start_epoch = m["epoch"] + 1
+        losses = list(m["losses"])
+
+    def arrays():
+        return {k: t.data for k, t in params.items()}
+
+    for epoch in range(start_epoch, tr["epochs"]):
+        batch_losses = []
+        for idx in _epoch_batches(rng, n, tr["batch_size"]):
+            for t in params.values():
+                t.grad = None
+            loss = batch_loss(idx, rng)
+            loss.backward()
+            adam_update(arrays(), {k: t.grad for k, t in params.items()}, opt)
+            batch_losses.append(float(loss.data))
+        epoch_loss = float(np.mean(batch_losses))
+        if not np.isfinite(epoch_loss):
+            save_checkpoint(ckpt, arrays(), opt,
+                            {**meta, "epoch": epoch, "losses": losses,
+                             "aborted": True}, rng)
+            raise NumericalError(f"{stage}: non-finite loss {epoch_loss}; "
+                                 f"checkpoint saved to {ckpt}")
+        losses.append(epoch_loss)
+        log.info("%s epoch %d/%d loss %.3e", stage, epoch + 1, tr["epochs"],
+                 epoch_loss)
+        save_checkpoint(ckpt, arrays(), opt,
+                        {**meta, "epoch": epoch, "losses": losses}, rng)
+    if tr["epochs"] == 0 or not ckpt.is_dir():
+        save_checkpoint(ckpt, arrays(), opt,
+                        {**meta, "epoch": -1, "losses": losses}, rng)
+    _write_loss_log(run_dir, stage, losses)
+    return ckpt
 
 
 # ---------------------------------------------------------------------------
@@ -110,57 +178,20 @@ def _finite_or_abort(loss, path, params, opt, meta, rng, stage):
 
 def train_fdunet(cfg: dict, run_dir, manifest: DatasetManifest,
                  resume: bool = False) -> Path:
-    run_dir = Path(run_dir)
-    data_dir = run_dir / "dataset"
-    ckpt = run_dir / "checkpoints" / "fdunet.ckpt"
+    data_dir = Path(run_dir) / "dataset"
     model = FDUNet(FDUNetConfig.from_dict(cfg["fd_unet"]))
-    tr = cfg["training"]
-    opt = OptimizerState(learning_rate=tr["learning_rate"],
-                         beta1=tr["adam_beta1"], beta2=tr["adam_beta2"])
-    rng = stage_rng(cfg["dataset"]["master_seed"], "fdunet")
-    start_epoch, losses = 0, []
-    if resume and ckpt.is_dir():
-        params, opt_arrays, meta = load_checkpoint(ckpt)
-        model.load_state_arrays(params)
-        opt.load_state_arrays(opt_arrays, meta["opt_step"])
-        _restore_rng(rng, meta)
-        start_epoch = meta["epoch"] + 1
-        losses = list(meta["losses"])
-
     lbp = normalize01_batch(load_images(manifest, data_dir, "lbp", "train"))
     gt = load_images(manifest, data_dir, "phantom", "train")
     x_all = lbp[:, None].astype(np.float32)
     y_all = gt[:, None].astype(np.float32)
-    n = x_all.shape[0]
-    params = model.parameters()
+
+    def batch_loss(idx, rng):
+        return _mse(model(Tensor(x_all[idx])), Tensor(y_all[idx]))
+
     meta = {"kind": "fdunet", "config_hash": config_hash(cfg),
             "model_config": cfg["fd_unet"]}
-
-    for epoch in range(start_epoch, tr["epochs"]):
-        batch_losses = []
-        for idx in _epoch_batches(rng, n, tr["batch_size"]):
-            model.zero_grad()
-            pred = model(Tensor(x_all[idx]))
-            d = ad.sub(pred, Tensor(y_all[idx]))
-            loss = ad.mean_(ad.mul(d, d))
-            loss.backward()
-            adam_update({k: t.data for k, t in params.items()},
-                        {k: t.grad for k, t in params.items()}, opt)
-            batch_losses.append(float(loss.data))
-        epoch_loss = float(np.mean(batch_losses))
-        _finite_or_abort(epoch_loss, ckpt, model.state_arrays(), opt,
-                         {**meta, "epoch": epoch, "losses": losses},
-                         rng, "fdunet")
-        losses.append(epoch_loss)
-        log.info("fdunet epoch %d/%d loss %.3e", epoch + 1, tr["epochs"],
-                 epoch_loss)
-        save_checkpoint(ckpt, model.state_arrays(), opt,
-                        {**meta, "epoch": epoch, "losses": losses}, rng)
-    if tr["epochs"] == 0 or not ckpt.is_dir():
-        save_checkpoint(ckpt, model.state_arrays(), opt,
-                        {**meta, "epoch": -1, "losses": losses}, rng)
-    _write_loss_log(run_dir, "fdunet", losses)
-    return ckpt
+    return fit(cfg, run_dir, "fdunet", "fdunet.ckpt", model.parameters(),
+               x_all.shape[0], batch_loss, meta, resume)
 
 
 def load_fdunet(ckpt) -> FDUNet:
@@ -217,52 +248,25 @@ def _cond_patches(cfg, manifest, data_dir, condition_on, split="train"):
 
 def train_cip(cfg: dict, run_dir, manifest: DatasetManifest,
               condition_on: str = "fdunet", resume: bool = False) -> Path:
-    run_dir = Path(run_dir)
-    ckpt = run_dir / "checkpoints" / f"cip_{condition_on}.ckpt"
     ae = CIPAutoencoder(cfg["cip"]["layer_dims"], seed=cfg["cip"]["seed"])
-    tr = cfg["training"]
-    opt = OptimizerState(learning_rate=tr["learning_rate"],
-                         beta1=tr["adam_beta1"], beta2=tr["adam_beta2"])
-    rng = stage_rng(cfg["dataset"]["master_seed"], f"cip_{condition_on}")
-    x_all, _ = _cond_patches(cfg, manifest, run_dir / "dataset", condition_on)
+    x_all, _ = _cond_patches(cfg, manifest, Path(run_dir) / "dataset",
+                             condition_on)
     if x_all.shape[0] == 0:
         raise PrerequisiteError("empty conditioning dataset")
-    n = x_all.shape[0]
-    params = ae.parameters()
-    losses = []
+
+    def batch_loss(idx, rng):
+        xb = Tensor(x_all[idx])
+        return _mse(ae(xb), xb)
+
+    # the decoder is pretraining scaffolding, checkpointed so resume works
+    params = {**{f"enc.{k}": t for k, t in ae.encoder.parameters().items()},
+              **{f"dec.{k}": t for k, t in ae.decoder.parameters().items()}}
     meta = {"kind": "cip", "condition_on": condition_on,
             "config_hash": config_hash(cfg),
             "layer_dims": list(cfg["cip"]["layer_dims"])}
-    start_epoch = 0
-    if resume and ckpt.is_dir():
-        raise NotImplementedError("cip pretraining is cheap; rerun it")
-
-    for epoch in range(start_epoch, tr["epochs"]):
-        batch_losses = []
-        for idx in _epoch_batches(rng, n, tr["batch_size"]):
-            ae.zero_grad()
-            xb = Tensor(x_all[idx])
-            rec = ae(xb)
-            d = ad.sub(rec, xb)
-            loss = ad.mean_(ad.mul(d, d))
-            loss.backward()
-            adam_update({k: t.data for k, t in params.items()},
-                        {k: t.grad for k, t in params.items()}, opt)
-            batch_losses.append(float(loss.data))
-        epoch_loss = float(np.mean(batch_losses))
-        _finite_or_abort(epoch_loss, ckpt, ae.encoder.state_arrays(), None,
-                         {**meta, "epoch": epoch, "losses": losses}, rng,
-                         "cip")
-        losses.append(epoch_loss)
-        log.info("cip[%s] epoch %d/%d loss %.3e", condition_on, epoch + 1,
-                 tr["epochs"], epoch_loss)
-    # the decoder is scaffolding: persist the encoder only
-    save_checkpoint(ckpt, {f"enc.{k}": t.data
-                           for k, t in ae.encoder.parameters().items()},
-                    None, {**meta, "epoch": tr["epochs"] - 1,
-                           "losses": losses}, rng)
-    _write_loss_log(run_dir, f"cip_{condition_on}", losses)
-    return ckpt
+    stage = f"cip_{condition_on}"
+    return fit(cfg, run_dir, stage, f"{stage}.ckpt", params, x_all.shape[0],
+               batch_loss, meta, resume)
 
 
 def load_cip_encoder(ckpt) -> CIPEncoder:
@@ -287,10 +291,8 @@ def schedule_from_config(cfg: dict) -> NoiseSchedule:
 def train_diffusion(cfg: dict, run_dir, manifest: DatasetManifest,
                     condition_on: str = "fdunet",
                     resume: bool = False) -> Path:
-    run_dir = Path(run_dir)
-    data_dir = run_dir / "dataset"
-    ckpt = run_dir / "checkpoints" / f"denoiser_{condition_on}.ckpt"
-    cip_ckpt = run_dir / "checkpoints" / f"cip_{condition_on}.ckpt"
+    data_dir = Path(run_dir) / "dataset"
+    cip_ckpt = Path(run_dir) / "checkpoints" / f"cip_{condition_on}.ckpt"
     if not cip_ckpt.is_dir():
         raise PrerequisiteError(
             f"train cip --condition-on {condition_on} must run before the "
@@ -301,23 +303,25 @@ def train_diffusion(cfg: dict, run_dir, manifest: DatasetManifest,
     encoder = load_cip_encoder(cip_ckpt)
     if encoder.out_dim != den_cfg.cond_dim:
         raise PrerequisiteError("conditioning encoder output dim mismatch")
-    tr = cfg["training"]
-    opt = OptimizerState(learning_rate=tr["learning_rate"],
-                         beta1=tr["adam_beta1"], beta2=tr["adam_beta2"])
-    rng = stage_rng(cfg["dataset"]["master_seed"],
-                    f"diffusion_{condition_on}")
 
     cond_flat, grid = _cond_patches(cfg, manifest, data_dir, condition_on)
     gt = load_images(manifest, data_dir, "phantom", "train")
-    gt_patches = []
-    for im in gt:
-        for p in split_patches(im, grid):
-            gt_patches.append(p)
+    gt_patches = [p for im in gt for p in split_patches(im, grid)]
     # model space is [-1, 1]
     x0_all = (np.asarray(gt_patches, dtype=np.float32)[:, None] * 2.0 - 1.0)
-    n = x0_all.shape[0]
-    if n != cond_flat.shape[0]:
+    if x0_all.shape[0] != cond_flat.shape[0]:
         raise PrerequisiteError("conditioning/target patch count mismatch")
+    sqrt_ab = np.sqrt(sched.alpha_bar).astype(np.float32)
+    sqrt_1mab = np.sqrt(1.0 - sched.alpha_bar).astype(np.float32)
+
+    def batch_loss(idx, rng):
+        t_batch = rng.integers(1, sched.T + 1, size=idx.size)
+        eps = rng.standard_normal((idx.size, 1, grid.patch_h, grid.patch_w),
+                                  dtype=np.float32)
+        xt = (sqrt_ab[t_batch][:, None, None, None] * x0_all[idx]
+              + sqrt_1mab[t_batch][:, None, None, None] * eps)
+        cond_vec = encoder(Tensor(cond_flat[idx]))
+        return _mse(model(Tensor(xt), cond_vec, t_batch), Tensor(eps))
 
     params = {**{f"den.{k}": t for k, t in model.parameters().items()},
               **{f"cip.{k}": t for k, t in encoder.parameters().items()}}
@@ -327,62 +331,14 @@ def train_diffusion(cfg: dict, run_dir, manifest: DatasetManifest,
             "cip_layer_dims": list(encoder.layer_dims),
             "schedule": cfg["schedule"],
             "patch": {"h": grid.patch_h, "w": grid.patch_w}}
-    losses = []
-    start_epoch = 0
-    if resume and ckpt.is_dir():
-        p_arrays, opt_arrays, m = load_checkpoint(ckpt)
-        model.load_state_arrays({k[4:]: v for k, v in p_arrays.items()
-                                 if k.startswith("den.")})
-        encoder.load_state_arrays({k[4:]: v for k, v in p_arrays.items()
-                                   if k.startswith("cip.")})
-        opt.load_state_arrays(opt_arrays, m["opt_step"])
-        _restore_rng(rng, m)
-        start_epoch = m["epoch"] + 1
-        losses = list(m["losses"])
-
-    sqrt_ab = np.sqrt(sched.alpha_bar).astype(np.float32)
-    sqrt_1mab = np.sqrt(1.0 - sched.alpha_bar).astype(np.float32)
-
-    def all_arrays():
-        return {k: t.data for k, t in params.items()}
-
-    for epoch in range(start_epoch, tr["epochs"]):
-        batch_losses = []
-        for idx in _epoch_batches(rng, n, tr["batch_size"]):
-            t_batch = rng.integers(1, sched.T + 1, size=idx.size)
-            eps = rng.standard_normal((idx.size, 1, grid.patch_h,
-                                       grid.patch_w), dtype=np.float32)
-            x0 = x0_all[idx]
-            xt = (sqrt_ab[t_batch][:, None, None, None] * x0
-                  + sqrt_1mab[t_batch][:, None, None, None] * eps)
-            model.zero_grad()
-            encoder.zero_grad()
-            cond_vec = encoder(Tensor(cond_flat[idx]))
-            pred = model(Tensor(xt), cond_vec, t_batch)
-            d = ad.sub(pred, Tensor(eps))
-            loss = ad.mean_(ad.mul(d, d))
-            loss.backward()
-            adam_update(all_arrays(),
-                        {k: t.grad for k, t in params.items()}, opt)
-            batch_losses.append(float(loss.data))
-        epoch_loss = float(np.mean(batch_losses))
-        _finite_or_abort(epoch_loss, ckpt, all_arrays(), opt,
-                         {**meta, "epoch": epoch, "losses": losses}, rng,
-                         "diffusion")
-        losses.append(epoch_loss)
-        log.info("diffusion[%s] epoch %d/%d loss %.4f", condition_on,
-                 epoch + 1, tr["epochs"], epoch_loss)
-        save_checkpoint(ckpt, all_arrays(), opt,
-                        {**meta, "epoch": epoch, "losses": losses}, rng)
-    if tr["epochs"] == 0 or not ckpt.is_dir():
-        save_checkpoint(ckpt, all_arrays(), opt,
-                        {**meta, "epoch": -1, "losses": losses}, rng)
-    _write_loss_log(run_dir, f"diffusion_{condition_on}", losses)
-    return ckpt
+    return fit(cfg, run_dir, f"diffusion_{condition_on}",
+               f"denoiser_{condition_on}.ckpt", params, x0_all.shape[0],
+               batch_loss, meta, resume)
 
 
 def load_denoiser(ckpt):
-    """Returns (denoiser, jointly tuned conditioning encoder, schedule)."""
+    """Returns (denoiser, jointly tuned conditioning encoder, schedule,
+    (patch_h, patch_w))."""
     p_arrays, _, meta = load_checkpoint(ckpt)
     model = ConditionalDenoiser(DenoiserConfig.from_dict(
         meta["denoiser_config"]))
@@ -391,7 +347,5 @@ def load_denoiser(ckpt):
     encoder = CIPEncoder(meta["cip_layer_dims"], np.random.default_rng(0))
     encoder.load_state_arrays({k[4:]: v for k, v in p_arrays.items()
                                if k.startswith("cip.")})
-    s = meta["schedule"]
-    sched = make_linear_schedule(s["T"], s["beta1"], s["betaT"],
-                                 s["sigma_mode"])
-    return model, encoder, sched
+    return (model, encoder, schedule_from_config(meta),
+            (meta["patch"]["h"], meta["patch"]["w"]))

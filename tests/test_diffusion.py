@@ -5,7 +5,7 @@ import pytest
 
 from oatdar.diffusion import (NoiseSchedule, ddim_step, ddpm_step, loss_terms,
                               make_inference_timesteps, make_linear_schedule,
-                              q_sample, sample, scale_from_model,
+                              q_sample, sample_batch, scale_from_model,
                               scale_to_model)
 from oatdar.errors import NumericalError, ShapeError
 
@@ -292,8 +292,9 @@ def test_sample_with_oracle_denoiser_recovers_x0(paper_sched, nis):
     rng = np.random.default_rng(9)
     x0 = rng.standard_normal((6, 6))
     oracle = _oracle_denoiser(x0)
-    out = sample(lambda x, c, t: oracle(x, c, t, paper_sched), None,
-                 (6, 6), paper_sched, nis=nis, eta=0.0, seed=3)
+    out = sample_batch(lambda x, c, t: oracle(x, c, t, paper_sched), None,
+                       (6, 6), paper_sched, nis=nis, eta=0.0, seeds=[3, 4])
+    assert out.shape == (2, 6, 6)
     assert np.abs(out - x0).max() <= 1e-8
 
 
@@ -301,32 +302,36 @@ def test_sample_deterministic_given_seed(paper_sched):
     x0 = np.random.default_rng(10).standard_normal((4, 4))
     oracle = _oracle_denoiser(x0)
     fn = lambda x, c, t: oracle(x, c, t, paper_sched)
-    a = sample(fn, None, (4, 4), paper_sched, nis=5, eta=0.0, seed=1)
-    b = sample(fn, None, (4, 4), paper_sched, nis=5, eta=0.0, seed=1)
+    a = sample_batch(fn, None, (4, 4), paper_sched, nis=5, eta=0.0, seeds=[1])
+    b = sample_batch(fn, None, (4, 4), paper_sched, nis=5, eta=0.0, seeds=[1])
     assert np.array_equal(a, b)
-    c = sample(fn, None, (4, 4), paper_sched, nis=5, eta=0.0, seed=2)
+    c = sample_batch(fn, None, (4, 4), paper_sched, nis=5, eta=0.0, seeds=[2])
     assert not np.array_equal(a, c)
 
 
 @pytest.mark.parametrize("eta", [0.0, 0.7])
-def test_sample_split_resume_identical(paper_sched, eta):
-    x0 = np.random.default_rng(11).standard_normal((4, 4))
-    oracle = _oracle_denoiser(x0)
-    fn = lambda x, c, t: oracle(x, c, t, paper_sched)
-    ts = make_inference_timesteps(paper_sched.T, 25)
-    full = sample(fn, None, (4, 4), paper_sched, nis=25, eta=eta, seed=5)
-    k = 11
-    mid = sample(fn, None, (4, 4), paper_sched, nis=25, eta=eta, seed=5,
-                 timesteps=ts[:k], t_end=ts[k])
-    resumed = sample(fn, None, (4, 4), paper_sched, nis=25, eta=eta, seed=5,
-                     x_init=mid, timesteps=ts[k:])
-    assert np.array_equal(full, resumed)
+def test_sample_batch_rows_equal_one_seed_calls(paper_sched, eta):
+    """Row b of a batched call is the one-seed call on seeds[b]: the batch
+    only amortizes network calls."""
+    seeds = [5, 17, 2**40 + 3]
+    conds = np.array([0.1, -0.2, 0.3])
+
+    def fn(x, c, t):
+        return 0.5 * np.tanh(x + c[:, None, None])
+
+    batch = sample_batch(fn, conds, (4, 4), paper_sched, nis=25, eta=eta,
+                         seeds=seeds)
+    for b, s in enumerate(seeds):
+        (one,) = sample_batch(fn, conds[b:b + 1], (4, 4), paper_sched,
+                              nis=25, eta=eta, seeds=[s])
+        assert np.array_equal(batch[b], one)
+    assert not np.array_equal(batch[0], batch[1])
 
 
 def test_sample_rejects_bad_denoiser_shape(paper_sched):
     with pytest.raises(ShapeError):
-        sample(lambda x, c, t: np.zeros((2, 2)), None, (4, 4), paper_sched,
-               nis=2, seed=0)
+        sample_batch(lambda x, c, t: np.zeros((1, 2, 2)), None, (4, 4),
+                     paper_sched, nis=2, seeds=[0])
 
 
 def test_model_space_scaling():

@@ -39,3 +39,16 @@ def test_eval_snr_inf_scores_the_clean_simulation(tmp_path):
     want = reconstruct_lbp(build_forward_operator(geom), clean)
     assert rec.snr_db == np.inf
     assert rec.psnr == psnr(want.data, gt)
+
+
+def test_simulate_rejects_non_finite_snr(tmp_path):
+    phantom = tmp_path / "phantom.oatd"
+    assert cli.main(["phantom", "--out", str(phantom)]) == 0
+    common = ["simulate", "--phantom", str(phantom)]
+    for snr in ("-inf", "nan"):
+        out = tmp_path / f"sino_{snr}.oatd"
+        assert cli.main([*common, f"--snr={snr}", "--out", str(out)]) == 2
+        assert not out.exists()
+    clean = tmp_path / "clean.oatd"
+    assert cli.main([*common, "--snr=inf", "--out", str(clean)]) == 0
+    assert np.all(np.isfinite(read_tensor(clean)))

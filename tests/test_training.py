@@ -1,0 +1,128 @@
+"""The shared epoch loop: resuming a stage reproduces the uninterrupted run
+bit for bit, and the CLI hands ``--resume`` to every block."""
+
+import json
+import shutil
+
+import numpy as np
+import pytest
+
+from oatdar import autodiff as ad
+from oatdar import cli, training
+from oatdar.errors import ConfigError, NumericalError
+from oatdar.config import load_config
+from oatdar.dataset import build_dataset
+from oatdar.tensorfile import read_bundle
+
+TINY = {"profile": "desk", "dataset": {"train": 3, "val": 0, "test": 0},
+        "schedule": {"T": 20}, "inference": {"nis": 5},
+        "training": {"batch_size": 2}}
+
+
+def _cfg(epochs):
+    return load_config(None, {**TINY, "training": {**TINY["training"],
+                                                   "epochs": epochs}})
+
+
+@pytest.fixture(scope="module")
+def base_run(tmp_path_factory):
+    """A dataset plus the lbp-conditioned autoencoder the denoiser needs."""
+    run = tmp_path_factory.mktemp("base")
+    cfg = _cfg(1)
+    manifest = build_dataset(cfg, run)
+    training.train_cip(cfg, run, manifest, "lbp")
+    return run, manifest
+
+
+def _copy_run(base, dest):
+    shutil.copytree(base / "dataset", dest / "dataset")
+    (dest / "checkpoints").mkdir()
+    shutil.copytree(base / "checkpoints" / "cip_lbp.ckpt",
+                    dest / "checkpoints" / "cip_lbp.ckpt")
+    return dest
+
+
+# block -> (stage name of its loss log, trainer)
+TRAINERS = {
+    "fdunet": ("fdunet", lambda cfg, run, m, resume: training.train_fdunet(
+        cfg, run, m, resume=resume)),
+    "cip": ("cip_lbp", lambda cfg, run, m, resume: training.train_cip(
+        cfg, run, m, "lbp", resume=resume)),
+    "diffusion": ("diffusion_lbp", lambda cfg, run, m, resume:
+                  training.train_diffusion(cfg, run, m, "lbp",
+                                           resume=resume)),
+}
+
+
+@pytest.mark.parametrize("block", sorted(TRAINERS))
+def test_resume_reproduces_uninterrupted_training(base_run, tmp_path, block):
+    base, manifest = base_run
+    stage, train = TRAINERS[block]
+    straight = _copy_run(base, tmp_path / "straight")
+    resumed = _copy_run(base, tmp_path / "resumed")
+    ckpt_a = train(_cfg(2), straight, manifest, False)
+    train(_cfg(1), resumed, manifest, False)
+    ckpt_b = train(_cfg(2), resumed, manifest, True)
+
+    arrays_a, meta_a = read_bundle(ckpt_a)
+    arrays_b, meta_b = read_bundle(ckpt_b)
+    assert meta_a["epoch"] == 1 and len(meta_a["losses"]) == 2
+    assert meta_a == meta_b
+    assert sorted(arrays_a) == sorted(arrays_b)
+    assert any(k.startswith("o.") for k in arrays_a)
+    for k in arrays_a:
+        assert np.array_equal(arrays_a[k], arrays_b[k]), k
+    log = f"logs/{stage}_loss.tsv"
+    assert (straight / log).read_text() == (resumed / log).read_text()
+
+
+def test_non_finite_loss_saves_aborted_checkpoint(tmp_path):
+    w = ad.Tensor(np.ones(3, dtype=np.float32), requires_grad=True)
+
+    def batch_loss(idx, rng):   # finite gradient, infinite loss
+        return ad.add(ad.sum_(w), np.float32(np.inf))
+
+    with pytest.raises(NumericalError, match="non-finite loss"):
+        training.fit(_cfg(2), tmp_path, "fdunet", "probe.ckpt", {"w": w}, 4,
+                     batch_loss, {"kind": "probe"})
+    arrays, meta = read_bundle(tmp_path / "checkpoints" / "probe.ckpt")
+    assert meta["aborted"] and meta["epoch"] == 0 and meta["losses"] == []
+    assert np.array_equal(arrays["p.w"], w.data)
+    assert "o.m.w" in arrays
+
+
+def test_resume_rejects_a_checkpoint_of_another_model(tmp_path):
+    w = ad.Tensor(np.ones(3, dtype=np.float32), requires_grad=True)
+    training.save_checkpoint(tmp_path / "checkpoints" / "probe.ckpt",
+                             {"v": w.data}, None, {"epoch": 0, "losses": []})
+    with pytest.raises(ConfigError):
+        training.fit(_cfg(2), tmp_path, "fdunet", "probe.ckpt", {"w": w}, 4,
+                     lambda idx, rng: ad.sum_(w), {}, resume=True)
+
+
+def test_cip_checkpoint_still_loads_as_encoder(base_run):
+    base, _ = base_run
+    enc = training.load_cip_encoder(base / "checkpoints" / "cip_lbp.ckpt")
+    arrays, _ = read_bundle(base / "checkpoints" / "cip_lbp.ckpt")
+    for k, v in enc.state_arrays().items():
+        assert np.array_equal(v, arrays[f"p.enc.{k}"])
+
+
+@pytest.mark.parametrize("block", ["fdunet", "cip", "diffusion"])
+def test_cli_train_passes_resume(base_run, tmp_path, monkeypatch, block):
+    base, _ = base_run
+    calls = []
+
+    def record(*args, **kwargs):
+        calls.append(kwargs)
+        return base / "checkpoints" / "stub.ckpt"
+
+    monkeypatch.setattr(training, f"train_{block}", record)
+    monkeypatch.setattr(training, "emit_fdunet_outputs",
+                        lambda *args, **kwargs: None)
+    cfg_path = tmp_path / "tiny.json"
+    cfg_path.write_text(json.dumps(TINY))
+    assert cli.main(["train", block, "--config", str(cfg_path),
+                     "--run-dir", str(base), "--resume"]) == 0
+    assert calls == [{**({} if block == "fdunet"
+                         else {"condition_on": "fdunet"}), "resume": True}]
