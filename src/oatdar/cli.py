@@ -13,13 +13,15 @@ import os
 import sys
 from pathlib import Path
 
+from . import pipeline, training
 from .config import (apply_flag_overrides, config_hash, geometry_from_config,
                      load_config, phantom_params_from_config)
 from .dataset import DatasetManifest, build_dataset
 from .errors import ConfigError, NumericalError, PrerequisiteError
 from .geometry import Image, Sinogram
+from .operator import build_forward_operator
 from .phantoms import generate_phantom
-from .tensorfile import read_tensor
+from .tensorfile import read_tensor, write_tensor
 
 log = logging.getLogger("oatdar")
 
@@ -59,14 +61,12 @@ def cmd_phantom(args):
     geom = geometry_from_config(cfg)
     params = phantom_params_from_config(cfg, args.seed)
     img = generate_phantom(params, geom.grid_nx, geom.grid_ny)
-    from .pipeline import export_image
-    export_image(img, args.out)
+    pipeline.export_image(img, args.out)
     print(f"phantom seed={args.seed} -> {args.out}")
 
 
 def cmd_operator(args):
     cfg = _load_cfg(args)
-    from .operator import build_forward_operator
     op = build_forward_operator(geometry_from_config(cfg),
                                 jittered=args.jittered)
     op.to_bundle(args.out)
@@ -76,10 +76,8 @@ def cmd_operator(args):
 
 def cmd_simulate(args):
     cfg = _load_cfg(args)
-    from .pipeline import simulate_sinogram
-    from .tensorfile import write_tensor
     data = read_tensor(args.phantom)
-    sino = simulate_sinogram(cfg, Image(data), args.snr, args.seed)
+    sino = pipeline.simulate_sinogram(cfg, Image(data), args.snr, args.seed)
     write_tensor(args.out, sino.data)
     print(f"sinogram {sino.data.shape} snr={args.snr} -> {args.out}")
 
@@ -101,7 +99,6 @@ def cmd_train(args):
     cfg = _load_cfg(args)
     run_dir = _run_dir(args)
     manifest = _manifest(run_dir)
-    from . import training
     if args.block == "fdunet":
         ckpt = training.train_fdunet(cfg, run_dir, manifest,
                                      resume=args.resume)
@@ -124,38 +121,15 @@ def cmd_train(args):
 
 def cmd_reconstruct(args):
     cfg = _load_cfg(args)
-    run_dir = Path(args.run_dir)
-    from . import pipeline
-    from .operator import build_forward_operator
-    geometry = geometry_from_config(cfg)
-    rec_op = build_forward_operator(geometry, jittered=False)
+    models = pipeline.load_method_models(args.run_dir, args.method)
+    rec_op = build_forward_operator(geometry_from_config(cfg), jittered=False)
     sino = Sinogram(read_tensor(args.sino))
     inf = cfg["inference"]
-    nis = args.nis or inf["nis"]
-    seed = args.seed if args.seed is not None else inf["seed"]
-    if args.method == "lbp":
-        img = pipeline.reconstruct_lbp(rec_op, sino)
-    elif args.method == "tikhonov":
-        ev = cfg["eval"]
-        img = pipeline.reconstruct_tikhonov(rec_op, sino,
-                                            ev["tikhonov_lambda"],
-                                            ev["tikhonov_iters"],
-                                            ev["tikhonov_tol"])
-    elif args.method == "fdunet":
-        models = pipeline.load_models(run_dir, need_dar=False)
-        img = pipeline.reconstruct_fdunet(rec_op, models.fdunet, sino)
-    elif args.method == "dar":
-        models = pipeline.load_models(
-            run_dir, condition_on=args.condition_on,
-            need_fdunet=args.condition_on == "fdunet")
-        img = pipeline.reconstruct_dar(sino, models, geometry, nis=nis,
-                                       eta=args.eta if args.eta is not None
-                                       else inf["eta"],
-                                       seed=seed,
-                                       condition_on=args.condition_on,
-                                       rec_op=rec_op)
-    else:
-        raise ConfigError(f"unknown method {args.method!r}")
+    img = pipeline.reconstruct(
+        args.method, cfg, rec_op, sino, models,
+        nis=args.nis if args.nis is not None else inf["nis"],
+        eta=args.eta if args.eta is not None else inf["eta"],
+        seed=args.seed if args.seed is not None else inf["seed"])
     pipeline.export_image(img, args.out)
     print(f"{args.method} reconstruction -> {args.out}")
 
@@ -164,12 +138,11 @@ def cmd_eval(args):
     cfg = _load_cfg(args)
     run_dir = Path(args.run_dir)
     manifest = _manifest(run_dir)
-    from .pipeline import evaluate_methods
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
     nis_list = [int(x) for x in args.nis.split(",")] if args.nis else ()
     snr_list = [float(x) for x in args.snr.split(",")] if args.snr else None
-    report = evaluate_methods(cfg, run_dir, manifest, methods, nis_list,
-                              snr_list, split=args.split)
+    report = pipeline.evaluate_methods(cfg, run_dir, manifest, methods,
+                                       nis_list, snr_list, split=args.split)
     out = Path(args.out) if args.out else run_dir / "reports"
     report.write(out)
     print((out / "summary.txt").read_text())
@@ -180,19 +153,18 @@ def cmd_run_all(args):
     cfg = _load_cfg(args)
     run_dir = _run_dir(args)
     _write_effective_config(cfg, run_dir)
-    from . import training
     manifest = build_dataset(cfg, run_dir, force=args.force)
     training.train_fdunet(cfg, run_dir, manifest)
     manifest = training.emit_fdunet_outputs(cfg, run_dir,
                                             DatasetManifest.read(
                                                 run_dir / "dataset"))
-    for cond in ("fdunet", "lbp"):
+    for cond in training.CONDITIONS:
         training.train_cip(cfg, run_dir, manifest, condition_on=cond)
         training.train_diffusion(cfg, run_dir, manifest, condition_on=cond)
-    from .pipeline import evaluate_methods
-    report = evaluate_methods(cfg, run_dir, manifest,
-                              ["lbp", "fdunet", "dar", "dar_lbp"],
-                              nis_list=[cfg["inference"]["nis"]])
+    report = pipeline.evaluate_methods(
+        cfg, run_dir, manifest,
+        [m for m in pipeline.METHODS if m != "tikhonov"],
+        nis_list=[cfg["inference"]["nis"]])
     out = run_dir / "reports"
     report.write(out)
     print((out / "summary.txt").read_text())
@@ -246,21 +218,19 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("train", help="train one block")
     sp.add_argument("block", choices=["fdunet", "cip", "diffusion"])
     common(sp)
-    sp.add_argument("--condition-on", choices=["fdunet", "lbp"],
-                    default="fdunet")
+    sp.add_argument("--condition-on", choices=training.CONDITIONS,
+                    default=training.CONDITIONS[0])
     sp.add_argument("--resume", action="store_true")
     sp.set_defaults(fn=cmd_train)
 
     sp = sub.add_parser("reconstruct", help="reconstruct one sinogram file")
-    sp.add_argument("method", choices=["lbp", "tikhonov", "fdunet", "dar"])
+    sp.add_argument("method", choices=pipeline.METHODS)
     common(sp)
     sp.add_argument("--sino", required=True)
     sp.add_argument("--out", required=True)
     sp.add_argument("--nis", type=int, default=None)
     sp.add_argument("--eta", type=float, default=None)
     sp.add_argument("--seed", type=int, default=None)
-    sp.add_argument("--condition-on", choices=["fdunet", "lbp"],
-                    default="fdunet")
     sp.set_defaults(fn=cmd_reconstruct)
 
     sp = sub.add_parser("eval", help="score methods over the test split")

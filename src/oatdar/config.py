@@ -86,6 +86,17 @@ def paper_config() -> dict:
 _PROFILES = {"desk": desk_config, "paper": paper_config}
 
 
+def _same_type(default, val) -> bool:
+    """Whether ``val`` may replace ``default``: an int may stand in for a
+    float, a bool is not an int, and list items match the default's first."""
+    if isinstance(default, list):
+        return isinstance(val, list) and all(_same_type(default[0], v)
+                                             for v in val)
+    if isinstance(default, float) and type(val) is int:
+        return True
+    return type(val) is type(default)
+
+
 def _merge_checked(base, override, path=""):
     out = copy.deepcopy(base)
     for key, val in override.items():
@@ -96,6 +107,9 @@ def _merge_checked(base, override, path=""):
             if not isinstance(val, dict):
                 raise ConfigError(f"{where} must be a section")
             out[key] = _merge_checked(base[key], val, where)
+        elif not _same_type(base[key], val):
+            raise ConfigError(f"{where} must be of the type of "
+                              f"{base[key]!r}, got {val!r}")
         else:
             out[key] = val
     return out
@@ -104,7 +118,8 @@ def _merge_checked(base, override, path=""):
 def load_config(path=None, overrides: dict | None = None) -> dict:
     """Build the effective config: profile defaults <- file <- overrides.
 
-    Unknown keys anywhere are rejected.
+    Unknown keys anywhere are rejected, and so is a value whose type
+    differs from the profile default's.
     """
     file_cfg = {}
     if path is not None:

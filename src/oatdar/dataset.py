@@ -83,13 +83,21 @@ class DatasetManifest:
                     k, v = line[1:].split("=", 1)
                     header[k] = v
                 continue
-            f = line.split("\t")
-            if len(f) != 8:
-                raise ConfigError(f"malformed manifest line: {line!r}")
-            entries.append(DatasetEntry(int(f[0]), f[1], f[2], f[3], f[4],
-                                        f[5], int(f[6]), float(f[7])))
-        return cls(entries=entries, master_seed=int(header["master_seed"]),
-                   config_hash=header["config_hash"])
+            try:   # a wrong field count fails the unpacking
+                index, phantom, sino, lbp, fdunet, split, seed, snr = \
+                    line.split("\t")
+                entries.append(DatasetEntry(int(index), phantom, sino, lbp,
+                                            fdunet, split, int(seed),
+                                            float(snr)))
+            except ValueError:
+                raise ConfigError(f"malformed manifest line: {line!r}") \
+                    from None
+        try:
+            return cls(entries=entries, master_seed=int(header["master_seed"]),
+                       config_hash=header["config_hash"])
+        except (KeyError, ValueError) as exc:
+            raise ConfigError(f"manifest {path} needs #master_seed=<int> and "
+                              f"#config_hash= headers ({exc!r})") from None
 
     def content_hash(self, directory) -> str:
         path = Path(directory) / MANIFEST_NAME

@@ -1,10 +1,13 @@
 """End-to-end reconstruction paths and the full-evaluation driver.
 
-The enhancement-assisted pipeline: backproject the sinogram, optionally run
-the enhancer, split the initial image into patches, encode each patch into
-its conditioning vector, sample each patch with the reduced-step reverse
-process (per-patch noise streams derived from (image seed, patch index)),
-reassemble, and min-max normalize to [0, 1].
+``METHODS`` names every reconstruction; the CLI and :func:`evaluate_methods`
+reach them all through :func:`load_method_models` and :func:`reconstruct`.
+
+The enhancement-assisted pipeline (DAR): take the initial reconstruction it
+conditions on (``DAR_INITIAL``), split it into patches, encode each patch
+into its conditioning vector, sample each patch with the reduced-step
+reverse process (per-patch noise streams derived from (image seed, patch
+index)), reassemble, and min-max normalize to [0, 1].
 """
 
 from __future__ import annotations
@@ -22,14 +25,18 @@ from .errors import ConfigError, PrerequisiteError
 from .geometry import Image, ImagingGeometry, Sinogram
 from .grayio import write_pgm
 from .metrics import MetricRecord, MetricReport, Stopwatch, psnr, ssim
-from .models import denoise_predict
+from .models import cip_encode, denoise_predict, fd_unet_forward
 from .operator import (add_noise, apply_adjoint, apply_forward,
                        build_forward_operator, tikhonov_solve)
 from .patches import PatchGrid, merge_patches, split_patches
 from .tensorfile import read_tensor, write_tensor
-from .training import load_denoiser, load_fdunet, normalize01
+from .training import CONDITIONS, load_denoiser, load_fdunet, normalize01
 
 log = logging.getLogger(__name__)
+
+# each DAR variant -> the initial reconstruction it conditions on
+DAR_INITIAL = dict(zip(("dar", "dar_lbp"), CONDITIONS))
+METHODS = ("lbp", "tikhonov", "fdunet", *DAR_INITIAL)
 
 
 @dataclass
@@ -43,24 +50,38 @@ class ModelBundle:
     patch: tuple = (16, 16)
 
 
-def load_models(run_dir, condition_on: str = "fdunet",
-                need_fdunet: bool = True, need_dar: bool = True) -> ModelBundle:
-    run_dir = Path(run_dir)
-    ck = run_dir / "checkpoints"
+def _load_fdunet(run_dir):
+    path = Path(run_dir) / "checkpoints" / "fdunet.ckpt"
+    if not path.is_dir():
+        raise PrerequisiteError("missing stage: train fdunet")
+    return load_fdunet(path)
+
+
+def load_models(run_dir, condition_on: str = "fdunet") -> ModelBundle:
+    """The checkpoints of DAR conditioned on ``condition_on``: the denoiser
+    with its encoder, plus the enhancer when DAR conditions on it."""
     bundle = ModelBundle()
-    if need_fdunet:
-        path = ck / "fdunet.ckpt"
-        if not path.is_dir():
-            raise PrerequisiteError("missing stage: train fdunet")
-        bundle.fdunet = load_fdunet(path)
-    if need_dar:
-        path = ck / f"denoiser_{condition_on}.ckpt"
-        if not path.is_dir():
-            raise PrerequisiteError(
-                f"missing stage: train diffusion --condition-on {condition_on}")
-        (bundle.denoiser, bundle.encoder, bundle.schedule,
-         bundle.patch) = load_denoiser(path)
+    if condition_on == "fdunet":
+        bundle.fdunet = _load_fdunet(run_dir)
+    path = Path(run_dir) / "checkpoints" / f"denoiser_{condition_on}.ckpt"
+    if not path.is_dir():
+        raise PrerequisiteError(
+            f"missing stage: train diffusion --condition-on {condition_on}")
+    (bundle.denoiser, bundle.encoder, bundle.schedule,
+     bundle.patch) = load_denoiser(path)
     return bundle
+
+
+def load_method_models(run_dir, method: str) -> ModelBundle | None:
+    """The checkpoints ``method`` needs (``None`` for lbp and tikhonov)."""
+    if method not in METHODS:
+        raise ConfigError(f"unknown method {method!r}; "
+                          f"choose from {', '.join(METHODS)}")
+    if method in DAR_INITIAL:
+        return load_models(run_dir, DAR_INITIAL[method])
+    if method == "fdunet":
+        return ModelBundle(fdunet=_load_fdunet(run_dir))
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -80,7 +101,6 @@ def reconstruct_tikhonov(rec_op, sino: Sinogram, lam: float,
 
 
 def reconstruct_fdunet(rec_op, fdunet, sino: Sinogram) -> Image:
-    from .models import fd_unet_forward
     lbp = normalize01(apply_adjoint(rec_op, sino).data)
     enhanced = fd_unet_forward(fdunet, lbp.astype(np.float32))
     return Image(normalize01(enhanced.astype(np.float64)))
@@ -96,21 +116,19 @@ def reconstruct_dar(sino: Sinogram, models: ModelBundle,
         raise PrerequisiteError("DAR needs a trained denoiser checkpoint")
     if rec_op is None:
         rec_op = build_forward_operator(geometry, jittered=False)
-    from .models import fd_unet_forward
-    init = normalize01(apply_adjoint(rec_op, sino).data)
-    if condition_on == "fdunet":
-        if models.fdunet is None:
-            raise PrerequisiteError("DAR conditioned on the enhancer needs "
-                                    "the fdunet checkpoint")
-        init = normalize01(fd_unet_forward(
-            models.fdunet, init.astype(np.float32)).astype(np.float64))
-    elif condition_on != "lbp":
-        raise ValueError("condition_on must be 'fdunet' or 'lbp'")
+    if condition_on == "lbp":
+        init = reconstruct_lbp(rec_op, sino).data
+    elif condition_on != "fdunet":
+        raise ValueError(f"condition_on must be one of {CONDITIONS}")
+    elif models.fdunet is None:
+        raise PrerequisiteError("DAR conditioned on the enhancer needs "
+                                "the fdunet checkpoint")
+    else:
+        init = reconstruct_fdunet(rec_op, models.fdunet, sino).data
     ph, pw = models.patch
     grid = PatchGrid.for_image(init.shape, ph, pw)
     patches = split_patches(init, grid)
     flat = np.asarray([p.ravel() for p in patches], dtype=np.float32)
-    from .models import cip_encode
     conds = cip_encode(models.encoder, flat)
     seeds = [int(np.random.SeedSequence((int(seed), b)).generate_state(1)[0])
              for b in range(grid.n_patches)]
@@ -125,6 +143,33 @@ def reconstruct_dar(sino: Sinogram, models: ModelBundle,
     out01 = [(p + 1.0) / 2.0 for p in out]
     merged = merge_patches(out01, grid)
     return Image(np.clip(normalize01(merged), 0.0, 1.0))
+
+
+def reconstruct(method: str, cfg: dict, rec_op, sino: Sinogram,
+                models: ModelBundle | None, nis: int, eta: float,
+                seed: int) -> Image:
+    """Reconstruct ``sino`` with one of ``METHODS``; ``models`` comes from
+    :func:`load_method_models`, and ``nis``/``eta``/``seed`` drive DAR."""
+    if method in DAR_INITIAL:
+        T = models.schedule.T
+        if not 1 <= nis <= T:
+            raise ConfigError(f"nis must be in [1, {T}], got {nis}")
+        if not 0.0 <= eta <= 1.0:
+            raise ConfigError(f"eta must be in [0, 1], got {eta}")
+        return reconstruct_dar(sino, models, rec_op.geometry, nis=nis,
+                               eta=eta, seed=seed,
+                               condition_on=DAR_INITIAL[method],
+                               rec_op=rec_op)
+    if method == "fdunet":
+        return reconstruct_fdunet(rec_op, models.fdunet, sino)
+    if method == "tikhonov":
+        ev = cfg["eval"]
+        return reconstruct_tikhonov(rec_op, sino, ev["tikhonov_lambda"],
+                                    ev["tikhonov_iters"], ev["tikhonov_tol"])
+    if method == "lbp":
+        return reconstruct_lbp(rec_op, sino)
+    raise ConfigError(f"unknown method {method!r}; "
+                      f"choose from {', '.join(METHODS)}")
 
 
 def export_image(img: Image, path, fmt: str | None = None) -> Path:
@@ -157,8 +202,8 @@ def evaluate_methods(cfg: dict, run_dir, manifest: DatasetManifest,
                      split: str = "test") -> MetricReport:
     """Reconstruct every image of a split with every method variant.
 
-    ``methods`` is an iterable of {lbp, tikhonov, fdunet, dar, dar_lbp};
-    diffusion methods expand over ``nis_list``. When ``snr_list`` is given
+    ``methods`` is an iterable of names from ``METHODS``; the DAR methods
+    expand over ``nis_list``. When ``snr_list`` is given
     the stored sinograms are replaced by fresh simulations renoised at each
     requested SNR (seeds derived from the dataset master seed).
     """
@@ -166,23 +211,13 @@ def evaluate_methods(cfg: dict, run_dir, manifest: DatasetManifest,
         _check_snrs(snr_list)
     run_dir = Path(run_dir)
     data_dir = run_dir / "dataset"
-    geometry = geometry_from_config(cfg)
-    rec_op = build_forward_operator(geometry, jittered=False)
     methods = list(methods)
+    models = {m: load_method_models(run_dir, m) for m in methods}
     entries = manifest.split(split)
     if not entries:
         raise PrerequisiteError(f"no entries in split {split!r}")
-
-    need_fdunet = any(m in ("fdunet", "dar") for m in methods)
-    bundles = {}
-    if "dar" in methods:
-        bundles["dar"] = load_models(run_dir, "fdunet", need_fdunet=True)
-    if "dar_lbp" in methods:
-        bundles["dar_lbp"] = load_models(run_dir, "lbp", need_fdunet=False)
-    fdunet = None
-    if need_fdunet:
-        fdunet = (bundles.get("dar").fdunet if "dar" in bundles
-                  else load_models(run_dir, need_dar=False).fdunet)
+    geometry = geometry_from_config(cfg)
+    rec_op = build_forward_operator(geometry, jittered=False)
 
     sim_op = None
     if snr_list is not None:
@@ -190,7 +225,6 @@ def evaluate_methods(cfg: dict, run_dir, manifest: DatasetManifest,
 
     master = manifest.master_seed
     inf = cfg["inference"]
-    ev = cfg.get("eval", {})
     records = []
 
     def run_variants(entry, sino, snr_db):
@@ -198,29 +232,13 @@ def evaluate_methods(cfg: dict, run_dir, manifest: DatasetManifest,
         image_seed = int(np.random.SeedSequence(
             (inf["seed"], entry.index)).generate_state(1)[0])
         for m in methods:
-            variants = [(m, n) for n in (nis_list or [inf["nis"]])] \
-                if m in ("dar", "dar_lbp") else [(m, 0)]
-            for base, nis in variants:
+            steps = (nis_list or [inf["nis"]]) if m in DAR_INITIAL else [0]
+            for nis in steps:
                 with Stopwatch() as sw:
-                    if base == "lbp":
-                        rec = reconstruct_lbp(rec_op, sino)
-                    elif base == "tikhonov":
-                        rec = reconstruct_tikhonov(
-                            rec_op, sino, ev.get("tikhonov_lambda", 1e-2),
-                            ev.get("tikhonov_iters", 100),
-                            ev.get("tikhonov_tol", 1e-8))
-                    elif base == "fdunet":
-                        rec = reconstruct_fdunet(rec_op, fdunet, sino)
-                    elif base in ("dar", "dar_lbp"):
-                        rec = reconstruct_dar(
-                            sino, bundles[base], geometry, nis=nis,
-                            eta=inf["eta"], seed=image_seed,
-                            condition_on="fdunet" if base == "dar" else "lbp",
-                            rec_op=rec_op)
-                    else:
-                        raise ValueError(f"unknown method {base!r}")
+                    rec = reconstruct(m, cfg, rec_op, sino, models[m], nis,
+                                      inf["eta"], image_seed)
                 records.append(MetricRecord(
-                    entry_index=entry.index, method=base, nis=nis,
+                    entry_index=entry.index, method=m, nis=nis,
                     snr_db=snr_db, psnr=psnr(rec.data, gt),
                     ssim=ssim(rec.data, gt), wall_time=sw.elapsed))
 

@@ -33,6 +33,8 @@ from .tensorfile import read_bundle, write_bundle
 
 log = logging.getLogger(__name__)
 
+# the initial reconstructions a conditioning encoder and denoiser train on
+CONDITIONS = ("fdunet", "lbp")
 _STAGE_IDS = {"fdunet": 11, "cip_fdunet": 12, "diffusion_fdunet": 13,
               "cip_lbp": 14, "diffusion_lbp": 15}
 
@@ -123,7 +125,8 @@ def fit(cfg: dict, run_dir, stage: str, ckpt_name: str, params: dict,
     items ``idx`` and may draw from the stage generator ``rng``. Every epoch
     ends with a checkpoint of the parameters, Adam moments, generator state
     and losses; ``resume`` continues from it. A non-finite epoch loss saves
-    an ``aborted`` checkpoint and raises :class:`NumericalError`.
+    an ``aborted`` checkpoint and raises :class:`NumericalError`, and so
+    does resuming from such a checkpoint.
     """
     run_dir = Path(run_dir)
     ckpt = run_dir / "checkpoints" / ckpt_name
@@ -134,6 +137,9 @@ def fit(cfg: dict, run_dir, stage: str, ckpt_name: str, params: dict,
     start_epoch, losses = 0, []
     if resume and ckpt.is_dir():
         saved, opt_arrays, m = load_checkpoint(ckpt)
+        if m.get("aborted"):
+            raise NumericalError(f"{ckpt} was saved by a run aborted on a "
+                                 "non-finite loss; retrain without --resume")
         _load_params(params, saved, ckpt)
         opt.load_state_arrays(opt_arrays, m["opt_step"])
         _restore_rng(rng, m)
@@ -224,8 +230,8 @@ def emit_fdunet_outputs(cfg: dict, run_dir, manifest: DatasetManifest,
 
 
 def _cond_field(condition_on: str) -> str:
-    if condition_on not in ("fdunet", "lbp"):
-        raise ValueError("condition_on must be 'fdunet' or 'lbp'")
+    if condition_on not in CONDITIONS:
+        raise ValueError(f"condition_on must be one of {CONDITIONS}")
     return condition_on
 
 

@@ -1,0 +1,92 @@
+"""One method dispatch: ``oatdar reconstruct`` and ``oatdar eval`` agree on
+every method, and bad methods, step counts and eta exit with a config error."""
+
+import json
+
+import numpy as np
+import pytest
+
+from oatdar import cli, pipeline
+from oatdar.config import load_config
+from oatdar.dataset import DatasetManifest
+from oatdar.metrics import MetricReport, psnr
+from oatdar.pipeline import METHODS
+from oatdar.tensorfile import read_tensor
+
+T = 20
+TINY = {"profile": "desk", "dataset": {"train": 2, "val": 0, "test": 1},
+        "training": {"epochs": 0}, "schedule": {"T": T},
+        "inference": {"nis": 2}}
+
+
+@pytest.fixture(scope="module")
+def tiny_run(tmp_path_factory):
+    """run-all on the seeded initial weights, then eval of every method."""
+    root = tmp_path_factory.mktemp("cli")
+    cfg_path = root / "tiny.json"
+    cfg_path.write_text(json.dumps(TINY))
+    run = root / "run"
+    common = ["--config", str(cfg_path), "--run-dir", str(run)]
+    assert cli.main(["run-all", *common]) == 0
+    assert cli.main(["eval", *common, "--methods", ",".join(METHODS),
+                     "--out", str(root / "report")]) == 0
+    (entry,) = DatasetManifest.read(run / "dataset").split("test")
+    # the per-image DAR seed evaluate_methods derives from the config seed
+    seed = int(np.random.SeedSequence(
+        (load_config(cfg_path)["inference"]["seed"], entry.index))
+        .generate_state(1)[0])
+    return (common, run / "dataset", entry, seed,
+            MetricReport.read(root / "report"))
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_reconstruct_scores_as_eval(tiny_run, tmp_path, method):
+    common, data_dir, entry, seed, report = tiny_run
+    out = tmp_path / f"{method}.oatd"
+    assert cli.main(["reconstruct", method, *common,
+                     "--sino", str(data_dir / entry.sinogram),
+                     "--out", str(out), "--seed", str(seed)]) == 0
+    (rec,) = [r for r in report.records if r.method == method]
+    assert rec.nis == (2 if method in pipeline.DAR_INITIAL else 0)
+    gt = read_tensor(data_dir / entry.phantom)
+    assert psnr(read_tensor(out), gt) == rec.psnr
+
+
+def test_reconstruct_dar_without_checkpoints_exits_3(tiny_run, tmp_path):
+    common, data_dir, entry, *_ = tiny_run
+    out = tmp_path / "dar.oatd"
+    assert cli.main(["reconstruct", "dar", common[0], common[1],
+                     "--run-dir", str(tmp_path / "empty"),
+                     "--sino", str(data_dir / entry.sinogram),
+                     "--out", str(out)]) == 3
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "--methods", "lbp,foo"],
+    ["eval", "--methods", "dar", "--nis", "0"],
+    ["eval", "--methods", "dar_lbp", "--nis", str(T + 1)],
+    ["reconstruct", "dar", "--nis", "0"],
+    ["reconstruct", "dar_lbp", "--nis", str(T + 1)],
+    ["reconstruct", "dar", "--eta", "2"],
+    ["reconstruct", "dar_lbp", "--eta", "nan"],
+])
+def test_bad_method_nis_or_eta_exits_2(tiny_run, tmp_path, argv):
+    common, data_dir, entry, *_ = tiny_run
+    out = tmp_path / "out"
+    io = (["--sino", str(data_dir / entry.sinogram)]
+          if argv[0] == "reconstruct" else [])
+    assert cli.main([*argv, *common, *io, "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+def test_unknown_method_fails_before_reading_data(tiny_run, tmp_path,
+                                                  monkeypatch):
+    common, *_ = tiny_run
+
+    def read_tensor(*args):
+        raise AssertionError("data read before the method check")
+
+    monkeypatch.setattr(pipeline, "read_tensor", read_tensor)
+    assert cli.main(["eval", *common, "--methods", "foo",
+                     "--out", str(tmp_path / "out")]) == 2

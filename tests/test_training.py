@@ -91,6 +91,21 @@ def test_non_finite_loss_saves_aborted_checkpoint(tmp_path):
     assert "o.m.w" in arrays
 
 
+def test_resume_refuses_an_aborted_checkpoint(tmp_path):
+    w = ad.Tensor(np.ones(3, dtype=np.float32), requires_grad=True)
+    with pytest.raises(NumericalError, match="non-finite loss"):
+        training.fit(_cfg(2), tmp_path, "fdunet", "probe.ckpt", {"w": w}, 4,
+                     lambda idx, rng: ad.add(ad.sum_(w), np.float32(np.inf)),
+                     {"kind": "probe"})
+    ckpt = tmp_path / "checkpoints" / "probe.ckpt"
+    saved = {f.name: f.read_bytes() for f in ckpt.iterdir()}
+    with pytest.raises(NumericalError, match="without --resume"):
+        training.fit(_cfg(2), tmp_path, "fdunet", "probe.ckpt", {"w": w}, 4,
+                     lambda idx, rng: ad.sum_(w), {"kind": "probe"},
+                     resume=True)
+    assert {f.name: f.read_bytes() for f in ckpt.iterdir()} == saved
+
+
 def test_resume_rejects_a_checkpoint_of_another_model(tmp_path):
     w = ad.Tensor(np.ones(3, dtype=np.float32), requires_grad=True)
     training.save_checkpoint(tmp_path / "checkpoints" / "probe.ckpt",
