@@ -6,8 +6,10 @@ trainable blocks need is built from the primitives here, so one
 finite-difference test per primitive certifies gradients for every network.
 
 Ops preserve the dtype of their inputs; training runs float32, gradient
-checking float64. Inference through non-parameter tensors skips closure
-creation entirely.
+checking float64. An op none of whose inputs requires grad returns a plain
+tape-free Tensor that keeps no parents and no closure, so inference through
+frozen parameters (loaded checkpoints, see ``layers.Module.freeze``) holds
+no graph alive.
 """
 
 from __future__ import annotations
@@ -86,9 +88,9 @@ def as_tensor(x, dtype=None) -> Tensor:
 
 
 def _make(data, parents, vjp):
-    req = any(p.requires_grad for p in parents)
-    return Tensor(data, requires_grad=req, _parents=tuple(parents),
-                  _vjp=vjp if req else None)
+    if not any(p.requires_grad for p in parents):
+        return Tensor(data)
+    return Tensor(data, requires_grad=True, _parents=tuple(parents), _vjp=vjp)
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
@@ -146,32 +148,6 @@ def mul(a, b):
             b._accum(_unbroadcast(g * a.data, b.data.shape))
 
     return _make(out_data, (a, b), vjp)
-
-
-def div(a, b):
-    a, b = as_tensor(a), as_tensor(b)
-    out_data = a.data / b.data
-
-    def vjp(g):
-        if a.requires_grad:
-            a._accum(_unbroadcast(g / b.data, a.data.shape))
-        if b.requires_grad:
-            b._accum(_unbroadcast(-g * a.data / (b.data * b.data),
-                                  b.data.shape))
-
-    return _make(out_data, (a, b), vjp)
-
-
-def powc(a, p: float):
-    """Elementwise power with a constant exponent."""
-    a = as_tensor(a)
-    out_data = a.data ** p
-
-    def vjp(g):
-        if a.requires_grad:
-            a._accum(g * p * a.data ** (p - 1.0))
-
-    return _make(out_data, (a,), vjp)
 
 
 def exp(a):
@@ -363,7 +339,11 @@ def group_norm(x, gamma, beta, groups: int, eps: float = 1e-5):
 
 def softmax(a, axis: int = -1):
     a = as_tensor(a)
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
+    # reduce over a copied leading axis: numpy's max over a short trailing
+    # axis (the 8 conditioning tokens) is ~10x slower; max is exact, so the
+    # result is the same either way
+    row_max = np.moveaxis(a.data, axis, 0).copy().max(axis=0)
+    shifted = a.data - np.expand_dims(row_max, axis)
     e = np.exp(shifted)
     s = e / e.sum(axis=axis, keepdims=True)
 
@@ -381,7 +361,9 @@ def softmax(a, axis: int = -1):
 def _im2col(x, kh, kw, pad):
     n, c, h, w = x.shape
     if pad:
-        x = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+        xp = np.zeros((n, c, h + 2 * pad, w + 2 * pad), dtype=x.dtype)
+        xp[:, :, pad:pad + h, pad:pad + w] = x
+        x = xp
     oh = x.shape[2] - kh + 1
     ow = x.shape[3] - kw + 1
     win = np.lib.stride_tricks.sliding_window_view(x, (kh, kw), axis=(2, 3))

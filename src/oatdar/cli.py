@@ -26,16 +26,31 @@ from .tensorfile import read_tensor, write_tensor
 log = logging.getLogger("oatdar")
 
 
+def _parse_list(text: str, kind, flag: str) -> list:
+    try:
+        return [kind(x) for x in text.split(",")]
+    except ValueError:
+        raise ConfigError(f"{flag} takes a comma list of {kind.__name__}s, "
+                          f"got {text!r}") from None
+
+
 def _setup_threads(deterministic: bool):
     n = os.environ.get("OATDAR_NUM_THREADS")
-    limit = 1 if deterministic else (int(n) if n else None)
-    if limit is None:
+    if deterministic:
+        limit = 1
+    elif n:
+        try:
+            limit = int(n)
+        except ValueError:
+            raise ConfigError("OATDAR_NUM_THREADS must be an integer, "
+                              f"got {n!r}") from None
+    else:
         return
     try:
         import threadpoolctl
         threadpoolctl.threadpool_limits(limits=limit)
     except ImportError:
-        log.debug("threadpoolctl unavailable; thread limit not applied")
+        log.warning("threadpoolctl unavailable; thread limit not applied")
 
 
 def _load_cfg(args) -> dict:
@@ -139,8 +154,8 @@ def cmd_eval(args):
     run_dir = Path(args.run_dir)
     manifest = _manifest(run_dir)
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
-    nis_list = [int(x) for x in args.nis.split(",")] if args.nis else ()
-    snr_list = [float(x) for x in args.snr.split(",")] if args.snr else None
+    nis_list = _parse_list(args.nis, int, "--nis") if args.nis else ()
+    snr_list = _parse_list(args.snr, float, "--snr") if args.snr else None
     report = pipeline.evaluate_methods(cfg, run_dir, manifest, methods,
                                        nis_list, snr_list, split=args.split)
     out = Path(args.out) if args.out else run_dir / "reports"
@@ -254,8 +269,8 @@ def main(argv=None) -> int:
     logging.basicConfig(
         level=logging.DEBUG if args.verbose else logging.INFO,
         format="%(asctime)s %(name)s %(levelname)s %(message)s")
-    _setup_threads(args.deterministic)
     try:
+        _setup_threads(args.deterministic)
         args.fn(args)
     except ConfigError as exc:
         log.error("config error: %s", exc)

@@ -159,7 +159,9 @@ def ddim_step(x_t, eps_pred, t: int, t_prev: int, eta: float, z,
     sigma = eta * np.sqrt((1.0 - ab_p) / (1.0 - ab_t)) \
         * np.sqrt(1.0 - ab_t / ab_p)
     resid_var = 1.0 - ab_p - sigma * sigma
-    assert resid_var >= -1e-12, "sigma exceeded the available variance"
+    if not resid_var >= -1e-12:
+        raise NumericalError(f"ddim_step {t}->{t_prev}: sigma^2 exceeds the "
+                             f"available variance by {-resid_var:.3e}")
     dir_xt = np.sqrt(max(resid_var, 0.0)) * eps_pred
     out = np.sqrt(ab_p) * x0_hat + dir_xt
     if sigma > 0.0:

@@ -17,6 +17,14 @@ from .autodiff import Tensor
 
 
 class Module:
+    """Named parameters plus child modules.
+
+    Parameters register trainable (``requires_grad``). :meth:`freeze` turns
+    that off for inference, and the checkpoint loaders return frozen models:
+    every op on frozen parameters and plain inputs then returns a tape-free
+    Tensor that keeps no parents and no closure (see ``autodiff``).
+    """
+
     def __init__(self):
         object.__setattr__(self, "_params", {})
         object.__setattr__(self, "_children", {})
@@ -44,9 +52,6 @@ class Module:
     def parameters(self) -> dict:
         return dict(self.named_parameters())
 
-    def n_parameters(self) -> int:
-        return sum(t.data.size for _, t in self.named_parameters())
-
     def state_arrays(self) -> dict:
         return {k: t.data for k, t in self.named_parameters()}
 
@@ -63,9 +68,11 @@ class Module:
                                  f"{t.data.shape}")
             t.data = arrays[k].astype(t.data.dtype, copy=True)
 
-    def zero_grad(self):
+    def freeze(self) -> "Module":
+        """Stop every parameter from requiring grad (inference only)."""
         for _, t in self.named_parameters():
-            t.grad = None
+            t.requires_grad = False
+        return self
 
 
 class ModuleList(Module):

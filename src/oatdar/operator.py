@@ -85,14 +85,6 @@ class ForwardOperator:
     def normal_vec(self, x: np.ndarray, lam: float) -> np.ndarray:
         return self.adjoint_vec(self.apply_vec(x)) + lam * x
 
-    def spreading_dense(self) -> np.ndarray:
-        """Dense copy of the spreading matrix (toy geometries only)."""
-        out = np.zeros((self.n_rows, self.n_cols))
-        for r in range(self.n_rows):
-            lo, hi = self.indptr[r], self.indptr[r + 1]
-            out[r, self.indices[lo:hi]] = self.values[lo:hi]
-        return out
-
     # -- persistence ----------------------------------------------------------
 
     def to_bundle(self, path):

@@ -201,10 +201,11 @@ def train_fdunet(cfg: dict, run_dir, manifest: DatasetManifest,
 
 
 def load_fdunet(ckpt) -> FDUNet:
+    """The trained enhancer, frozen for inference."""
     params, _, meta = load_checkpoint(ckpt)
     model = FDUNet(FDUNetConfig.from_dict(meta["model_config"]))
     model.load_state_arrays(params)
-    return model
+    return model.freeze()
 
 
 def emit_fdunet_outputs(cfg: dict, run_dir, manifest: DatasetManifest,
@@ -276,6 +277,7 @@ def train_cip(cfg: dict, run_dir, manifest: DatasetManifest,
 
 
 def load_cip_encoder(ckpt) -> CIPEncoder:
+    """The pretrained encoder, left trainable: the denoiser stage tunes it."""
     params, _, meta = load_checkpoint(ckpt)
     enc = CIPEncoder(meta["layer_dims"], np.random.default_rng(0))
     enc.load_state_arrays({k[4:]: v for k, v in params.items()
@@ -344,7 +346,7 @@ def train_diffusion(cfg: dict, run_dir, manifest: DatasetManifest,
 
 def load_denoiser(ckpt):
     """Returns (denoiser, jointly tuned conditioning encoder, schedule,
-    (patch_h, patch_w))."""
+    (patch_h, patch_w)); both networks are frozen for inference."""
     p_arrays, _, meta = load_checkpoint(ckpt)
     model = ConditionalDenoiser(DenoiserConfig.from_dict(
         meta["denoiser_config"]))
@@ -353,5 +355,5 @@ def load_denoiser(ckpt):
     encoder = CIPEncoder(meta["cip_layer_dims"], np.random.default_rng(0))
     encoder.load_state_arrays({k[4:]: v for k, v in p_arrays.items()
                                if k.startswith("cip.")})
-    return (model, encoder, schedule_from_config(meta),
+    return (model.freeze(), encoder.freeze(), schedule_from_config(meta),
             (meta["patch"]["h"], meta["patch"]["w"]))

@@ -48,6 +48,15 @@ def dense_spreading_oracle(geom, jittered=False):
     return a
 
 
+def spreading_dense(op):
+    """Dense copy of an operator's CSR spreading matrix (toy sizes only)."""
+    out = np.zeros((op.n_rows, op.n_cols))
+    for r in range(op.n_rows):
+        lo, hi = op.indptr[r], op.indptr[r + 1]
+        out[r, op.indices[lo:hi]] = op.values[lo:hi]
+    return out
+
+
 def dense_derivative_oracle(nt, dt):
     """Explicit dense time-derivative matrix (central + one-sided ends)."""
     d = np.zeros((nt, nt))

@@ -1,7 +1,10 @@
 """One method dispatch: ``oatdar reconstruct`` and ``oatdar eval`` agree on
-every method, and bad methods, step counts and eta exit with a config error."""
+every method, and bad methods, step counts, eta, list flags and thread
+counts exit with a config error; ``run-all`` is bit-reproducible."""
 
 import json
+import logging
+import sys
 
 import numpy as np
 import pytest
@@ -70,6 +73,8 @@ def test_reconstruct_dar_without_checkpoints_exits_3(tiny_run, tmp_path):
     ["reconstruct", "dar_lbp", "--nis", str(T + 1)],
     ["reconstruct", "dar", "--eta", "2"],
     ["reconstruct", "dar_lbp", "--eta", "nan"],
+    ["eval", "--methods", "dar", "--nis", "2,x"],
+    ["eval", "--methods", "lbp", "--snr", "abc"],
 ])
 def test_bad_method_nis_or_eta_exits_2(tiny_run, tmp_path, argv):
     common, data_dir, entry, *_ = tiny_run
@@ -90,3 +95,31 @@ def test_unknown_method_fails_before_reading_data(tiny_run, tmp_path,
     monkeypatch.setattr(pipeline, "read_tensor", read_tensor)
     assert cli.main(["eval", *common, "--methods", "foo",
                      "--out", str(tmp_path / "out")]) == 2
+
+
+def test_non_integer_thread_count_exits_2(tmp_path, monkeypatch):
+    monkeypatch.setenv("OATDAR_NUM_THREADS", "two")
+    out = tmp_path / "p.oatd"
+    assert cli.main(["phantom", "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+def test_deterministic_without_threadpoolctl_warns(monkeypatch, caplog):
+    monkeypatch.setitem(sys.modules, "threadpoolctl", None)
+    with caplog.at_level(logging.WARNING, logger="oatdar"):
+        cli._setup_threads(True)
+    assert [r.levelno for r in caplog.records] == [logging.WARNING]
+    assert "not applied" in caplog.records[0].getMessage()
+
+
+def test_run_all_is_bit_reproducible(tmp_path):
+    cfg_path = tmp_path / "tiny.json"
+    cfg_path.write_text(json.dumps(
+        {**TINY, "training": {"epochs": 1, "batch_size": 2}}))
+    records = []
+    for name in ("a", "b"):
+        run = tmp_path / name
+        assert cli.main(["run-all", "--config", str(cfg_path),
+                         "--run-dir", str(run)]) == 0
+        records.append((run / "reports" / "records.tsv").read_bytes())
+    assert records[0] == records[1]

@@ -234,6 +234,19 @@ def test_ddim_eta_one_matches_ancestral(paper_sched):
         assert abs(float(got) - float(want)) <= 1e-10 * max(1.0, abs(float(want)))
 
 
+def test_ddim_variance_overflow_raises_numerical_error(paper_sched):
+    # a corrupt table (alpha_bar 0.5 -> -1) asks for sigma^2 = 0.75 where
+    # only 1 - alpha_bar = 0.5 of variance is available; an assert would
+    # vanish under python -O
+    ab = paper_sched.alpha_bar.copy()
+    ab[3], ab[5] = 0.5, -1.0
+    bad = dataclasses.replace(paper_sched, alpha_bar=ab)
+    x = np.zeros((2, 2))
+    with np.errstate(invalid="ignore"), \
+            pytest.raises(NumericalError, match="variance"):
+        ddim_step(x, x, 5, 3, 1.0, x, bad)
+
+
 def test_ddim_validation(paper_sched):
     x = np.zeros((2, 2))
     with pytest.raises(ValueError):

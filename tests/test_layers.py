@@ -20,7 +20,8 @@ def test_module_parameter_registry():
     net = Net()
     names = sorted(net.parameters())
     assert names == ["fc1.b", "fc1.w", "fc2.b", "fc2.w"]
-    assert net.n_parameters() == 4 * 3 + 3 + 3 * 2 + 2
+    assert sum(t.data.size for t in net.parameters().values()) == \
+        4 * 3 + 3 + 3 * 2 + 2
 
 
 def test_state_roundtrip_and_mismatch():

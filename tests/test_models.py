@@ -33,7 +33,8 @@ def model_grad_check(model, build_loss, n_coords=20, h=1e-4, tol=1e-3,
     ``n_coords`` acceptances fail the check, so it cannot pass by rejecting
     everything."""
     params = model.parameters()
-    model.zero_grad()
+    for t in params.values():
+        t.grad = None
     loss = build_loss()
     loss.backward()
     l0 = float(loss.data)

@@ -12,7 +12,7 @@ from oatdar.operator import (ForwardOperator, add_noise, apply_adjoint,
 from oatdar.tensorfile import read_bundle, write_bundle
 
 from conftest import (dense_derivative_oracle, dense_full_oracle,
-                      dense_spreading_oracle)
+                      dense_spreading_oracle, spreading_dense)
 
 
 # ---------------------------------------------------------------------------
@@ -26,7 +26,7 @@ def test_single_pixel_single_detector_entries():
                         position_jitter_frac=0.0, time_samples=128,
                         sir_subelements=1)
     op = build_forward_operator(g)
-    dense = op.spreading_dense()
+    dense = spreading_dense(op)
     dist = g.ring_radius
     tau = dist / g.sound_speed
     expected_val = entry_scale(g) / dist
@@ -48,7 +48,7 @@ def test_midway_distance_yields_at_most_one_entry():
                         position_jitter_frac=0.0, sound_speed=vs, dt=dt,
                         time_samples=128, sir_subelements=1)
     op = build_forward_operator(g)
-    dense = op.spreading_dense()
+    dense = spreading_dense(op)
     hits = np.flatnonzero(dense[:, 0])
     tau = ring / vs
     predicted = [k for k in range(g.time_samples) if abs(k * dt - tau) < 0.5 * dt]
@@ -58,7 +58,7 @@ def test_midway_distance_yields_at_most_one_entry():
 
 def test_materialized_matches_bruteforce_exactly(toy_geometry):
     op = build_forward_operator(toy_geometry)
-    dense = op.spreading_dense()
+    dense = spreading_dense(op)
     oracle = dense_spreading_oracle(toy_geometry)
     assert np.array_equal(dense, oracle)
 

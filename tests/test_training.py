@@ -12,6 +12,7 @@ from oatdar import cli, training
 from oatdar.errors import ConfigError, NumericalError
 from oatdar.config import load_config
 from oatdar.dataset import build_dataset
+from oatdar.patches import PatchGrid, split_patches
 from oatdar.tensorfile import read_bundle
 
 TINY = {"profile": "desk", "dataset": {"train": 3, "val": 0, "test": 0},
@@ -141,3 +142,40 @@ def test_cli_train_passes_resume(base_run, tmp_path, monkeypatch, block):
                      "--run-dir", str(base), "--resume"]) == 0
     assert calls == [{**({} if block == "fdunet"
                          else {"condition_on": "fdunet"}), "resume": True}]
+
+
+def test_train_diffusion_tunes_the_cip_encoder(base_run, tmp_path):
+    base, manifest = base_run
+    run = _copy_run(base, tmp_path / "run")
+    ckpt = training.train_diffusion(_cfg(1), run, manifest, "lbp")
+    pretrained, _ = read_bundle(base / "checkpoints" / "cip_lbp.ckpt")
+    tuned, _ = read_bundle(ckpt)
+    enc_keys = [k for k in pretrained if k.startswith("p.enc.")]
+    assert enc_keys
+    for k in enc_keys:
+        assert not np.array_equal(tuned["p.cip." + k[6:]], pretrained[k]), k
+
+
+def test_loaded_checkpoints_run_without_a_tape(base_run, tmp_path):
+    base, manifest = base_run
+    run = _copy_run(base, tmp_path / "run")
+    cfg = _cfg(0)
+    training.train_fdunet(cfg, run, manifest)
+    training.train_diffusion(cfg, run, manifest, "lbp")
+    fdunet = training.load_fdunet(run / "checkpoints" / "fdunet.ckpt")
+    denoiser, encoder, _, (ph, pw) = training.load_denoiser(
+        run / "checkpoints" / "denoiser_lbp.ckpt")
+    for model in (fdunet, denoiser, encoder):
+        assert not any(t.requires_grad for t in model.parameters().values())
+    n = cfg["geometry"]["grid_nx"]
+    img = np.random.default_rng(0).random((2, 1, n, n), dtype=np.float32)
+    patches = np.stack(split_patches(img[0, 0], PatchGrid.for_image(
+        (n, n), ph, pw)))[:, None]
+    cond = encoder(ad.Tensor(patches.reshape(len(patches), -1)))
+    outs = [fdunet(ad.Tensor(img)), cond,
+            denoiser(ad.Tensor(patches), cond, np.full(len(patches), 3))]
+    for out in outs:
+        assert out._vjp is None and out._parents == ()
+    # the encoder the denoiser stage tunes is still loaded trainable
+    pretrained = training.load_cip_encoder(run / "checkpoints" / "cip_lbp.ckpt")
+    assert all(t.requires_grad for t in pretrained.parameters().values())
