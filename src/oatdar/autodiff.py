@@ -47,17 +47,18 @@ class Tensor:
     def backward(self):
         if self.data.size != 1:
             raise ValueError("backward() starts from a scalar loss")
-        topo, seen = [], set()
-
-        def visit(t):
-            if id(t) in seen or not t.requires_grad:
-                return
-            seen.add(id(t))
-            for p in t._parents:
-                visit(p)
-            topo.append(t)
-
-        visit(self)
+        # iterative post-order DFS (parents in order, then the node): a
+        # recursive closure would reference itself, and that cycle would
+        # keep the whole graph alive until the cyclic garbage collector ran
+        topo, seen, stack = [], set(), [(self, False)]
+        while stack:
+            t, expanded = stack.pop()
+            if expanded:
+                topo.append(t)
+            elif id(t) not in seen and t.requires_grad:
+                seen.add(id(t))
+                stack.append((t, True))
+                stack.extend((p, False) for p in reversed(t._parents))
         self.grad = np.ones_like(self.data)
         for t in reversed(topo):
             if t._vjp is not None:
@@ -360,15 +361,95 @@ def softmax(a, axis: int = -1):
 
 def _im2col(x, kh, kw, pad):
     n, c, h, w = x.shape
-    if pad:
+    if pad > 0:
         xp = np.zeros((n, c, h + 2 * pad, w + 2 * pad), dtype=x.dtype)
         xp[:, :, pad:pad + h, pad:pad + w] = x
         x = xp
+    elif pad < 0:
+        x = x[:, :, -pad:h + pad, -pad:w + pad]
     oh = x.shape[2] - kh + 1
     ow = x.shape[3] - kw + 1
     win = np.lib.stride_tricks.sliding_window_view(x, (kh, kw), axis=(2, 3))
     cols = np.ascontiguousarray(win.transpose(0, 1, 4, 5, 2, 3))
     return cols.reshape(n, c * kh * kw, oh * ow), oh, ow
+
+
+def _narrow(w_shape):
+    """True when a conv is cheaper expanded on its output side (kn2row).
+
+    im2col copies the input into a KH*KW*C x H*W column matrix per image;
+    when F < C the KH*KW*F rows of the tap-stacked output are the smaller
+    expansion. 1x1 kernels expand nothing and keep the plain matmul.
+    """
+    f, c, kh, kw = w_shape
+    return f < c and kh * kw > 1
+
+
+def _frame(x, pad):
+    """Channel-major zero-padded copy of NCHW ``x``: (C, N, H+2p, W+2p).
+
+    A negative ``pad`` crops instead.
+    """
+    n, c, h, w = x.shape
+    xt = x.transpose(1, 0, 2, 3)
+    if pad <= 0:
+        return np.ascontiguousarray(xt[:, :, -pad:h + pad, -pad:w + pad])
+    fr = np.zeros((c, n, h + 2 * pad, w + 2 * pad), dtype=x.dtype)
+    fr[:, :, pad:pad + h, pad:pad + w] = xt
+    return fr
+
+
+def _taps(w):
+    """Kernel taps stacked tap-major: row (i*kw + j)*F + f is w[f, :, i, j]."""
+    f, c, kh, kw = w.shape
+    return w.transpose(2, 3, 0, 1).reshape(kh * kw * f, c)
+
+
+def _offsets(kh, kw, wp):
+    """Flat frame offset of each tap, in the row order of ``_taps``."""
+    return [i * wp + j for i in range(kh) for j in range(kw)]
+
+
+def _narrow_forward(x, w, pad):
+    # one GEMM of every tap against the flattened frame, then the kh*kw row
+    # blocks summed at their tap offsets; sums that run across a row or an
+    # image edge land only in the cropped-off border
+    f, c, kh, kw = w.shape
+    fr = _frame(x, pad)
+    _, n, hp, wp = fr.shape
+    y = (_taps(w) @ fr.reshape(c, -1)).reshape(kh * kw, f, -1)
+    offs = _offsets(kh, kw, wp)
+    m = y.shape[2] - offs[-1]
+    acc = y[0]
+    for t in range(1, kh * kw):
+        acc[:, :m] += y[t, :, offs[t]:offs[t] + m]
+    acc = acc.reshape(f, n, hp, wp)[:, :, :hp - kh + 1, :wp - kw + 1]
+    return np.ascontiguousarray(acc.transpose(1, 0, 2, 3))
+
+
+def _narrow_backward(g, x, w, pad, need_dx, need_dw):
+    # g placed in the frame and shifted once per tap: row block t holds
+    # g moved by tap t's offset, so both gradients are one GEMM each
+    f, c, kh, kw = w.shape
+    n, _, oh, ow = g.shape
+    h, wd = x.shape[2:]
+    hp, wp = h + 2 * pad, wd + 2 * pad
+    size = n * hp * wp
+    gexp = np.zeros((kh * kw, f, size), dtype=g.dtype)
+    # tap (0, 0) has offset 0: its block is g in the frame itself
+    gexp[0].reshape(f, n, hp, wp)[:, :, :oh, :ow] = g.transpose(1, 0, 2, 3)
+    for t, off in enumerate(_offsets(kh, kw, wp)[1:], 1):
+        gexp[t, :, off:] = gexp[0, :, :size - off]
+    gexp = gexp.reshape(kh * kw * f, size)
+    dx = dw = None
+    if need_dw:
+        dw = gexp @ _frame(x, pad).reshape(c, size).T
+        dw = dw.reshape(kh, kw, f, c).transpose(2, 3, 0, 1)
+    if need_dx:
+        dfr = (_taps(w).T @ gexp).reshape(c, n, hp, wp)
+        dx = np.ascontiguousarray(
+            dfr[:, :, pad:pad + h, pad:pad + wd].transpose(1, 0, 2, 3))
+    return dx, dw
 
 
 def _conv_forward(x, w, pad):
@@ -377,6 +458,8 @@ def _conv_forward(x, w, pad):
     if kh == 1 and kw == 1 and pad == 0:
         out = np.matmul(w.reshape(f, c), x.reshape(n, c, -1))
         return out.reshape(n, f, x.shape[2], x.shape[3])
+    if _narrow(w.shape):
+        return _narrow_forward(x, w, pad)
     cols, oh, ow = _im2col(x, kh, kw, pad)
     return np.matmul(w.reshape(f, c * kh * kw), cols).reshape(n, f, oh, ow)
 
@@ -385,15 +468,28 @@ def conv2d(x, w, b=None, pad: int = 1):
     """Stride-1 convolution, NCHW input, (F, C, KH, KW) kernel.
 
     Output spatial size is H - KH + 1 + 2*pad (pad = k//2 keeps it "same").
-    The backward-data pass runs as a convolution with the flipped transposed
-    kernel; the backward-weights pass regenerates the column matrix rather
-    than keeping it alive in the graph.
+
+    The layout follows the narrow side, chosen from the kernel shape alone.
+    With F >= C (or a 1x1 kernel) the input is expanded into an im2col
+    column matrix, KH*KW*C rows: forward and weight gradient each build it,
+    and the data gradient is the convolution of ``g`` with the flipped,
+    transposed kernel (which has C outputs, so it takes the other layout
+    when C < F). With F < C that column matrix would be the wide side, so
+    the output is expanded instead (kn2row): one GEMM of the KH*KW*F
+    stacked taps against the zero-padded input, summed at each tap's
+    offset; backward expands ``g`` once into KH*KW*F shifted rows, which
+    give the weight gradient against the padded input and the data
+    gradient against the taps, one GEMM each. Nothing is kept alive in the
+    graph beyond ``x`` and ``w``.
     """
     x, w = as_tensor(x), as_tensor(w)
     n, c, h, wd = x.data.shape
     f, c2, kh, kw = w.data.shape
     if c != c2:
         raise ValueError(f"conv2d channels mismatch: {c} vs {c2}")
+    if pad < 0:
+        raise ValueError(f"conv2d pad must be >= 0, got {pad}")
+    narrow = _narrow(w.data.shape)
     out_data = _conv_forward(x.data, w.data, pad)
     oh, ow = out_data.shape[2], out_data.shape[3]
     parents = [x, w]
@@ -405,6 +501,15 @@ def conv2d(x, w, b=None, pad: int = 1):
     def vjp(g):
         if b is not None and b.requires_grad:
             b._accum(g.sum(axis=(0, 2, 3)))
+        if narrow:
+            if x.requires_grad or w.requires_grad:
+                dx, dw = _narrow_backward(g, x.data, w.data, pad,
+                                          x.requires_grad, w.requires_grad)
+                if w.requires_grad:
+                    w._accum(dw)
+                if x.requires_grad:
+                    x._accum(dx)
+            return
         if w.requires_grad:
             g3 = g.reshape(n, f, oh * ow)
             if kh == 1 and kw == 1 and pad == 0:

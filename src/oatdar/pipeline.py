@@ -20,7 +20,7 @@ import numpy as np
 
 from .config import config_hash, geometry_from_config
 from .dataset import DatasetManifest
-from .diffusion import sample_batch
+from .diffusion import sample_batch, scale_from_model
 from .errors import ConfigError, PrerequisiteError
 from .geometry import Image, ImagingGeometry, Sinogram
 from .grayio import write_pgm
@@ -140,8 +140,7 @@ def reconstruct_dar(sino: Sinogram, models: ModelBundle,
 
     out = sample_batch(denoiser_fn, conds, (ph, pw), models.schedule,
                        nis=nis, eta=eta, seeds=seeds)
-    out01 = [(p + 1.0) / 2.0 for p in out]
-    merged = merge_patches(out01, grid)
+    merged = merge_patches(scale_from_model(out), grid)
     return Image(np.clip(normalize01(merged), 0.0, 1.0))
 
 

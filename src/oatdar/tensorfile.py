@@ -18,6 +18,7 @@ and a ``bundle.json`` listing names, files, and arbitrary metadata.
 from __future__ import annotations
 
 import json
+import shutil
 import struct
 import zlib
 from pathlib import Path
@@ -99,17 +100,46 @@ def read_tensor(path) -> np.ndarray:
 
 
 def write_bundle(path, arrays: dict, meta: dict | None = None) -> Path:
-    """Write named arrays + JSON metadata as a bundle directory."""
+    """Write named arrays + JSON metadata as a bundle directory.
+
+    The bundle is written into a hidden sibling directory and swapped into
+    place only once every file is written, so a write that fails (or a
+    crash of the process) leaves the previous bundle at ``path`` readable,
+    and no file of an older, larger bundle survives the swap. The two
+    renames of the swap are not atomic together: a crash between them
+    leaves the previous bundle at ``.<name>.old``, and the next write to
+    ``path`` moves it back before it starts. Nothing is fsynced.
+    """
     path = Path(path)
-    path.mkdir(parents=True, exist_ok=True)
-    entries = {}
-    for i, (name, arr) in enumerate(arrays.items()):
-        fname = f"a{i:04d}.oatd"
-        write_tensor(path / fname, np.asarray(arr))
-        entries[name] = fname
-    manifest = {"format": "oatdar-bundle", "version": VERSION,
-                "arrays": entries, "meta": meta or {}}
-    (path / "bundle.json").write_text(json.dumps(manifest, indent=1, sort_keys=True))
+    if path.exists() and not (path / "bundle.json").is_file() \
+            and (not path.is_dir() or any(path.iterdir())):
+        raise TensorFileError(f"{path}: exists and is not a bundle; "
+                              "not replacing it")
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(f".{path.name}.tmp")
+    old = path.with_name(f".{path.name}.old")
+    if old.is_dir() and not path.exists():  # crashed between the renames
+        old.rename(path)
+    for stale in (tmp, old):  # left behind by an earlier crash
+        shutil.rmtree(stale, ignore_errors=True)
+    tmp.mkdir()
+    try:
+        entries = {}
+        for i, (name, arr) in enumerate(arrays.items()):
+            fname = f"a{i:04d}.oatd"
+            write_tensor(tmp / fname, np.asarray(arr))
+            entries[name] = fname
+        manifest = {"format": "oatdar-bundle", "version": VERSION,
+                    "arrays": entries, "meta": meta or {}}
+        (tmp / "bundle.json").write_text(
+            json.dumps(manifest, indent=1, sort_keys=True))
+    except BaseException:
+        shutil.rmtree(tmp, ignore_errors=True)
+        raise
+    if path.exists():
+        path.rename(old)
+    tmp.rename(path)
+    shutil.rmtree(old, ignore_errors=True)
     return path
 
 

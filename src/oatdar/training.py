@@ -23,7 +23,7 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .config import config_hash
 from .dataset import DatasetManifest, attach_fdunet_outputs, load_images
-from .diffusion import NoiseSchedule, make_linear_schedule
+from .diffusion import NoiseSchedule, make_linear_schedule, scale_to_model
 from .errors import ConfigError, NumericalError, PrerequisiteError
 from .models import (CIPAutoencoder, CIPEncoder, ConditionalDenoiser,
                      DenoiserConfig, FDUNet, FDUNetConfig)
@@ -315,8 +315,7 @@ def train_diffusion(cfg: dict, run_dir, manifest: DatasetManifest,
     cond_flat, grid = _cond_patches(cfg, manifest, data_dir, condition_on)
     gt = load_images(manifest, data_dir, "phantom", "train")
     gt_patches = [p for im in gt for p in split_patches(im, grid)]
-    # model space is [-1, 1]
-    x0_all = (np.asarray(gt_patches, dtype=np.float32)[:, None] * 2.0 - 1.0)
+    x0_all = scale_to_model(np.asarray(gt_patches, dtype=np.float32)[:, None])
     if x0_all.shape[0] != cond_flat.shape[0]:
         raise PrerequisiteError("conditioning/target patch count mismatch")
     sqrt_ab = np.sqrt(sched.alpha_bar).astype(np.float32)

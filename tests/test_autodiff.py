@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -110,18 +113,130 @@ def test_conv2d():
          "b": _r((4,), 28), "m": _r((2, 4, 5, 5), 29)}, n_coords=6)
 
 
+def _conv_oracle(x, w, pad, g):
+    """Direct-loop output, dx and dW of a stride-1 conv for output grad g."""
+    n, c, h, wd = x.shape
+    f, _, kh, kw = w.shape
+    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    oh, ow = xp.shape[2] - kh + 1, xp.shape[3] - kw + 1
+    out = np.zeros((n, f, oh, ow))
+    dxp, dw = np.zeros_like(xp), np.zeros_like(w)
+    for i in range(oh):
+        for j in range(ow):
+            win = xp[:, :, i:i + kh, j:j + kw]
+            out[:, :, i, j] = np.einsum("ncab,fcab->nf", win, w)
+            dw += np.einsum("nf,ncab->fcab", g[:, :, i, j], win)
+            dxp[:, :, i:i + kh, j:j + kw] += np.einsum(
+                "nf,fcab->ncab", g[:, :, i, j], w)
+    return out, dxp[:, :, pad:pad + h, pad:pad + wd], dw
+
+
+def _conv_and_grads(x, w, pad, g):
+    xt, wt = ad.Tensor(x, requires_grad=True), ad.Tensor(w, requires_grad=True)
+    out = ad.conv2d(xt, wt, pad=pad)
+    ad.sum_(ad.mul(out, ad.Tensor(g))).backward()
+    return out.data, xt.grad, wt.grad
+
+
 def test_conv2d_matches_direct_loop():
     rng = np.random.default_rng(30)
     x = rng.standard_normal((1, 2, 4, 4))
     w = rng.standard_normal((3, 2, 3, 3))
     out = ad.conv2d(ad.Tensor(x), ad.Tensor(w), pad=1).data
-    xp = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)))
-    want = np.zeros((1, 3, 4, 4))
-    for f in range(3):
-        for i in range(4):
-            for j in range(4):
-                want[0, f, i, j] = np.sum(xp[0, :, i:i + 3, j:j + 3] * w[f])
+    want, _, _ = _conv_oracle(x, w, 1, np.zeros((1, 3, 4, 4)))
     assert np.allclose(out, want, atol=1e-12)
+
+
+# (C, F): F < C takes the output-side (kn2row) layout, F >= C im2col
+@pytest.mark.parametrize("c,f", [(6, 2), (5, 1), (3, 3), (2, 5), (1, 4)])
+@pytest.mark.parametrize("k", [1, 3, 5])
+@pytest.mark.parametrize("pad", [0, 1, 2, 3])  # pad 3 >= k 3: dx crops g
+@pytest.mark.parametrize("n", [1, 3])
+def test_conv2d_grads_match_direct_loop(c, f, k, pad, n):
+    rng = np.random.default_rng(100 * c + 10 * f + k + pad + n)
+    x = rng.standard_normal((n, c, 7, 6))
+    w = rng.standard_normal((f, c, k, k))
+    g = rng.standard_normal((n, f, 7 - k + 1 + 2 * pad, 6 - k + 1 + 2 * pad))
+    got = _conv_and_grads(x, w, pad, g)
+    for name, a, b in zip(("out", "dx", "dw"), got, _conv_oracle(x, w, pad, g)):
+        assert a.shape == b.shape, name
+        assert np.max(np.abs(a - b)) <= 1e-12, name
+
+
+def test_conv2d_narrow():
+    fd_check(lambda t: ad.sum_(ad.mul(
+        ad.conv2d(t["x"], t["w"], t["b"], pad=1), t["m"])),
+        {"x": _r((2, 5, 5, 4), 50), "w": _r((2, 5, 3, 3), 51),
+         "b": _r((2,), 52), "m": _r((2, 2, 5, 4), 53)}, n_coords=6)
+
+
+@pytest.mark.parametrize("c,f", [(32, 10), (16, 32)])
+def test_conv2d_float32_close_to_float64(c, f):
+    rng = np.random.default_rng(c + f)
+    x = rng.standard_normal((4, c, 16, 16))
+    w = rng.standard_normal((f, c, 3, 3)) / np.sqrt(9 * c)
+    g = rng.standard_normal((4, f, 16, 16))
+    ref = _conv_oracle(x, w, 1, g)
+    got = _conv_and_grads(*(a.astype(np.float32) for a in (x, w)), 1,
+                          g.astype(np.float32))
+    for name, a, b in zip(("out", "dx", "dw"), got, ref):
+        assert a.dtype == np.float32, name
+        assert np.max(np.abs(a - b)) <= 2e-6 * np.max(np.abs(b)), name
+
+
+def _im2col_forward_reference(x, w, pad):
+    n, c = x.shape[:2]
+    f, _, kh, kw = w.shape
+    if kh == 1 and kw == 1 and pad == 0:
+        cols = x.reshape(n, c, -1)
+        out = np.matmul(w.reshape(f, c), cols)
+        return out.reshape(n, f, *x.shape[2:]), cols
+    cols, oh, ow = _im2col_reference(x, kh, kw, pad)
+    out = np.matmul(w.reshape(f, c * kh * kw), cols)
+    return out.reshape(n, f, oh, ow), cols
+
+
+def _im2col_conv_reference(x, w, pad, g):
+    """The im2col conv and its gradients; dx is the flipped-kernel conv,
+    itself im2col."""
+    n, c = x.shape[:2]
+    f, _, kh, kw = w.shape
+    out, cols = _im2col_forward_reference(x, w, pad)
+    dw = np.matmul(g.reshape(n, f, -1), cols.swapaxes(1, 2)).sum(axis=0)
+    if kh == 1 and kw == 1 and pad == 0:
+        dx = np.matmul(w.reshape(f, c).T, g.reshape(n, f, -1))
+    else:
+        wt = np.ascontiguousarray(w.transpose(1, 0, 2, 3)[:, :, ::-1, ::-1])
+        dx, _ = _im2col_forward_reference(g, wt, kh - 1 - pad)
+    return out, dx.reshape(x.shape), dw.reshape(w.shape)
+
+
+@pytest.mark.parametrize("c,f,k,pad", [(3, 3, 3, 1), (4, 4, 5, 2),
+                                       (2, 6, 3, 1), (6, 2, 1, 0),
+                                       (2, 6, 1, 0), (3, 3, 1, 0)])
+def test_conv2d_im2col_layout_bit_identical(c, f, k, pad):
+    rng = np.random.default_rng(c * f + k)
+    x = rng.standard_normal((3, c, 8, 6)).astype(np.float32)
+    w = rng.standard_normal((f, c, k, k)).astype(np.float32)
+    g = rng.standard_normal((3, f, 8 - k + 1 + 2 * pad,
+                             6 - k + 1 + 2 * pad)).astype(np.float32)
+    out, dx, dw = _conv_and_grads(x, w, pad, g)
+    want_out, want_dx, want_dw = _im2col_conv_reference(x, w, pad, g)
+    assert np.array_equal(out, want_out) and np.array_equal(dw, want_dw)
+    if f == c or k == 1:  # else dx is a conv with C < F outputs: narrow
+        assert np.array_equal(dx, want_dx)
+
+
+@pytest.mark.parametrize("c,f", [(6, 2), (2, 6)])
+def test_conv2d_no_grad_for_frozen_operand(c, f):
+    x = _r((2, c, 5, 5), 60)
+    w = _r((f, c, 3, 3), 61)
+    xt, wt = ad.Tensor(x, requires_grad=True), ad.Tensor(w)
+    ad.sum_(ad.conv2d(xt, wt)).backward()
+    assert wt.grad is None and xt.grad.shape == x.shape
+    xt, wt = ad.Tensor(x), ad.Tensor(w, requires_grad=True)
+    ad.sum_(ad.conv2d(xt, wt)).backward()
+    assert xt.grad is None and wt.grad.shape == w.shape
 
 
 def test_avg_and_max_pool():
@@ -177,6 +292,21 @@ def test_tape_free_op_keeps_no_parents():
     w.requires_grad = True
     out = ad.matmul(ad.Tensor(np.ones((3, 2))), w)
     assert out._parents[1] is w and out._vjp is not None
+
+
+def test_backward_frees_graph_without_cycle_collector():
+    # a graph kept alive by a reference cycle waits for gc; training holds
+    # one graph per batch, so that showed as peak RSS
+    gc.disable()
+    try:
+        x = ad.Tensor(np.ones((3, 3)), requires_grad=True)
+        h = ad.mul(x, x)
+        ref = weakref.ref(h.data)
+        ad.sum_(h).backward()
+        del h
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def _softmax_reference(x, axis):

@@ -81,3 +81,62 @@ def test_bundle_missing_manifest(tmp_path):
     (tmp_path / "nb").mkdir()
     with pytest.raises(TensorFileError):
         read_bundle(tmp_path / "nb")
+
+
+def test_bundle_write_failure_keeps_previous_bundle(tmp_path, monkeypatch):
+    from oatdar import tensorfile
+    path = tmp_path / "ckpt"
+    a = {f"a{i}": np.full(3, float(i)) for i in range(4)}
+    write_bundle(path, a, {"epoch": 1})
+    real, calls = tensorfile.write_tensor, []
+
+    def failing(p, arr):
+        calls.append(p)
+        if len(calls) == 3:
+            raise OSError("disk full")
+        return real(p, arr)
+
+    monkeypatch.setattr(tensorfile, "write_tensor", failing)
+    with pytest.raises(OSError, match="disk full"):
+        write_bundle(path, {f"b{i}": np.zeros(2) for i in range(5)},
+                     {"epoch": 2})
+    back, meta = read_bundle(path)
+    assert meta == {"epoch": 1}
+    assert set(back) == set(a)
+    assert all(np.array_equal(back[k], a[k]) for k in a)
+    assert [p.name for p in tmp_path.iterdir()] == ["ckpt"]
+
+
+def test_bundle_write_restores_bundle_left_mid_swap(tmp_path, monkeypatch):
+    from oatdar import tensorfile
+    path = tmp_path / "ckpt"
+    write_bundle(path, {"w": np.ones(3)}, {"epoch": 1})
+    path.rename(tmp_path / ".ckpt.old")  # a crash between the two renames
+
+    def failing(p, arr):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(tensorfile, "write_tensor", failing)
+    with pytest.raises(OSError):
+        write_bundle(path, {"w": np.zeros(3)}, {"epoch": 2})
+    assert read_bundle(path)[1] == {"epoch": 1}
+    assert [p.name for p in tmp_path.iterdir()] == ["ckpt"]
+
+
+def test_bundle_overwrite_drops_stale_arrays(tmp_path):
+    path = tmp_path / "ckpt"
+    write_bundle(path, {f"a{i}": np.zeros(2) for i in range(3)})
+    write_bundle(path, {"only": np.ones(2)}, {"v": 2})
+    assert sorted(p.name for p in path.iterdir()) == ["a0000.oatd",
+                                                      "bundle.json"]
+    back, meta = read_bundle(path)
+    assert list(back) == ["only"] and meta == {"v": 2}
+    assert [p.name for p in tmp_path.iterdir()] == ["ckpt"]
+
+
+def test_bundle_refuses_to_replace_other_content(tmp_path):
+    (tmp_path / "d").mkdir()
+    (tmp_path / "d" / "notes.txt").write_text("keep")
+    with pytest.raises(TensorFileError, match="not a bundle"):
+        write_bundle(tmp_path / "d", {"w": np.zeros(2)})
+    assert (tmp_path / "d" / "notes.txt").read_text() == "keep"
