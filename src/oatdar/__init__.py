@@ -8,9 +8,8 @@ from .operator import (ForwardOperator, add_noise, apply_adjoint,
                        apply_forward, build_forward_operator, tikhonov_solve)
 from .phantoms import PhantomParams, generate_phantom, ingest_image
 from .patches import PatchGrid, merge_patches, split_patches
-from .diffusion import (NoiseSchedule, ddim_step, ddpm_step, loss_terms,
-                        make_inference_timesteps, make_linear_schedule,
-                        q_sample, sample_batch)
+from .diffusion import (NoiseSchedule, ddim_step, make_inference_timesteps,
+                        make_linear_schedule, q_sample, sample_batch)
 from .metrics import MetricReport, psnr, ssim
 from .optim import OptimizerState, adam_update
 
@@ -19,7 +18,7 @@ __all__ = [
     "build_forward_operator", "apply_forward", "apply_adjoint", "add_noise",
     "tikhonov_solve", "PhantomParams", "generate_phantom", "ingest_image",
     "PatchGrid", "split_patches", "merge_patches", "NoiseSchedule",
-    "make_linear_schedule", "q_sample", "loss_terms", "ddpm_step",
-    "ddim_step", "make_inference_timesteps", "sample_batch",
+    "make_linear_schedule", "q_sample", "ddim_step",
+    "make_inference_timesteps", "sample_batch",
     "MetricReport", "psnr", "ssim", "OptimizerState", "adam_update",
 ]

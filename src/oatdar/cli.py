@@ -125,13 +125,11 @@ def cmd_train(args):
                                   condition_on=args.condition_on,
                                   resume=args.resume)
         print(f"cip[{args.condition_on}] trained -> {ckpt}")
-    elif args.block == "diffusion":
+    else:  # argparse admits only fdunet, cip and diffusion
         ckpt = training.train_diffusion(cfg, run_dir, manifest,
                                         condition_on=args.condition_on,
                                         resume=args.resume)
         print(f"diffusion[{args.condition_on}] trained -> {ckpt}")
-    else:
-        raise ConfigError(f"unknown training block {args.block!r}")
 
 
 def cmd_reconstruct(args):

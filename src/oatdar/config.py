@@ -35,8 +35,7 @@ def desk_config() -> dict:
             "intensity_range": [0.4, 1.0], "fill_fraction_target": [0.03, 0.16],
             "max_attempts": 20,
         },
-        "schedule": {"T": 200, "beta1": 1e-4, "betaT": 0.02,
-                     "sigma_mode": "beta"},
+        "schedule": {"T": 200, "beta1": 1e-4, "betaT": 0.02},
         "patch": {"h": 16, "w": 16},
         "fd_unet": {"scales": [12, 24, 48], "growth": 10,
                     "layers_per_block": 3, "seed": 100},
@@ -65,8 +64,7 @@ def paper_config() -> dict:
             "dt": 1.0 / 24.4e6, "time_samples": 1024,
             "sir_subelements": 8, "sensor_diameter": 13e-3, "jitter_seed": 0,
         },
-        "schedule": {"T": 1000, "beta1": 1e-4, "betaT": 0.02,
-                     "sigma_mode": "beta"},
+        "schedule": {"T": 1000, "beta1": 1e-4, "betaT": 0.02},
         "patch": {"h": 64, "w": 64},
         "fd_unet": {"scales": [64, 128, 256], "growth": 16,
                     "layers_per_block": 4, "seed": 100},

@@ -1,8 +1,9 @@
 """Portable graymap import/export and bilinear resampling.
 
-PGM is the only raster format supported (P2 ascii / P5 binary, 8- or 16-bit,
-16-bit samples big-endian per the netpbm convention). It exists for visual
-inspection; the lossless path is always the tensor container.
+PGM is the only raster format supported: P2 ascii or P5 binary with 8- or
+16-bit samples is read, 16-bit P5 is written (16-bit samples big-endian per
+the netpbm convention). It exists for visual inspection; the lossless path is
+always the tensor container.
 """
 
 from __future__ import annotations
@@ -13,8 +14,8 @@ from pathlib import Path
 import numpy as np
 
 
-def write_pgm(path, img: np.ndarray, maxval: int = 65535) -> Path:
-    """Write a min-max scaled 16-bit (or 8-bit) binary graymap."""
+def write_pgm(path, img: np.ndarray) -> Path:
+    """Write a min-max scaled 16-bit binary graymap."""
     path = Path(path)
     img = np.asarray(img, dtype=np.float64)
     if img.ndim != 2:
@@ -23,11 +24,10 @@ def write_pgm(path, img: np.ndarray, maxval: int = 65535) -> Path:
         raise ValueError("PGM export needs finite values")
     lo, hi = float(img.min()), float(img.max())
     scaled = np.zeros_like(img) if hi == lo else (img - lo) / (hi - lo)
-    q = np.rint(scaled * maxval).astype(np.uint16 if maxval > 255 else np.uint8)
+    q = np.rint(scaled * 65535).astype(">u2")
     with open(path, "wb") as fh:
-        fh.write(f"P5\n{img.shape[1]} {img.shape[0]}\n{maxval}\n".encode())
-        payload = q.astype(">u2").tobytes() if maxval > 255 else q.tobytes()
-        fh.write(payload)
+        fh.write(f"P5\n{img.shape[1]} {img.shape[0]}\n65535\n".encode())
+        fh.write(q.tobytes())
     return path
 
 

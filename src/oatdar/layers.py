@@ -106,13 +106,9 @@ def glorot_init(rng, shape, fan_in, fan_out, dtype):
 
 
 class Linear(Module):
-    def __init__(self, d_in, d_out, rng, dtype=np.float32, init="he"):
+    def __init__(self, d_in, d_out, rng, dtype=np.float32):
         super().__init__()
-        if init == "he":
-            w = he_init(rng, (d_in, d_out), d_in, dtype)
-        else:
-            w = glorot_init(rng, (d_in, d_out), d_in, d_out, dtype)
-        self.w = self.register("w", w)
+        self.w = self.register("w", he_init(rng, (d_in, d_out), d_in, dtype))
         self.b = self.register("b", np.zeros(d_out, dtype=dtype))
 
     def __call__(self, x):
@@ -120,9 +116,11 @@ class Linear(Module):
 
 
 class Conv2d(Module):
-    def __init__(self, c_in, c_out, k, rng, dtype=np.float32, pad=None):
+    """k x k convolution padded by k // 2: odd kernels keep the size."""
+
+    def __init__(self, c_in, c_out, k, rng, dtype=np.float32):
         super().__init__()
-        self.pad = (k // 2) if pad is None else pad
+        self.pad = k // 2
         fan_in = c_in * k * k
         self.w = self.register("w", he_init(rng, (c_out, c_in, k, k),
                                             fan_in, dtype))

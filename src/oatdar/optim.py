@@ -41,7 +41,11 @@ class OptimizerState:
 def adam_update(params: dict, grads: dict, state: OptimizerState):
     """One optimizer step over name-keyed arrays; updates in place and
     returns (params, state). Moments are kept in float64 regardless of the
-    parameter dtype."""
+    parameter dtype. A non-finite gradient raises :class:`NumericalError`
+    before any parameter, moment or the step count changes."""
+    for k in params:
+        if not np.all(np.isfinite(grads[k])):
+            raise NumericalError(f"non-finite gradient for {k}")
     state.ensure(params)
     state.step += 1
     t = state.step
@@ -50,8 +54,6 @@ def adam_update(params: dict, grads: dict, state: OptimizerState):
     bc2 = 1.0 - b2 ** t
     for k, p in params.items():
         g = np.asarray(grads[k], dtype=np.float64)
-        if not np.all(np.isfinite(g)):
-            raise NumericalError(f"non-finite gradient for {k}")
         m = state.m[k]
         v = state.v[k]
         m *= b1

@@ -18,6 +18,7 @@ and a ``bundle.json`` listing names, files, and arbitrary metadata.
 from __future__ import annotations
 
 import json
+import os
 import shutil
 import struct
 import zlib
@@ -59,10 +60,16 @@ def write_tensor(path, arr: np.ndarray) -> Path:
 
 
 def read_tensor(path) -> np.ndarray:
-    """Read a .oatd file, validating header, length, and payload CRC."""
+    """Read a .oatd file, validating header, length, and payload CRC.
+
+    The file is read once into a buffer that the returned (writable) array
+    views, so the payload is held in memory only once.
+    """
     path = Path(path)
     try:
-        raw = path.read_bytes()
+        with open(path, "rb") as fh:
+            raw = bytearray(os.fstat(fh.fileno()).st_size)
+            del raw[fh.readinto(raw):]
     except OSError as exc:
         raise TensorFileError(f"cannot read {path}: {exc}") from exc
     if len(raw) < _HEADER.size:
@@ -92,11 +99,11 @@ def read_tensor(path) -> np.ndarray:
             f"{path}: length {len(raw)} does not match header "
             f"(expected {payload_end + 4})"
         )
-    payload = raw[dims_end:payload_end]
     (crc,) = struct.unpack_from("<I", raw, payload_end)
-    if zlib.crc32(payload) & 0xFFFFFFFF != crc:
+    if zlib.crc32(memoryview(raw)[dims_end:payload_end]) & 0xFFFFFFFF != crc:
         raise TensorFileError(f"{path}: payload CRC mismatch")
-    return np.frombuffer(payload, dtype=dtype).reshape(dims).copy()
+    return np.frombuffer(raw, dtype=dtype, count=n_elem,
+                         offset=dims_end).reshape(dims)
 
 
 def write_bundle(path, arrays: dict, meta: dict | None = None) -> Path:

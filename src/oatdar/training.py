@@ -23,7 +23,8 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .config import config_hash
 from .dataset import DatasetManifest, attach_fdunet_outputs, load_images
-from .diffusion import NoiseSchedule, make_linear_schedule, scale_to_model
+from .diffusion import (NoiseSchedule, make_linear_schedule, q_sample,
+                        scale_to_model)
 from .errors import ConfigError, NumericalError, PrerequisiteError
 from .models import (CIPAutoencoder, CIPEncoder, ConditionalDenoiser,
                      DenoiserConfig, FDUNet, FDUNetConfig)
@@ -208,8 +209,11 @@ def load_fdunet(ckpt) -> FDUNet:
     return model.freeze()
 
 
-def emit_fdunet_outputs(cfg: dict, run_dir, manifest: DatasetManifest,
-                        batch: int = 64) -> DatasetManifest:
+_EMIT_BATCH = 64  # images per enhancer forward in emit_fdunet_outputs
+
+
+def emit_fdunet_outputs(cfg: dict, run_dir,
+                        manifest: DatasetManifest) -> DatasetManifest:
     """Run the trained enhancer over every entry and record the outputs."""
     run_dir = Path(run_dir)
     ckpt = run_dir / "checkpoints" / "fdunet.ckpt"
@@ -219,8 +223,8 @@ def emit_fdunet_outputs(cfg: dict, run_dir, manifest: DatasetManifest,
     data_dir = run_dir / "dataset"
     lbp = normalize01_batch(load_images(manifest, data_dir, "lbp"))
     outs = []
-    for s in range(0, lbp.shape[0], batch):
-        xb = lbp[s:s + batch, None].astype(np.float32)
+    for s in range(0, lbp.shape[0], _EMIT_BATCH):
+        xb = lbp[s:s + _EMIT_BATCH, None].astype(np.float32)
         outs.append(model(Tensor(xb)).data[:, 0])
     return attach_fdunet_outputs(manifest, data_dir, np.concatenate(outs))
 
@@ -292,8 +296,7 @@ def load_cip_encoder(ckpt) -> CIPEncoder:
 
 def schedule_from_config(cfg: dict) -> NoiseSchedule:
     s = cfg["schedule"]
-    return make_linear_schedule(s["T"], s["beta1"], s["betaT"],
-                                s["sigma_mode"])
+    return make_linear_schedule(s["T"], s["beta1"], s["betaT"])
 
 
 def train_diffusion(cfg: dict, run_dir, manifest: DatasetManifest,
@@ -318,15 +321,12 @@ def train_diffusion(cfg: dict, run_dir, manifest: DatasetManifest,
     x0_all = scale_to_model(np.asarray(gt_patches, dtype=np.float32)[:, None])
     if x0_all.shape[0] != cond_flat.shape[0]:
         raise PrerequisiteError("conditioning/target patch count mismatch")
-    sqrt_ab = np.sqrt(sched.alpha_bar).astype(np.float32)
-    sqrt_1mab = np.sqrt(1.0 - sched.alpha_bar).astype(np.float32)
 
     def batch_loss(idx, rng):
         t_batch = rng.integers(1, sched.T + 1, size=idx.size)
         eps = rng.standard_normal((idx.size, 1, grid.patch_h, grid.patch_w),
                                   dtype=np.float32)
-        xt = (sqrt_ab[t_batch][:, None, None, None] * x0_all[idx]
-              + sqrt_1mab[t_batch][:, None, None, None] * eps)
+        xt = q_sample(x0_all[idx], t_batch, eps, sched)
         cond_vec = encoder(Tensor(cond_flat[idx]))
         return _mse(model(Tensor(xt), cond_vec, t_batch), Tensor(eps))
 

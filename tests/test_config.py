@@ -33,3 +33,14 @@ def test_an_int_stands_in_for_a_float():
 def test_values_of_another_type_are_rejected(override):
     with pytest.raises(ConfigError):
         load_config(None, override)
+
+
+def test_schedule_sigma_mode_is_an_unknown_key(tmp_path):
+    """The reverse step is DDIM alone, so there is no ancestral noise scale
+    to choose; a config that still sets one exits 2."""
+    cfg_path = tmp_path / "old.json"
+    cfg_path.write_text('{"schedule": {"T": 20, "sigma_mode": "beta"}}')
+    out = tmp_path / "phantom.oatd"
+    assert cli.main(["phantom", "--config", str(cfg_path),
+                     "--out", str(out)]) == 2
+    assert not out.exists()

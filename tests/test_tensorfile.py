@@ -20,6 +20,7 @@ def test_roundtrip_f32(tmp_path):
     back = read_tensor(write_tensor(tmp_path / "a.oatd", arr))
     assert back.dtype == np.float32
     assert np.array_equal(back, arr)
+    assert back.flags.writeable     # optimizer moments update in place
 
 
 def test_scalar_and_empty(tmp_path):

@@ -179,3 +179,19 @@ def test_loaded_checkpoints_run_without_a_tape(base_run, tmp_path):
     # the encoder the denoiser stage tunes is still loaded trainable
     pretrained = training.load_cip_encoder(run / "checkpoints" / "cip_lbp.ckpt")
     assert all(t.requires_grad for t in pretrained.parameters().values())
+
+
+def test_denoiser_checkpoint_with_sigma_mode_loads(base_run, tmp_path):
+    """Checkpoints written while the schedule carried ``sigma_mode`` load
+    into the same schedule."""
+    base, manifest = base_run
+    run = _copy_run(base, tmp_path / "run")
+    ckpt = training.train_diffusion(_cfg(0), run, manifest, "lbp")
+    _, _, want, _ = training.load_denoiser(ckpt)
+    bundle = json.loads((ckpt / "bundle.json").read_text())
+    bundle["meta"]["schedule"]["sigma_mode"] = "beta"
+    (ckpt / "bundle.json").write_text(json.dumps(bundle))
+    _, _, sched, _ = training.load_denoiser(ckpt)
+    assert sched.T == want.T == 20
+    assert np.array_equal(sched.beta, want.beta)
+    assert np.array_equal(sched.alpha_bar, want.alpha_bar)
