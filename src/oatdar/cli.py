@@ -17,8 +17,9 @@ from . import pipeline, training
 from .config import (apply_flag_overrides, config_hash, geometry_from_config,
                      load_config, phantom_params_from_config)
 from .dataset import DatasetManifest, build_dataset
-from .errors import ConfigError, NumericalError, PrerequisiteError
-from .geometry import Image, Sinogram
+from .errors import (ConfigError, NumericalError, PrerequisiteError,
+                     ShapeError, TensorFileError)
+from .geometry import Image, Sinogram, check_image, check_sinogram
 from .operator import build_forward_operator
 from .phantoms import generate_phantom
 from .tensorfile import read_tensor, write_tensor
@@ -51,6 +52,16 @@ def _setup_threads(deterministic: bool):
         threadpoolctl.threadpool_limits(limits=limit)
     except ImportError:
         log.warning("threadpoolctl unavailable; thread limit not applied")
+
+
+def _read_arg(path, flag: str, kind, check, geometry):
+    """``flag``'s tensor file as a ``kind`` that fits ``geometry``."""
+    try:
+        value = kind(read_tensor(path))
+        check(geometry, value)
+        return value
+    except (TensorFileError, ShapeError) as exc:
+        raise ConfigError(f"{flag}: {exc}") from None
 
 
 def _load_cfg(args) -> dict:
@@ -91,8 +102,9 @@ def cmd_operator(args):
 
 def cmd_simulate(args):
     cfg = _load_cfg(args)
-    data = read_tensor(args.phantom)
-    sino = pipeline.simulate_sinogram(cfg, Image(data), args.snr, args.seed)
+    phantom = _read_arg(args.phantom, "--phantom", Image, check_image,
+                        geometry_from_config(cfg))
+    sino = pipeline.simulate_sinogram(cfg, phantom, args.snr, args.seed)
     write_tensor(args.out, sino.data)
     print(f"sinogram {sino.data.shape} snr={args.snr} -> {args.out}")
 
@@ -136,7 +148,8 @@ def cmd_reconstruct(args):
     cfg = _load_cfg(args)
     models = pipeline.load_method_models(args.run_dir, args.method)
     rec_op = build_forward_operator(geometry_from_config(cfg), jittered=False)
-    sino = Sinogram(read_tensor(args.sino))
+    sino = _read_arg(args.sino, "--sino", Sinogram, check_sinogram,
+                     rec_op.geometry)
     inf = cfg["inference"]
     img = pipeline.reconstruct(
         args.method, cfg, rec_op, sino, models,

@@ -1,7 +1,9 @@
 """Exception hierarchy shared across the toolkit.
 
-The CLI maps these onto exit codes: ConfigError -> 2, PrerequisiteError -> 3,
-NumericalError -> 4. Everything else is an ordinary crash.
+The CLI maps these onto exit codes: ConfigError -> 2 (an invalid geometry is
+one), PrerequisiteError -> 3, NumericalError -> 4. A command turns a
+ShapeError or TensorFileError of the file a flag names into a ConfigError.
+Everything else is an ordinary crash.
 """
 
 
@@ -9,7 +11,11 @@ class OatdarError(Exception):
     """Base class for all toolkit errors."""
 
 
-class GeometryError(OatdarError):
+class ConfigError(OatdarError):
+    """Malformed or inconsistent configuration (unknown keys, bad ranges)."""
+
+
+class GeometryError(ConfigError):
     """Invalid imaging geometry (bad counts, detectors inside the grid, ...)."""
 
 
@@ -21,17 +27,13 @@ class ShapeError(OatdarError):
     """An array does not match the shape implied by geometry or config."""
 
 
-class ConfigError(OatdarError):
-    """Malformed or inconsistent configuration (unknown keys, bad ranges)."""
-
-
 class PrerequisiteError(OatdarError):
     """A pipeline stage was invoked before the stages it depends on."""
 
 
 class NumericalError(OatdarError):
-    """Divergence or non-finite values encountered during iteration/training."""
+    """Divergence or non-finite values (losses, enhancer outputs, images)."""
 
 
 class TensorFileError(OatdarError):
-    """Corrupt, truncated, or otherwise invalid on-disk tensor data."""
+    """Corrupt, truncated, missing, or otherwise invalid on-disk tensor data."""

@@ -4,6 +4,7 @@ encoder, and the conditional noise-prediction UNet.
 All models are plain compositions of the layers module, built determin-
 istically from a seed, with a single parameter set shared across timesteps
 (the step index enters the denoiser only through its sinusoidal embedding).
+The three inference entry points take batches only.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
+from .errors import NumericalError, ShapeError
 from .layers import (Conv2d, CrossAttentionBlock, GroupNorm, Linear, Module,
                      ModuleList, ResBlock, upsample2)
 
@@ -22,24 +24,18 @@ from .layers import (Conv2d, CrossAttentionBlock, GroupNorm, Linear, Module,
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TimeEmbedding:
-    dim: int = 64
-    max_period: float = 10000.0
-
-    def __post_init__(self):
-        if self.dim < 2 or self.dim % 2:
-            raise ValueError("embedding dim must be even and >= 2")
+MAX_PERIOD = 10000.0
 
 
-def time_embed(t, cfg: TimeEmbedding) -> np.ndarray:
+def time_embed(t, dim: int) -> np.ndarray:
     """Embed integer steps as [sin(t w_i)..., cos(t w_i)...] with
-    w_i = max_period**(-2i/dim). Accepts a scalar or a 1-D batch."""
+    w_i = MAX_PERIOD**(-2i/dim) and an even ``dim``. Accepts a scalar or a
+    1-D batch."""
     t = np.asarray(t, dtype=np.float64)
     if np.any(t < 0):
         raise ValueError("timesteps must be >= 0")
-    half = cfg.dim // 2
-    freqs = cfg.max_period ** (-2.0 * np.arange(half) / cfg.dim)
+    half = dim // 2
+    freqs = MAX_PERIOD ** (-2.0 * np.arange(half) / dim)
     ang = t[..., None] * freqs
     return np.concatenate([np.sin(ang), np.cos(ang)], axis=-1)
 
@@ -94,17 +90,14 @@ class CIPAutoencoder(Module):
         return z
 
 
-def cip_encode(encoder: CIPEncoder, patch: np.ndarray) -> np.ndarray:
-    """Encode one flattened patch (or a batch) to its conditioning vector."""
-    x = np.asarray(patch)
-    single = x.ndim == 1
-    if single:
-        x = x[None]
-    if x.shape[1] != encoder.layer_dims[0]:
-        raise ValueError(f"patch length {x.shape[1]} != encoder input "
-                         f"{encoder.layer_dims[0]}")
-    out = encoder(Tensor(x.astype(np.float32))).data
-    return out[0] if single else out
+def cip_encode(encoder: CIPEncoder, patches: np.ndarray) -> np.ndarray:
+    """Encode ``(N, D)`` flattened patches to ``(N, out_dim)`` conditioning
+    vectors."""
+    x = np.asarray(patches)
+    if x.shape[1:] != encoder.layer_dims[:1]:
+        raise ValueError(f"patches {x.shape} do not match encoder input "
+                         f"(N, {encoder.layer_dims[0]})")
+    return encoder(Tensor(x.astype(np.float32))).data
 
 
 # ---------------------------------------------------------------------------
@@ -124,6 +117,8 @@ class DenoiserConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if self.time_embed_dim < 2 or self.time_embed_dim % 2:
+            raise ValueError("time_embed_dim must be even and >= 2")
         if self.cond_dim % self.cond_tokens:
             raise ValueError("cond_dim must split evenly into cond_tokens")
         for c in self.scales:
@@ -159,7 +154,6 @@ class ConditionalDenoiser(Module):
         super().__init__()
         self.cfg = cfg
         self.dtype = dtype
-        self.time_cfg = TimeEmbedding(dim=cfg.time_embed_dim)
         rng = np.random.default_rng(cfg.seed)
         ch = cfg.scales
         td = cfg.time_embed_dim
@@ -210,7 +204,7 @@ class ConditionalDenoiser(Module):
         """x: (N, 1, H, W) Tensor/array; cond: (N, cond_dim); t: (N,) ints."""
         x = ad.as_tensor(x)
         n = x.data.shape[0]
-        temb_np = time_embed(np.asarray(t_batch), self.time_cfg)
+        temb_np = time_embed(np.asarray(t_batch), self.cfg.time_embed_dim)
         temb = self.time_mlp2(ad.silu(self.time_mlp1(
             Tensor(temb_np.astype(self.dtype)))))
         cond_tokens = self._cond_tokens(cond)
@@ -237,24 +231,15 @@ class ConditionalDenoiser(Module):
         return self.conv_out(ad.silu(self.norm_out(h)))
 
 
-def denoise_predict(model: ConditionalDenoiser, x_t, cond, t) -> np.ndarray:
-    """Inference-mode noise prediction for arrays (batch or single patch)."""
-    x = np.asarray(x_t)
-    single = x.ndim == 2
-    if single:
-        x = x[None]
-    if x.ndim == 3:
-        x = x[:, None]
-    cond = np.asarray(cond)
-    if cond.ndim == 1:
-        cond = cond[None]
-    t_batch = np.atleast_1d(np.asarray(t))
-    if t_batch.size == 1 and x.shape[0] > 1:
-        t_batch = np.full(x.shape[0], int(t_batch[0]))
-    out = model(Tensor(x.astype(model.dtype)),
-                Tensor(cond.astype(model.dtype)), t_batch).data
-    out = out[:, 0]
-    return out[0] if single else out
+def denoise_predict(model: ConditionalDenoiser, x_t, cond,
+                    t: int) -> np.ndarray:
+    """Inference-mode noise prediction for ``(N, H, W)`` patches at one step
+    ``t``, conditioned on ``(N, cond_dim)`` vectors; returns ``(N, H, W)``."""
+    x = np.asarray(x_t, dtype=model.dtype)
+    if x.ndim != 3:
+        raise ShapeError(f"patches must be (N, H, W), got {x.shape}")
+    return model(Tensor(x[:, None]), Tensor(np.asarray(cond, model.dtype)),
+                 np.full(x.shape[0], int(t))).data[:, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -268,10 +253,6 @@ class FDUNetConfig:
     growth: int = 16
     layers_per_block: int = 4
     seed: int = 0
-
-    def to_dict(self) -> dict:
-        return {"scales": list(self.scales), "growth": self.growth,
-                "layers_per_block": self.layers_per_block, "seed": self.seed}
 
     @classmethod
     def from_dict(cls, d):
@@ -349,13 +330,13 @@ class FDUNet(Module):
         return self.head(h)
 
 
-def fd_unet_forward(model: FDUNet, image: np.ndarray) -> np.ndarray:
-    """Inference-mode enhancement of one image (or an NHW batch)."""
-    x = np.asarray(image)
-    single = x.ndim == 2
-    if single:
-        x = x[None]
-    out = model(Tensor(x[:, None].astype(model.dtype))).data[:, 0]
+def fd_unet_forward(model: FDUNet, images: np.ndarray) -> np.ndarray:
+    """Inference-mode enhancement of ``(N, H, W)`` images; raises
+    :class:`NumericalError` rather than return a non-finite output."""
+    x = np.asarray(images, dtype=model.dtype)
+    if x.ndim != 3:
+        raise ShapeError(f"images must be (N, H, W), got {x.shape}")
+    out = model(Tensor(x[:, None])).data[:, 0]
     if not np.all(np.isfinite(out)):
-        raise ValueError("enhancer produced non-finite values")
-    return out[0] if single else out
+        raise NumericalError("enhancer produced non-finite values")
+    return out

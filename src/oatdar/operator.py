@@ -29,7 +29,7 @@ not run the power iteration again.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -172,18 +172,18 @@ def _spectral_gain(op: ForwardOperator, iters: int = 30) -> float:
     """1 / (power-iteration estimate of the unnormalized spectral norm).
 
     A fixed all-ones start and step count make the gain a deterministic
-    function of the assembled matrix.
+    function of the assembled matrix. The iteration runs the operator's own
+    products at unit gain (multiplying by 1.0 is exact).
     """
-    g = op.geometry
+    op = replace(op, output_scale=1.0)
     v = np.full(op.n_cols, 1.0 / np.sqrt(op.n_cols))
     sigma = 0.0
     for _ in range(iters):
-        w = time_derivative(op._spread_apply(v).reshape(g.sinogram_shape),
-                            g.dt)
+        w = op.apply_vec(v)
         sigma = float(np.linalg.norm(w))
         if sigma == 0.0:
             return 1.0
-        v = op._spread_adjoint(time_derivative_adjoint(w, g.dt).ravel())
+        v = op.adjoint_vec(w)
         nv = float(np.linalg.norm(v))
         if nv == 0.0:
             return 1.0

@@ -2,6 +2,8 @@
 
 Patches tile the image with no padding and no blending; split followed by
 merge is a bit-exact identity. Patch order is row-major over the grid.
+Both directions work on whole stacks: any leading axes are carried through,
+so a batch of images splits into one ``(N, P, ph, pw)`` array.
 """
 
 from __future__ import annotations
@@ -41,32 +43,33 @@ class PatchGrid:
         return cls(patch_h, patch_w, h // patch_h, w // patch_w)
 
 
-def split_patches(img: np.ndarray, grid: PatchGrid) -> list:
-    """Split ``img`` into grid.rows * grid.cols patches, row-major."""
-    img = np.asarray(img)
-    if img.shape != grid.image_shape:
-        raise ShapeError(f"image {img.shape} does not match grid "
+def split_patches(imgs: np.ndarray, grid: PatchGrid) -> np.ndarray:
+    """Split an image or a stack ``(..., H, W)`` into ``(..., P, ph, pw)``.
+
+    P = grid.rows * grid.cols patches per image, in row-major grid order.
+    The result is a new array; it never shares memory with ``imgs``.
+    """
+    imgs = np.asarray(imgs)
+    if imgs.shape[-2:] != grid.image_shape:
+        raise ShapeError(f"image {imgs.shape} does not match grid "
                          f"{grid.image_shape}")
-    out = []
-    for r in range(grid.rows):
-        for c in range(grid.cols):
-            out.append(img[r * grid.patch_h:(r + 1) * grid.patch_h,
-                           c * grid.patch_w:(c + 1) * grid.patch_w].copy())
-    return out
+    lead = imgs.shape[:-2]
+    tiles = imgs.reshape(lead + (grid.rows, grid.patch_h,
+                                 grid.cols, grid.patch_w)).swapaxes(-3, -2)
+    # ndarray.copy is C-ordered, so the reshape below is a view of the copy
+    return tiles.copy().reshape(lead + (grid.n_patches, grid.patch_h,
+                                        grid.patch_w))
 
 
 def merge_patches(patches, grid: PatchGrid) -> np.ndarray:
-    """Inverse of :func:`split_patches`."""
-    if len(patches) != grid.n_patches:
-        raise ShapeError(f"expected {grid.n_patches} patches, got {len(patches)}")
-    first = np.asarray(patches[0])
-    img = np.empty(grid.image_shape, dtype=first.dtype)
-    for idx, p in enumerate(patches):
-        p = np.asarray(p)
-        if p.shape != (grid.patch_h, grid.patch_w):
-            raise ShapeError(f"patch {idx} has shape {p.shape}, expected "
-                             f"({grid.patch_h}, {grid.patch_w})")
-        r, c = divmod(idx, grid.cols)
-        img[r * grid.patch_h:(r + 1) * grid.patch_h,
-            c * grid.patch_w:(c + 1) * grid.patch_w] = p
-    return img
+    """Inverse of :func:`split_patches`: ``(..., P, ph, pw)`` ->
+    ``(..., H, W)``, as a new array."""
+    patches = np.asarray(patches)
+    want = (grid.n_patches, grid.patch_h, grid.patch_w)
+    if patches.shape[-3:] != want:
+        raise ShapeError(f"patches {patches.shape} do not match grid "
+                         f"{want}")
+    lead = patches.shape[:-3]
+    tiles = patches.reshape(lead + (grid.rows, grid.cols, grid.patch_h,
+                                    grid.patch_w)).swapaxes(-3, -2)
+    return tiles.copy().reshape(lead + grid.image_shape)

@@ -21,7 +21,7 @@ import numpy as np
 from .config import config_hash, geometry_from_config
 from .dataset import DatasetManifest
 from .diffusion import sample_batch, scale_from_model
-from .errors import ConfigError, PrerequisiteError
+from .errors import ConfigError, NumericalError, PrerequisiteError
 from .geometry import Image, ImagingGeometry, Sinogram
 from .grayio import write_pgm
 from .metrics import MetricRecord, MetricReport, Stopwatch, psnr, ssim
@@ -102,7 +102,7 @@ def reconstruct_tikhonov(rec_op, sino: Sinogram, lam: float,
 
 def reconstruct_fdunet(rec_op, fdunet, sino: Sinogram) -> Image:
     lbp = normalize01(apply_adjoint(rec_op, sino).data)
-    enhanced = fd_unet_forward(fdunet, lbp.astype(np.float32))
+    (enhanced,) = fd_unet_forward(fdunet, lbp[None])
     return Image(normalize01(enhanced.astype(np.float64)))
 
 
@@ -127,16 +127,14 @@ def reconstruct_dar(sino: Sinogram, models: ModelBundle,
         init = reconstruct_fdunet(rec_op, models.fdunet, sino).data
     ph, pw = models.patch
     grid = PatchGrid.for_image(init.shape, ph, pw)
-    patches = split_patches(init, grid)
-    flat = np.asarray([p.ravel() for p in patches], dtype=np.float32)
-    conds = cip_encode(models.encoder, flat)
+    conds = cip_encode(models.encoder,
+                       split_patches(init, grid).reshape(grid.n_patches, -1))
     seeds = [int(np.random.SeedSequence((int(seed), b)).generate_state(1)[0])
              for b in range(grid.n_patches)]
 
     def denoiser_fn(x_batch, cond_batch, t):
-        return denoise_predict(models.denoiser,
-                               x_batch.astype(np.float32),
-                               cond_batch, t).astype(np.float64)
+        return denoise_predict(models.denoiser, x_batch, cond_batch,
+                               t).astype(np.float64)
 
     out = sample_batch(denoiser_fn, conds, (ph, pw), models.schedule,
                        nis=nis, eta=eta, seeds=seeds)
@@ -177,7 +175,7 @@ def export_image(img: Image, path, fmt: str | None = None) -> Path:
     if fmt is None:
         fmt = "pgm" if path.suffix == ".pgm" else "tensorfile"
     if not np.all(np.isfinite(img.data)):
-        raise ValueError("refusing to export non-finite image")
+        raise NumericalError("refusing to export non-finite image")
     if fmt == "pgm":
         return write_pgm(path, img.data)
     if fmt == "tensorfile":

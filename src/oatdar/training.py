@@ -27,7 +27,7 @@ from .diffusion import (NoiseSchedule, make_linear_schedule, q_sample,
                         scale_to_model)
 from .errors import ConfigError, NumericalError, PrerequisiteError
 from .models import (CIPAutoencoder, CIPEncoder, ConditionalDenoiser,
-                     DenoiserConfig, FDUNet, FDUNetConfig)
+                     DenoiserConfig, FDUNet, FDUNetConfig, fd_unet_forward)
 from .optim import OptimizerState, adam_update
 from .patches import PatchGrid, split_patches
 from .tensorfile import read_bundle, write_bundle
@@ -222,10 +222,8 @@ def emit_fdunet_outputs(cfg: dict, run_dir,
     model = load_fdunet(ckpt)
     data_dir = run_dir / "dataset"
     lbp = normalize01_batch(load_images(manifest, data_dir, "lbp"))
-    outs = []
-    for s in range(0, lbp.shape[0], _EMIT_BATCH):
-        xb = lbp[s:s + _EMIT_BATCH, None].astype(np.float32)
-        outs.append(model(Tensor(xb)).data[:, 0])
+    outs = [fd_unet_forward(model, lbp[s:s + _EMIT_BATCH])
+            for s in range(0, lbp.shape[0], _EMIT_BATCH)]
     return attach_fdunet_outputs(manifest, data_dir, np.concatenate(outs))
 
 
@@ -234,27 +232,21 @@ def emit_fdunet_outputs(cfg: dict, run_dir,
 # ---------------------------------------------------------------------------
 
 
-def _cond_field(condition_on: str) -> str:
+def _cond_patches(cfg, manifest, data_dir, condition_on):
+    """Flattened float32 training patches ``(N * P, ph * pw)`` and grid."""
     if condition_on not in CONDITIONS:
         raise ValueError(f"condition_on must be one of {CONDITIONS}")
-    return condition_on
-
-
-def _cond_patches(cfg, manifest, data_dir, condition_on, split="train"):
-    field = _cond_field(condition_on)
-    entries = manifest.split(split)
-    if field == "fdunet" and any(e.fdunet == "-" for e in entries):
+    if condition_on == "fdunet" and any(
+            e.fdunet == "-" for e in manifest.split("train")):
         raise PrerequisiteError(
             "conditioning on the enhancer requires its outputs; run "
             "'train fdunet' first or use --condition-on lbp")
-    imgs = normalize01_batch(load_images(manifest, data_dir, field, split))
+    imgs = normalize01_batch(load_images(manifest, data_dir, condition_on,
+                                         "train"))
     grid = PatchGrid.for_image(imgs.shape[1:], cfg["patch"]["h"],
                                cfg["patch"]["w"])
-    flat = []
-    for im in imgs:
-        for p in split_patches(im, grid):
-            flat.append(p.ravel())
-    return np.asarray(flat, dtype=np.float32), grid
+    flat = split_patches(imgs, grid).reshape(-1, grid.patch_h * grid.patch_w)
+    return flat.astype(np.float32), grid
 
 
 def train_cip(cfg: dict, run_dir, manifest: DatasetManifest,
@@ -317,8 +309,8 @@ def train_diffusion(cfg: dict, run_dir, manifest: DatasetManifest,
 
     cond_flat, grid = _cond_patches(cfg, manifest, data_dir, condition_on)
     gt = load_images(manifest, data_dir, "phantom", "train")
-    gt_patches = [p for im in gt for p in split_patches(im, grid)]
-    x0_all = scale_to_model(np.asarray(gt_patches, dtype=np.float32)[:, None])
+    x0_all = scale_to_model(split_patches(gt, grid).reshape(
+        -1, 1, grid.patch_h, grid.patch_w).astype(np.float32))
     if x0_all.shape[0] != cond_flat.shape[0]:
         raise PrerequisiteError("conditioning/target patch count mismatch")
 

@@ -1,6 +1,7 @@
 """One method dispatch: ``oatdar reconstruct`` and ``oatdar eval`` agree on
-every method, and bad methods, step counts, eta, list flags and thread
-counts exit with a config error; ``run-all`` is bit-reproducible."""
+every method, and bad methods, step counts, eta, list flags, thread counts,
+geometries and input files exit with a config error; a non-finite enhancer
+exits with a numerical error; ``run-all`` is bit-reproducible."""
 
 import json
 import logging
@@ -14,7 +15,8 @@ from oatdar.config import load_config
 from oatdar.dataset import DatasetManifest
 from oatdar.metrics import MetricReport, psnr
 from oatdar.pipeline import METHODS
-from oatdar.tensorfile import read_tensor
+from oatdar.tensorfile import (read_bundle, read_tensor, write_bundle,
+                               write_tensor)
 
 T = 20
 TINY = {"profile": "desk", "dataset": {"train": 2, "val": 0, "test": 1},
@@ -123,3 +125,45 @@ def test_run_all_is_bit_reproducible(tmp_path):
                          "--run-dir", str(run)]) == 0
         records.append((run / "reports" / "records.tsv").read_bytes())
     assert records[0] == records[1]
+
+
+@pytest.mark.parametrize("setting", ["geometry.time_samples=16",
+                                     "geometry.dt=-1",
+                                     "geometry.ring_radius=0.001"])
+def test_bad_geometry_exits_2(tmp_path, setting):
+    cfg_path = tmp_path / "tiny.json"
+    cfg_path.write_text(json.dumps(TINY))
+    assert cli.main(["dataset", "build", "--config", str(cfg_path),
+                     "--run-dir", str(tmp_path / "run"),
+                     "--set", setting]) == 2
+
+
+@pytest.mark.parametrize("command", ["simulate", "reconstruct"])
+@pytest.mark.parametrize("bad", ["missing", "shape"])
+def test_bad_input_file_exits_2(tiny_run, tmp_path, caplog, command, bad):
+    common, *_ = tiny_run
+    path = tmp_path / "in.oatd"
+    if bad == "shape":
+        write_tensor(path, np.zeros((3, 3)))
+    flag = "--phantom" if command == "simulate" else "--sino"
+    argv = (["simulate", *common[:2]] if command == "simulate"
+            else ["reconstruct", "lbp", *common])
+    out = tmp_path / "out.oatd"
+    with caplog.at_level(logging.ERROR, logger="oatdar"):
+        assert cli.main([*argv, flag, str(path), "--out", str(out)]) == 2
+    assert flag in caplog.text
+    assert not out.exists()
+
+
+def test_non_finite_enhancer_exits_4(tiny_run, tmp_path):
+    common, data_dir, entry, *_ = tiny_run
+    arrays, meta = read_bundle(data_dir.parent / "checkpoints" / "fdunet.ckpt")
+    arrays["p.head.w"][0, 0, 0, 0] = np.nan
+    run = tmp_path / "run"
+    write_bundle(run / "checkpoints" / "fdunet.ckpt", arrays, meta)
+    out = tmp_path / "out.oatd"
+    assert cli.main(["reconstruct", "fdunet", *common[:2],
+                     "--run-dir", str(run),
+                     "--sino", str(data_dir / entry.sinogram),
+                     "--out", str(out)]) == 4
+    assert not out.exists()

@@ -3,10 +3,13 @@ import dataclasses
 import numpy as np
 import pytest
 
+from oatdar.config import desk_config
 from oatdar.diffusion import (ddim_step, make_inference_timesteps,
                               make_linear_schedule, q_sample, sample_batch,
                               scale_from_model, scale_to_model)
 from oatdar.errors import NumericalError, ShapeError
+from oatdar.models import ConditionalDenoiser, DenoiserConfig, denoise_predict
+from oatdar.training import schedule_from_config
 
 
 @pytest.fixture(scope="module")
@@ -286,6 +289,32 @@ def test_sample_batch_rows_equal_one_seed_calls(paper_sched, eta):
                               nis=25, eta=eta, seeds=[s])
         assert np.array_equal(batch[b], one)
     assert not np.array_equal(batch[0], batch[1])
+
+
+@pytest.mark.parametrize("eta", [0.0, 0.7])
+def test_sample_batch_desk_denoiser_rows_match_one_seed_calls(eta):
+    """The same through the desk denoiser at its seeded initial weights
+    (zero training epochs), as DAR calls it. BLAS blocking may change the
+    last float32 bits with the batch size, so rows agree within float32
+    round-off rather than bit for bit; the absolute floor covers entries
+    near zero."""
+    cfg = desk_config()
+    model = ConditionalDenoiser(
+        DenoiserConfig.from_dict(cfg["denoiser"])).freeze()
+    sched = schedule_from_config(cfg)
+    shape = (cfg["patch"]["h"], cfg["patch"]["w"])
+    conds = np.random.default_rng(0).random((8, model.cfg.cond_dim))
+    seeds = list(range(100, 108))
+
+    def fn(x, c, t):
+        return denoise_predict(model, x, c, t).astype(np.float64)
+
+    batch = sample_batch(fn, conds, shape, sched, nis=5, eta=eta, seeds=seeds)
+    ones = np.concatenate([
+        sample_batch(fn, conds[b:b + 1], shape, sched, nis=5, eta=eta,
+                     seeds=[s]) for b, s in enumerate(seeds)])
+    np.testing.assert_allclose(batch, ones, rtol=1e-5, atol=1e-5)
+    assert not np.allclose(batch[0], batch[1])
 
 
 def test_sample_rejects_bad_denoiser_shape(paper_sched):

@@ -3,11 +3,11 @@ import pytest
 
 from oatdar import autodiff as ad
 from oatdar.autodiff import Tensor
+from oatdar.errors import ShapeError
 from oatdar.layers import Module
 from oatdar.models import (CIPAutoencoder, CIPEncoder, ConditionalDenoiser,
-                           DenoiserConfig, FDUNet, FDUNetConfig,
-                           TimeEmbedding, cip_encode, denoise_predict,
-                           fd_unet_forward, time_embed)
+                           DenoiserConfig, FDUNet, FDUNetConfig, cip_encode,
+                           denoise_predict, fd_unet_forward, time_embed)
 
 TINY_DENOISER = DenoiserConfig(scales=(8, 16), resblocks_per_scale=1,
                                attention_heads=4, cond_dim=16, cond_tokens=4,
@@ -86,25 +86,22 @@ def test_grad_check_rejects_only_so_many_kinks():
 
 
 def test_time_embed_zero():
-    cfg = TimeEmbedding(dim=16)
-    e = time_embed(0, cfg)
+    e = time_embed(0, 16)
     assert np.array_equal(e[:8], np.zeros(8))
     assert np.array_equal(e[8:], np.ones(8))
 
 
 def test_time_embed_bounded_and_shaped():
-    cfg = TimeEmbedding(dim=64)
     for t in (1, 57, 999):
-        e = time_embed(t, cfg)
+        e = time_embed(t, 64)
         assert e.shape == (64,)
         assert np.all(np.abs(e) <= 1.0)
-    batch = time_embed(np.arange(5), cfg)
+    batch = time_embed(np.arange(5), 64)
     assert batch.shape == (5, 64)
 
 
 def test_time_embed_distinct_over_thousand_steps():
-    cfg = TimeEmbedding(dim=64)
-    emb = time_embed(np.arange(1, 1001), cfg)
+    emb = time_embed(np.arange(1, 1001), 64)
     # min pairwise distance strictly positive
     d2 = np.sum((emb[None] - emb[:, None]) ** 2, axis=-1)
     d2 += np.eye(1000) * 1e9
@@ -112,10 +109,12 @@ def test_time_embed_distinct_over_thousand_steps():
 
 
 def test_time_embed_validation():
+    for dim in (7, 0):
+        with pytest.raises(ValueError, match="time_embed_dim"):
+            DenoiserConfig(scales=(8, 16), attention_heads=4, cond_dim=16,
+                           cond_tokens=4, time_embed_dim=dim)
     with pytest.raises(ValueError):
-        TimeEmbedding(dim=7)
-    with pytest.raises(ValueError):
-        time_embed(-1, TimeEmbedding(dim=8))
+        time_embed(-1, 8)
 
 
 # ---------------------------------------------------------------------------
@@ -125,21 +124,21 @@ def test_time_embed_validation():
 
 def test_cip_paper_scale_dims():
     enc = CIPEncoder((4096, 3072, 2048, 1024), np.random.default_rng(0))
-    out = cip_encode(enc, np.random.default_rng(1).random(4096))
-    assert out.shape == (1024,)
+    out = cip_encode(enc, np.random.default_rng(1).random((1, 4096)))
+    assert out.shape == (1, 1024)
 
 
 def test_cip_desk_scale_dims():
     enc = CIPEncoder((256, 192, 128, 64), np.random.default_rng(0))
-    out = cip_encode(enc, np.zeros(256))
-    assert out.shape == (64,)
+    out = cip_encode(enc, np.zeros((3, 256)))
+    assert out.shape == (3, 64)
 
 
 def test_cip_zero_weights_zero_output():
     enc = CIPEncoder((16, 8, 4), np.random.default_rng(0))
     for _, t in enc.named_parameters():
         t.data[...] = 0.0
-    out = cip_encode(enc, np.random.default_rng(2).random(16))
+    out = cip_encode(enc, np.random.default_rng(2).random((2, 16)))
     assert not np.any(out)
 
 
@@ -153,7 +152,7 @@ def test_cip_rejects_nonmonotone_dims():
 def test_cip_rejects_wrong_patch_length():
     enc = CIPEncoder((16, 8, 4), np.random.default_rng(0))
     with pytest.raises(ValueError):
-        cip_encode(enc, np.zeros(17))
+        cip_encode(enc, np.zeros((1, 17)))
 
 
 def test_cip_autoencoder_gradients():
@@ -179,19 +178,25 @@ def test_denoiser_output_shape_and_determinism():
     rng = np.random.default_rng(5)
     x = rng.standard_normal((3, 8, 8)).astype(np.float32)
     cond = rng.standard_normal((3, 16)).astype(np.float32)
-    t = np.array([1, 7, 13])
-    a = denoise_predict(model, x, cond, t)
-    b = denoise_predict(model, x, cond, t)
+    a = denoise_predict(model, x, cond, 7)
+    b = denoise_predict(model, x, cond, 7)
     assert a.shape == (3, 8, 8)
     assert np.array_equal(a, b)
+    # one step for the batch is the network at that step for every item
+    ref = model(Tensor(x[:, None]), Tensor(cond), np.full(3, 7)).data[:, 0]
+    assert np.array_equal(a, ref)
 
 
-def test_denoiser_single_patch_interface():
-    model = ConditionalDenoiser(TINY_DENOISER)
+def test_entry_points_take_batches_only():
     rng = np.random.default_rng(6)
-    out = denoise_predict(model, rng.standard_normal((8, 8)),
-                          rng.standard_normal(16), 5)
-    assert out.shape == (8, 8)
+    with pytest.raises(ShapeError):
+        denoise_predict(ConditionalDenoiser(TINY_DENOISER),
+                        rng.standard_normal((8, 8)), rng.standard_normal(16),
+                        5)
+    with pytest.raises(ShapeError):
+        fd_unet_forward(FDUNet(TINY_FDUNET), rng.random((16, 16)))
+    with pytest.raises(ValueError):
+        cip_encode(CIPEncoder((16, 8, 4), rng), rng.random(16))
 
 
 def test_denoiser_conditioning_sensitivity():
@@ -222,7 +227,7 @@ def test_denoiser_time_sensitivity_shared_params():
 def test_denoiser_rejects_bad_cond_dim():
     model = ConditionalDenoiser(TINY_DENOISER)
     with pytest.raises(ValueError):
-        denoise_predict(model, np.zeros((8, 8)), np.zeros(7), 1)
+        denoise_predict(model, np.zeros((1, 8, 8)), np.zeros((1, 7)), 1)
 
 
 def test_denoiser_config_validation():
@@ -259,9 +264,9 @@ def test_denoiser_gradients():
 def test_fdunet_preserves_shape(size):
     model = FDUNet(TINY_FDUNET)
     rng = np.random.default_rng(10)
-    img = rng.random((size, size)).astype(np.float32)
+    img = rng.random((1, size, size)).astype(np.float32)
     out = fd_unet_forward(model, img)
-    assert out.shape == (size, size)
+    assert out.shape == (1, size, size)
     assert np.all(np.isfinite(out))
 
 

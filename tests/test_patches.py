@@ -77,3 +77,26 @@ def test_roundtrip_property(ph, pw, rows, cols, seed):
     img = np.random.default_rng(seed).standard_normal(grid.image_shape)
     back = merge_patches(split_patches(img, grid), grid)
     assert np.array_equal(back, img)
+
+
+def test_stack_split_and_merge_equal_per_image_calls():
+    rng = np.random.default_rng(5)
+    grid = PatchGrid.for_image((24, 36), 8, 12)
+    imgs = rng.standard_normal((2, 3, 24, 36))
+    parts = split_patches(imgs, grid)
+    assert parts.shape == (2, 3, grid.n_patches, 8, 12)
+    for i in range(2):
+        for j in range(3):
+            assert np.array_equal(parts[i, j], split_patches(imgs[i, j], grid))
+            assert np.array_equal(merge_patches(parts[i, j], grid),
+                                  imgs[i, j])
+    assert np.array_equal(merge_patches(parts, grid), imgs)
+
+
+@pytest.mark.parametrize("grid", [PatchGrid(4, 6, 2, 3), PatchGrid(1, 6, 3, 1),
+                                  PatchGrid(4, 6, 1, 1)])
+def test_split_and_merge_never_share_memory(grid):
+    imgs = np.random.default_rng(6).standard_normal((2,) + grid.image_shape)
+    parts = split_patches(imgs, grid)
+    assert not np.shares_memory(parts, imgs)
+    assert not np.shares_memory(merge_patches(parts, grid), parts)

@@ -13,7 +13,7 @@ from oatdar.errors import ConfigError, NumericalError
 from oatdar.config import load_config
 from oatdar.dataset import build_dataset
 from oatdar.patches import PatchGrid, split_patches
-from oatdar.tensorfile import read_bundle
+from oatdar.tensorfile import read_bundle, write_bundle
 
 TINY = {"profile": "desk", "dataset": {"train": 3, "val": 0, "test": 0},
         "schedule": {"T": 20}, "inference": {"nis": 5},
@@ -169,8 +169,8 @@ def test_loaded_checkpoints_run_without_a_tape(base_run, tmp_path):
         assert not any(t.requires_grad for t in model.parameters().values())
     n = cfg["geometry"]["grid_nx"]
     img = np.random.default_rng(0).random((2, 1, n, n), dtype=np.float32)
-    patches = np.stack(split_patches(img[0, 0], PatchGrid.for_image(
-        (n, n), ph, pw)))[:, None]
+    patches = split_patches(img[0, 0], PatchGrid.for_image(
+        (n, n), ph, pw))[:, None]
     cond = encoder(ad.Tensor(patches.reshape(len(patches), -1)))
     outs = [fdunet(ad.Tensor(img)), cond,
             denoiser(ad.Tensor(patches), cond, np.full(len(patches), 3))]
@@ -179,6 +179,19 @@ def test_loaded_checkpoints_run_without_a_tape(base_run, tmp_path):
     # the encoder the denoiser stage tunes is still loaded trainable
     pretrained = training.load_cip_encoder(run / "checkpoints" / "cip_lbp.ckpt")
     assert all(t.requires_grad for t in pretrained.parameters().values())
+
+
+def test_emit_refuses_a_non_finite_enhancer(base_run, tmp_path):
+    base, manifest = base_run
+    run = _copy_run(base, tmp_path / "run")
+    cfg = _cfg(0)
+    ckpt = training.train_fdunet(cfg, run, manifest)
+    arrays, meta = read_bundle(ckpt)
+    arrays["p.head.w"][0, 0, 0, 0] = np.nan
+    write_bundle(ckpt, arrays, meta)
+    with pytest.raises(NumericalError):
+        training.emit_fdunet_outputs(cfg, run, manifest)
+    assert not list((run / "dataset").glob("fdunet_*"))
 
 
 def test_denoiser_checkpoint_with_sigma_mode_loads(base_run, tmp_path):
