@@ -16,6 +16,7 @@ from pathlib import Path
 
 from .errors import ConfigError
 from .geometry import ImagingGeometry
+from .models import DenoiserConfig, FDUNetConfig, check_layer_dims
 from .phantoms import PhantomParams
 
 
@@ -160,21 +161,27 @@ def apply_flag_overrides(cfg_overrides: dict, assignments: list):
 
 
 def validate_config(cfg: dict):
+    """Raise :class:`ConfigError` for a config the pipeline cannot run; each
+    model section is checked by building its own config."""
     geom = geometry_from_config(cfg)          # raises GeometryError on junk
     ph, pw = cfg["patch"]["h"], cfg["patch"]["w"]
-    if geom.grid_ny % ph or geom.grid_nx % pw:
+    if min(ph, pw) < 1 or geom.grid_ny % ph or geom.grid_nx % pw:
         raise ConfigError(f"patch {ph}x{pw} does not tile the "
                           f"{geom.grid_ny}x{geom.grid_nx} grid")
     PhantomParams.from_dict({**cfg["phantom"], "seed": 0})
-    cip_dims = cfg["cip"]["layer_dims"]
+    den = DenoiserConfig.from_dict(cfg["denoiser"])
+    fd = FDUNetConfig.from_dict(cfg["fd_unet"])
+    cip_dims = check_layer_dims(cfg["cip"]["layer_dims"])
     if cip_dims[0] != ph * pw:
         raise ConfigError(f"cip input dim {cip_dims[0]} != patch size {ph*pw}")
-    if cip_dims[-1] != cfg["denoiser"]["cond_dim"]:
+    if cip_dims[-1] != den.cond_dim:
         raise ConfigError("cip output dim must equal denoiser cond_dim")
-    n_scales = len(cfg["denoiser"]["scales"])
-    if ph % (1 << (n_scales - 1)) or pw % (1 << (n_scales - 1)):
-        raise ConfigError(f"patch {ph}x{pw} cannot be pooled through "
-                          f"{n_scales} denoiser scales")
+    # each UNet halves its input once per scale after the first
+    for block, (h, w), n in (("denoiser", (ph, pw), len(den.scales)),
+                             ("fd_unet", geom.image_shape, len(fd.scales))):
+        if h % (1 << (n - 1)) or w % (1 << (n - 1)):
+            raise ConfigError(f"{block} input {h}x{w} cannot be pooled "
+                              f"through {n} scales")
     sched = cfg["schedule"]
     if not (0 < sched["beta1"] <= sched["betaT"] < 1):
         raise ConfigError("schedule betas out of range")
@@ -183,9 +190,9 @@ def validate_config(cfg: dict):
     ds = cfg["dataset"]
     if min(ds["train"], ds["val"], ds["test"]) < 0 or ds["train"] < 1:
         raise ConfigError("dataset split sizes invalid")
-    lo, hi = ds["snr_db_range"]
-    if not lo <= hi:
-        raise ConfigError("snr_db_range must be ordered")
+    snr = ds["snr_db_range"]
+    if len(snr) != 2 or not snr[0] <= snr[1]:
+        raise ConfigError("snr_db_range must be an ordered [lo, hi] pair")
     tr = cfg["training"]
     if tr["epochs"] < 0 or tr["batch_size"] < 1 or tr["learning_rate"] <= 0:
         raise ConfigError("training section invalid")

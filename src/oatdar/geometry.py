@@ -18,8 +18,6 @@ Conventions used everywhere downstream:
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import dataclass, asdict
 
 import numpy as np
@@ -63,11 +61,6 @@ class ImagingGeometry:
                 tuple(float(a) for a in self.detector_angles))
         if self.voxel_volume is None:
             object.__setattr__(self, "voxel_volume", float(self.pixel_pitch) ** 3)
-        self.validate()
-
-    def validate(self):
-        if self.detector_count < 1:
-            raise GeometryError("detector_count must be >= 1")
         if self.time_samples < 2:
             raise GeometryError("time_samples must be >= 2")
         if self.grid_nx < 1 or self.grid_ny < 1:
@@ -166,7 +159,7 @@ class ImagingGeometry:
             r_out = float(np.hypot(r_out, self.sensor_diameter / 2.0))
         return r_out + self.half_diagonal()
 
-    # -- identity / serialization --------------------------------------------
+    # -- serialization ------------------------------------------------------
 
     def to_dict(self) -> dict:
         d = asdict(self)
@@ -177,17 +170,12 @@ class ImagingGeometry:
     def from_dict(cls, d: dict) -> "ImagingGeometry":
         return cls(**d)
 
-    def geometry_id(self) -> str:
-        blob = json.dumps(self.to_dict(), sort_keys=True)
-        return hashlib.sha256(blob.encode()).hexdigest()[:12]
-
 
 @dataclass
 class Image:
     """Initial-pressure image on the geometry grid, [ny, nx] float array."""
 
     data: np.ndarray
-    value_range: tuple = (0.0, 1.0)
 
     def __post_init__(self):
         self.data = np.asarray(self.data)
@@ -204,7 +192,6 @@ class Sinogram:
     """Measured pressure traces, [n_detectors, n_time_samples]."""
 
     data: np.ndarray
-    geometry_ref: str = ""
     snr_db: float | None = None
 
     def __post_init__(self):

@@ -1,4 +1,8 @@
-"""Portable graymap import/export and bilinear resampling.
+"""Image value mapping, portable graymap import/export, bilinear resampling.
+
+:func:`normalize01` is the one min-max rule of the package: training inputs,
+reported reconstructions, graymap export and normalized ingestion all map
+an image (or each image of a stack) to [0, 1] through it.
 
 PGM is the only raster format supported: P2 ascii or P5 binary with 8- or
 16-bit samples is read, 16-bit P5 is written (16-bit samples big-endian per
@@ -14,6 +18,18 @@ from pathlib import Path
 import numpy as np
 
 
+def normalize01(imgs: np.ndarray) -> np.ndarray:
+    """Min-max rescale each image of ``(..., H, W)`` of floats to [0, 1] over
+    its last two axes; a constant finite image goes to zeros."""
+    lo = imgs.min(axis=(-2, -1), keepdims=True)
+    span = imgs.max(axis=(-2, -1), keepdims=True) - lo
+    out = imgs - lo
+    # x - lo is exactly 0 throughout a constant image, so dividing it by 1
+    # leaves the zeros
+    out /= np.where(span == 0, 1, span)
+    return out
+
+
 def write_pgm(path, img: np.ndarray) -> Path:
     """Write a min-max scaled 16-bit binary graymap."""
     path = Path(path)
@@ -22,9 +38,7 @@ def write_pgm(path, img: np.ndarray) -> Path:
         raise ValueError("PGM export needs a 2-D array")
     if not np.all(np.isfinite(img)):
         raise ValueError("PGM export needs finite values")
-    lo, hi = float(img.min()), float(img.max())
-    scaled = np.zeros_like(img) if hi == lo else (img - lo) / (hi - lo)
-    q = np.rint(scaled * 65535).astype(">u2")
+    q = np.rint(normalize01(img) * 65535).astype(">u2")
     with open(path, "wb") as fh:
         fh.write(f"P5\n{img.shape[1]} {img.shape[0]}\n65535\n".encode())
         fh.write(q.tobytes())

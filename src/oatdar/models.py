@@ -9,13 +9,13 @@ The three inference entry points take batches only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import NumericalError, ShapeError
+from .errors import ConfigError, NumericalError, ShapeError
 from .layers import (Conv2d, CrossAttentionBlock, GroupNorm, Linear, Module,
                      ModuleList, ResBlock, upsample2)
 
@@ -45,15 +45,21 @@ def time_embed(t, dim: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def check_layer_dims(layer_dims) -> tuple:
+    """The encoder's widths: at least two, strictly decreasing to >= 1."""
+    dims = tuple(int(d) for d in layer_dims)
+    if len(dims) < 2 or dims[-1] < 1 or any(
+            a <= b for a, b in zip(dims, dims[1:])):
+        raise ConfigError(f"layer_dims must strictly decrease to >= 1: {dims}")
+    return dims
+
+
 class CIPEncoder(Module):
     """Strictly narrowing MLP with rectified-linear hidden activations."""
 
     def __init__(self, layer_dims, rng, dtype=np.float32):
         super().__init__()
-        dims = tuple(int(d) for d in layer_dims)
-        if len(dims) < 2 or any(a <= b for a, b in zip(dims, dims[1:])):
-            raise ValueError(f"layer_dims must strictly decrease, got {dims}")
-        self.layer_dims = dims
+        self.layer_dims = dims = check_layer_dims(layer_dims)
         self.layers = ModuleList(
             Linear(a, b, rng, dtype=dtype) for a, b in zip(dims, dims[1:]))
 
@@ -117,26 +123,26 @@ class DenoiserConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if not self.scales or min(*self.scales, self.resblocks_per_scale,
+                                  self.attention_heads, self.cond_tokens,
+                                  self.norm_groups) < 1:
+            raise ConfigError("denoiser scales (one or more) and counts "
+                              "must be >= 1")
         if self.time_embed_dim < 2 or self.time_embed_dim % 2:
-            raise ValueError("time_embed_dim must be even and >= 2")
+            raise ConfigError("time_embed_dim must be even and >= 2")
         if self.cond_dim % self.cond_tokens:
-            raise ValueError("cond_dim must split evenly into cond_tokens")
+            raise ConfigError("cond_dim must split evenly into cond_tokens")
         for c in self.scales:
             if c % self.attention_heads:
-                raise ValueError(f"channel width {c} not divisible by "
-                                 f"{self.attention_heads} heads")
+                raise ConfigError(f"channel width {c} not divisible by "
+                                  f"{self.attention_heads} heads")
 
     @property
     def token_dim(self) -> int:
         return self.cond_dim // self.cond_tokens
 
     def to_dict(self) -> dict:
-        return {"scales": list(self.scales),
-                "resblocks_per_scale": self.resblocks_per_scale,
-                "attention_heads": self.attention_heads,
-                "cond_dim": self.cond_dim, "cond_tokens": self.cond_tokens,
-                "time_embed_dim": self.time_embed_dim,
-                "norm_groups": self.norm_groups, "seed": self.seed}
+        return {**asdict(self), "scales": list(self.scales)}
 
     @classmethod
     def from_dict(cls, d):
@@ -253,6 +259,12 @@ class FDUNetConfig:
     growth: int = 16
     layers_per_block: int = 4
     seed: int = 0
+
+    def __post_init__(self):
+        if (not self.scales or min(*self.scales, self.growth) < 1
+                or self.layers_per_block < 0):
+            raise ConfigError("fd_unet scales (one or more) and growth must "
+                              "be >= 1, layers_per_block >= 0")
 
     @classmethod
     def from_dict(cls, d):

@@ -229,16 +229,14 @@ def apply_forward(op: ForwardOperator, img: Image) -> Sinogram:
     """Simulate the sinogram for an initial-pressure image."""
     check_image(op.geometry, img)
     y = op.apply_vec(img.data.astype(np.float64).ravel())
-    return Sinogram(data=y.reshape(op.geometry.sinogram_shape),
-                    geometry_ref=op.geometry.geometry_id())
+    return Sinogram(data=y.reshape(op.geometry.sinogram_shape))
 
 
 def apply_adjoint(op: ForwardOperator, sino: Sinogram) -> Image:
     """Linear backprojection: apply the exact transpose of the forward map."""
     check_sinogram(op.geometry, sino)
     x = op.adjoint_vec(sino.data.astype(np.float64).ravel())
-    return Image(data=x.reshape(op.geometry.image_shape),
-                 value_range=(float(x.min()), float(x.max())))
+    return Image(data=x.reshape(op.geometry.image_shape))
 
 
 def add_noise(sino: Sinogram, snr_db: float, seed: int) -> Sinogram:
@@ -250,8 +248,7 @@ def add_noise(sino: Sinogram, snr_db: float, seed: int) -> Sinogram:
     """
     data = np.asarray(sino.data, dtype=np.float64)
     if np.isinf(snr_db) and snr_db > 0:
-        return Sinogram(data=data.copy(), geometry_ref=sino.geometry_ref,
-                        snr_db=float("inf"))
+        return Sinogram(data=data.copy(), snr_db=float("inf"))
     if not np.isfinite(snr_db):
         raise ValueError("snr_db must be finite (or +inf for clean)")
     power = float(np.mean(data ** 2))
@@ -260,8 +257,7 @@ def add_noise(sino: Sinogram, snr_db: float, seed: int) -> Sinogram:
     sigma = np.sqrt(power / 10.0 ** (snr_db / 10.0))
     rng = np.random.default_rng(seed)
     noisy = data + sigma * rng.standard_normal(data.shape)
-    return Sinogram(data=noisy, geometry_ref=sino.geometry_ref,
-                    snr_db=float(snr_db))
+    return Sinogram(data=noisy, snr_db=float(snr_db))
 
 
 @dataclass

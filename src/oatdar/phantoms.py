@@ -10,22 +10,24 @@ zero. Generation is bit-deterministic given the parameter seed.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import kernels
 from .errors import ConfigError
 from .geometry import Image
-from .grayio import bilinear_resize, read_pgm
+from .grayio import bilinear_resize, normalize01, read_pgm
 from .tensorfile import read_tensor
 
 log = logging.getLogger(__name__)
 
 
-def _check_range(name, rng_pair, lo=None, hi=None, ordered=True):
+def _check_range(name, rng_pair, lo=None, hi=None):
+    if len(rng_pair) != 2:
+        raise ConfigError(f"{name} must be a [lo, hi] pair, got {rng_pair}")
     a, b = rng_pair
-    if ordered and not a <= b:
+    if not a <= b:
         raise ConfigError(f"{name} range {rng_pair} is not ordered")
     if lo is not None and a < lo:
         raise ConfigError(f"{name} range {rng_pair} below {lo}")
@@ -56,10 +58,8 @@ class PhantomParams:
         lo, hi = self.fill_fraction_target
         if not (0.0 < lo and hi < 0.5):
             raise ConfigError("fill_fraction_target must sit inside (0, 0.5)")
-
-    def to_dict(self) -> dict:
-        return {k: list(v) if isinstance(v, tuple) else v
-                for k, v in asdict(self).items()}
+        if self.max_attempts < 1:
+            raise ConfigError("max_attempts must be >= 1")
 
     @classmethod
     def from_dict(cls, d: dict) -> "PhantomParams":
@@ -145,10 +145,8 @@ def ingest_image(path, nx: int, ny: int, normalize: bool = True) -> Image:
     data = np.asarray(data, dtype=np.float64)
     if data.shape != (ny, nx):
         data = bilinear_resize(data, ny, nx)
-    lo, hi = float(data.min()), float(data.max())
     if normalize:
-        data = np.zeros_like(data) if hi == lo else (data - lo) / (hi - lo)
-        return Image(data=data)
-    if hi == lo:
+        return Image(data=normalize01(data))
+    if data.min() == data.max():
         log.warning("%s: zero dynamic range, passed through unnormalized", path)
-    return Image(data=data, value_range=(lo, hi))
+    return Image(data=data)

@@ -2,6 +2,12 @@
 
 ``METHODS`` names every reconstruction; the CLI and :func:`evaluate_methods`
 reach them all through :func:`load_method_models` and :func:`reconstruct`.
+Every reconstruction is reported min-max scaled to [0, 1] by
+:func:`grayio.normalize01`.
+
+``INITIAL`` maps the name of an initial reconstruction (``lbp``, and the
+enhancer's ``fdunet``, which refines the LBP) to its function; the methods
+of the same names and DAR's conditioning input both come from it.
 
 The enhancement-assisted pipeline (DAR): take the initial reconstruction it
 conditions on (``DAR_INITIAL``), split it into patches, encode each patch
@@ -23,14 +29,14 @@ from .dataset import DatasetManifest
 from .diffusion import sample_batch, scale_from_model
 from .errors import ConfigError, NumericalError, PrerequisiteError
 from .geometry import Image, ImagingGeometry, Sinogram
-from .grayio import write_pgm
+from .grayio import normalize01, write_pgm
 from .metrics import MetricRecord, MetricReport, Stopwatch, psnr, ssim
 from .models import cip_encode, denoise_predict, fd_unet_forward
 from .operator import (add_noise, apply_adjoint, apply_forward,
                        build_forward_operator, tikhonov_solve)
 from .patches import PatchGrid, merge_patches, split_patches
 from .tensorfile import read_tensor, write_tensor
-from .training import CONDITIONS, load_denoiser, load_fdunet, normalize01
+from .training import CONDITIONS, load_denoiser, load_fdunet
 
 log = logging.getLogger(__name__)
 
@@ -90,43 +96,41 @@ def load_method_models(run_dir, method: str) -> ModelBundle | None:
 
 
 def reconstruct_lbp(rec_op, sino: Sinogram) -> Image:
-    img = apply_adjoint(rec_op, sino)
-    return Image(normalize01(img.data))
+    return Image(normalize01(apply_adjoint(rec_op, sino).data))
 
 
-def reconstruct_tikhonov(rec_op, sino: Sinogram, lam: float,
-                         max_iters: int = 100, tol: float = 1e-8) -> Image:
+def reconstruct_tikhonov(rec_op, sino: Sinogram, lam: float, max_iters: int,
+                         tol: float) -> Image:
     res = tikhonov_solve(rec_op, sino, lam, max_iters=max_iters, tol=tol)
     return Image(normalize01(res.image.data))
 
 
 def reconstruct_fdunet(rec_op, fdunet, sino: Sinogram) -> Image:
-    lbp = normalize01(apply_adjoint(rec_op, sino).data)
+    lbp = reconstruct_lbp(rec_op, sino).data
     (enhanced,) = fd_unet_forward(fdunet, lbp[None])
     return Image(normalize01(enhanced.astype(np.float64)))
 
 
+# initial reconstruction name -> (rec_op, sino, models) -> Image
+INITIAL = {
+    "lbp": lambda rec_op, sino, models: reconstruct_lbp(rec_op, sino),
+    "fdunet": lambda rec_op, sino, models: reconstruct_fdunet(
+        rec_op, models.fdunet, sino),
+}
+
+
 def reconstruct_dar(sino: Sinogram, models: ModelBundle,
                     geometry: ImagingGeometry, nis: int, eta: float,
-                    seed: int, condition_on: str = "fdunet",
-                    rec_op=None) -> Image:
-    """Full enhancement pipeline for one sinogram; deterministic given
-    ``seed`` (per-patch streams derive from (seed, patch index))."""
-    if models.denoiser is None or models.encoder is None:
-        raise PrerequisiteError("DAR needs a trained denoiser checkpoint")
-    if rec_op is None:
-        rec_op = build_forward_operator(geometry, jittered=False)
-    if condition_on == "lbp":
-        init = reconstruct_lbp(rec_op, sino).data
-    elif condition_on != "fdunet":
+                    seed: int, condition_on: str = "fdunet", *,
+                    rec_op) -> Image:
+    """Full enhancement pipeline for one sinogram on ``geometry``'s grid;
+    deterministic given ``seed`` (per-patch streams derive from (seed, patch
+    index))."""
+    if condition_on not in CONDITIONS:
         raise ValueError(f"condition_on must be one of {CONDITIONS}")
-    elif models.fdunet is None:
-        raise PrerequisiteError("DAR conditioned on the enhancer needs "
-                                "the fdunet checkpoint")
-    else:
-        init = reconstruct_fdunet(rec_op, models.fdunet, sino).data
+    init = INITIAL[condition_on](rec_op, sino, models).data
     ph, pw = models.patch
-    grid = PatchGrid.for_image(init.shape, ph, pw)
+    grid = PatchGrid.for_image(geometry.image_shape, ph, pw)
     conds = cip_encode(models.encoder,
                        split_patches(init, grid).reshape(grid.n_patches, -1))
     seeds = [int(np.random.SeedSequence((int(seed), b)).generate_state(1)[0])
@@ -139,7 +143,7 @@ def reconstruct_dar(sino: Sinogram, models: ModelBundle,
     out = sample_batch(denoiser_fn, conds, (ph, pw), models.schedule,
                        nis=nis, eta=eta, seeds=seeds)
     merged = merge_patches(scale_from_model(out), grid)
-    return Image(np.clip(normalize01(merged), 0.0, 1.0))
+    return Image(normalize01(merged))
 
 
 def reconstruct(method: str, cfg: dict, rec_op, sino: Sinogram,
@@ -147,40 +151,34 @@ def reconstruct(method: str, cfg: dict, rec_op, sino: Sinogram,
                 seed: int) -> Image:
     """Reconstruct ``sino`` with one of ``METHODS``; ``models`` comes from
     :func:`load_method_models`, and ``nis``/``eta``/``seed`` drive DAR."""
-    if method in DAR_INITIAL:
-        T = models.schedule.T
-        if not 1 <= nis <= T:
-            raise ConfigError(f"nis must be in [1, {T}], got {nis}")
-        if not 0.0 <= eta <= 1.0:
-            raise ConfigError(f"eta must be in [0, 1], got {eta}")
-        return reconstruct_dar(sino, models, rec_op.geometry, nis=nis,
-                               eta=eta, seed=seed,
-                               condition_on=DAR_INITIAL[method],
-                               rec_op=rec_op)
-    if method == "fdunet":
-        return reconstruct_fdunet(rec_op, models.fdunet, sino)
+    if method in INITIAL:
+        return INITIAL[method](rec_op, sino, models)
     if method == "tikhonov":
         ev = cfg["eval"]
         return reconstruct_tikhonov(rec_op, sino, ev["tikhonov_lambda"],
                                     ev["tikhonov_iters"], ev["tikhonov_tol"])
-    if method == "lbp":
-        return reconstruct_lbp(rec_op, sino)
-    raise ConfigError(f"unknown method {method!r}; "
-                      f"choose from {', '.join(METHODS)}")
+    if method not in DAR_INITIAL:
+        raise ConfigError(f"unknown method {method!r}; "
+                          f"choose from {', '.join(METHODS)}")
+    T = models.schedule.T
+    if not 1 <= nis <= T:
+        raise ConfigError(f"nis must be in [1, {T}], got {nis}")
+    if not 0.0 <= eta <= 1.0:
+        raise ConfigError(f"eta must be in [0, 1], got {eta}")
+    return reconstruct_dar(sino, models, rec_op.geometry, nis=nis, eta=eta,
+                           seed=seed, condition_on=DAR_INITIAL[method],
+                           rec_op=rec_op)
 
 
-def export_image(img: Image, path, fmt: str | None = None) -> Path:
-    """Write an image as lossless tensor data or a 16-bit graymap."""
+def export_image(img: Image, path) -> Path:
+    """Write an image as a 16-bit graymap if ``path`` ends in ``.pgm``, and
+    as lossless tensor data otherwise."""
     path = Path(path)
-    if fmt is None:
-        fmt = "pgm" if path.suffix == ".pgm" else "tensorfile"
     if not np.all(np.isfinite(img.data)):
         raise NumericalError("refusing to export non-finite image")
-    if fmt == "pgm":
+    if path.suffix == ".pgm":
         return write_pgm(path, img.data)
-    if fmt == "tensorfile":
-        return write_tensor(path, img.data)
-    raise ValueError(f"unknown export format {fmt!r}")
+    return write_tensor(path, img.data)
 
 
 # ---------------------------------------------------------------------------
@@ -264,7 +262,4 @@ def simulate_sinogram(cfg: dict, phantom: Image, snr_db: float,
     _check_snrs([snr_db])
     geometry = geometry_from_config(cfg)
     sim_op = build_forward_operator(geometry, jittered=True)
-    sino = apply_forward(sim_op, phantom)
-    if np.isinf(snr_db):
-        return sino
-    return add_noise(sino, snr_db, seed)
+    return add_noise(apply_forward(sim_op, phantom), snr_db, seed)

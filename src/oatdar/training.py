@@ -26,6 +26,7 @@ from .dataset import DatasetManifest, attach_fdunet_outputs, load_images
 from .diffusion import (NoiseSchedule, make_linear_schedule, q_sample,
                         scale_to_model)
 from .errors import ConfigError, NumericalError, PrerequisiteError
+from .grayio import normalize01
 from .models import (CIPAutoencoder, CIPEncoder, ConditionalDenoiser,
                      DenoiserConfig, FDUNet, FDUNetConfig, fd_unet_forward)
 from .optim import OptimizerState, adam_update
@@ -43,19 +44,6 @@ _STAGE_IDS = {"fdunet": 11, "cip_fdunet": 12, "diffusion_fdunet": 13,
 def stage_rng(master_seed: int, stage: str) -> np.random.Generator:
     return np.random.default_rng(
         np.random.SeedSequence((master_seed, 10_000 + _STAGE_IDS[stage])))
-
-
-def normalize01(img: np.ndarray) -> np.ndarray:
-    """Per-image min-max rescale to [0, 1]; constant images go to zeros."""
-    lo = img.min()
-    hi = img.max()
-    if hi == lo:
-        return np.zeros_like(img)
-    return (img - lo) / (hi - lo)
-
-
-def normalize01_batch(imgs: np.ndarray) -> np.ndarray:
-    return np.stack([normalize01(im) for im in imgs])
 
 
 # ---------------------------------------------------------------------------
@@ -187,7 +175,7 @@ def train_fdunet(cfg: dict, run_dir, manifest: DatasetManifest,
                  resume: bool = False) -> Path:
     data_dir = Path(run_dir) / "dataset"
     model = FDUNet(FDUNetConfig.from_dict(cfg["fd_unet"]))
-    lbp = normalize01_batch(load_images(manifest, data_dir, "lbp", "train"))
+    lbp = normalize01(load_images(manifest, data_dir, "lbp", "train"))
     gt = load_images(manifest, data_dir, "phantom", "train")
     x_all = lbp[:, None].astype(np.float32)
     y_all = gt[:, None].astype(np.float32)
@@ -221,7 +209,7 @@ def emit_fdunet_outputs(cfg: dict, run_dir,
         raise PrerequisiteError("train fdunet before emitting its outputs")
     model = load_fdunet(ckpt)
     data_dir = run_dir / "dataset"
-    lbp = normalize01_batch(load_images(manifest, data_dir, "lbp"))
+    lbp = normalize01(load_images(manifest, data_dir, "lbp"))
     outs = [fd_unet_forward(model, lbp[s:s + _EMIT_BATCH])
             for s in range(0, lbp.shape[0], _EMIT_BATCH)]
     return attach_fdunet_outputs(manifest, data_dir, np.concatenate(outs))
@@ -241,8 +229,7 @@ def _cond_patches(cfg, manifest, data_dir, condition_on):
         raise PrerequisiteError(
             "conditioning on the enhancer requires its outputs; run "
             "'train fdunet' first or use --condition-on lbp")
-    imgs = normalize01_batch(load_images(manifest, data_dir, condition_on,
-                                         "train"))
+    imgs = normalize01(load_images(manifest, data_dir, condition_on, "train"))
     grid = PatchGrid.for_image(imgs.shape[1:], cfg["patch"]["h"],
                                cfg["patch"]["w"])
     flat = split_patches(imgs, grid).reshape(-1, grid.patch_h * grid.patch_w)

@@ -44,3 +44,23 @@ def test_schedule_sigma_mode_is_an_unknown_key(tmp_path):
     assert cli.main(["phantom", "--config", str(cfg_path),
                      "--out", str(out)]) == 2
     assert not out.exists()
+
+
+@pytest.mark.parametrize("assignment", [
+    "denoiser.scales=[]", "patch.h=0", "dataset.snr_db_range=[20.0]",
+    "cip.layer_dims=[]", "denoiser.time_embed_dim=7",
+    "denoiser.cond_tokens=7", "denoiser.attention_heads=3",
+    "denoiser.norm_groups=0", "cip.layer_dims=[256,300,64]",
+    "fd_unet.growth=0", "fd_unet.scales=[4,4,4,4,4,4,4]",
+    "phantom.n_trees=[2]", "phantom.max_attempts=0",
+])
+def test_bad_model_config_exits_2_before_any_work(tmp_path, assignment):
+    """Every rule of a model section is checked when the config loads, so
+    run-all neither crashes in validation nor trains earlier stages first."""
+    cfg_path = tmp_path / "tiny.json"
+    cfg_path.write_text('{"dataset": {"train": 1, "val": 0, "test": 1}, '
+                        '"training": {"epochs": 0}}')
+    run = tmp_path / "run"
+    assert cli.main(["run-all", "--config", str(cfg_path), "--run-dir",
+                     str(run), "--set", assignment]) == 2
+    assert not run.exists()

@@ -92,14 +92,6 @@ def test_pixel_coords_row_major_centered():
     assert np.array_equal(py, [-0.5, -0.5, -0.5, 0.5, 0.5, 0.5])
 
 
-def test_geometry_id_stable_and_sensitive():
-    g1 = ImagingGeometry()
-    g2 = ImagingGeometry()
-    g3 = ImagingGeometry(jitter_seed=7)
-    assert g1.geometry_id() == g2.geometry_id()
-    assert g1.geometry_id() != g3.geometry_id()
-
-
 def test_dict_roundtrip():
     g = ImagingGeometry(grid_nx=32, grid_ny=32, detector_count=16,
                         time_samples=256, ring_radius=11e-3)

@@ -3,7 +3,7 @@ import pytest
 
 from oatdar import autodiff as ad
 from oatdar.autodiff import Tensor
-from oatdar.errors import ShapeError
+from oatdar.errors import ConfigError, ShapeError
 from oatdar.layers import Module
 from oatdar.models import (CIPAutoencoder, CIPEncoder, ConditionalDenoiser,
                            DenoiserConfig, FDUNet, FDUNetConfig, cip_encode,
@@ -110,7 +110,7 @@ def test_time_embed_distinct_over_thousand_steps():
 
 def test_time_embed_validation():
     for dim in (7, 0):
-        with pytest.raises(ValueError, match="time_embed_dim"):
+        with pytest.raises(ConfigError, match="time_embed_dim"):
             DenoiserConfig(scales=(8, 16), attention_heads=4, cond_dim=16,
                            cond_tokens=4, time_embed_dim=dim)
     with pytest.raises(ValueError):
@@ -143,9 +143,9 @@ def test_cip_zero_weights_zero_output():
 
 
 def test_cip_rejects_nonmonotone_dims():
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         CIPEncoder((16, 16, 8), np.random.default_rng(0))
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         CIPEncoder((16,), np.random.default_rng(0))
 
 
@@ -231,10 +231,10 @@ def test_denoiser_rejects_bad_cond_dim():
 
 
 def test_denoiser_config_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         DenoiserConfig(scales=(6, 12), attention_heads=4, cond_dim=16,
                        cond_tokens=4)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         DenoiserConfig(scales=(8, 16), attention_heads=4, cond_dim=15,
                        cond_tokens=4)
 

@@ -1,7 +1,10 @@
-"""The package's public names, and the names the benchmark traces."""
+"""The package's public names, the names the benchmark traces, and the
+names and call signatures its workloads use."""
 
+import ast
 import importlib
 import importlib.util
+import inspect
 from pathlib import Path
 
 import oatdar
@@ -34,3 +37,46 @@ def test_every_benchmark_trace_target_resolves():
     missing |= {f"{m}.{c}.{a}" for m, c, a in tracing.METHOD_TARGETS
                 if a not in vars(getattr(module(m), c, object))}
     assert missing <= STALE_TRACE_TARGETS
+
+
+WORKLOADS = TRACING.parent / "workloads.py"
+
+
+def _workload_uses():
+    """``(dotted name, call node or None)`` for every attribute chain of an
+    ``oatdar`` module in the benchmark workloads, taken from their AST."""
+    tree = ast.parse(WORKLOADS.read_text())
+    modules = {a.asname or a.name for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) and node.module == "oatdar"
+               for a in node.names}
+    calls = {id(n.func): n for n in ast.walk(tree) if isinstance(n, ast.Call)}
+    uses, inner = [], set()
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Attribute) or id(node) in inner:
+            continue
+        parts, value = [node.attr], node.value
+        while isinstance(value, ast.Attribute):
+            inner.add(id(value))
+            parts.append(value.attr)
+            value = value.value
+        if isinstance(value, ast.Name) and value.id in modules:
+            uses.append((".".join([value.id, *reversed(parts)]),
+                         calls.get(id(node))))
+    return uses
+
+
+def test_every_oatdar_name_the_workloads_use_resolves():
+    """A refactor that renames or re-signs what the gated benchmark calls
+    fails here, not as failed operations in a benchmark run."""
+    uses = _workload_uses()
+    assert any(name == "pipeline.reconstruct_dar" for name, _ in uses)
+    for name, call in uses:
+        obj = oatdar
+        for part in name.split("."):
+            assert hasattr(obj, part), name
+            obj = getattr(obj, part)
+        if call is None or any(isinstance(a, ast.Starred) for a in call.args):
+            continue
+        # the call's positional count and keyword names must bind
+        keywords = {k.arg: k for k in call.keywords if k.arg is not None}
+        inspect.signature(obj).bind(*call.args, **keywords)

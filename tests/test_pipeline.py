@@ -1,6 +1,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from oatdar import cli
 from oatdar.config import geometry_from_config, load_config
@@ -8,7 +9,8 @@ from oatdar.dataset import DatasetManifest
 from oatdar.geometry import Image
 from oatdar.metrics import psnr
 from oatdar.operator import apply_forward, build_forward_operator
-from oatdar.pipeline import evaluate_methods, reconstruct_lbp
+from oatdar.pipeline import (ModelBundle, evaluate_methods, export_image,
+                             reconstruct_dar, reconstruct_lbp)
 from oatdar.tensorfile import read_tensor
 
 TINY = {"profile": "desk", "dataset": {"train": 1, "val": 0, "test": 1}}
@@ -52,3 +54,20 @@ def test_simulate_rejects_non_finite_snr(tmp_path):
     clean = tmp_path / "clean.oatd"
     assert cli.main([*common, "--snr=inf", "--out", str(clean)]) == 0
     assert np.all(np.isfinite(read_tensor(clean)))
+
+
+@pytest.mark.parametrize("name", ["img.pgm", "img.oatd", "img.bin", "img"])
+def test_export_format_follows_the_suffix(tmp_path, name):
+    data = np.random.default_rng(3).random((6, 9))
+    path = export_image(Image(data), tmp_path / name)
+    if name.endswith(".pgm"):
+        assert path.read_bytes().startswith(b"P5\n9 6\n65535\n")
+    else:
+        assert np.array_equal(read_tensor(path), data)
+
+
+def test_dar_rejects_an_unknown_initial_reconstruction():
+    geom = geometry_from_config(load_config())
+    with pytest.raises(ValueError, match="condition_on"):
+        reconstruct_dar(None, ModelBundle(), geom, nis=1, eta=0.0, seed=0,
+                        condition_on="tikhonov", rec_op=None)
