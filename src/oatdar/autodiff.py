@@ -151,27 +151,6 @@ def mul(a, b):
     return _make(out_data, (a, b), vjp)
 
 
-def exp(a):
-    a = as_tensor(a)
-    out_data = np.exp(a.data)
-
-    def vjp(g):
-        if a.requires_grad:
-            a._accum(g * out_data)
-
-    return _make(out_data, (a,), vjp)
-
-
-def log(a):
-    a = as_tensor(a)
-
-    def vjp(g):
-        if a.requires_grad:
-            a._accum(g / a.data)
-
-    return _make(np.log(a.data), (a,), vjp)
-
-
 # ---------------------------------------------------------------------------
 # shape
 # ---------------------------------------------------------------------------
@@ -277,17 +256,6 @@ def _sigmoid(x):
     e = np.exp(-np.abs(x))
     d = 1.0 + e
     return np.where(x >= 0, 1.0 / d, e / d)
-
-
-def sigmoid(a):
-    a = as_tensor(a)
-    s = _sigmoid(a.data)
-
-    def vjp(g):
-        if a.requires_grad:
-            a._accum(g * s * (1.0 - s))
-
-    return _make(s, (a,), vjp)
 
 
 def silu(a):

@@ -129,8 +129,7 @@ def cmd_train(args):
     if args.block == "fdunet":
         ckpt = training.train_fdunet(cfg, run_dir, manifest,
                                      resume=args.resume)
-        training.emit_fdunet_outputs(cfg, run_dir,
-                                     DatasetManifest.read(run_dir / "dataset"))
+        training.emit_fdunet_outputs(cfg, run_dir, manifest)
         print(f"fdunet trained -> {ckpt}")
     elif args.block == "cip":
         ckpt = training.train_cip(cfg, run_dir, manifest,
@@ -181,9 +180,7 @@ def cmd_run_all(args):
     _write_effective_config(cfg, run_dir)
     manifest = build_dataset(cfg, run_dir, force=args.force)
     training.train_fdunet(cfg, run_dir, manifest)
-    manifest = training.emit_fdunet_outputs(cfg, run_dir,
-                                            DatasetManifest.read(
-                                                run_dir / "dataset"))
+    manifest = training.emit_fdunet_outputs(cfg, run_dir, manifest)
     for cond in training.CONDITIONS:
         training.train_cip(cfg, run_dir, manifest, condition_on=cond)
         training.train_diffusion(cfg, run_dir, manifest, condition_on=cond)

@@ -23,7 +23,7 @@ import numpy as np
 
 from .config import (config_hash, geometry_from_config,
                      phantom_params_from_config)
-from .errors import ConfigError, TensorFileError
+from .errors import ConfigError, PrerequisiteError, TensorFileError
 from .operator import add_noise, apply_adjoint, apply_forward, \
     build_forward_operator
 from .phantoms import generate_phantom
@@ -196,6 +196,8 @@ def load_images(manifest: DatasetManifest, directory, field: str,
     """Stack one artifact kind for a split into an (N, H, W) float array."""
     directory = Path(directory)
     entries = manifest.entries if split is None else manifest.split(split)
+    if not entries:
+        raise PrerequisiteError(f"no entries in split {split!r}")
     out = []
     for e in entries:
         rel = getattr(e, field)

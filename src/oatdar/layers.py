@@ -1,9 +1,10 @@
 """Trainable building blocks on top of the autodiff tape.
 
 Modules register parameters by name so checkpoints and optimizer state key
-off stable dotted paths. Construction order is fixed and every weight draw
-comes from the module's own Generator, so two models built with the same
-seed are bit-identical.
+off stable dotted paths, which :func:`load_parameters`, the one checkpoint
+loader, checks. Construction order is fixed and every weight draw comes from
+the module's own Generator, so two models built with the same seed are
+bit-identical.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
+from .errors import ConfigError
 
 
 class Module:
@@ -52,27 +54,24 @@ class Module:
     def parameters(self) -> dict:
         return dict(self.named_parameters())
 
-    def state_arrays(self) -> dict:
-        return {k: t.data for k, t in self.named_parameters()}
-
-    def load_state_arrays(self, arrays: dict):
-        params = self.parameters()
-        missing = set(params) - set(arrays)
-        extra = set(arrays) - set(params)
-        if missing or extra:
-            raise ValueError(f"checkpoint mismatch: missing={sorted(missing)} "
-                             f"extra={sorted(extra)}")
-        for k, t in params.items():
-            if arrays[k].shape != t.data.shape:
-                raise ValueError(f"{k}: shape {arrays[k].shape} != "
-                                 f"{t.data.shape}")
-            t.data = arrays[k].astype(t.data.dtype, copy=True)
-
     def freeze(self) -> "Module":
         """Stop every parameter from requiring grad (inference only)."""
         for _, t in self.named_parameters():
             t.requires_grad = False
         return self
+
+
+def load_parameters(params: dict, arrays: dict, source):
+    """Copy ``arrays`` into the ``{name: Tensor}`` dict ``params``, cast to
+    each tensor's dtype; raises :class:`ConfigError` naming ``source`` when
+    names or shapes differ."""
+    bad = sorted(set(params) ^ set(arrays)) or [
+        k for k, t in params.items() if arrays[k].shape != t.data.shape]
+    if bad:
+        raise ConfigError(f"{source}: its parameters do not fit the model "
+                          f"(first mismatch: {bad[0]})")
+    for k, t in params.items():
+        t.data = arrays[k].astype(t.data.dtype, copy=True)
 
 
 class ModuleList(Module):
@@ -142,7 +141,6 @@ class GroupNorm(Module):
         super().__init__()
         self.groups = _norm_groups(channels, groups)
         self.eps = eps
-        self.channels = channels
         self.gamma = self.register("gamma", np.ones(channels, dtype=dtype))
         self.beta = self.register("beta", np.zeros(channels, dtype=dtype))
 
@@ -211,7 +209,6 @@ class CrossAttentionBlock(Module):
                  dtype=np.float32):
         super().__init__()
         self.heads = heads
-        self.channels = channels
         self.wq = self.register("wq", glorot_init(
             rng, (channels, channels), channels, channels, dtype))
         self.wk = self.register("wk", glorot_init(
@@ -237,7 +234,6 @@ class ResBlock(Module):
 
     def __init__(self, c_in, c_out, temb_dim, rng, groups=8, dtype=np.float32):
         super().__init__()
-        self.c_in, self.c_out = c_in, c_out
         self.norm1 = GroupNorm(c_in, groups, dtype=dtype)
         self.conv1 = Conv2d(c_in, c_out, 3, rng, dtype=dtype)
         self.time_proj = Linear(temb_dim, c_out, rng, dtype=dtype)

@@ -74,24 +74,23 @@ class CIPEncoder(Module):
 
 
 class CIPAutoencoder(Module):
-    """Mirror-image decoder used only during pretraining; the encoder is the
-    deliverable."""
+    """Mirror-image decoder ``dec`` used only during pretraining; the encoder
+    ``enc`` is the deliverable. The child names are the checkpoint's
+    ``enc.``/``dec.`` prefixes."""
 
     def __init__(self, layer_dims, seed=0, dtype=np.float32):
         super().__init__()
         rng = np.random.default_rng(seed)
-        self.encoder = CIPEncoder(layer_dims, rng, dtype=dtype)
-        dims = self.encoder.layer_dims[::-1]
-        decoder = []
-        for i, (a, b) in enumerate(zip(dims, dims[1:])):
-            decoder.append(Linear(a, b, rng, dtype=dtype))
-        self.decoder = ModuleList(decoder)
+        self.enc = CIPEncoder(layer_dims, rng, dtype=dtype)
+        dims = self.enc.layer_dims[::-1]
+        self.dec = ModuleList(
+            Linear(a, b, rng, dtype=dtype) for a, b in zip(dims, dims[1:]))
 
     def __call__(self, x):
-        z = self.encoder(x)
-        for i, lin in enumerate(self.decoder):
+        z = self.enc(x)
+        for i, lin in enumerate(self.dec):
             z = lin(z)
-            if i < len(self.decoder) - 1:
+            if i < len(self.dec) - 1:
                 z = ad.relu(z)
         return z
 

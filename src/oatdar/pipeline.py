@@ -36,7 +36,7 @@ from .operator import (add_noise, apply_adjoint, apply_forward,
                        build_forward_operator, tikhonov_solve)
 from .patches import PatchGrid, merge_patches, split_patches
 from .tensorfile import read_tensor, write_tensor
-from .training import CONDITIONS, load_denoiser, load_fdunet
+from .training import CONDITIONS, checkpoint, load_denoiser, load_fdunet
 
 log = logging.getLogger(__name__)
 
@@ -47,35 +47,23 @@ METHODS = ("lbp", "tikhonov", "fdunet", *DAR_INITIAL)
 
 @dataclass
 class ModelBundle:
-    """The trainable blocks a reconstruction variant needs, plus schedule."""
+    """The trainable blocks a reconstruction variant needs, plus schedule;
+    the fields after ``fdunet`` are in :func:`load_denoiser`'s return order."""
 
     fdunet: object = None
-    encoder: object = None
     denoiser: object = None
+    encoder: object = None
     schedule: object = None
     patch: tuple = (16, 16)
-
-
-def _load_fdunet(run_dir):
-    path = Path(run_dir) / "checkpoints" / "fdunet.ckpt"
-    if not path.is_dir():
-        raise PrerequisiteError("missing stage: train fdunet")
-    return load_fdunet(path)
 
 
 def load_models(run_dir, condition_on: str = "fdunet") -> ModelBundle:
     """The checkpoints of DAR conditioned on ``condition_on``: the denoiser
     with its encoder, plus the enhancer when DAR conditions on it."""
-    bundle = ModelBundle()
-    if condition_on == "fdunet":
-        bundle.fdunet = _load_fdunet(run_dir)
-    path = Path(run_dir) / "checkpoints" / f"denoiser_{condition_on}.ckpt"
-    if not path.is_dir():
-        raise PrerequisiteError(
-            f"missing stage: train diffusion --condition-on {condition_on}")
-    (bundle.denoiser, bundle.encoder, bundle.schedule,
-     bundle.patch) = load_denoiser(path)
-    return bundle
+    return ModelBundle(
+        load_fdunet(checkpoint(run_dir, "fdunet"))
+        if condition_on == "fdunet" else None,
+        *load_denoiser(checkpoint(run_dir, f"denoiser_{condition_on}")))
 
 
 def load_method_models(run_dir, method: str) -> ModelBundle | None:
@@ -86,7 +74,7 @@ def load_method_models(run_dir, method: str) -> ModelBundle | None:
     if method in DAR_INITIAL:
         return load_models(run_dir, DAR_INITIAL[method])
     if method == "fdunet":
-        return ModelBundle(fdunet=_load_fdunet(run_dir))
+        return ModelBundle(fdunet=load_fdunet(checkpoint(run_dir, "fdunet")))
     return None
 
 

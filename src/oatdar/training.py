@@ -2,7 +2,9 @@
 
 Each trainer builds its data, its ``{name: Tensor}`` parameters and a
 per-batch loss, then hands them to :func:`fit`, which owns batching, Adam,
-the non-finite-loss abort, per-epoch checkpoints and the loss log.
+the non-finite-loss abort, per-epoch checkpoints and the loss log. Resume
+and every model loader read parameters through ``layers.load_parameters``,
+and :func:`checkpoint` is the one lookup of a checkpoint a later stage reads.
 
 All stochasticity in a stage (shuffles, timestep draws, corruption noise)
 comes from a single generator whose state is checkpointed after every epoch
@@ -25,8 +27,9 @@ from .config import config_hash
 from .dataset import DatasetManifest, attach_fdunet_outputs, load_images
 from .diffusion import (NoiseSchedule, make_linear_schedule, q_sample,
                         scale_to_model)
-from .errors import ConfigError, NumericalError, PrerequisiteError
+from .errors import NumericalError, PrerequisiteError
 from .grayio import normalize01
+from .layers import load_parameters
 from .models import (CIPAutoencoder, CIPEncoder, ConditionalDenoiser,
                      DenoiserConfig, FDUNet, FDUNetConfig, fd_unet_forward)
 from .optim import OptimizerState, adam_update
@@ -72,6 +75,18 @@ def load_checkpoint(path):
     return params, opt_arrays, meta
 
 
+def checkpoint(run_dir, name: str) -> Path:
+    """``run_dir/checkpoints/<name>.ckpt``; raises :class:`PrerequisiteError`
+    naming the ``train`` command that writes it when it is missing."""
+    path = Path(run_dir) / "checkpoints" / f"{name}.ckpt"
+    if not path.is_dir():  # 'train diffusion' writes denoiser_<cond>.ckpt
+        block, _, cond = name.replace("denoiser", "diffusion").partition("_")
+        flag = f" --condition-on {cond}" if cond else ""
+        raise PrerequisiteError(
+            f"{path} is missing; run 'train {block}{flag}' first")
+    return path
+
+
 def _restore_rng(rng: np.random.Generator, meta: dict):
     state = dict(meta["rng_state"])
     state["state"] = {k: int(v) for k, v in state["state"].items()}
@@ -94,15 +109,6 @@ def _epoch_batches(rng, n, batch_size):
 def _mse(pred: Tensor, target: Tensor) -> Tensor:
     d = ad.sub(pred, target)
     return ad.mean_(ad.mul(d, d))
-
-
-def _load_params(params: dict, arrays: dict, path):
-    if set(arrays) != set(params) or any(
-            arrays[k].shape != t.data.shape for k, t in params.items()):
-        raise ConfigError(f"{path} does not match the configured model; "
-                          "train without --resume")
-    for k, t in params.items():
-        t.data = arrays[k].astype(t.data.dtype, copy=True)
 
 
 def fit(cfg: dict, run_dir, stage: str, ckpt_name: str, params: dict,
@@ -129,7 +135,7 @@ def fit(cfg: dict, run_dir, stage: str, ckpt_name: str, params: dict,
         if m.get("aborted"):
             raise NumericalError(f"{ckpt} was saved by a run aborted on a "
                                  "non-finite loss; retrain without --resume")
-        _load_params(params, saved, ckpt)
+        load_parameters(params, saved, ckpt)
         opt.load_state_arrays(opt_arrays, m["opt_step"])
         _restore_rng(rng, m)
         start_epoch = m["epoch"] + 1
@@ -193,7 +199,7 @@ def load_fdunet(ckpt) -> FDUNet:
     """The trained enhancer, frozen for inference."""
     params, _, meta = load_checkpoint(ckpt)
     model = FDUNet(FDUNetConfig.from_dict(meta["model_config"]))
-    model.load_state_arrays(params)
+    load_parameters(model.parameters(), params, ckpt)
     return model.freeze()
 
 
@@ -203,12 +209,8 @@ _EMIT_BATCH = 64  # images per enhancer forward in emit_fdunet_outputs
 def emit_fdunet_outputs(cfg: dict, run_dir,
                         manifest: DatasetManifest) -> DatasetManifest:
     """Run the trained enhancer over every entry and record the outputs."""
-    run_dir = Path(run_dir)
-    ckpt = run_dir / "checkpoints" / "fdunet.ckpt"
-    if not ckpt.is_dir():
-        raise PrerequisiteError("train fdunet before emitting its outputs")
-    model = load_fdunet(ckpt)
-    data_dir = run_dir / "dataset"
+    model = load_fdunet(checkpoint(run_dir, "fdunet"))
+    data_dir = Path(run_dir) / "dataset"
     lbp = normalize01(load_images(manifest, data_dir, "lbp"))
     outs = [fd_unet_forward(model, lbp[s:s + _EMIT_BATCH])
             for s in range(0, lbp.shape[0], _EMIT_BATCH)]
@@ -241,31 +243,26 @@ def train_cip(cfg: dict, run_dir, manifest: DatasetManifest,
     ae = CIPAutoencoder(cfg["cip"]["layer_dims"], seed=cfg["cip"]["seed"])
     x_all, _ = _cond_patches(cfg, manifest, Path(run_dir) / "dataset",
                              condition_on)
-    if x_all.shape[0] == 0:
-        raise PrerequisiteError("empty conditioning dataset")
 
     def batch_loss(idx, rng):
         xb = Tensor(x_all[idx])
         return _mse(ae(xb), xb)
 
-    # the decoder is pretraining scaffolding, checkpointed so resume works
-    params = {**{f"enc.{k}": t for k, t in ae.encoder.parameters().items()},
-              **{f"dec.{k}": t for k, t in ae.decoder.parameters().items()}}
     meta = {"kind": "cip", "condition_on": condition_on,
             "config_hash": config_hash(cfg),
             "layer_dims": list(cfg["cip"]["layer_dims"])}
     stage = f"cip_{condition_on}"
-    return fit(cfg, run_dir, stage, f"{stage}.ckpt", params, x_all.shape[0],
-               batch_loss, meta, resume)
+    # the decoder is pretraining scaffolding, checkpointed so resume works
+    return fit(cfg, run_dir, stage, f"{stage}.ckpt", ae.parameters(),
+               x_all.shape[0], batch_loss, meta, resume)
 
 
 def load_cip_encoder(ckpt) -> CIPEncoder:
     """The pretrained encoder, left trainable: the denoiser stage tunes it."""
     params, _, meta = load_checkpoint(ckpt)
-    enc = CIPEncoder(meta["layer_dims"], np.random.default_rng(0))
-    enc.load_state_arrays({k[4:]: v for k, v in params.items()
-                           if k.startswith("enc.")})
-    return enc
+    ae = CIPAutoencoder(meta["layer_dims"])
+    load_parameters(ae.parameters(), params, ckpt)
+    return ae.enc
 
 
 # ---------------------------------------------------------------------------
@@ -278,15 +275,17 @@ def schedule_from_config(cfg: dict) -> NoiseSchedule:
     return make_linear_schedule(s["T"], s["beta1"], s["betaT"])
 
 
+def _joint_parameters(denoiser, encoder) -> dict:
+    """The denoiser checkpoint's names: ``den.*``, then ``cip.*``."""
+    return dict([*denoiser.named_parameters("den."),
+                 *encoder.named_parameters("cip.")])
+
+
 def train_diffusion(cfg: dict, run_dir, manifest: DatasetManifest,
                     condition_on: str = "fdunet",
                     resume: bool = False) -> Path:
     data_dir = Path(run_dir) / "dataset"
-    cip_ckpt = Path(run_dir) / "checkpoints" / f"cip_{condition_on}.ckpt"
-    if not cip_ckpt.is_dir():
-        raise PrerequisiteError(
-            f"train cip --condition-on {condition_on} must run before the "
-            f"denoiser (missing {cip_ckpt.name})")
+    cip_ckpt = checkpoint(run_dir, f"cip_{condition_on}")
     sched = schedule_from_config(cfg)
     den_cfg = DenoiserConfig.from_dict(cfg["denoiser"])
     model = ConditionalDenoiser(den_cfg)
@@ -298,8 +297,6 @@ def train_diffusion(cfg: dict, run_dir, manifest: DatasetManifest,
     gt = load_images(manifest, data_dir, "phantom", "train")
     x0_all = scale_to_model(split_patches(gt, grid).reshape(
         -1, 1, grid.patch_h, grid.patch_w).astype(np.float32))
-    if x0_all.shape[0] != cond_flat.shape[0]:
-        raise PrerequisiteError("conditioning/target patch count mismatch")
 
     def batch_loss(idx, rng):
         t_batch = rng.integers(1, sched.T + 1, size=idx.size)
@@ -309,8 +306,6 @@ def train_diffusion(cfg: dict, run_dir, manifest: DatasetManifest,
         cond_vec = encoder(Tensor(cond_flat[idx]))
         return _mse(model(Tensor(xt), cond_vec, t_batch), Tensor(eps))
 
-    params = {**{f"den.{k}": t for k, t in model.parameters().items()},
-              **{f"cip.{k}": t for k, t in encoder.parameters().items()}}
     meta = {"kind": "denoiser", "condition_on": condition_on,
             "config_hash": config_hash(cfg),
             "denoiser_config": den_cfg.to_dict(),
@@ -318,20 +313,18 @@ def train_diffusion(cfg: dict, run_dir, manifest: DatasetManifest,
             "schedule": cfg["schedule"],
             "patch": {"h": grid.patch_h, "w": grid.patch_w}}
     return fit(cfg, run_dir, f"diffusion_{condition_on}",
-               f"denoiser_{condition_on}.ckpt", params, x0_all.shape[0],
+               f"denoiser_{condition_on}.ckpt",
+               _joint_parameters(model, encoder), x0_all.shape[0],
                batch_loss, meta, resume)
 
 
 def load_denoiser(ckpt):
     """Returns (denoiser, jointly tuned conditioning encoder, schedule,
     (patch_h, patch_w)); both networks are frozen for inference."""
-    p_arrays, _, meta = load_checkpoint(ckpt)
+    params, _, meta = load_checkpoint(ckpt)
     model = ConditionalDenoiser(DenoiserConfig.from_dict(
         meta["denoiser_config"]))
-    model.load_state_arrays({k[4:]: v for k, v in p_arrays.items()
-                             if k.startswith("den.")})
     encoder = CIPEncoder(meta["cip_layer_dims"], np.random.default_rng(0))
-    encoder.load_state_arrays({k[4:]: v for k, v in p_arrays.items()
-                               if k.startswith("cip.")})
+    load_parameters(_joint_parameters(model, encoder), params, ckpt)
     return (model.freeze(), encoder.freeze(), schedule_from_config(meta),
             (meta["patch"]["h"], meta["patch"]["w"]))

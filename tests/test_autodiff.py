@@ -51,12 +51,6 @@ def test_sub_neg():
               "c": _r((2, 3), 5, lo=0.5, hi=2.0)})
 
 
-def test_exp_log():
-    fd_check(lambda t: ad.sum_(ad.exp(t["a"])), {"a": _r((5,), 7)})
-    fd_check(lambda t: ad.sum_(ad.log(t["a"])),
-             {"a": _r((5,), 8, lo=0.5, hi=3.0)})
-
-
 def test_reshape_transpose_concat():
     def build(t):
         x = ad.reshape(t["a"], (2, 6))
@@ -92,7 +86,6 @@ def test_relu_silu_sigmoid():
     a[np.abs(a) < 0.05] = 0.5
     fd_check(lambda t: ad.sum_(ad.relu(t["a"])), {"a": a})
     fd_check(lambda t: ad.sum_(ad.silu(t["a"])), {"a": _r((4, 4), 21)})
-    fd_check(lambda t: ad.sum_(ad.sigmoid(t["a"])), {"a": _r((4, 4), 22)})
 
 
 def test_softmax():

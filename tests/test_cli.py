@@ -1,11 +1,15 @@
 """One method dispatch: ``oatdar reconstruct`` and ``oatdar eval`` agree on
 every method, and bad methods, step counts, eta, list flags, thread counts,
-geometries and input files exit with a config error; a non-finite enhancer
-exits with a numerical error; ``run-all`` is bit-reproducible."""
+geometries, input files and checkpoints that do not fit their model exit
+with a config error; a missing checkpoint or an empty train split exits with
+a prerequisite error; a non-finite enhancer exits with a numerical error;
+``run-all`` is bit-reproducible."""
 
 import json
 import logging
+import shutil
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -65,6 +69,68 @@ def test_reconstruct_dar_without_checkpoints_exits_3(tiny_run, tmp_path):
                      "--sino", str(data_dir / entry.sinogram),
                      "--out", str(out)]) == 3
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, ckpt, command", [
+    pytest.param(["train", "diffusion", "--condition-on", "lbp"],
+                 "cip_lbp.ckpt", "train cip --condition-on lbp",
+                 id="train-diffusion"),
+    pytest.param(["reconstruct", "fdunet"], "fdunet.ckpt", "train fdunet",
+                 id="reconstruct-fdunet"),
+    pytest.param(["reconstruct", "dar_lbp"], "denoiser_lbp.ckpt",
+                 "train diffusion --condition-on lbp",
+                 id="reconstruct-dar_lbp"),
+])
+def test_missing_checkpoint_exits_3_naming_its_command(
+        tiny_run, tmp_path, caplog, argv, ckpt, command):
+    common, data_dir, entry, *_ = tiny_run
+    run = tmp_path / "run"
+    shutil.copytree(data_dir, run / "dataset")
+    out = tmp_path / "out.oatd"
+    io = (["--sino", str(data_dir / entry.sinogram), "--out", str(out)]
+          if argv[0] == "reconstruct" else [])
+    with caplog.at_level(logging.ERROR, logger="oatdar"):
+        assert cli.main([*argv, *common[:2], "--run-dir", str(run),
+                         *io]) == 3
+    assert str(run / "checkpoints" / ckpt) in caplog.text
+    assert f"'{command}'" in caplog.text
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["reconstruct", "fdunet"],
+    ["train", "fdunet", "--resume", "--set", "fd_unet.growth=8"],
+], ids=["reconstruct", "resume"])
+def test_checkpoint_not_matching_its_model_exits_2(tiny_run, tmp_path, argv):
+    """The enhancer checkpoint's meta says growth 8, its arrays growth 10;
+    resuming configures growth 8 too."""
+    common, data_dir, entry, *_ = tiny_run
+    arrays, meta = read_bundle(data_dir.parent / "checkpoints" / "fdunet.ckpt")
+    meta["model_config"]["growth"] = 8
+    run = tmp_path / "run"
+    ckpt = write_bundle(run / "checkpoints" / "fdunet.ckpt", arrays, meta)
+    shutil.copytree(data_dir, run / "dataset")
+    saved = {f.name: f.read_bytes() for f in ckpt.iterdir()}
+    out = tmp_path / "out.oatd"
+    io = (["--sino", str(data_dir / entry.sinogram), "--out", str(out)]
+          if argv[0] == "reconstruct" else [])
+    assert cli.main([*argv, *common[:2], "--run-dir", str(run), *io]) == 2
+    assert {f.name: f.read_bytes() for f in ckpt.iterdir()} == saved
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("block", ["fdunet", "cip", "diffusion"])
+def test_empty_train_split_exits_3(tiny_run, tmp_path, block):
+    common, data_dir, *_ = tiny_run
+    run = tmp_path / "run"
+    shutil.copytree(data_dir.parent / "checkpoints", run / "checkpoints")
+    shutil.copytree(data_dir, run / "dataset")
+    manifest = DatasetManifest.read(data_dir)
+    manifest.entries = [replace(e, split="val") if e.split == "train" else e
+                        for e in manifest.entries]
+    manifest.write(run / "dataset")
+    assert cli.main(["train", block, "--condition-on", "lbp", *common[:2],
+                     "--run-dir", str(run)]) == 3
 
 
 @pytest.mark.parametrize("argv", [

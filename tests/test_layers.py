@@ -3,8 +3,10 @@ import pytest
 
 from oatdar import autodiff as ad
 from oatdar.autodiff import Tensor
+from oatdar.errors import ConfigError
 from oatdar.layers import (Conv2d, CrossAttentionBlock, GroupNorm, Linear,
-                           Module, ResBlock, cross_attention, glorot_init)
+                           Module, ResBlock, cross_attention, glorot_init,
+                           load_parameters)
 
 from test_autodiff import fd_check
 
@@ -29,13 +31,14 @@ def test_state_roundtrip_and_mismatch():
     a = Linear(5, 4, rng)
     b = Linear(5, 4, np.random.default_rng(2))
     assert not np.array_equal(a.w.data, b.w.data)
-    b.load_state_arrays(a.state_arrays())
+    load_parameters(b.parameters(), {"w": a.w.data, "b": a.b.data},
+                    "a.ckpt")
     assert np.array_equal(a.w.data, b.w.data)
-    with pytest.raises(ValueError):
-        b.load_state_arrays({"w": np.zeros((5, 4))})
-    with pytest.raises(ValueError):
-        b.load_state_arrays({"w": np.zeros((9, 9)),
-                             "b": np.zeros(4)})
+    with pytest.raises(ConfigError, match="a.ckpt"):
+        load_parameters(b.parameters(), {"w": np.zeros((5, 4))}, "a.ckpt")
+    with pytest.raises(ConfigError, match="a.ckpt"):
+        load_parameters(b.parameters(), {"w": np.zeros((9, 9)),
+                                         "b": np.zeros(4)}, "a.ckpt")
 
 
 def test_construction_deterministic():

@@ -12,6 +12,7 @@ from oatdar import cli, training
 from oatdar.errors import ConfigError, NumericalError
 from oatdar.config import load_config
 from oatdar.dataset import build_dataset
+from oatdar.layers import load_parameters
 from oatdar.patches import PatchGrid, split_patches
 from oatdar.tensorfile import read_bundle, write_bundle
 
@@ -116,12 +117,37 @@ def test_resume_rejects_a_checkpoint_of_another_model(tmp_path):
                      lambda idx, rng: ad.sum_(w), {}, resume=True)
 
 
+# block -> the loader of the checkpoint its trainer writes
+LOADERS = {"fdunet": training.load_fdunet, "cip": training.load_cip_encoder,
+           "diffusion": training.load_denoiser}
+
+
+@pytest.mark.parametrize("block", sorted(TRAINERS))
+def test_loader_names_parameters_as_the_trainer_saved_them(
+        base_run, tmp_path, monkeypatch, block):
+    base, manifest = base_run
+    run = _copy_run(base, tmp_path / "run")
+    ckpt = TRAINERS[block][1](_cfg(0), run, manifest, False)
+    loaded = []
+
+    def record(params, arrays, source):
+        loaded.append(list(params))
+        load_parameters(params, arrays, source)
+
+    monkeypatch.setattr(training, "load_parameters", record)
+    LOADERS[block](ckpt)
+    files = json.loads((ckpt / "bundle.json").read_text())["arrays"]
+    saved = [k[2:] for k in sorted(files, key=files.get)
+             if k.startswith("p.")]
+    assert loaded == [saved]
+
+
 def test_cip_checkpoint_still_loads_as_encoder(base_run):
     base, _ = base_run
     enc = training.load_cip_encoder(base / "checkpoints" / "cip_lbp.ckpt")
     arrays, _ = read_bundle(base / "checkpoints" / "cip_lbp.ckpt")
-    for k, v in enc.state_arrays().items():
-        assert np.array_equal(v, arrays[f"p.enc.{k}"])
+    for k, t in enc.parameters().items():
+        assert np.array_equal(t.data, arrays[f"p.enc.{k}"])
 
 
 @pytest.mark.parametrize("block", ["fdunet", "cip", "diffusion"])
