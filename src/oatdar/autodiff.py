@@ -329,6 +329,8 @@ def softmax(a, axis: int = -1):
 
 def _im2col(x, kh, kw, pad):
     n, c, h, w = x.shape
+    if kh == kw == 1 and pad == 0:  # the column matrix is x itself
+        return x.reshape(n, c, h * w), h, w
     if pad > 0:
         xp = np.zeros((n, c, h + 2 * pad, w + 2 * pad), dtype=x.dtype)
         xp[:, :, pad:pad + h, pad:pad + w] = x
@@ -423,9 +425,6 @@ def _narrow_backward(g, x, w, pad, need_dx, need_dw):
 def _conv_forward(x, w, pad):
     n, c = x.shape[:2]
     f, _, kh, kw = w.shape
-    if kh == 1 and kw == 1 and pad == 0:
-        out = np.matmul(w.reshape(f, c), x.reshape(n, c, -1))
-        return out.reshape(n, f, x.shape[2], x.shape[3])
     if _narrow(w.shape):
         return _narrow_forward(x, w, pad)
     cols, oh, ow = _im2col(x, kh, kw, pad)
@@ -439,16 +438,16 @@ def conv2d(x, w, b=None, pad: int = 1):
 
     The layout follows the narrow side, chosen from the kernel shape alone.
     With F >= C (or a 1x1 kernel) the input is expanded into an im2col
-    column matrix, KH*KW*C rows: forward and weight gradient each build it,
-    and the data gradient is the convolution of ``g`` with the flipped,
-    transposed kernel (which has C outputs, so it takes the other layout
-    when C < F). With F < C that column matrix would be the wide side, so
-    the output is expanded instead (kn2row): one GEMM of the KH*KW*F
-    stacked taps against the zero-padded input, summed at each tap's
-    offset; backward expands ``g`` once into KH*KW*F shifted rows, which
-    give the weight gradient against the padded input and the data
-    gradient against the taps, one GEMM each. Nothing is kept alive in the
-    graph beyond ``x`` and ``w``.
+    column matrix, KH*KW*C rows (a 1x1 kernel's is the input itself):
+    forward and weight gradient each build it, and the data gradient is the
+    convolution of ``g`` with the flipped, transposed kernel (which has C
+    outputs, so it takes the other layout when C < F). With F < C that
+    column matrix would be the wide side, so the output is expanded instead
+    (kn2row): one GEMM of the KH*KW*F stacked taps against the zero-padded
+    input, summed at each tap's offset; backward expands ``g`` once into
+    KH*KW*F shifted rows, which give the weight gradient against the padded
+    input and the data gradient against the taps, one GEMM each. Nothing is
+    kept alive in the graph beyond ``x`` and ``w``.
     """
     x, w = as_tensor(x), as_tensor(w)
     n, c, h, wd = x.data.shape
@@ -480,21 +479,13 @@ def conv2d(x, w, b=None, pad: int = 1):
             return
         if w.requires_grad:
             g3 = g.reshape(n, f, oh * ow)
-            if kh == 1 and kw == 1 and pad == 0:
-                cols = x.data.reshape(n, c, oh * ow)
-            else:
-                cols, _, _ = _im2col(x.data, kh, kw, pad)
+            cols, _, _ = _im2col(x.data, kh, kw, pad)
             gw = np.matmul(g3, cols.swapaxes(1, 2)).sum(axis=0)
             w._accum(gw.reshape(w.data.shape))
         if x.requires_grad:
-            if kh == 1 and kw == 1 and pad == 0:
-                dx = np.matmul(w.data.reshape(f, c).T,
-                               g.reshape(n, f, -1)).reshape(x.data.shape)
-            else:
-                wt = np.ascontiguousarray(
-                    w.data.transpose(1, 0, 2, 3)[:, :, ::-1, ::-1])
-                dx = _conv_forward(g, wt, pad=kh - 1 - pad)
-            x._accum(dx)
+            wt = np.ascontiguousarray(
+                w.data.transpose(1, 0, 2, 3)[:, :, ::-1, ::-1])
+            x._accum(_conv_forward(g, wt, pad=kh - 1 - pad))
 
     return _make(out_data, parents, vjp)
 

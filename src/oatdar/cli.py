@@ -201,7 +201,10 @@ def build_parser() -> argparse.ArgumentParser:
                     "diffusion-assisted enhancement")
     p.add_argument("-v", "--verbose", action="store_true")
     p.add_argument("--deterministic", action="store_true",
-                   help="serialize internal parallelism (thread limit 1)")
+                   help="limit BLAS to one thread through threadpoolctl "
+                        "if installed; bit-reproducible results need a fixed "
+                        "thread count, e.g. OPENBLAS_NUM_THREADS=1 set "
+                        "before start")
     sub = p.add_subparsers(dest="command", required=True)
 
     def common(sp, run_dir=True):

@@ -1,10 +1,12 @@
 """Dataset generation and the on-disk manifest.
 
 Every entry derives all of its randomness from (master_seed, index), so
-serial and parallel builds produce bit-identical artifacts and re-running a
-build is a no-op once the manifest validates. Simulation uses the jittered
-detector positions while the stored backprojection uses nominal ones — the
-reconstruction operator never sees the true detector placement.
+builds produce bit-identical artifacts at a fixed BLAS thread count
+(``OPENBLAS_NUM_THREADS`` set before the process starts; nothing else pins
+it, see ``--deterministic``) and re-running a build is a no-op once the
+manifest validates. Simulation uses the jittered detector positions while
+the stored backprojection uses nominal ones — the reconstruction operator
+never sees the true detector placement.
 
 Manifest format: line-oriented text. '#'-prefixed header lines carry the
 config hash and master seed; each record line is tab-separated:

@@ -111,53 +111,24 @@ class ImagingGeometry:
         py = np.repeat(ii * self.pixel_pitch, self.grid_nx)
         return px, py
 
-    def _jitter(self):
-        rng = np.random.default_rng(self.jitter_seed)
-        u = rng.uniform(-1.0, 1.0, size=(self.detector_count, 2))
-        radii = self.ring_radius * (1.0 + u[:, 0] * self.position_jitter_frac)
-        angles = np.asarray(self.detector_angles) + u[:, 1] * self.position_jitter_frac
-        return radii, angles
-
-    def detector_positions(self, jittered: bool = False) -> np.ndarray:
-        """Detector center coordinates, shape (detector_count, 2)."""
-        if jittered:
-            radii, angles = self._jitter()
-        else:
-            radii = np.full(self.detector_count, self.ring_radius)
-            angles = np.asarray(self.detector_angles)
-        return np.stack([radii * np.cos(angles), radii * np.sin(angles)], axis=1)
-
     def subelement_positions(self, jittered: bool = False):
         """Point sub-detector coordinates (dsx, dsy), each (detector_count, S).
 
         Sub-elements sample a chord of length ``sensor_diameter`` oriented
         tangentially to the ring; S == 1 degenerates exactly to the center.
+        Nominal positions are the jittered ones at zero jitter: the draws
+        are scaled by 0, which leaves radius and angle bit for bit.
         """
-        if jittered:
-            radii, angles = self._jitter()
-        else:
-            radii = np.full(self.detector_count, self.ring_radius)
-            angles = np.asarray(self.detector_angles)
-        s = self.sir_subelements
-        if s == 1:
-            offsets = np.zeros(1)
-        else:
-            offsets = np.linspace(-self.sensor_diameter / 2.0,
-                                  self.sensor_diameter / 2.0, s)
-        cx = radii * np.cos(angles)
-        cy = radii * np.sin(angles)
-        tx = -np.sin(angles)
-        ty = np.cos(angles)
-        dsx = cx[:, None] + offsets[None, :] * tx[:, None]
-        dsy = cy[:, None] + offsets[None, :] * ty[:, None]
-        return dsx, dsy
-
-    def max_source_detector_distance(self) -> float:
-        """Upper bound on pixel-to-subelement distance (jitter included)."""
-        r_out = self.ring_radius * (1.0 + self.position_jitter_frac)
-        if self.sir_subelements > 1:
-            r_out = float(np.hypot(r_out, self.sensor_diameter / 2.0))
-        return r_out + self.half_diagonal()
+        frac = self.position_jitter_frac if jittered else 0.0
+        rng = np.random.default_rng(self.jitter_seed)
+        u = rng.uniform(-1.0, 1.0, size=(self.detector_count, 2))
+        radii = self.ring_radius * (1.0 + u[:, 0] * frac)
+        angles = np.asarray(self.detector_angles) + u[:, 1] * frac
+        half, s = self.sensor_diameter / 2.0, self.sir_subelements
+        offsets = np.linspace(-half, half, s) if s > 1 else np.zeros(1)
+        r = radii[:, None]
+        cos, sin = np.cos(angles)[:, None], np.sin(angles)[:, None]
+        return r * cos - offsets * sin, r * sin + offsets * cos
 
     # -- serialization ------------------------------------------------------
 

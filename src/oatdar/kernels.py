@@ -23,7 +23,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import GeometryError
+from .errors import GeometryError, SignalWindowError
 
 INDEX_DTYPE = np.int32
 _INDEX_MAX = int(np.iinfo(INDEX_DTYPE).max)
@@ -33,16 +33,22 @@ _INDEX_MAX = int(np.iinfo(INDEX_DTYPE).max)
 # Forward-operator entry generation.
 #
 # For pixel j at (px, py), sub-detector (l, s) at (dsx, dsy):
-#   dist = sqrt(dx*dx + dy*dy)
-#   entry at time index k iff |k*dt - dist/vs| < dt/2, value = base / dist
+#   dist = sqrt(dx*dx + dy*dy), tau = dist / vs
+#   entry at time index k iff |k*dt - tau| < dt/2, value = base / dist
 # with base = voxel_volume / (4 pi vs^2 dt^2) / n_subelements.
 # At most one k can satisfy the strict window, so only floor(tau/dt) and its
-# successor need testing.
+# successor need testing. This is the one statement of the travel-time
+# window: an arrival past the last sample's window (the complement of the
+# test at k = nt-1) would silently drop its pixel, so it raises instead.
 # ---------------------------------------------------------------------------
 
 
 def forward_entries(px, py, dsx, dsy, vs, dt, nt, base):
-    """COO triplets (row = detector*nt + time_index, col = pixel, value)."""
+    """COO triplets (row = detector*nt + time_index, col = pixel, value).
+
+    Raises :class:`SignalWindowError` when an arrival lies past the last
+    time sample's window, i.e. farther than ``(nt - 1/2) * dt * vs``.
+    """
     px = np.ascontiguousarray(px, dtype=np.float64)
     py = np.ascontiguousarray(py, dtype=np.float64)
     dsx = np.ascontiguousarray(dsx, dtype=np.float64)
@@ -58,6 +64,11 @@ def forward_entries(px, py, dsx, dsy, vs, dt, nt, base):
             dy = py - dsy[l, s]
             dist = np.sqrt(dx * dx + dy * dy)
             tau = dist / vs
+            if tau.max() - (nt - 1) * dt >= half:
+                raise SignalWindowError(
+                    f"time window covers {(nt - 0.5) * dt * vs:g} m but "
+                    f"detector {l}'s farthest pixel is {dist.max():g} m "
+                    f"away; increase time_samples or dt")
             kf = np.floor(tau / dt).astype(np.int64)
             for kc in (kf, kf + 1):
                 mask = (kc >= 0) & (kc < nt) & (np.abs(kc * dt - tau) < half)

@@ -63,10 +63,6 @@ class CIPEncoder(Module):
         self.layers = ModuleList(
             Linear(a, b, rng, dtype=dtype) for a, b in zip(dims, dims[1:]))
 
-    @property
-    def out_dim(self) -> int:
-        return self.layer_dims[-1]
-
     def __call__(self, x):
         for lin in self.layers:
             x = ad.relu(lin(x))
@@ -96,8 +92,8 @@ class CIPAutoencoder(Module):
 
 
 def cip_encode(encoder: CIPEncoder, patches: np.ndarray) -> np.ndarray:
-    """Encode ``(N, D)`` flattened patches to ``(N, out_dim)`` conditioning
-    vectors."""
+    """Encode ``(N, D)`` flattened patches to ``(N, layer_dims[-1])``
+    conditioning vectors."""
     x = np.asarray(patches)
     if x.shape[1:] != encoder.layer_dims[:1]:
         raise ValueError(f"patches {x.shape} do not match encoder input "

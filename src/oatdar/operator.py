@@ -6,11 +6,14 @@ sub-detector position ``r_s`` of detector l, the spreading matrix has
 
     value = voxel_volume / (4 pi vs^2 dt^2 S) / |r_s - r_j|
 
-at time row k iff ``|k*dt - |r_s - r_j|/vs| < dt/2`` (S = sub-element count;
-finite apertures average S point sub-detectors along a tangential chord).
-The spreading matrix is assembled once as CSR, and every product with it
-(apply, adjoint, and the power iteration below) goes through
-:func:`kernels.csr_matvec` / :func:`kernels.csr_rmatvec`.
+at the one time row whose sample window holds the travel time (S =
+sub-element count; finite apertures average S point sub-detectors along a
+tangential chord). That window rule, and the refusal of a geometry whose
+arrivals outrun the last sample, are stated once, in
+:func:`kernels.forward_entries`. The spreading matrix is assembled once as
+CSR, and every product with it (apply, adjoint, and the power iteration
+below) goes through :func:`kernels.csr_matvec` /
+:func:`kernels.csr_rmatvec`.
 
 The derivative along the time axis uses a central difference in the interior
 and one-sided first-order differences at both ends; the adjoint applies the
@@ -29,12 +32,13 @@ not run the power iteration again.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import kernels
-from .errors import GeometryError, NumericalError, SignalWindowError
+from .errors import GeometryError, NumericalError
 from .geometry import (ImagingGeometry, Image, Sinogram, check_image,
                        check_sinogram)
 from .tensorfile import read_bundle, write_bundle
@@ -56,7 +60,7 @@ class ForwardOperator:
 
     @property
     def n_rows(self) -> int:
-        return self.geometry.detector_count * self.geometry.time_samples
+        return math.prod(self.geometry.sinogram_shape)
 
     @property
     def n_cols(self) -> int:
@@ -64,15 +68,8 @@ class ForwardOperator:
 
     # -- raw vector interface (float64, flattened) ---------------------------
 
-    def _spread_apply(self, x: np.ndarray) -> np.ndarray:
-        return kernels.csr_matvec(self.indptr, self.indices, self.values, x)
-
-    def _spread_adjoint(self, y: np.ndarray) -> np.ndarray:
-        return kernels.csr_rmatvec(self.indptr, self.indices, self.values,
-                                   y, self.n_cols)
-
     def apply_vec(self, x: np.ndarray) -> np.ndarray:
-        ps = self._spread_apply(np.asarray(x, dtype=np.float64))
+        ps = kernels.csr_matvec(self.indptr, self.indices, self.values, x)
         ps = ps.reshape(self.geometry.sinogram_shape)
         return self.output_scale * time_derivative(ps, self.geometry.dt).ravel()
 
@@ -80,7 +77,8 @@ class ForwardOperator:
         y = self.output_scale * np.asarray(y, dtype=np.float64)
         y = y.reshape(self.geometry.sinogram_shape)
         s = time_derivative_adjoint(y, self.geometry.dt)
-        return self._spread_adjoint(s.ravel())
+        return kernels.csr_rmatvec(self.indptr, self.indices, self.values,
+                                   s.ravel(), self.n_cols)
 
     def normal_vec(self, x: np.ndarray, lam: float) -> np.ndarray:
         return self.adjoint_vec(self.apply_vec(x)) + lam * x
@@ -104,12 +102,16 @@ class ForwardOperator:
         if meta.get("kind") != "forward_operator":
             raise ValueError(f"{path} is not a serialized operator")
         geom = ImagingGeometry.from_dict(meta["geometry"])
-        offsets = arrays["row_offsets"]
-        n_rows = geom.detector_count * geom.time_samples
-        if offsets.shape != (n_rows + 1,):
+        offsets, cols = arrays["row_offsets"], arrays["col_indices"]
+        op = cls(geometry=geom, jittered=meta["jittered"],
+                 indptr=offsets.astype(kernels.INDEX_DTYPE),
+                 indices=cols.astype(kernels.INDEX_DTYPE),
+                 values=arrays["values"],
+                 output_scale=float(meta["output_scale"]))
+        if offsets.shape != (op.n_rows + 1,):
             raise ValueError(
                 f"{path}: row_offsets has shape {offsets.shape}, the "
-                f"geometry needs ({n_rows + 1},)")
+                f"geometry needs ({op.n_rows + 1},)")
         nnz = int(offsets[-1])
         for name in ("col_indices", "values"):
             if arrays[name].shape != (nnz,):
@@ -118,16 +120,11 @@ class ForwardOperator:
                     f"row offsets need ({nnz},)")
         # the sparse product does not bounds-check, so out-of-range
         # offsets or columns would read outside the arrays
-        cols = arrays["col_indices"]
         if offsets[0] != 0 or np.any(np.diff(offsets) < 0) or (nnz and (
-                cols.min() < 0 or cols.max() >= geom.n_pixels)):
+                cols.min() < 0 or cols.max() >= op.n_cols)):
             raise ValueError(f"{path}: row_offsets or col_indices out of "
                              f"range for the geometry")
-        return cls(geometry=geom, jittered=meta["jittered"],
-                   indptr=offsets.astype(kernels.INDEX_DTYPE),
-                   indices=cols.astype(kernels.INDEX_DTYPE),
-                   values=arrays["values"],
-                   output_scale=float(meta["output_scale"]))
+        return op
 
 
 def entry_scale(geometry: ImagingGeometry) -> float:
@@ -148,22 +145,14 @@ def build_forward_operator(geometry: ImagingGeometry,
         raise GeometryError(
             f"ring_radius {geometry.ring_radius:g} m must exceed the grid "
             f"half-diagonal {geometry.half_diagonal():g} m")
-    window = geometry.time_samples * geometry.dt * geometry.sound_speed
-    max_dist = geometry.max_source_detector_distance()
-    if window < max_dist:
-        raise SignalWindowError(
-            f"time window covers {window:g} m but the farthest pixel is "
-            f"{max_dist:g} m away; increase time_samples or dt")
     px, py = geometry.pixel_coords()
     dsx, dsy = geometry.subelement_positions(jittered=jittered)
     rows, cols, vals = kernels.forward_entries(
         px, py, dsx, dsy, geometry.sound_speed, geometry.dt,
         geometry.time_samples, entry_scale(geometry))
-    n_rows = geometry.detector_count * geometry.time_samples
-    indptr, indices, values = kernels.assemble_csr(
-        rows, cols, vals, n_rows, geometry.n_pixels)
-    op = ForwardOperator(geometry=geometry, jittered=jittered, indptr=indptr,
-                         indices=indices, values=values)
+    op = ForwardOperator(geometry, jittered, *kernels.assemble_csr(
+        rows, cols, vals, math.prod(geometry.sinogram_shape),
+        geometry.n_pixels))
     op.output_scale = _spectral_gain(op)
     return op
 

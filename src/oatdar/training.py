@@ -10,8 +10,10 @@ All stochasticity in a stage (shuffles, timestep draws, corruption noise)
 comes from a single generator whose state is checkpointed after every epoch
 together with the parameters and Adam moments, so for every stage (enhancer,
 conditioning autoencoder, denoiser) interrupt + resume reproduces the
-uninterrupted run bit for bit. Stage streams derive from the dataset master
-seed.
+uninterrupted run bit for bit, as long as both run at the same BLAS thread
+count (``OPENBLAS_NUM_THREADS`` set before the process starts; GEMM sums
+split differently across threads). Stage streams derive from the dataset
+master seed.
 """
 
 from __future__ import annotations
@@ -69,7 +71,12 @@ def save_checkpoint(path, params: dict, opt: OptimizerState | None,
 
 
 def load_checkpoint(path):
+    """(parameters, Adam arrays, meta) of a checkpoint; raises
+    :class:`NumericalError` if its run aborted on a non-finite loss."""
     arrays, meta = read_bundle(path)
+    if meta.get("aborted"):
+        raise NumericalError(f"{path} was saved by a run aborted on a "
+                             "non-finite loss; retrain it without --resume")
     params = {k[2:]: v for k, v in arrays.items() if k.startswith("p.")}
     opt_arrays = {k[2:]: v for k, v in arrays.items() if k.startswith("o.")}
     return params, opt_arrays, meta
@@ -121,7 +128,8 @@ def fit(cfg: dict, run_dir, stage: str, ckpt_name: str, params: dict,
     ends with a checkpoint of the parameters, Adam moments, generator state
     and losses; ``resume`` continues from it. A non-finite epoch loss saves
     an ``aborted`` checkpoint and raises :class:`NumericalError`, and so
-    does resuming from such a checkpoint.
+    does :func:`load_checkpoint` on such a checkpoint, on resume as in
+    every loader.
     """
     run_dir = Path(run_dir)
     ckpt = run_dir / "checkpoints" / ckpt_name
@@ -132,9 +140,6 @@ def fit(cfg: dict, run_dir, stage: str, ckpt_name: str, params: dict,
     start_epoch, losses = 0, []
     if resume and ckpt.is_dir():
         saved, opt_arrays, m = load_checkpoint(ckpt)
-        if m.get("aborted"):
-            raise NumericalError(f"{ckpt} was saved by a run aborted on a "
-                                 "non-finite loss; retrain without --resume")
         load_parameters(params, saved, ckpt)
         opt.load_state_arrays(opt_arrays, m["opt_step"])
         _restore_rng(rng, m)
@@ -290,8 +295,11 @@ def train_diffusion(cfg: dict, run_dir, manifest: DatasetManifest,
     den_cfg = DenoiserConfig.from_dict(cfg["denoiser"])
     model = ConditionalDenoiser(den_cfg)
     encoder = load_cip_encoder(cip_ckpt)
-    if encoder.out_dim != den_cfg.cond_dim:
-        raise PrerequisiteError("conditioning encoder output dim mismatch")
+    if encoder.layer_dims != tuple(cfg["cip"]["layer_dims"]):
+        raise PrerequisiteError(
+            f"{cip_ckpt} has layer_dims {list(encoder.layer_dims)}, the "
+            f"config {cfg['cip']['layer_dims']}; run 'train cip "
+            f"--condition-on {condition_on}' first")
 
     cond_flat, grid = _cond_patches(cfg, manifest, data_dir, condition_on)
     gt = load_images(manifest, data_dir, "phantom", "train")

@@ -2,7 +2,8 @@
 every method, and bad methods, step counts, eta, list flags, thread counts,
 geometries, input files and checkpoints that do not fit their model exit
 with a config error; a missing checkpoint or an empty train split exits with
-a prerequisite error; a non-finite enhancer exits with a numerical error;
+a prerequisite error, as does a CIP checkpoint of other widths; a non-finite
+enhancer or an aborted checkpoint exits with a numerical error;
 ``run-all`` is bit-reproducible."""
 
 import json
@@ -233,3 +234,32 @@ def test_non_finite_enhancer_exits_4(tiny_run, tmp_path):
                      "--sino", str(data_dir / entry.sinogram),
                      "--out", str(out)]) == 4
     assert not out.exists()
+
+
+def test_aborted_checkpoint_exits_4(tiny_run, tmp_path):
+    common, data_dir, entry, *_ = tiny_run
+    arrays, meta = read_bundle(data_dir.parent / "checkpoints" / "fdunet.ckpt")
+    run = tmp_path / "run"
+    write_bundle(run / "checkpoints" / "fdunet.ckpt", arrays,
+                 {**meta, "aborted": True})
+    out = tmp_path / "out.oatd"
+    assert cli.main(["reconstruct", "fdunet", *common[:2],
+                     "--run-dir", str(run),
+                     "--sino", str(data_dir / entry.sinogram),
+                     "--out", str(out)]) == 4
+    assert not out.exists()
+
+
+def test_cip_checkpoint_of_other_layer_dims_exits_3(tiny_run, tmp_path,
+                                                     caplog):
+    """A valid config whose CIP widths differ from the checkpoint's."""
+    common, data_dir, *_ = tiny_run
+    run = tmp_path / "run"
+    shutil.copytree(data_dir.parent / "checkpoints", run / "checkpoints")
+    shutil.copytree(data_dir, run / "dataset")
+    with caplog.at_level(logging.ERROR, logger="oatdar"):
+        assert cli.main(["train", "diffusion", "--condition-on", "lbp",
+                         *common[:2], "--run-dir", str(run),
+                         "--set", "patch.h=16", "--set", "patch.w=8",
+                         "--set", "cip.layer_dims=[128,64]"]) == 3
+    assert "'train cip --condition-on lbp'" in caplog.text

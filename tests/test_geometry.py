@@ -46,27 +46,34 @@ def test_invalid_geometry_rejected(kw):
         ImagingGeometry(**kw)
 
 
+def _ring_centers(g):
+    """Nominal detector centers on the ring, shape (detector_count, 2)."""
+    a = np.asarray(g.detector_angles)
+    return g.ring_radius * np.stack([np.cos(a), np.sin(a)], axis=1)
+
+
 def test_jitter_bound_and_determinism():
     g = ImagingGeometry(position_jitter_frac=1e-3, jitter_seed=42)
-    pos = g.detector_positions(jittered=True)
-    radii = np.linalg.norm(pos, axis=1)
+    pos = np.stack(g.subelement_positions(jittered=True))
+    radii = np.linalg.norm(pos, axis=0)
     assert np.all(np.abs(radii - g.ring_radius) <= 1e-3 * g.ring_radius + 1e-15)
-    pos2 = g.detector_positions(jittered=True)
+    pos2 = np.stack(g.subelement_positions(jittered=True))
     assert np.array_equal(pos, pos2)
     g3 = ImagingGeometry(position_jitter_frac=1e-3, jitter_seed=43)
-    assert not np.array_equal(pos, g3.detector_positions(jittered=True))
+    pos3 = np.stack(g3.subelement_positions(jittered=True))
+    assert not np.array_equal(pos, pos3)
 
 
 def test_nominal_positions_unjittered():
     g = ImagingGeometry(position_jitter_frac=1e-3)
-    pos = g.detector_positions(jittered=False)
-    assert np.allclose(np.linalg.norm(pos, axis=1), g.ring_radius)
+    pos = np.stack(g.subelement_positions(jittered=False))
+    assert np.allclose(np.linalg.norm(pos, axis=0), g.ring_radius)
 
 
 def test_subelements_single_reduces_to_center():
     g = ImagingGeometry(sir_subelements=1)
     dsx, dsy = g.subelement_positions()
-    centers = g.detector_positions()
+    centers = _ring_centers(g)
     assert np.array_equal(dsx[:, 0], centers[:, 0])
     assert np.array_equal(dsy[:, 0], centers[:, 1])
 
@@ -77,7 +84,7 @@ def test_subelements_span_chord():
     # chord endpoints are sensor_diameter apart, tangential to the ring
     span = np.hypot(dsx[:, -1] - dsx[:, 0], dsy[:, -1] - dsy[:, 0])
     assert np.allclose(span, 13e-3)
-    centers = g.detector_positions()
+    centers = _ring_centers(g)
     mid = np.stack([dsx[:, 2], dsy[:, 2]], axis=1)
     assert np.allclose(mid, centers)
 

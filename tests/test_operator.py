@@ -107,6 +107,20 @@ def test_rejects_truncating_time_window():
             grid_nx=16, grid_ny=16, ring_radius=8e-3, time_samples=64))
 
 
+def test_window_is_the_kernels_arrival_rule():
+    # the farthest pixel lies 4.1257 mm from the detector: past the last of
+    # 28 sample windows (4.125 mm at 1500 m/s, dt 1e-7) but inside the 29th
+    kw = dict(grid_nx=16, grid_ny=16, pixel_pitch=1e-4, detector_count=1,
+              detector_angles=(5 * np.pi / 4,), ring_radius=3.065e-3,
+              position_jitter_frac=0.0, sir_subelements=1,
+              sound_speed=1500.0, dt=1e-7)
+    with pytest.raises(SignalWindowError, match="0.004125 m"):
+        build_forward_operator(ImagingGeometry(**kw, time_samples=28))
+    op = build_forward_operator(ImagingGeometry(**kw, time_samples=29))
+    assert np.array_equal(np.bincount(op.indices, minlength=op.n_cols),
+                          np.ones(op.n_cols, dtype=np.int64))
+
+
 def test_operator_bundle_roundtrip(tmp_path, toy_geometry):
     op = build_forward_operator(toy_geometry)
     op.to_bundle(tmp_path / "op")
