@@ -5,8 +5,9 @@ accumulates vector-Jacobian products into ``parent.grad``. Everything the
 trainable blocks need is built from the primitives here, so one
 finite-difference test per primitive certifies gradients for every network.
 
-Ops preserve the dtype of their inputs; training runs float32, gradient
-checking float64. An op none of whose inputs requires grad returns a plain
+Ops preserve the dtype of their inputs. The models' parameters are float32,
+set in one place (``layers.Module.register``); gradient tests cast them to
+float64. An op none of whose inputs requires grad returns a plain
 tape-free Tensor that keeps no parents and no closure, so inference through
 frozen parameters (loaded checkpoints, see ``layers.Module.freeze``) holds
 no graph alive.
@@ -324,7 +325,7 @@ def softmax(a, axis: int = -1):
 
 
 # ---------------------------------------------------------------------------
-# 2-D convolution and resampling (NCHW layout)
+# 2-D convolution and pooling (NCHW layout)
 # ---------------------------------------------------------------------------
 
 def _im2col(x, kh, kw, pad):
@@ -527,27 +528,3 @@ def max_pool2(x):
         x._accum(np.ascontiguousarray(gx))
 
     return _make(out_data, (x,), vjp)
-
-
-def upsample2_matrices(h: int, w: int, dtype=np.float64):
-    """Bilinear x2 interpolation matrices (2h x h), (2w x w)."""
-    from .grayio import resize_matrix
-    return (resize_matrix(h, 2 * h).astype(dtype),
-            resize_matrix(w, 2 * w).astype(dtype))
-
-
-def apply_rows(x, m):
-    """Multiply a constant matrix along the H axis of an NCHW tensor."""
-    mt = Tensor(np.asarray(m).T)
-    t = transpose(x, (0, 1, 3, 2))
-    t = matmul(t, mt)
-    return transpose(t, (0, 1, 3, 2))
-
-
-def apply_cols(x, m):
-    """Multiply a constant matrix along the W axis of an NCHW tensor."""
-    return matmul(x, Tensor(np.asarray(m).T))
-
-
-def upsample2_bilinear(x, uh, uw):
-    return apply_cols(apply_rows(x, uh), uw)

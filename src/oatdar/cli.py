@@ -35,6 +35,15 @@ def _parse_list(text: str, kind, flag: str) -> list:
                           f"got {text!r}") from None
 
 
+def _seed(text: str) -> int:
+    """Every ``--seed`` flag's type: digits only, so argparse exits 2 on a
+    negative or non-integer seed."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(
+            f"must be an integer >= 0, got {text!r}")
+    return int(text)
+
+
 def _setup_threads(deterministic: bool):
     n = os.environ.get("OATDAR_NUM_THREADS")
     if deterministic:
@@ -216,7 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("phantom", help="render one procedural phantom")
     common(sp, run_dir=False)
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--seed", type=_seed, default=0)
     sp.add_argument("--out", required=True)
     sp.set_defaults(fn=cmd_phantom)
 
@@ -231,7 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(sp, run_dir=False)
     sp.add_argument("--phantom", required=True)
     sp.add_argument("--snr", type=float, default=float("inf"))
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--seed", type=_seed, default=0)
     sp.add_argument("--out", required=True)
     sp.set_defaults(fn=cmd_simulate)
 
@@ -256,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--out", required=True)
     sp.add_argument("--nis", type=int, default=None)
     sp.add_argument("--eta", type=float, default=None)
-    sp.add_argument("--seed", type=int, default=None)
+    sp.add_argument("--seed", type=_seed, default=None)
     sp.set_defaults(fn=cmd_reconstruct)
 
     sp = sub.add_parser("eval", help="score methods over the test split")

@@ -199,6 +199,18 @@ def validate_config(cfg: dict):
     inf = cfg["inference"]
     if not (1 <= inf["nis"] <= sched["T"]) or not (0.0 <= inf["eta"] <= 1.0):
         raise ConfigError("inference section invalid")
+    ev = cfg["eval"]
+    if not (0 <= ev["tikhonov_lambda"] < float("inf")
+            and ev["tikhonov_iters"] >= 1 and ev["tikhonov_tol"] > 0):
+        raise ConfigError("eval section invalid: tikhonov_lambda must be "
+                          "finite and >= 0, tikhonov_iters >= 1 and "
+                          "tikhonov_tol > 0")
+    seeds = {f"{section}.{key}": val for section, values in cfg.items()
+             if isinstance(values, dict)
+             for key, val in values.items() if key.endswith("seed")}
+    for where, seed in seeds.items():
+        if seed < 0:
+            raise ConfigError(f"{where} must be >= 0, got {seed}")
 
 
 def geometry_from_config(cfg: dict) -> ImagingGeometry:

@@ -2,9 +2,11 @@
 
 Modules register parameters by name so checkpoints and optimizer state key
 off stable dotted paths, which :func:`load_parameters`, the one checkpoint
-loader, checks. Construction order is fixed and every weight draw comes from
-the module's own Generator, so two models built with the same seed are
-bit-identical.
+loader, checks. :meth:`Module.register` is also the one place that sets the
+parameter dtype: it casts every parameter to :data:`PARAM_DTYPE` (float32),
+so no layer or model takes a dtype. Construction order is fixed and every
+weight draw comes from the module's own Generator, so two models built with
+the same seed are bit-identical.
 """
 
 from __future__ import annotations
@@ -16,6 +18,9 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import ConfigError
+from .grayio import resize_matrix
+
+PARAM_DTYPE = np.float32
 
 
 class Module:
@@ -37,7 +42,7 @@ class Module:
         object.__setattr__(self, name, value)
 
     def register(self, name: str, array: np.ndarray) -> Tensor:
-        t = Tensor(np.asarray(array), requires_grad=True)
+        t = Tensor(np.asarray(array, dtype=PARAM_DTYPE), requires_grad=True)
         self._params[name] = t
         return t
 
@@ -95,20 +100,19 @@ class ModuleList(Module):
         return len(self._items)
 
 
-def he_init(rng, shape, fan_in, dtype):
-    return (rng.standard_normal(shape) * np.sqrt(2.0 / fan_in)).astype(dtype)
+def he_init(rng, shape, fan_in):
+    return rng.standard_normal(shape) * np.sqrt(2.0 / fan_in)
 
 
-def glorot_init(rng, shape, fan_in, fan_out, dtype):
-    s = np.sqrt(2.0 / (fan_in + fan_out))
-    return (rng.standard_normal(shape) * s).astype(dtype)
+def glorot_init(rng, shape, fan_in, fan_out):
+    return rng.standard_normal(shape) * np.sqrt(2.0 / (fan_in + fan_out))
 
 
 class Linear(Module):
-    def __init__(self, d_in, d_out, rng, dtype=np.float32):
+    def __init__(self, d_in, d_out, rng):
         super().__init__()
-        self.w = self.register("w", he_init(rng, (d_in, d_out), d_in, dtype))
-        self.b = self.register("b", np.zeros(d_out, dtype=dtype))
+        self.w = self.register("w", he_init(rng, (d_in, d_out), d_in))
+        self.b = self.register("b", np.zeros(d_out))
 
     def __call__(self, x):
         return ad.add(ad.matmul(x, self.w), self.b)
@@ -117,13 +121,12 @@ class Linear(Module):
 class Conv2d(Module):
     """k x k convolution padded by k // 2: odd kernels keep the size."""
 
-    def __init__(self, c_in, c_out, k, rng, dtype=np.float32):
+    def __init__(self, c_in, c_out, k, rng):
         super().__init__()
         self.pad = k // 2
-        fan_in = c_in * k * k
         self.w = self.register("w", he_init(rng, (c_out, c_in, k, k),
-                                            fan_in, dtype))
-        self.b = self.register("b", np.zeros(c_out, dtype=dtype))
+                                            c_in * k * k))
+        self.b = self.register("b", np.zeros(c_out))
 
     def __call__(self, x):
         return ad.conv2d(x, self.w, self.b, pad=self.pad)
@@ -137,30 +140,33 @@ def _norm_groups(channels: int, groups: int) -> int:
 
 
 class GroupNorm(Module):
-    def __init__(self, channels, groups=8, eps=1e-5, dtype=np.float32):
+    def __init__(self, channels, groups=8):
         super().__init__()
         self.groups = _norm_groups(channels, groups)
-        self.eps = eps
-        self.gamma = self.register("gamma", np.ones(channels, dtype=dtype))
-        self.beta = self.register("beta", np.zeros(channels, dtype=dtype))
+        self.gamma = self.register("gamma", np.ones(channels))
+        self.beta = self.register("beta", np.zeros(channels))
 
     def __call__(self, x):
-        return ad.group_norm(x, self.gamma, self.beta, self.groups, self.eps)
+        return ad.group_norm(x, self.gamma, self.beta, self.groups)
 
 
 @functools.lru_cache(maxsize=None)
-def _upsample2_matrices(h: int, w: int, dtype):
-    mats = ad.upsample2_matrices(h, w, dtype=dtype)
-    for m in mats:
-        m.setflags(write=False)      # shared by every model in the process
-    return mats
+def _upsample2_matrix_t(n: int, dtype) -> np.ndarray:
+    """Transposed (n x 2n) bilinear x2 matrix in ``dtype``; read-only, as
+    every model in the process shares it."""
+    m = resize_matrix(n, 2 * n).T.astype(dtype)
+    m.setflags(write=False)
+    return m
 
 
 def upsample2(x):
-    """Bilinear x2 upsampling of an NCHW tensor; the interpolation matrices
-    are built once per (H, W, dtype)."""
+    """Bilinear x2 upsampling of an NCHW tensor in its own dtype: the H axis,
+    then the W axis, each one matmul with a cached interpolation matrix."""
     h, w = x.data.shape[2:]
-    return ad.upsample2_bilinear(x, *_upsample2_matrices(h, w, x.data.dtype))
+    dtype = x.data.dtype
+    t = ad.matmul(ad.transpose(x, (0, 1, 3, 2)), _upsample2_matrix_t(h, dtype))
+    t = ad.transpose(t, (0, 1, 3, 2))
+    return ad.matmul(t, _upsample2_matrix_t(w, dtype))
 
 
 # ---------------------------------------------------------------------------
@@ -205,18 +211,17 @@ def cross_attention(q_tokens, cond_tokens, heads: int, params: dict,
 class CrossAttentionBlock(Module):
     """Spatial feature map attends to conditioning tokens (NCHW in/out)."""
 
-    def __init__(self, channels, cond_token_dim, heads, rng,
-                 dtype=np.float32):
+    def __init__(self, channels, cond_token_dim, heads, rng):
         super().__init__()
         self.heads = heads
         self.wq = self.register("wq", glorot_init(
-            rng, (channels, channels), channels, channels, dtype))
+            rng, (channels, channels), channels, channels))
         self.wk = self.register("wk", glorot_init(
-            rng, (cond_token_dim, channels), cond_token_dim, channels, dtype))
+            rng, (cond_token_dim, channels), cond_token_dim, channels))
         self.wv = self.register("wv", glorot_init(
-            rng, (cond_token_dim, channels), cond_token_dim, channels, dtype))
+            rng, (cond_token_dim, channels), cond_token_dim, channels))
         self.wo = self.register("wo", glorot_init(
-            rng, (channels, channels), channels, channels, dtype))
+            rng, (channels, channels), channels, channels))
 
     def attn_params(self) -> dict:
         return {"wq": self.wq, "wk": self.wk, "wv": self.wv, "wo": self.wo}
@@ -232,15 +237,14 @@ class CrossAttentionBlock(Module):
 class ResBlock(Module):
     """norm - silu - conv, time-embedding bias, norm - silu - conv, skip."""
 
-    def __init__(self, c_in, c_out, temb_dim, rng, groups=8, dtype=np.float32):
+    def __init__(self, c_in, c_out, temb_dim, rng, groups=8):
         super().__init__()
-        self.norm1 = GroupNorm(c_in, groups, dtype=dtype)
-        self.conv1 = Conv2d(c_in, c_out, 3, rng, dtype=dtype)
-        self.time_proj = Linear(temb_dim, c_out, rng, dtype=dtype)
-        self.norm2 = GroupNorm(c_out, groups, dtype=dtype)
-        self.conv2 = Conv2d(c_out, c_out, 3, rng, dtype=dtype)
-        self.skip = None if c_in == c_out else Conv2d(c_in, c_out, 1, rng,
-                                                      dtype=dtype)
+        self.norm1 = GroupNorm(c_in, groups)
+        self.conv1 = Conv2d(c_in, c_out, 3, rng)
+        self.time_proj = Linear(temb_dim, c_out, rng)
+        self.norm2 = GroupNorm(c_out, groups)
+        self.conv2 = Conv2d(c_out, c_out, 3, rng)
+        self.skip = None if c_in == c_out else Conv2d(c_in, c_out, 1, rng)
 
     def __call__(self, x, temb):
         h = self.conv1(ad.silu(self.norm1(x)))

@@ -16,8 +16,8 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import ConfigError, NumericalError, ShapeError
-from .layers import (Conv2d, CrossAttentionBlock, GroupNorm, Linear, Module,
-                     ModuleList, ResBlock, upsample2)
+from .layers import (PARAM_DTYPE, Conv2d, CrossAttentionBlock, GroupNorm,
+                     Linear, Module, ModuleList, ResBlock, upsample2)
 
 # ---------------------------------------------------------------------------
 # sinusoidal time embedding
@@ -57,11 +57,11 @@ def check_layer_dims(layer_dims) -> tuple:
 class CIPEncoder(Module):
     """Strictly narrowing MLP with rectified-linear hidden activations."""
 
-    def __init__(self, layer_dims, rng, dtype=np.float32):
+    def __init__(self, layer_dims, rng):
         super().__init__()
         self.layer_dims = dims = check_layer_dims(layer_dims)
         self.layers = ModuleList(
-            Linear(a, b, rng, dtype=dtype) for a, b in zip(dims, dims[1:]))
+            Linear(a, b, rng) for a, b in zip(dims, dims[1:]))
 
     def __call__(self, x):
         for lin in self.layers:
@@ -74,13 +74,13 @@ class CIPAutoencoder(Module):
     ``enc`` is the deliverable. The child names are the checkpoint's
     ``enc.``/``dec.`` prefixes."""
 
-    def __init__(self, layer_dims, seed=0, dtype=np.float32):
+    def __init__(self, layer_dims, seed=0):
         super().__init__()
         rng = np.random.default_rng(seed)
-        self.enc = CIPEncoder(layer_dims, rng, dtype=dtype)
+        self.enc = CIPEncoder(layer_dims, rng)
         dims = self.enc.layer_dims[::-1]
         self.dec = ModuleList(
-            Linear(a, b, rng, dtype=dtype) for a, b in zip(dims, dims[1:]))
+            Linear(a, b, rng) for a, b in zip(dims, dims[1:]))
 
     def __call__(self, x):
         z = self.enc(x)
@@ -98,7 +98,7 @@ def cip_encode(encoder: CIPEncoder, patches: np.ndarray) -> np.ndarray:
     if x.shape[1:] != encoder.layer_dims[:1]:
         raise ValueError(f"patches {x.shape} do not match encoder input "
                          f"(N, {encoder.layer_dims[0]})")
-    return encoder(Tensor(x.astype(np.float32))).data
+    return encoder(Tensor(x.astype(PARAM_DTYPE))).data
 
 
 # ---------------------------------------------------------------------------
@@ -151,23 +151,22 @@ class ConditionalDenoiser(Module):
     scale of both paths through cross-attention over the encoded initial
     reconstruction, with the timestep injected through resblock biases."""
 
-    def __init__(self, cfg: DenoiserConfig, dtype=np.float32):
+    def __init__(self, cfg: DenoiserConfig):
         super().__init__()
         self.cfg = cfg
-        self.dtype = dtype
         rng = np.random.default_rng(cfg.seed)
         ch = cfg.scales
         td = cfg.time_embed_dim
-        self.time_mlp1 = Linear(td, td, rng, dtype=dtype)
-        self.time_mlp2 = Linear(td, td, rng, dtype=dtype)
-        self.conv_in = Conv2d(1, ch[0], 3, rng, dtype=dtype)
+        self.time_mlp1 = Linear(td, td, rng)
+        self.time_mlp2 = Linear(td, td, rng)
+        self.conv_in = Conv2d(1, ch[0], 3, rng)
 
         def res(a, b):
-            return ResBlock(a, b, td, rng, groups=cfg.norm_groups, dtype=dtype)
+            return ResBlock(a, b, td, rng, groups=cfg.norm_groups)
 
         def attn(c):
             return CrossAttentionBlock(c, cfg.token_dim, cfg.attention_heads,
-                                       rng, dtype=dtype)
+                                       rng)
 
         self.down_res = ModuleList()
         self.down_attn = ModuleList()
@@ -190,8 +189,8 @@ class ConditionalDenoiser(Module):
                 stage.append(res(ch[i + 1] + ch[i] if r == 0 else ch[i], ch[i]))
             self.up_res.append(stage)
             self.up_attn.append(attn(ch[i]))
-        self.norm_out = GroupNorm(ch[0], cfg.norm_groups, dtype=dtype)
-        self.conv_out = Conv2d(ch[0], 1, 3, rng, dtype=dtype)
+        self.norm_out = GroupNorm(ch[0], cfg.norm_groups)
+        self.conv_out = Conv2d(ch[0], 1, 3, rng)
 
     def _cond_tokens(self, cond):
         cond = ad.as_tensor(cond)
@@ -207,7 +206,7 @@ class ConditionalDenoiser(Module):
         n = x.data.shape[0]
         temb_np = time_embed(np.asarray(t_batch), self.cfg.time_embed_dim)
         temb = self.time_mlp2(ad.silu(self.time_mlp1(
-            Tensor(temb_np.astype(self.dtype)))))
+            Tensor(temb_np.astype(PARAM_DTYPE)))))
         cond_tokens = self._cond_tokens(cond)
 
         h = self.conv_in(x)
@@ -236,10 +235,10 @@ def denoise_predict(model: ConditionalDenoiser, x_t, cond,
                     t: int) -> np.ndarray:
     """Inference-mode noise prediction for ``(N, H, W)`` patches at one step
     ``t``, conditioned on ``(N, cond_dim)`` vectors; returns ``(N, H, W)``."""
-    x = np.asarray(x_t, dtype=model.dtype)
+    x = np.asarray(x_t, dtype=PARAM_DTYPE)
     if x.ndim != 3:
         raise ShapeError(f"patches must be (N, H, W), got {x.shape}")
-    return model(Tensor(x[:, None]), Tensor(np.asarray(cond, model.dtype)),
+    return model(Tensor(x[:, None]), Tensor(np.asarray(cond, PARAM_DTYPE)),
                  np.full(x.shape[0], int(t))).data[:, 0]
 
 
@@ -271,12 +270,12 @@ class FDUNetConfig:
 class DenseBlock(Module):
     """Each layer convolves the concatenation of everything before it."""
 
-    def __init__(self, c_in, growth, layers, rng, dtype=np.float32):
+    def __init__(self, c_in, growth, layers, rng):
         super().__init__()
         self.convs = ModuleList()
         c = c_in
         for _ in range(layers):
-            self.convs.append(Conv2d(c, growth, 3, rng, dtype=dtype))
+            self.convs.append(Conv2d(c, growth, 3, rng))
             c += growth
         self.out_channels = c
 
@@ -292,33 +291,28 @@ class FDUNet(Module):
     """Multi-scale dense-block UNet: max-pool down, bilinear up, dense skip
     connections inside every block, 1x1 transitions, 1x1 output head."""
 
-    def __init__(self, cfg: FDUNetConfig, dtype=np.float32):
+    def __init__(self, cfg: FDUNetConfig):
         super().__init__()
         self.cfg = cfg
-        self.dtype = dtype
         rng = np.random.default_rng(cfg.seed)
         ch = cfg.scales
-        self.conv_in = Conv2d(1, ch[0], 3, rng, dtype=dtype)
+        self.conv_in = Conv2d(1, ch[0], 3, rng)
         self.enc_blocks = ModuleList()
         self.enc_trans = ModuleList()
         prev = ch[0]
         for c in ch:
-            db = DenseBlock(prev, cfg.growth, cfg.layers_per_block, rng,
-                            dtype=dtype)
+            db = DenseBlock(prev, cfg.growth, cfg.layers_per_block, rng)
             self.enc_blocks.append(db)
-            self.enc_trans.append(Conv2d(db.out_channels, c, 1, rng,
-                                         dtype=dtype))
+            self.enc_trans.append(Conv2d(db.out_channels, c, 1, rng))
             prev = c
         self.dec_blocks = ModuleList()
         self.dec_trans = ModuleList()
         for i in reversed(range(len(ch) - 1)):
             c_in = ch[i + 1] + ch[i]
-            db = DenseBlock(c_in, cfg.growth, cfg.layers_per_block, rng,
-                            dtype=dtype)
+            db = DenseBlock(c_in, cfg.growth, cfg.layers_per_block, rng)
             self.dec_blocks.append(db)
-            self.dec_trans.append(Conv2d(db.out_channels, ch[i], 1, rng,
-                                         dtype=dtype))
-        self.head = Conv2d(ch[0], 1, 1, rng, dtype=dtype)
+            self.dec_trans.append(Conv2d(db.out_channels, ch[i], 1, rng))
+        self.head = Conv2d(ch[0], 1, 1, rng)
 
     def __call__(self, x):
         x = ad.as_tensor(x)
@@ -340,7 +334,7 @@ class FDUNet(Module):
 def fd_unet_forward(model: FDUNet, images: np.ndarray) -> np.ndarray:
     """Inference-mode enhancement of ``(N, H, W)`` images; raises
     :class:`NumericalError` rather than return a non-finite output."""
-    x = np.asarray(images, dtype=model.dtype)
+    x = np.asarray(images, dtype=PARAM_DTYPE)
     if x.ndim != 3:
         raise ShapeError(f"images must be (N, H, W), got {x.shape}")
     out = model(Tensor(x[:, None])).data[:, 0]

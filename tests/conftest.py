@@ -5,6 +5,14 @@ from oatdar.geometry import ImagingGeometry
 from oatdar.operator import entry_scale
 
 
+def as_float64(module):
+    """Cast a model's float32 parameters to float64 in place, for finite-
+    difference gradient checks; returns the model."""
+    for _, t in module.named_parameters():
+        t.data = t.data.astype(np.float64)
+    return module
+
+
 @pytest.fixture(scope="session")
 def toy_geometry():
     """16x16 grid, 8 detectors, 128 time samples, 2 sub-elements, no jitter."""

@@ -53,6 +53,10 @@ def test_schedule_sigma_mode_is_an_unknown_key(tmp_path):
     "denoiser.norm_groups=0", "cip.layer_dims=[256,300,64]",
     "fd_unet.growth=0", "fd_unet.scales=[4,4,4,4,4,4,4]",
     "phantom.n_trees=[2]", "phantom.max_attempts=0",
+    "eval.tikhonov_lambda=-1", "eval.tikhonov_lambda=Infinity",
+    "eval.tikhonov_iters=0", "eval.tikhonov_tol=0",
+    "geometry.jitter_seed=-1", "fd_unet.seed=-1", "cip.seed=-1",
+    "denoiser.seed=-1", "dataset.master_seed=-1", "inference.seed=-1",
 ])
 def test_bad_model_config_exits_2_before_any_work(tmp_path, assignment):
     """Every rule of a model section is checked when the config loads, so
@@ -64,3 +68,17 @@ def test_bad_model_config_exits_2_before_any_work(tmp_path, assignment):
     assert cli.main(["run-all", "--config", str(cfg_path), "--run-dir",
                      str(run), "--set", assignment]) == 2
     assert not run.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["phantom", "--seed", "-3"],
+    ["simulate", "--phantom", "p.oatd", "--seed", "-1"],
+    ["reconstruct", "dar", "--sino", "s.oatd", "--seed", "-1"],
+])
+def test_negative_seed_flag_exits_2(tmp_path, capsys, argv):
+    out = tmp_path / "out.oatd"
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv + ["--out", str(out)])
+    assert exc.value.code == 2
+    assert not out.exists()
+    assert "--seed: must be an integer >= 0" in capsys.readouterr().err

@@ -8,6 +8,7 @@ from oatdar.layers import (Conv2d, CrossAttentionBlock, GroupNorm, Linear,
                            Module, ResBlock, cross_attention, glorot_init,
                            load_parameters)
 
+from conftest import as_float64
 from test_autodiff import fd_check
 
 
@@ -52,12 +53,12 @@ def test_construction_deterministic():
 # ---------------------------------------------------------------------------
 
 
-def _attn_params(c, d, seed, dtype=np.float64):
+def _attn_params(c, d, seed):
     rng = np.random.default_rng(seed)
-    return {"wq": Tensor(glorot_init(rng, (c, c), c, c, dtype)),
-            "wk": Tensor(glorot_init(rng, (d, c), d, c, dtype)),
-            "wv": Tensor(glorot_init(rng, (d, c), d, c, dtype)),
-            "wo": Tensor(glorot_init(rng, (c, c), c, c, dtype))}
+    return {"wq": Tensor(glorot_init(rng, (c, c), c, c)),
+            "wk": Tensor(glorot_init(rng, (d, c), d, c)),
+            "wv": Tensor(glorot_init(rng, (d, c), d, c)),
+            "wo": Tensor(glorot_init(rng, (c, c), c, c))}
 
 
 def test_attention_single_cond_token():
@@ -160,7 +161,7 @@ def test_groupnorm_handles_non_divisible_request():
 
 def test_resblock_shapes_and_skip():
     rng = np.random.default_rng(13)
-    blk = ResBlock(c_in=4, c_out=8, temb_dim=6, rng=rng, dtype=np.float64)
+    blk = as_float64(ResBlock(c_in=4, c_out=8, temb_dim=6, rng=rng))
     x = Tensor(rng.standard_normal((2, 4, 8, 8)))
     temb = Tensor(rng.standard_normal((2, 6)))
     out = blk(x, temb)
@@ -171,8 +172,8 @@ def test_resblock_shapes_and_skip():
 
 def test_cross_attention_block_roundtrip_shape():
     rng = np.random.default_rng(14)
-    blk = CrossAttentionBlock(channels=8, cond_token_dim=4, heads=2, rng=rng,
-                              dtype=np.float64)
+    blk = as_float64(CrossAttentionBlock(channels=8, cond_token_dim=4,
+                                         heads=2, rng=rng))
     x = Tensor(rng.standard_normal((2, 8, 4, 4)))
     cond = Tensor(rng.standard_normal((2, 3, 4)))
     assert blk(x, cond).data.shape == (2, 8, 4, 4)

@@ -5,6 +5,7 @@ from oatdar import autodiff as ad
 from oatdar.autodiff import Tensor
 from oatdar.errors import ConfigError, ShapeError
 from oatdar.layers import Module
+from conftest import as_float64
 from oatdar.models import (CIPAutoencoder, CIPEncoder, ConditionalDenoiser,
                            DenoiserConfig, FDUNet, FDUNetConfig, cip_encode,
                            denoise_predict, fd_unet_forward, time_embed)
@@ -156,7 +157,7 @@ def test_cip_rejects_wrong_patch_length():
 
 
 def test_cip_autoencoder_gradients():
-    ae = CIPAutoencoder((36, 24, 12), seed=3, dtype=np.float64)
+    ae = as_float64(CIPAutoencoder((36, 24, 12), seed=3))
     rng = np.random.default_rng(4)
     x = rng.random((4, 36))
 
@@ -240,7 +241,7 @@ def test_denoiser_config_validation():
 
 
 def test_denoiser_gradients():
-    model = ConditionalDenoiser(TINY_DENOISER, dtype=np.float64)
+    model = as_float64(ConditionalDenoiser(TINY_DENOISER))
     rng = np.random.default_rng(9)
     x = rng.standard_normal((2, 1, 8, 8))
     cond = rng.standard_normal((2, 16))
@@ -280,7 +281,7 @@ def test_fdunet_deterministic_inference():
 
 
 def _fdunet_loss():
-    model = FDUNet(TINY_FDUNET, dtype=np.float64)
+    model = as_float64(FDUNet(TINY_FDUNET))
     rng = np.random.default_rng(12)
     x = rng.random((2, 1, 16, 16))
     y = rng.random((2, 1, 16, 16))
@@ -295,6 +296,55 @@ def _fdunet_loss():
 
 def test_fdunet_gradients():
     model_grad_check(*_fdunet_loss(), n_coords=20)
+
+
+# ---------------------------------------------------------------------------
+# float32 end to end
+# ---------------------------------------------------------------------------
+
+
+def test_entry_points_return_float32():
+    # float64 inputs: each entry point casts them to the parameter dtype
+    rng = np.random.default_rng(13)
+    assert fd_unet_forward(FDUNet(TINY_FDUNET),
+                           rng.random((2, 16, 16))).dtype == np.float32
+    assert denoise_predict(ConditionalDenoiser(TINY_DENOISER),
+                           rng.standard_normal((2, 8, 8)),
+                           rng.standard_normal((2, 16)), 4).dtype == np.float32
+    assert cip_encode(CIPEncoder((16, 8, 4), rng),
+                      rng.random((2, 16))).dtype == np.float32
+
+
+def _fdunet_train_loss(rng):
+    model = FDUNet(TINY_FDUNET)
+    x = rng.random((2, 1, 16, 16), dtype=np.float32)
+    return model, model(Tensor(x)), rng.random(x.shape, dtype=np.float32)
+
+
+def _cip_train_loss(rng):
+    model = CIPAutoencoder((16, 8, 4), seed=1)
+    x = rng.random((3, 16), dtype=np.float32)
+    return model, model(Tensor(x)), x
+
+
+def _denoiser_train_loss(rng):
+    model = ConditionalDenoiser(TINY_DENOISER)
+    x = rng.standard_normal((2, 1, 8, 8), dtype=np.float32)
+    cond = rng.standard_normal((2, 16), dtype=np.float32)
+    eps = rng.standard_normal(x.shape, dtype=np.float32)
+    return model, model(Tensor(x), Tensor(cond), np.array([2, 9])), eps
+
+
+@pytest.mark.parametrize("build", [_fdunet_train_loss, _cip_train_loss,
+                                   _denoiser_train_loss])
+def test_training_step_stays_float32(build):
+    model, pred, target = build(np.random.default_rng(14))
+    d = ad.sub(pred, Tensor(target))
+    loss = ad.mean_(ad.mul(d, d))
+    assert loss.dtype == np.float32
+    loss.backward()
+    grads = {k: t.grad for k, t in model.parameters().items()}
+    assert grads and {g.dtype for g in grads.values()} == {np.dtype(np.float32)}
 
 
 # What a deliberately wrong backward pass adds to each op's true gradient.
