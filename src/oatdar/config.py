@@ -12,11 +12,16 @@ from __future__ import annotations
 import copy
 import hashlib
 import json
+import math
 from pathlib import Path
 
+from .diffusion import (check_eta, make_inference_timesteps,
+                        schedule_from_config)
 from .errors import ConfigError
 from .geometry import ImagingGeometry
 from .models import DenoiserConfig, FDUNetConfig, check_layer_dims
+from .operator import check_tikhonov
+from .optim import OptimizerState
 from .phantoms import PhantomParams
 
 
@@ -162,7 +167,7 @@ def apply_flag_overrides(cfg_overrides: dict, assignments: list):
 
 def validate_config(cfg: dict):
     """Raise :class:`ConfigError` for a config the pipeline cannot run; each
-    model section is checked by building its own config."""
+    section is checked by the code that uses its values."""
     geom = geometry_from_config(cfg)          # raises GeometryError on junk
     ph, pw = cfg["patch"]["h"], cfg["patch"]["w"]
     if min(ph, pw) < 1 or geom.grid_ny % ph or geom.grid_nx % pw:
@@ -182,29 +187,22 @@ def validate_config(cfg: dict):
         if h % (1 << (n - 1)) or w % (1 << (n - 1)):
             raise ConfigError(f"{block} input {h}x{w} cannot be pooled "
                               f"through {n} scales")
-    sched = cfg["schedule"]
-    if not (0 < sched["beta1"] <= sched["betaT"] < 1):
-        raise ConfigError("schedule betas out of range")
-    if sched["T"] < 1:
-        raise ConfigError("schedule T must be >= 1")
+    make_inference_timesteps(schedule_from_config(cfg).T,
+                             cfg["inference"]["nis"])
+    check_eta(cfg["inference"]["eta"])
+    ev = cfg["eval"]
+    check_tikhonov(ev["tikhonov_lambda"], ev["tikhonov_iters"],
+                   ev["tikhonov_tol"])
+    tr = cfg["training"]
+    OptimizerState(tr["learning_rate"], tr["adam_beta1"], tr["adam_beta2"])
     ds = cfg["dataset"]
     if min(ds["train"], ds["val"], ds["test"]) < 0 or ds["train"] < 1:
         raise ConfigError("dataset split sizes invalid")
     snr = ds["snr_db_range"]
-    if len(snr) != 2 or not snr[0] <= snr[1]:
-        raise ConfigError("snr_db_range must be an ordered [lo, hi] pair")
-    tr = cfg["training"]
-    if tr["epochs"] < 0 or tr["batch_size"] < 1 or tr["learning_rate"] <= 0:
+    if len(snr) != 2 or not -math.inf < snr[0] <= snr[1] < math.inf:
+        raise ConfigError("snr_db_range must be a finite, ordered [lo, hi]")
+    if tr["epochs"] < 0 or tr["batch_size"] < 1:
         raise ConfigError("training section invalid")
-    inf = cfg["inference"]
-    if not (1 <= inf["nis"] <= sched["T"]) or not (0.0 <= inf["eta"] <= 1.0):
-        raise ConfigError("inference section invalid")
-    ev = cfg["eval"]
-    if not (0 <= ev["tikhonov_lambda"] < float("inf")
-            and ev["tikhonov_iters"] >= 1 and ev["tikhonov_tol"] > 0):
-        raise ConfigError("eval section invalid: tikhonov_lambda must be "
-                          "finite and >= 0, tikhonov_iters >= 1 and "
-                          "tikhonov_tol > 0")
     seeds = {f"{section}.{key}": val for section, values in cfg.items()
              if isinstance(values, dict)
              for key, val in values.items() if key.endswith("seed")}

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalError, ShapeError
+from .errors import ConfigError, NumericalError, ShapeError
 
 
 @dataclass(frozen=True)
@@ -35,10 +35,9 @@ class NoiseSchedule:
 def make_linear_schedule(T: int, beta1: float = 1e-4,
                          betaT: float = 0.02) -> NoiseSchedule:
     """Linearly spaced beta from ``beta1`` to ``betaT`` over T steps."""
-    if T < 1:
-        raise ValueError("T must be >= 1")
-    if not (0.0 < beta1 <= betaT < 1.0):
-        raise ValueError("need 0 < beta1 <= betaT < 1")
+    if T < 1 or not (0.0 < beta1 <= betaT < 1.0):
+        raise ConfigError("schedule needs T >= 1 and 0 < beta1 <= betaT < 1, "
+                          f"got T={T}, beta1={beta1}, betaT={betaT}")
     beta = np.zeros(T + 1)
     if T == 1:
         beta[1] = beta1
@@ -47,10 +46,16 @@ def make_linear_schedule(T: int, beta1: float = 1e-4,
         beta[1:] = beta1 + (t - 1) * (betaT - beta1) / (T - 1)
     alpha_bar = np.cumprod(1.0 - beta)
     if np.any(beta[1:] <= 0) or np.any(beta[1:] >= 1):
-        raise ValueError("beta values must lie strictly in (0, 1)")
+        raise ConfigError("schedule beta values must lie strictly in (0, 1)")
     if np.any(np.diff(alpha_bar) >= 0):
-        raise ValueError("alpha_bar must be strictly decreasing")
+        raise ConfigError("schedule alpha_bar must be strictly decreasing")
     return NoiseSchedule(T=T, beta=beta, alpha_bar=alpha_bar)
+
+
+def schedule_from_config(cfg: dict) -> NoiseSchedule:
+    """The schedule of ``cfg["schedule"]``'s T, beta1 and betaT alone."""
+    s = cfg["schedule"]
+    return make_linear_schedule(s["T"], s["beta1"], s["betaT"])
 
 
 def _check_t(sched: NoiseSchedule, t):
@@ -79,6 +84,12 @@ def q_sample(x0, t, eps, sched: NoiseSchedule):
             + np.sqrt(1.0 - ab).astype(dtype) * eps)
 
 
+def check_eta(eta: float):
+    """The DDIM noise fraction lies in [0, 1]."""
+    if not 0.0 <= eta <= 1.0:
+        raise ConfigError(f"eta must be in [0, 1], got {eta}")
+
+
 def ddim_step(x_t, eps_pred, t: int, t_prev: int, eta: float, z,
               sched: NoiseSchedule):
     """Non-Markovian reverse step t -> t_prev (t_prev may skip many steps).
@@ -89,8 +100,7 @@ def ddim_step(x_t, eps_pred, t: int, t_prev: int, eta: float, z,
     _check_t(sched, t)
     if not 0 <= t_prev < t:
         raise ValueError(f"need 0 <= t_prev < t, got {t_prev} >= {t}")
-    if not 0.0 <= eta <= 1.0:
-        raise ValueError("eta must lie in [0, 1]")
+    check_eta(eta)
     x_t = np.asarray(x_t)
     eps_pred = np.asarray(eps_pred)
     ab_t = sched.alpha_bar[t]
@@ -118,7 +128,7 @@ def make_inference_timesteps(T: int, nis: int) -> list:
     every step.
     """
     if not 1 <= nis <= T:
-        raise ValueError(f"need 1 <= nis <= T, got nis={nis}, T={T}")
+        raise ConfigError(f"nis must be in [1, {T}], got {nis}")
     return [-(-T * (nis - i) // nis) for i in range(nis)]
 
 

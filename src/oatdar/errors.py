@@ -11,8 +11,8 @@ class OatdarError(Exception):
     """Base class for all toolkit errors."""
 
 
-class ConfigError(OatdarError):
-    """Malformed or inconsistent configuration (unknown keys, bad ranges)."""
+class ConfigError(OatdarError, ValueError):
+    """Bad config key or range; a ValueError raised by the code using it."""
 
 
 class GeometryError(ConfigError):

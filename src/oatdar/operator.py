@@ -38,7 +38,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import kernels
-from .errors import GeometryError, NumericalError
+from .errors import ConfigError, GeometryError, NumericalError
 from .geometry import (ImagingGeometry, Image, Sinogram, check_image,
                        check_sinogram)
 from .tensorfile import read_bundle, write_bundle
@@ -228,6 +228,12 @@ def apply_adjoint(op: ForwardOperator, sino: Sinogram) -> Image:
     return Image(data=x.reshape(op.geometry.image_shape))
 
 
+def check_snr(snr_db: float):
+    """An SNR is a finite dB value or +inf, the "clean" sentinel."""
+    if not (np.isfinite(snr_db) or snr_db == np.inf):
+        raise ConfigError(f"SNR must be finite or inf, got {snr_db}")
+
+
 def add_noise(sino: Sinogram, snr_db: float, seed: int) -> Sinogram:
     """Add white Gaussian noise at the requested SNR (dB).
 
@@ -235,11 +241,10 @@ def add_noise(sino: Sinogram, snr_db: float, seed: int) -> Sinogram:
     ``snr_db = inf`` is the explicit "clean" sentinel and returns the data
     unchanged. Deterministic given ``seed``.
     """
+    check_snr(snr_db)
     data = np.asarray(sino.data, dtype=np.float64)
-    if np.isinf(snr_db) and snr_db > 0:
+    if snr_db == np.inf:
         return Sinogram(data=data.copy(), snr_db=float("inf"))
-    if not np.isfinite(snr_db):
-        raise ValueError("snr_db must be finite (or +inf for clean)")
     power = float(np.mean(data ** 2))
     if power == 0.0:
         raise ValueError("SNR is undefined for an all-zero sinogram")
@@ -258,6 +263,13 @@ class TikhonovResult:
     diverged: bool = False
 
 
+def check_tikhonov(lam: float, max_iters: int, tol: float):
+    """A finite penalty ``lam >= 0``, ``max_iters >= 1`` and ``tol > 0``."""
+    if not (0.0 <= lam < math.inf and max_iters >= 1 and tol > 0):
+        raise ConfigError("Tikhonov needs a finite lam >= 0, max_iters >= 1 "
+                          f"and tol > 0, got {lam}, {max_iters}, {tol}")
+
+
 def tikhonov_solve(op: ForwardOperator, sino: Sinogram, lam: float,
                    max_iters: int = 200, tol: float = 1e-8) -> TikhonovResult:
     """Quadratic-penalty inversion by conjugate gradient.
@@ -267,12 +279,7 @@ def tikhonov_solve(op: ForwardOperator, sino: Sinogram, lam: float,
     iterations of residual growth flag divergence; the partial iterate is
     still returned.
     """
-    if lam < 0:
-        raise ValueError("lam must be >= 0")
-    if max_iters < 1:
-        raise ValueError("max_iters must be >= 1")
-    if not tol > 0:
-        raise ValueError("tol must be > 0")
+    check_tikhonov(lam, max_iters, tol)
     check_sinogram(op.geometry, sino)
     if not np.all(np.isfinite(sino.data)):
         raise NumericalError("sinogram contains non-finite values")

@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NumericalError
+from .errors import ConfigError, NumericalError
 
 
 @dataclass
@@ -18,6 +18,12 @@ class OptimizerState:
     step: int = 0
     m: dict = field(default_factory=dict)   # first-moment accumulators
     v: dict = field(default_factory=dict)   # second-moment accumulators
+
+    def __post_init__(self):
+        if not (0 < self.learning_rate < np.inf and 0 <= self.beta1 < 1
+                and 0 <= self.beta2 < 1):
+            raise ConfigError("Adam needs a finite learning_rate > 0 and "
+                              f"betas in [0, 1), got {self}")
 
     def ensure(self, params: dict):
         for k, p in params.items():

@@ -33,7 +33,7 @@ from .grayio import normalize01, write_pgm
 from .metrics import MetricRecord, MetricReport, Stopwatch, psnr, ssim
 from .models import cip_encode, denoise_predict, fd_unet_forward
 from .operator import (add_noise, apply_adjoint, apply_forward,
-                       build_forward_operator, tikhonov_solve)
+                       build_forward_operator, check_snr, tikhonov_solve)
 from .patches import PatchGrid, merge_patches, split_patches
 from .tensorfile import read_tensor, write_tensor
 from .training import CONDITIONS, checkpoint, load_denoiser, load_fdunet
@@ -54,7 +54,7 @@ class ModelBundle:
     denoiser: object = None
     encoder: object = None
     schedule: object = None
-    patch: tuple = (16, 16)
+    patch: tuple | None = None
 
 
 def load_models(run_dir, condition_on: str = "fdunet") -> ModelBundle:
@@ -148,11 +148,6 @@ def reconstruct(method: str, cfg: dict, rec_op, sino: Sinogram,
     if method not in DAR_INITIAL:
         raise ConfigError(f"unknown method {method!r}; "
                           f"choose from {', '.join(METHODS)}")
-    T = models.schedule.T
-    if not 1 <= nis <= T:
-        raise ConfigError(f"nis must be in [1, {T}], got {nis}")
-    if not 0.0 <= eta <= 1.0:
-        raise ConfigError(f"eta must be in [0, 1], got {eta}")
     return reconstruct_dar(sino, models, rec_op.geometry, nis=nis, eta=eta,
                            seed=seed, condition_on=DAR_INITIAL[method],
                            rec_op=rec_op)
@@ -174,12 +169,6 @@ def export_image(img: Image, path) -> Path:
 # ---------------------------------------------------------------------------
 
 
-def _check_snrs(snrs):
-    """An SNR is a finite dB value or +inf (no noise)."""
-    if not all(np.isfinite(s) or s == np.inf for s in snrs):
-        raise ConfigError(f"SNRs must be finite or inf, got {list(snrs)}")
-
-
 def evaluate_methods(cfg: dict, run_dir, manifest: DatasetManifest,
                      methods, nis_list=(), snr_list=None,
                      split: str = "test") -> MetricReport:
@@ -190,8 +179,8 @@ def evaluate_methods(cfg: dict, run_dir, manifest: DatasetManifest,
     the stored sinograms are replaced by fresh simulations renoised at each
     requested SNR (seeds derived from the dataset master seed).
     """
-    if snr_list is not None:
-        _check_snrs(snr_list)
+    for snr in snr_list or ():
+        check_snr(snr)
     run_dir = Path(run_dir)
     data_dir = run_dir / "dataset"
     methods = list(methods)
@@ -247,7 +236,7 @@ def evaluate_methods(cfg: dict, run_dir, manifest: DatasetManifest,
 
 def simulate_sinogram(cfg: dict, phantom: Image, snr_db: float,
                       seed: int) -> Sinogram:
-    _check_snrs([snr_db])
+    check_snr(snr_db)
     geometry = geometry_from_config(cfg)
     sim_op = build_forward_operator(geometry, jittered=True)
     return add_noise(apply_forward(sim_op, phantom), snr_db, seed)

@@ -27,11 +27,10 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .config import config_hash
 from .dataset import DatasetManifest, attach_fdunet_outputs, load_images
-from .diffusion import (NoiseSchedule, make_linear_schedule, q_sample,
-                        scale_to_model)
+from .diffusion import q_sample, scale_to_model, schedule_from_config
 from .errors import NumericalError, PrerequisiteError
 from .grayio import normalize01
-from .layers import load_parameters
+from .layers import PARAM_DTYPE, load_parameters
 from .models import (CIPAutoencoder, CIPEncoder, ConditionalDenoiser,
                      DenoiserConfig, FDUNet, FDUNetConfig, fd_unet_forward)
 from .optim import OptimizerState, adam_update
@@ -188,8 +187,8 @@ def train_fdunet(cfg: dict, run_dir, manifest: DatasetManifest,
     model = FDUNet(FDUNetConfig.from_dict(cfg["fd_unet"]))
     lbp = normalize01(load_images(manifest, data_dir, "lbp", "train"))
     gt = load_images(manifest, data_dir, "phantom", "train")
-    x_all = lbp[:, None].astype(np.float32)
-    y_all = gt[:, None].astype(np.float32)
+    x_all = lbp[:, None].astype(PARAM_DTYPE)
+    y_all = gt[:, None].astype(PARAM_DTYPE)
 
     def batch_loss(idx, rng):
         return _mse(model(Tensor(x_all[idx])), Tensor(y_all[idx]))
@@ -240,7 +239,7 @@ def _cond_patches(cfg, manifest, data_dir, condition_on):
     grid = PatchGrid.for_image(imgs.shape[1:], cfg["patch"]["h"],
                                cfg["patch"]["w"])
     flat = split_patches(imgs, grid).reshape(-1, grid.patch_h * grid.patch_w)
-    return flat.astype(np.float32), grid
+    return flat.astype(PARAM_DTYPE), grid
 
 
 def train_cip(cfg: dict, run_dir, manifest: DatasetManifest,
@@ -275,11 +274,6 @@ def load_cip_encoder(ckpt) -> CIPEncoder:
 # ---------------------------------------------------------------------------
 
 
-def schedule_from_config(cfg: dict) -> NoiseSchedule:
-    s = cfg["schedule"]
-    return make_linear_schedule(s["T"], s["beta1"], s["betaT"])
-
-
 def _joint_parameters(denoiser, encoder) -> dict:
     """The denoiser checkpoint's names: ``den.*``, then ``cip.*``."""
     return dict([*denoiser.named_parameters("den."),
@@ -304,12 +298,12 @@ def train_diffusion(cfg: dict, run_dir, manifest: DatasetManifest,
     cond_flat, grid = _cond_patches(cfg, manifest, data_dir, condition_on)
     gt = load_images(manifest, data_dir, "phantom", "train")
     x0_all = scale_to_model(split_patches(gt, grid).reshape(
-        -1, 1, grid.patch_h, grid.patch_w).astype(np.float32))
+        -1, 1, grid.patch_h, grid.patch_w).astype(PARAM_DTYPE))
 
     def batch_loss(idx, rng):
         t_batch = rng.integers(1, sched.T + 1, size=idx.size)
         eps = rng.standard_normal((idx.size, 1, grid.patch_h, grid.patch_w),
-                                  dtype=np.float32)
+                                  dtype=PARAM_DTYPE)
         xt = q_sample(x0_all[idx], t_batch, eps, sched)
         cond_vec = encoder(Tensor(cond_flat[idx]))
         return _mse(model(Tensor(xt), cond_vec, t_batch), Tensor(eps))

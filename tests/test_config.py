@@ -57,6 +57,10 @@ def test_schedule_sigma_mode_is_an_unknown_key(tmp_path):
     "eval.tikhonov_iters=0", "eval.tikhonov_tol=0",
     "geometry.jitter_seed=-1", "fd_unet.seed=-1", "cip.seed=-1",
     "denoiser.seed=-1", "dataset.master_seed=-1", "inference.seed=-1",
+    "training.learning_rate=NaN", "training.adam_beta1=2.0",
+    "training.adam_beta2=-1.0", "schedule.beta1=1e-20",
+    "dataset.snr_db_range=[20.0,Infinity]",
+    "dataset.snr_db_range=[-Infinity,20.0]",
 ])
 def test_bad_model_config_exits_2_before_any_work(tmp_path, assignment):
     """Every rule of a model section is checked when the config loads, so
@@ -68,6 +72,12 @@ def test_bad_model_config_exits_2_before_any_work(tmp_path, assignment):
     assert cli.main(["run-all", "--config", str(cfg_path), "--run-dir",
                      str(run), "--set", assignment]) == 2
     assert not run.exists()
+
+
+def test_config_error_is_a_value_error():
+    """A direct caller of a function that checks its config value catches
+    the ValueError it expects for a bad argument."""
+    assert issubclass(ConfigError, ValueError)
 
 
 @pytest.mark.parametrize("argv", [

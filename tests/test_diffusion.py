@@ -7,7 +7,7 @@ from oatdar.config import desk_config
 from oatdar.diffusion import (ddim_step, make_inference_timesteps,
                               make_linear_schedule, q_sample, sample_batch,
                               scale_from_model, scale_to_model)
-from oatdar.errors import NumericalError, ShapeError
+from oatdar.errors import ConfigError, NumericalError, ShapeError
 from oatdar.models import ConditionalDenoiser, DenoiserConfig, denoise_predict
 from oatdar.training import schedule_from_config
 
@@ -68,6 +68,12 @@ def test_alpha_bar_telescopes(paper_sched):
 def test_schedule_rejects(kw):
     with pytest.raises(ValueError):
         make_linear_schedule(**{"beta1": 1e-4, "betaT": 0.02, **kw})
+
+
+def test_schedule_rejects_a_beta_lost_to_rounding():
+    """1 - 1e-20 rounds to 1, so alpha_bar does not decrease at step 1."""
+    with pytest.raises(ConfigError, match="strictly decreasing"):
+        make_linear_schedule(10, 1e-20, 0.02)
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from oatdar import kernels
-from oatdar.errors import (GeometryError, NumericalError, ShapeError,
-                           SignalWindowError)
+from oatdar.errors import (ConfigError, GeometryError, NumericalError,
+                           ShapeError, SignalWindowError)
 from oatdar.geometry import ImagingGeometry, Image, Sinogram
 from oatdar.operator import (ForwardOperator, add_noise, apply_adjoint,
                              apply_forward, build_forward_operator,
@@ -360,6 +360,9 @@ def test_tikhonov_rejects_bad_args(tik_geometry):
         tikhonov_solve(op, sino, lam=0.1, max_iters=0)
     with pytest.raises(ValueError):
         tikhonov_solve(op, sino, lam=0.1, tol=0.0)
+    for lam in (np.inf, np.nan):
+        with pytest.raises(ConfigError):
+            tikhonov_solve(op, sino, lam=lam)
     bad = np.ones(tik_geometry.sinogram_shape)
     bad[0, 0] = np.nan
     with pytest.raises(NumericalError):

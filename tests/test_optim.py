@@ -4,7 +4,7 @@ a checkpoint round trip that continues bit for bit."""
 import numpy as np
 import pytest
 
-from oatdar.errors import NumericalError
+from oatdar.errors import ConfigError, NumericalError
 from oatdar.optim import OptimizerState, adam_update
 from oatdar.tensorfile import read_bundle, write_bundle
 
@@ -27,6 +27,16 @@ def test_two_steps_match_hand_computed_adam():
     assert p["a"][0] == pytest.approx(0.873366, abs=1e-6)
     assert st.step == 2
     assert st.m["a"][0] == pytest.approx(0.02, rel=1e-14)
+
+
+@pytest.mark.parametrize("kw", [
+    dict(learning_rate=np.nan), dict(learning_rate=0.0),
+    dict(learning_rate=np.inf), dict(beta1=1.0), dict(beta2=-0.1),
+    dict(beta1=np.nan),
+])
+def test_state_rejects_bad_hyperparameters(kw):
+    with pytest.raises(ConfigError):
+        OptimizerState(**kw)
 
 
 def test_float32_parameters_keep_float64_moments():
