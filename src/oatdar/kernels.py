@@ -2,8 +2,9 @@
 
 * :func:`forward_entries` emits the spreading matrix as COO triplets, one
   vectorized pass per (detector, sub-element) pair.
-* :func:`assemble_csr` sorts them into a CSR matrix with int32 offsets and
-  column indices.
+* :func:`assemble_csr` orders them by one stable sort on the int64
+  row-major key ``row * n_cols + col`` and sums duplicates into a CSR
+  matrix with int32 offsets and column indices.
 * :func:`csr_matvec` / :func:`csr_rmatvec` apply that matrix and its
   transpose through ``scipy.sparse``. The operator's apply, adjoint and
   spectral-gain power iteration all run through these two products.
@@ -11,7 +12,8 @@
 
 The CSR arrays are int32 because scipy keeps int32 index arrays as they
 are but copies int64 ones on every wrap; :func:`assemble_csr` therefore
-refuses matrices whose entry or column count does not fit in int32.
+refuses matrices whose entry or column count does not fit in int32, and
+shapes whose row-major key does not fit in int64.
 
 Nothing here is threaded or uses fused/reordered arithmetic: the CSR
 product sums each row in stored order and the transpose product scatters
@@ -27,6 +29,7 @@ from .errors import GeometryError, SignalWindowError
 
 INDEX_DTYPE = np.int32
 _INDEX_MAX = int(np.iinfo(INDEX_DTYPE).max)
+_KEY_MAX = int(np.iinfo(np.int64).max)
 
 
 # ---------------------------------------------------------------------------
@@ -57,7 +60,6 @@ def forward_entries(px, py, dsx, dsy, vs, dt, nt, base):
     n_det, n_sub = dsx.shape
     rows_out, cols_out, vals_out = [], [], []
     half = 0.5 * dt
-    cols = np.arange(px.shape[0], dtype=np.int64)
     for l in range(n_det):
         for s in range(n_sub):
             dx = px - dsx[l, s]
@@ -71,11 +73,13 @@ def forward_entries(px, py, dsx, dsy, vs, dt, nt, base):
                     f"away; increase time_samples or dt")
             kf = np.floor(tau / dt).astype(np.int64)
             for kc in (kf, kf + 1):
-                mask = (kc >= 0) & (kc < nt) & (np.abs(kc * dt - tau) < half)
-                if mask.any():
-                    rows_out.append(l * nt + kc[mask])
-                    cols_out.append(cols[mask])
-                    vals_out.append(base / dist[mask])
+                # the hit pixels' indices are their columns
+                idx = np.flatnonzero(
+                    (kc >= 0) & (kc < nt) & (np.abs(kc * dt - tau) < half))
+                if idx.size:
+                    rows_out.append(l * nt + kc[idx])
+                    cols_out.append(idx)
+                    vals_out.append(base / dist[idx])
     if not rows_out:
         empty = np.zeros(0)
         return empty.astype(np.int64), empty.astype(np.int64), empty
@@ -86,22 +90,42 @@ def forward_entries(px, py, dsx, dsy, vs, dt, nt, base):
 def assemble_csr(rows, cols, vals, n_rows, n_cols):
     """Sort COO triplets into CSR, summing duplicates in stable order.
 
-    Returns int32 ``indptr``/``indices`` and float64 ``data``; raises
-    :class:`GeometryError` when the entry or column count exceeds int32.
+    The triplets are ordered by one stable sort on the int64 key
+    ``row * n_cols + col``. With ``0 <= col < n_cols`` that key is a
+    bijection onto row-major (row, col) order, so the permutation equals
+    ``np.lexsort((cols, rows))`` and each duplicate run is summed
+    (``np.add.reduceat``) in input order.
+
+    Returns int32 ``indptr``/``indices`` and ``data`` in ``vals``' dtype.
+    Raises :class:`GeometryError` before sorting when the column count
+    exceeds int32 or ``n_rows * n_cols`` exceeds int64, and after summing
+    when the entry count exceeds int32.
     """
-    order = np.lexsort((cols, rows))
-    rows, cols, vals = rows[order], cols[order], vals[order]
-    if rows.size:
-        new = np.empty(rows.size, dtype=bool)
+    n_rows, n_cols = int(n_rows), int(n_cols)
+    if n_cols > _INDEX_MAX:
+        raise GeometryError(
+            f"operator has {n_cols} columns; CSR indices are int32, so it "
+            f"must have fewer than 2**31")
+    if n_rows * n_cols > _KEY_MAX:
+        raise GeometryError(
+            f"operator shape {n_rows} x {n_cols} has more cells than an "
+            f"int64 sort key can number")
+    key = np.multiply(rows, n_cols, dtype=np.int64)
+    key += cols
+    order = np.argsort(key, kind="stable")
+    key, vals = key[order], vals[order]
+    if key.size:
+        new = np.empty(key.size, dtype=bool)
         new[0] = True
-        new[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
+        np.not_equal(key[1:], key[:-1], out=new[1:])
         starts = np.flatnonzero(new)
         vals = np.add.reduceat(vals, starts)
-        rows, cols = rows[starts], cols[starts]
-    if max(rows.size, n_cols) > _INDEX_MAX:
+        key = key[starts]
+    if key.size > _INDEX_MAX:
         raise GeometryError(
-            f"operator has {rows.size} entries and {n_cols} columns; CSR "
-            f"indices are int32, so both must stay below 2**31")
+            f"operator has {key.size} entries; CSR indices are int32, so it "
+            f"must have fewer than 2**31")
+    rows, cols = np.divmod(key, n_cols)
     indptr = np.zeros(n_rows + 1, dtype=INDEX_DTYPE)
     np.cumsum(np.bincount(rows, minlength=n_rows), out=indptr[1:])
     return indptr, cols.astype(INDEX_DTYPE), vals

@@ -56,6 +56,32 @@ def dense_spreading_oracle(geom, jittered=False):
     return a
 
 
+def mask_forward_entries(px, py, dsx, dsy, vs, dt, nt, base):
+    """Reference entry generation: the boolean-mask formulation of
+    ``kernels.forward_entries`` (same window test, same emission order:
+    detector, sub-element, kf before kf+1, pixel), without its window
+    check."""
+    n_det, n_sub = dsx.shape
+    rows_out, cols_out, vals_out = [], [], []
+    half = 0.5 * dt
+    cols = np.arange(px.shape[0], dtype=np.int64)
+    for l in range(n_det):
+        for s in range(n_sub):
+            dx = px - dsx[l, s]
+            dy = py - dsy[l, s]
+            dist = np.sqrt(dx * dx + dy * dy)
+            tau = dist / vs
+            kf = np.floor(tau / dt).astype(np.int64)
+            for kc in (kf, kf + 1):
+                mask = (kc >= 0) & (kc < nt) & (np.abs(kc * dt - tau) < half)
+                if mask.any():
+                    rows_out.append(l * nt + kc[mask])
+                    cols_out.append(cols[mask])
+                    vals_out.append(base / dist[mask])
+    return (np.concatenate(rows_out), np.concatenate(cols_out),
+            np.concatenate(vals_out))
+
+
 def spreading_dense(op):
     """Dense copy of an operator's CSR spreading matrix (toy sizes only)."""
     out = np.zeros((op.n_rows, op.n_cols))

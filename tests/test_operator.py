@@ -12,7 +12,8 @@ from oatdar.operator import (ForwardOperator, add_noise, apply_adjoint,
 from oatdar.tensorfile import read_bundle, write_bundle
 
 from conftest import (dense_derivative_oracle, dense_full_oracle,
-                      dense_spreading_oracle, spreading_dense)
+                      dense_spreading_oracle, mask_forward_entries,
+                      spreading_dense)
 
 
 # ---------------------------------------------------------------------------
@@ -161,8 +162,121 @@ def test_assemble_csr_int32_and_limit(monkeypatch):
     assert indices.tolist() == [0, 3, 1]
     assert data.tolist() == [4.0, 2.0, 4.0]
     monkeypatch.setattr(kernels, "_INDEX_MAX", 2)
-    with pytest.raises(GeometryError, match="int32"):
+    with pytest.raises(GeometryError, match="4 columns.*int32"):
         kernels.assemble_csr(rows, cols, vals, 3, 4)
+    with pytest.raises(GeometryError, match="3 entries.*int32"):
+        kernels.assemble_csr(rows, cols % 2, vals, 3, 2)
+
+
+def test_assemble_csr_refuses_key_overflow_before_allocating():
+    # 2**40 rows of 2**30 columns: the row-major key needs 70 bits, and an
+    # indptr of 2**40 + 1 int32 offsets would not fit in memory
+    rows = np.array([0, 5, 2**40 - 1], dtype=np.int64)
+    cols = np.array([1, 0, 2**30 - 1], dtype=np.int64)
+    with pytest.raises(GeometryError, match="int64"):
+        kernels.assemble_csr(rows, cols, np.ones(3), 2**40, 2**30)
+    with pytest.raises(GeometryError, match="int32"):
+        kernels.assemble_csr(rows, cols, np.ones(3), 2**40, 2**31)
+
+
+def lexsort_csr_reference(rows, cols, vals, n_rows):
+    """CSR assembly by a lexicographic (row, col) sort, duplicates summed
+    by ``np.add.reduceat`` over each run in input order."""
+    order = np.lexsort((cols, rows))
+    rows, cols, vals = rows[order], cols[order], vals[order]
+    if rows.size:
+        new = np.empty(rows.size, dtype=bool)
+        new[0] = True
+        new[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
+        starts = np.flatnonzero(new)
+        vals = np.add.reduceat(vals, starts)
+        rows, cols = rows[starts], cols[starts]
+    indptr = np.zeros(n_rows + 1, dtype=np.int32)
+    np.cumsum(np.bincount(rows, minlength=n_rows), out=indptr[1:])
+    return indptr, cols.astype(np.int32), vals
+
+
+def assert_same_csr(got, want):
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype
+        assert np.array_equal(g, w)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_assemble_csr_sums_duplicates_in_input_order(seed):
+    # every (row, col) cell gets a run of 1..12 duplicates, shuffled, so
+    # runs are longer than reduceat's 8-wide block; with 1e16 and -1e16
+    # among the values each run's float sum depends on its order
+    rng = np.random.default_rng(seed)
+    n_rows, n_cols = 37, 29
+    runs = rng.integers(1, 13, size=n_rows * n_cols)
+    runs[:12] = np.arange(1, 13)
+    cells = np.repeat(rng.permutation(n_rows * n_cols), runs)
+    order = rng.permutation(cells.size)
+    rows, cols = np.divmod(cells[order], n_cols)
+    vals = rng.choice([1e16, 1.0, -1e16, 0.5, 3.0], size=cells.size)
+    got = kernels.assemble_csr(rows, cols, vals, n_rows, n_cols)
+    want = lexsort_csr_reference(rows, cols, vals, n_rows)
+    assert_same_csr(got, want)
+    # the values really are order-sensitive: summing each cell's run in
+    # sorted-value order changes some sums
+    resorted = np.lexsort((vals, cols, rows))
+    assert not np.array_equal(
+        kernels.assemble_csr(rows[resorted], cols[resorted],
+                             vals[resorted], n_rows, n_cols)[2], got[2])
+
+
+def test_assemble_csr_empty_input():
+    empty = np.zeros(0, dtype=np.int64)
+    got = kernels.assemble_csr(empty, empty, np.zeros(0), 4, 3)
+    assert_same_csr(got, lexsort_csr_reference(empty, empty, np.zeros(0), 4))
+    assert got[0].tolist() == [0, 0, 0, 0, 0]
+
+
+def _entries_both_ways(geom, jittered):
+    px, py = geom.pixel_coords()
+    dsx, dsy = geom.subelement_positions(jittered=jittered)
+    args = (px, py, dsx, dsy, geom.sound_speed, geom.dt, geom.time_samples,
+            entry_scale(geom))
+    return kernels.forward_entries(*args), mask_forward_entries(*args)
+
+
+_DUPLICATING = ImagingGeometry(
+    grid_nx=20, grid_ny=20, pixel_pitch=110e-6, detector_count=5,
+    ring_radius=4e-3, position_jitter_frac=2e-3, time_samples=128,
+    sir_subelements=3, sensor_diameter=2e-6, jitter_seed=3)
+
+
+@pytest.mark.parametrize("case", ["toy", "toy_jittered", "duplicating"])
+def test_forward_entries_match_mask_reference_in_order(case, toy_geometry):
+    geom = _DUPLICATING if case == "duplicating" else toy_geometry
+    got, want = _entries_both_ways(geom, jittered=case != "toy")
+    for g, w, dtype in zip(got, want, (np.int64, np.int64, np.float64)):
+        assert g.dtype == w.dtype == dtype
+        assert np.array_equal(g, w)
+    if case == "duplicating":
+        # the kf+1 candidate fires for some pixels (tau/dt rounds up) ...
+        px, py = geom.pixel_coords()
+        dsx, dsy = geom.subelement_positions(jittered=True)
+        tau_dt = np.hypot(px - dsx[0, 0], py - dsy[0, 0]) \
+            / geom.sound_speed / geom.dt
+        assert np.any(tau_dt - np.floor(tau_dt) > 0.5)
+        # ... and sub-elements within 2 um hit the same (row, pixel) cells
+        rows, cols, _ = got
+        assert np.unique(rows * geom.n_pixels + cols).size < rows.size
+
+
+def test_build_matches_reference_assembly_bit_for_bit():
+    geom = ImagingGeometry(grid_nx=48, grid_ny=48, pixel_pitch=110e-6,
+                           detector_count=12, ring_radius=5e-3,
+                           position_jitter_frac=1e-3, time_samples=160,
+                           sir_subelements=4, sensor_diameter=2e-3,
+                           jitter_seed=7)
+    op = build_forward_operator(geom, jittered=True)
+    _, (rows, cols, vals) = _entries_both_ways(geom, jittered=True)
+    want = lexsort_csr_reference(rows, cols, vals, geom.detector_count
+                                 * geom.time_samples)
+    assert_same_csr((op.indptr, op.indices, op.values), want)
 
 
 # ---------------------------------------------------------------------------
