@@ -65,28 +65,11 @@ class Tensor:
             if t._vjp is not None:
                 t._vjp(t.grad)
 
-    # operator sugar
-    def __add__(self, other):
-        return add(self, other)
 
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-
-def as_tensor(x, dtype=None) -> Tensor:
+def as_tensor(x) -> Tensor:
     if isinstance(x, Tensor):
         return x
-    arr = np.asarray(x, dtype=dtype)
-    return Tensor(arr)
+    return Tensor(np.asarray(x))
 
 
 def _make(data, parents, vjp):
@@ -272,7 +255,10 @@ def silu(a):
     return _make(out_data, (a,), vjp)
 
 
-def group_norm(x, gamma, beta, groups: int, eps: float = 1e-5):
+GROUP_NORM_EPS = 1e-5  # added to each group's variance
+
+
+def group_norm(x, gamma, beta, groups: int):
     """Normalize an NCHW tensor over channel groups, then scale and shift.
 
     Fused primitive (single tape node) with the standard normalization
@@ -286,7 +272,7 @@ def group_norm(x, gamma, beta, groups: int, eps: float = 1e-5):
     mu = xg.mean(axis=2, keepdims=True)
     xc = xg - mu
     var = np.mean(xc * xc, axis=2, keepdims=True)
-    inv = 1.0 / np.sqrt(var + np.asarray(eps, dtype=x.dtype))
+    inv = 1.0 / np.sqrt(var + np.asarray(GROUP_NORM_EPS, dtype=x.dtype))
     xhat = (xc * inv).reshape(n, c, h, w)
     out_data = xhat * gamma.data.reshape(1, c, 1, 1) \
         + beta.data.reshape(1, c, 1, 1)
@@ -328,21 +314,17 @@ def softmax(a, axis: int = -1):
 # 2-D convolution and pooling (NCHW layout)
 # ---------------------------------------------------------------------------
 
-def _im2col(x, kh, kw, pad):
+def _im2col(x, k):
+    """Column matrix (N, C*k*k, H*W) of ``x`` zero-padded by k // 2."""
     n, c, h, w = x.shape
-    if kh == kw == 1 and pad == 0:  # the column matrix is x itself
-        return x.reshape(n, c, h * w), h, w
-    if pad > 0:
-        xp = np.zeros((n, c, h + 2 * pad, w + 2 * pad), dtype=x.dtype)
-        xp[:, :, pad:pad + h, pad:pad + w] = x
-        x = xp
-    elif pad < 0:
-        x = x[:, :, -pad:h + pad, -pad:w + pad]
-    oh = x.shape[2] - kh + 1
-    ow = x.shape[3] - kw + 1
-    win = np.lib.stride_tricks.sliding_window_view(x, (kh, kw), axis=(2, 3))
+    if k == 1:  # the column matrix is x itself
+        return x.reshape(n, c, h * w)
+    pad = k // 2
+    xp = np.zeros((n, c, h + 2 * pad, w + 2 * pad), dtype=x.dtype)
+    xp[:, :, pad:pad + h, pad:pad + w] = x
+    win = np.lib.stride_tricks.sliding_window_view(xp, (k, k), axis=(2, 3))
     cols = np.ascontiguousarray(win.transpose(0, 1, 4, 5, 2, 3))
-    return cols.reshape(n, c * kh * kw, oh * ow), oh, ow
+    return cols.reshape(n, c * k * k, h * w)
 
 
 def _narrow(w_shape):
@@ -357,16 +339,10 @@ def _narrow(w_shape):
 
 
 def _frame(x, pad):
-    """Channel-major zero-padded copy of NCHW ``x``: (C, N, H+2p, W+2p).
-
-    A negative ``pad`` crops instead.
-    """
+    """Channel-major zero-padded copy of NCHW ``x``: (C, N, H+2p, W+2p)."""
     n, c, h, w = x.shape
-    xt = x.transpose(1, 0, 2, 3)
-    if pad <= 0:
-        return np.ascontiguousarray(xt[:, :, -pad:h + pad, -pad:w + pad])
     fr = np.zeros((c, n, h + 2 * pad, w + 2 * pad), dtype=x.dtype)
-    fr[:, :, pad:pad + h, pad:pad + w] = xt
+    fr[:, :, pad:pad + h, pad:pad + w] = x.transpose(1, 0, 2, 3)
     return fr
 
 
@@ -381,12 +357,12 @@ def _offsets(kh, kw, wp):
     return [i * wp + j for i in range(kh) for j in range(kw)]
 
 
-def _narrow_forward(x, w, pad):
+def _narrow_forward(x, w):
     # one GEMM of every tap against the flattened frame, then the kh*kw row
     # blocks summed at their tap offsets; sums that run across a row or an
     # image edge land only in the cropped-off border
     f, c, kh, kw = w.shape
-    fr = _frame(x, pad)
+    fr = _frame(x, kh // 2)
     _, n, hp, wp = fr.shape
     y = (_taps(w) @ fr.reshape(c, -1)).reshape(kh * kw, f, -1)
     offs = _offsets(kh, kw, wp)
@@ -398,17 +374,17 @@ def _narrow_forward(x, w, pad):
     return np.ascontiguousarray(acc.transpose(1, 0, 2, 3))
 
 
-def _narrow_backward(g, x, w, pad, need_dx, need_dw):
+def _narrow_backward(g, x, w, need_dx, need_dw):
     # g placed in the frame and shifted once per tap: row block t holds
     # g moved by tap t's offset, so both gradients are one GEMM each
     f, c, kh, kw = w.shape
-    n, _, oh, ow = g.shape
-    h, wd = x.shape[2:]
+    n, _, h, wd = g.shape
+    pad = kh // 2
     hp, wp = h + 2 * pad, wd + 2 * pad
     size = n * hp * wp
     gexp = np.zeros((kh * kw, f, size), dtype=g.dtype)
     # tap (0, 0) has offset 0: its block is g in the frame itself
-    gexp[0].reshape(f, n, hp, wp)[:, :, :oh, :ow] = g.transpose(1, 0, 2, 3)
+    gexp[0].reshape(f, n, hp, wp)[:, :, :h, :wd] = g.transpose(1, 0, 2, 3)
     for t, off in enumerate(_offsets(kh, kw, wp)[1:], 1):
         gexp[t, :, off:] = gexp[0, :, :size - off]
     gexp = gexp.reshape(kh * kw * f, size)
@@ -423,43 +399,44 @@ def _narrow_backward(g, x, w, pad, need_dx, need_dw):
     return dx, dw
 
 
-def _conv_forward(x, w, pad):
-    n, c = x.shape[:2]
-    f, _, kh, kw = w.shape
+def _conv_forward(x, w):
     if _narrow(w.shape):
-        return _narrow_forward(x, w, pad)
-    cols, oh, ow = _im2col(x, kh, kw, pad)
-    return np.matmul(w.reshape(f, c * kh * kw), cols).reshape(n, f, oh, ow)
+        return _narrow_forward(x, w)
+    n, c, h, wd = x.shape
+    f, _, k, _ = w.shape
+    return np.matmul(w.reshape(f, c * k * k), _im2col(x, k)) \
+        .reshape(n, f, h, wd)
 
 
-def conv2d(x, w, b=None, pad: int = 1):
-    """Stride-1 convolution, NCHW input, (F, C, KH, KW) kernel.
+def conv2d(x, w, b=None):
+    """Stride-1 "same" convolution, NCHW input, (F, C, K, K) kernel.
 
-    Output spatial size is H - KH + 1 + 2*pad (pad = k//2 keeps it "same").
+    K must be odd: the input is zero-padded by K // 2 on every side, so the
+    output keeps the input's H x W.
 
     The layout follows the narrow side, chosen from the kernel shape alone.
     With F >= C (or a 1x1 kernel) the input is expanded into an im2col
-    column matrix, KH*KW*C rows (a 1x1 kernel's is the input itself):
+    column matrix, K*K*C rows (a 1x1 kernel's is the input itself):
     forward and weight gradient each build it, and the data gradient is the
-    convolution of ``g`` with the flipped, transposed kernel (which has C
-    outputs, so it takes the other layout when C < F). With F < C that
-    column matrix would be the wide side, so the output is expanded instead
-    (kn2row): one GEMM of the KH*KW*F stacked taps against the zero-padded
-    input, summed at each tap's offset; backward expands ``g`` once into
-    KH*KW*F shifted rows, which give the weight gradient against the padded
-    input and the data gradient against the taps, one GEMM each. Nothing is
-    kept alive in the graph beyond ``x`` and ``w``.
+    "same" convolution of ``g`` with the flipped, transposed kernel (which
+    has C outputs, so it takes the other layout when C < F). With F < C
+    that column matrix would be the wide side, so the output is expanded
+    instead (kn2row): one GEMM of the K*K*F stacked taps against the
+    zero-padded input, summed at each tap's offset; backward expands ``g``
+    once into K*K*F shifted rows, which give the weight gradient against
+    the padded input and the data gradient against the taps, one GEMM each.
+    Nothing is kept alive in the graph beyond ``x`` and ``w``.
     """
     x, w = as_tensor(x), as_tensor(w)
     n, c, h, wd = x.data.shape
     f, c2, kh, kw = w.data.shape
     if c != c2:
         raise ValueError(f"conv2d channels mismatch: {c} vs {c2}")
-    if pad < 0:
-        raise ValueError(f"conv2d pad must be >= 0, got {pad}")
+    if kh != kw or kh % 2 == 0:
+        raise ValueError("conv2d needs a square kernel of odd size, "
+                         f"got {kh}x{kw}")
     narrow = _narrow(w.data.shape)
-    out_data = _conv_forward(x.data, w.data, pad)
-    oh, ow = out_data.shape[2], out_data.shape[3]
+    out_data = _conv_forward(x.data, w.data)
     parents = [x, w]
     if b is not None:
         b = as_tensor(b)
@@ -471,7 +448,7 @@ def conv2d(x, w, b=None, pad: int = 1):
             b._accum(g.sum(axis=(0, 2, 3)))
         if narrow:
             if x.requires_grad or w.requires_grad:
-                dx, dw = _narrow_backward(g, x.data, w.data, pad,
+                dx, dw = _narrow_backward(g, x.data, w.data,
                                           x.requires_grad, w.requires_grad)
                 if w.requires_grad:
                     w._accum(dw)
@@ -479,14 +456,13 @@ def conv2d(x, w, b=None, pad: int = 1):
                     x._accum(dx)
             return
         if w.requires_grad:
-            g3 = g.reshape(n, f, oh * ow)
-            cols, _, _ = _im2col(x.data, kh, kw, pad)
-            gw = np.matmul(g3, cols.swapaxes(1, 2)).sum(axis=0)
+            gw = np.matmul(g.reshape(n, f, h * wd),
+                           _im2col(x.data, kh).swapaxes(1, 2)).sum(axis=0)
             w._accum(gw.reshape(w.data.shape))
         if x.requires_grad:
             wt = np.ascontiguousarray(
                 w.data.transpose(1, 0, 2, 3)[:, :, ::-1, ::-1])
-            x._accum(_conv_forward(g, wt, pad=kh - 1 - pad))
+            x._accum(_conv_forward(g, wt))
 
     return _make(out_data, parents, vjp)
 

@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import json
 import logging
-import os
 import sys
 from pathlib import Path
 
@@ -42,25 +41,6 @@ def _seed(text: str) -> int:
         raise argparse.ArgumentTypeError(
             f"must be an integer >= 0, got {text!r}")
     return int(text)
-
-
-def _setup_threads(deterministic: bool):
-    n = os.environ.get("OATDAR_NUM_THREADS")
-    if deterministic:
-        limit = 1
-    elif n:
-        try:
-            limit = int(n)
-        except ValueError:
-            raise ConfigError("OATDAR_NUM_THREADS must be an integer, "
-                              f"got {n!r}") from None
-    else:
-        return
-    try:
-        import threadpoolctl
-        threadpoolctl.threadpool_limits(limits=limit)
-    except ImportError:
-        log.warning("threadpoolctl unavailable; thread limit not applied")
 
 
 def _read_arg(path, flag: str, kind, check, geometry):
@@ -207,13 +187,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="oatdar",
         description="Model-based optoacoustic reconstruction with "
-                    "diffusion-assisted enhancement")
+                    "diffusion-assisted enhancement. Results are "
+                    "bit-reproducible at a fixed BLAS thread count: set "
+                    "OPENBLAS_NUM_THREADS=1 before the process starts.")
     p.add_argument("-v", "--verbose", action="store_true")
-    p.add_argument("--deterministic", action="store_true",
-                   help="limit BLAS to one thread through threadpoolctl "
-                        "if installed; bit-reproducible results need a fixed "
-                        "thread count, e.g. OPENBLAS_NUM_THREADS=1 set "
-                        "before start")
     sub = p.add_subparsers(dest="command", required=True)
 
     def common(sp, run_dir=True):
@@ -290,7 +267,6 @@ def main(argv=None) -> int:
         level=logging.DEBUG if args.verbose else logging.INFO,
         format="%(asctime)s %(name)s %(levelname)s %(message)s")
     try:
-        _setup_threads(args.deterministic)
         args.fn(args)
     except ConfigError as exc:
         log.error("config error: %s", exc)

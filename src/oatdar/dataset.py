@@ -3,8 +3,7 @@
 Every entry derives all of its randomness from (master_seed, index), so
 builds produce bit-identical artifacts at a fixed BLAS thread count
 (``OPENBLAS_NUM_THREADS`` set before the process starts; nothing else pins
-it, see ``--deterministic``) and re-running a build is a no-op once the
-manifest validates. Simulation uses the jittered detector positions while
+it) and re-running a build is a no-op once the manifest validates. Simulation uses the jittered detector positions while
 the stored backprojection uses nominal ones — the reconstruction operator
 never sees the true detector placement.
 

@@ -32,8 +32,7 @@ class NoiseSchedule:
     alpha_bar: np.ndarray   # cumulative product of 1 - beta, alpha_bar[0] = 1
 
 
-def make_linear_schedule(T: int, beta1: float = 1e-4,
-                         betaT: float = 0.02) -> NoiseSchedule:
+def make_linear_schedule(T: int, beta1: float, betaT: float) -> NoiseSchedule:
     """Linearly spaced beta from ``beta1`` to ``betaT`` over T steps."""
     if T < 1 or not (0.0 < beta1 <= betaT < 1.0):
         raise ConfigError("schedule needs T >= 1 and 0 < beta1 <= betaT < 1, "
@@ -133,7 +132,7 @@ def make_inference_timesteps(T: int, nis: int) -> list:
 
 
 def sample_batch(denoiser, conds, shape, sched: NoiseSchedule, nis: int,
-                 eta: float = 0.0, seeds=()):
+                 eta: float, seeds):
     """Sample patches in lockstep by iterating reduced reverse steps from
     pure noise through one batched denoiser.
 

@@ -163,7 +163,6 @@ class Sinogram:
     """Measured pressure traces, [n_detectors, n_time_samples]."""
 
     data: np.ndarray
-    snr_db: float | None = None
 
     def __post_init__(self):
         self.data = np.asarray(self.data)

@@ -97,11 +97,18 @@ def assemble_csr(rows, cols, vals, n_rows, n_cols):
     (``np.add.reduceat``) in input order.
 
     Returns int32 ``indptr``/``indices`` and ``data`` in ``vals``' dtype.
-    Raises :class:`GeometryError` before sorting when the column count
-    exceeds int32 or ``n_rows * n_cols`` exceeds int64, and after summing
-    when the entry count exceeds int32.
+    Raises ``ValueError`` before sorting when a row lies outside
+    ``[0, n_rows)`` or a column outside ``[0, n_cols)``, and
+    :class:`GeometryError` before sorting when the column count exceeds
+    int32 or ``n_rows * n_cols`` exceeds int64, and after summing when the
+    entry count exceeds int32.
     """
     n_rows, n_cols = int(n_rows), int(n_cols)
+    rows, cols = np.asarray(rows), np.asarray(cols)
+    if rows.size and not (0 <= rows.min() and rows.max() < n_rows
+                          and 0 <= cols.min() and cols.max() < n_cols):
+        raise ValueError(
+            f"COO indices outside the {n_rows} x {n_cols} operator")
     if n_cols > _INDEX_MAX:
         raise GeometryError(
             f"operator has {n_cols} columns; CSR indices are int32, so it "

@@ -119,17 +119,16 @@ class Linear(Module):
 
 
 class Conv2d(Module):
-    """k x k convolution padded by k // 2: odd kernels keep the size."""
+    """k x k "same" convolution; k is odd (see ``autodiff.conv2d``)."""
 
     def __init__(self, c_in, c_out, k, rng):
         super().__init__()
-        self.pad = k // 2
         self.w = self.register("w", he_init(rng, (c_out, c_in, k, k),
                                             c_in * k * k))
         self.b = self.register("b", np.zeros(c_out))
 
     def __call__(self, x):
-        return ad.conv2d(x, self.w, self.b, pad=self.pad)
+        return ad.conv2d(x, self.w, self.b)
 
 
 def _norm_groups(channels: int, groups: int) -> int:

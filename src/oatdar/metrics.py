@@ -1,6 +1,7 @@
 """Image-quality metrics and multi-method comparison reports.
 
-PSNR uses a declared cap of 99 dB (identical images would otherwise be
+Both metrics score images on the [0, 1] intensity range (a data range of
+1). PSNR uses a declared cap of 99 dB (identical images would otherwise be
 infinite and poison aggregates). SSIM follows the standard windowed
 formulation: 11x11 Gaussian weights with sigma 1.5, K1 = 0.01, K2 = 0.03,
 averaged over windows fully inside the image.
@@ -22,17 +23,15 @@ SSIM_WINDOW = 11
 SSIM_SIGMA = 1.5
 
 
-def psnr(x: np.ndarray, ref: np.ndarray, data_range: float = 1.0) -> float:
+def psnr(x: np.ndarray, ref: np.ndarray) -> float:
     x = np.asarray(x, dtype=np.float64)
     ref = np.asarray(ref, dtype=np.float64)
     if x.shape != ref.shape:
         raise ShapeError(f"psnr shapes differ: {x.shape} vs {ref.shape}")
-    if not data_range > 0:
-        raise ValueError("data_range must be positive")
     mse = float(np.mean((x - ref) ** 2))
     if mse == 0.0:
         return PSNR_CAP
-    return min(float(10.0 * np.log10(data_range ** 2 / mse)), PSNR_CAP)
+    return min(float(10.0 * np.log10(1.0 / mse)), PSNR_CAP)
 
 
 def _gaussian_kernel():
@@ -52,7 +51,7 @@ def _windowed(img: np.ndarray) -> np.ndarray:
     return np.tensordot(win, _KERNEL, axes=([2, 3], [0, 1]))
 
 
-def ssim(x: np.ndarray, ref: np.ndarray, data_range: float = 1.0) -> float:
+def ssim(x: np.ndarray, ref: np.ndarray) -> float:
     x = np.asarray(x, dtype=np.float64)
     ref = np.asarray(ref, dtype=np.float64)
     if x.shape != ref.shape:
@@ -60,10 +59,8 @@ def ssim(x: np.ndarray, ref: np.ndarray, data_range: float = 1.0) -> float:
     if min(x.shape) < SSIM_WINDOW:
         raise ShapeError(f"image {x.shape} smaller than the "
                          f"{SSIM_WINDOW}x{SSIM_WINDOW} window")
-    if not data_range > 0:
-        raise ValueError("data_range must be positive")
-    c1 = (0.01 * data_range) ** 2
-    c2 = (0.03 * data_range) ** 2
+    c1 = 0.01 ** 2
+    c2 = 0.03 ** 2
     mu_x = _windowed(x)
     mu_y = _windowed(ref)
     exx = _windowed(x * x)

@@ -244,14 +244,14 @@ def add_noise(sino: Sinogram, snr_db: float, seed: int) -> Sinogram:
     check_snr(snr_db)
     data = np.asarray(sino.data, dtype=np.float64)
     if snr_db == np.inf:
-        return Sinogram(data=data.copy(), snr_db=float("inf"))
+        return Sinogram(data=data.copy())
     power = float(np.mean(data ** 2))
     if power == 0.0:
-        raise ValueError("SNR is undefined for an all-zero sinogram")
+        raise ConfigError("SNR is undefined for an all-zero sinogram")
     sigma = np.sqrt(power / 10.0 ** (snr_db / 10.0))
     rng = np.random.default_rng(seed)
     noisy = data + sigma * rng.standard_normal(data.shape)
-    return Sinogram(data=noisy, snr_db=float(snr_db))
+    return Sinogram(data=noisy)
 
 
 @dataclass
@@ -271,7 +271,7 @@ def check_tikhonov(lam: float, max_iters: int, tol: float):
 
 
 def tikhonov_solve(op: ForwardOperator, sino: Sinogram, lam: float,
-                   max_iters: int = 200, tol: float = 1e-8) -> TikhonovResult:
+                   max_iters: int, tol: float) -> TikhonovResult:
     """Quadratic-penalty inversion by conjugate gradient.
 
     Solves ``(A^T A + lam I) p = A^T p_d`` and stops when the relative

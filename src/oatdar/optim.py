@@ -8,13 +8,14 @@ import numpy as np
 
 from .errors import ConfigError, NumericalError
 
+ADAM_EPS = 1e-8  # added to the root of the second moment
+
 
 @dataclass
 class OptimizerState:
     learning_rate: float = 1e-4
     beta1: float = 0.9
     beta2: float = 0.999
-    eps: float = 1e-8
     step: int = 0
     m: dict = field(default_factory=dict)   # first-moment accumulators
     v: dict = field(default_factory=dict)   # second-moment accumulators
@@ -66,6 +67,6 @@ def adam_update(params: dict, grads: dict, state: OptimizerState):
         m += (1.0 - b1) * g
         v *= b2
         v += (1.0 - b2) * g * g
-        step = state.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+        step = state.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
         p -= step.astype(p.dtype)
     return params, state

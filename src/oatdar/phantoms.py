@@ -111,7 +111,7 @@ def generate_phantom(params: PhantomParams, nx: int, ny: int) -> Image:
     ``params.fill_fraction_target`` (resampling up to ``max_attempts`` times;
     the closest attempt is returned, with a warning, if none lands inside)."""
     if nx < 16 or ny < 16:
-        raise ValueError("phantom grids must be at least 16x16")
+        raise ConfigError("phantom grids must be at least 16x16")
     lo, hi = params.fill_fraction_target
     best_img, best_dist = None, np.inf
     for attempt in range(params.max_attempts):

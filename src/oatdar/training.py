@@ -55,16 +55,13 @@ def stage_rng(master_seed: int, stage: str) -> np.random.Generator:
 # ---------------------------------------------------------------------------
 
 
-def save_checkpoint(path, params: dict, opt: OptimizerState | None,
-                    meta: dict, rng: np.random.Generator | None = None):
+def save_checkpoint(path, params: dict, opt: OptimizerState, meta: dict,
+                    rng: np.random.Generator):
     arrays = {f"p.{k}": np.asarray(v) for k, v in params.items()}
-    if opt is not None:
-        arrays.update({f"o.{k}": v for k, v in opt.state_arrays().items()})
-        meta = {**meta, "opt_step": opt.step,
-                "learning_rate": opt.learning_rate,
-                "adam_beta1": opt.beta1, "adam_beta2": opt.beta2}
-    if rng is not None:
-        meta = {**meta, "rng_state": rng.bit_generator.state}
+    arrays.update({f"o.{k}": v for k, v in opt.state_arrays().items()})
+    meta = {**meta, "opt_step": opt.step, "learning_rate": opt.learning_rate,
+            "adam_beta1": opt.beta1, "adam_beta2": opt.beta2,
+            "rng_state": rng.bit_generator.state}
     write_bundle(path, arrays, meta)
     return Path(path)
 

@@ -102,15 +102,17 @@ def test_softmax_rows_sum_to_one():
 
 def test_conv2d():
     fd_check(lambda t: ad.sum_(ad.mul(
-        ad.conv2d(t["x"], t["w"], t["b"], pad=1), t["m"])),
+        ad.conv2d(t["x"], t["w"], t["b"]), t["m"])),
         {"x": _r((2, 3, 5, 5), 26), "w": _r((4, 3, 3, 3), 27),
          "b": _r((4,), 28), "m": _r((2, 4, 5, 5), 29)}, n_coords=6)
 
 
-def _conv_oracle(x, w, pad, g):
-    """Direct-loop output, dx and dW of a stride-1 conv for output grad g."""
+def _conv_oracle(x, w, g):
+    """Direct-loop output, dx and dW of a stride-1 conv for output grad g,
+    the input zero-padded by half the kernel."""
     n, c, h, wd = x.shape
     f, _, kh, kw = w.shape
+    pad = kh // 2
     xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
     oh, ow = xp.shape[2] - kh + 1, xp.shape[3] - kw + 1
     out = np.zeros((n, f, oh, ow))
@@ -125,9 +127,9 @@ def _conv_oracle(x, w, pad, g):
     return out, dxp[:, :, pad:pad + h, pad:pad + wd], dw
 
 
-def _conv_and_grads(x, w, pad, g):
+def _conv_and_grads(x, w, g):
     xt, wt = ad.Tensor(x, requires_grad=True), ad.Tensor(w, requires_grad=True)
-    out = ad.conv2d(xt, wt, pad=pad)
+    out = ad.conv2d(xt, wt)
     ad.sum_(ad.mul(out, ad.Tensor(g))).backward()
     return out.data, xt.grad, wt.grad
 
@@ -136,30 +138,32 @@ def test_conv2d_matches_direct_loop():
     rng = np.random.default_rng(30)
     x = rng.standard_normal((1, 2, 4, 4))
     w = rng.standard_normal((3, 2, 3, 3))
-    out = ad.conv2d(ad.Tensor(x), ad.Tensor(w), pad=1).data
-    want, _, _ = _conv_oracle(x, w, 1, np.zeros((1, 3, 4, 4)))
+    out = ad.conv2d(ad.Tensor(x), ad.Tensor(w)).data
+    want, _, _ = _conv_oracle(x, w, np.zeros((1, 3, 4, 4)))
     assert np.allclose(out, want, atol=1e-12)
 
 
 # (C, F): F < C takes the output-side (kn2row) layout, F >= C im2col
 @pytest.mark.parametrize("c,f", [(6, 2), (5, 1), (3, 3), (2, 5), (1, 4)])
 @pytest.mark.parametrize("k", [1, 3, 5])
-@pytest.mark.parametrize("pad", [0, 1, 2, 3])  # pad 3 >= k 3: dx crops g
+# input grown by `grow` rows and shrunk by `grow` columns: tall, wide, odd
+# and even frames, some narrower than a 5x5 kernel
+@pytest.mark.parametrize("grow", [0, 1, 2, 3])
 @pytest.mark.parametrize("n", [1, 3])
-def test_conv2d_grads_match_direct_loop(c, f, k, pad, n):
-    rng = np.random.default_rng(100 * c + 10 * f + k + pad + n)
-    x = rng.standard_normal((n, c, 7, 6))
+def test_conv2d_grads_match_direct_loop(c, f, k, grow, n):
+    rng = np.random.default_rng(100 * c + 10 * f + k + grow + n)
+    x = rng.standard_normal((n, c, 4 + grow, 7 - grow))
     w = rng.standard_normal((f, c, k, k))
-    g = rng.standard_normal((n, f, 7 - k + 1 + 2 * pad, 6 - k + 1 + 2 * pad))
-    got = _conv_and_grads(x, w, pad, g)
-    for name, a, b in zip(("out", "dx", "dw"), got, _conv_oracle(x, w, pad, g)):
+    g = rng.standard_normal((n, f, 4 + grow, 7 - grow))
+    got = _conv_and_grads(x, w, g)
+    for name, a, b in zip(("out", "dx", "dw"), got, _conv_oracle(x, w, g)):
         assert a.shape == b.shape, name
         assert np.max(np.abs(a - b)) <= 1e-12, name
 
 
 def test_conv2d_narrow():
     fd_check(lambda t: ad.sum_(ad.mul(
-        ad.conv2d(t["x"], t["w"], t["b"], pad=1), t["m"])),
+        ad.conv2d(t["x"], t["w"], t["b"]), t["m"])),
         {"x": _r((2, 5, 5, 4), 50), "w": _r((2, 5, 3, 3), 51),
          "b": _r((2,), 52), "m": _r((2, 2, 5, 4), 53)}, n_coords=6)
 
@@ -170,9 +174,8 @@ def test_conv2d_float32_close_to_float64(c, f):
     x = rng.standard_normal((4, c, 16, 16))
     w = rng.standard_normal((f, c, 3, 3)) / np.sqrt(9 * c)
     g = rng.standard_normal((4, f, 16, 16))
-    ref = _conv_oracle(x, w, 1, g)
-    got = _conv_and_grads(*(a.astype(np.float32) for a in (x, w)), 1,
-                          g.astype(np.float32))
+    ref = _conv_oracle(x, w, g)
+    got = _conv_and_grads(*(a.astype(np.float32) for a in (x, w, g)))
     for name, a, b in zip(("out", "dx", "dw"), got, ref):
         assert a.dtype == np.float32, name
         assert np.max(np.abs(a - b)) <= 2e-6 * np.max(np.abs(b)), name
@@ -205,6 +208,7 @@ def _im2col_conv_reference(x, w, pad, g):
     return out, dx.reshape(x.shape), dw.reshape(w.shape)
 
 
+# pad is the reference's zero padding, k // 2
 @pytest.mark.parametrize("c,f,k,pad", [(3, 3, 3, 1), (4, 4, 5, 2),
                                        (2, 6, 3, 1), (6, 2, 1, 0),
                                        (2, 6, 1, 0), (3, 3, 1, 0)])
@@ -212,9 +216,8 @@ def test_conv2d_im2col_layout_bit_identical(c, f, k, pad):
     rng = np.random.default_rng(c * f + k)
     x = rng.standard_normal((3, c, 8, 6)).astype(np.float32)
     w = rng.standard_normal((f, c, k, k)).astype(np.float32)
-    g = rng.standard_normal((3, f, 8 - k + 1 + 2 * pad,
-                             6 - k + 1 + 2 * pad)).astype(np.float32)
-    out, dx, dw = _conv_and_grads(x, w, pad, g)
+    g = rng.standard_normal((3, f, 8, 6)).astype(np.float32)
+    out, dx, dw = _conv_and_grads(x, w, g)
     want_out, want_dx, want_dw = _im2col_conv_reference(x, w, pad, g)
     assert np.array_equal(out, want_out) and np.array_equal(dw, want_dw)
     if f == c or k == 1:  # else dx is a conv with C < F outputs: narrow
@@ -327,15 +330,23 @@ def _im2col_reference(x, kh, kw, pad):
     return cols, oh, ow
 
 
-@pytest.mark.parametrize("pad", [0, 1])
+@pytest.mark.parametrize("odd", [0, 1])  # an even or an odd input width
 @pytest.mark.parametrize("k", [1, 3])
-def test_im2col_bit_identical_to_np_pad(pad, k):
-    x = np.random.default_rng(k + pad).standard_normal((2, 3, 6, 5)) \
+def test_im2col_bit_identical_to_np_pad(odd, k):
+    x = np.random.default_rng(k + odd).standard_normal((2, 3, 6, 4 + odd)) \
         .astype(np.float32)
-    cols, oh, ow = ad._im2col(x, k, k, pad)
-    want, woh, wow = _im2col_reference(x, k, k, pad)
-    assert (oh, ow) == (woh, wow)
+    cols = ad._im2col(x, k)
+    want, oh, ow = _im2col_reference(x, k, k, k // 2)
+    assert (oh, ow) == x.shape[2:]
     assert cols.dtype == np.float32 and np.array_equal(cols, want)
+
+
+@pytest.mark.parametrize("shape", [(2, 3, 2, 2), (2, 3, 3, 1), (2, 3, 1, 3),
+                                   (2, 3, 4, 4)])
+def test_conv2d_rejects_even_or_non_square_kernel(shape):
+    x = ad.Tensor(np.ones((1, 3, 5, 5)))
+    with pytest.raises(ValueError, match="square kernel of odd size"):
+        ad.conv2d(x, ad.Tensor(np.ones(shape)))
 
 
 def test_dtype_preserved():
@@ -357,7 +368,7 @@ def test_group_norm():
 def test_group_norm_statistics():
     x = ad.Tensor(np.random.default_rng(44).standard_normal((3, 8, 5, 5)) * 4)
     out = ad.group_norm(x, ad.Tensor(np.ones(8)), ad.Tensor(np.zeros(8)),
-                        groups=4, eps=1e-12).data
+                        groups=4).data
     grouped = out.reshape(3, 4, -1)
     assert np.allclose(grouped.mean(axis=2), 0.0, atol=1e-9)
     assert np.allclose(grouped.std(axis=2), 1.0, atol=1e-5)

@@ -1,16 +1,19 @@
 """One method dispatch: ``oatdar reconstruct`` and ``oatdar eval`` agree on
-every method, and bad methods, step counts, eta, list flags, thread counts,
-geometries, input files and checkpoints that do not fit their model exit
-with a config error; a missing checkpoint or an empty train split exits with
+every method, and bad methods, step counts, eta, list flags, geometries,
+grids too small for a phantom, input files, all-zero phantoms to add noise
+to and checkpoints that do not fit their model exit with a config error; a missing checkpoint or an empty train split exits with
 a prerequisite error, as does a CIP checkpoint of other widths; a non-finite
 enhancer or an aborted checkpoint exits with a numerical error;
 ``run-all`` is bit-reproducible."""
 
 import json
 import logging
+import os
 import shutil
+import subprocess
 import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -166,19 +169,39 @@ def test_unknown_method_fails_before_reading_data(tiny_run, tmp_path,
                      "--out", str(tmp_path / "out")]) == 2
 
 
-def test_non_integer_thread_count_exits_2(tmp_path, monkeypatch):
-    monkeypatch.setenv("OATDAR_NUM_THREADS", "two")
+def _run_cli(*argv):
+    """``python -m oatdar.cli argv`` in a child process."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    return subprocess.run([sys.executable, "-m", "oatdar.cli", *argv],
+                          capture_output=True, text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": src})
+
+
+# an 8x8 grid every config rule accepts (the patch tiles it and the CIP
+# codes fit the denoiser); only the phantom renderer needs 16x16
+SMALL_GRID = ["--set", "geometry.grid_nx=8", "--set", "geometry.grid_ny=8",
+              "--set", "patch.h=8", "--set", "patch.w=8",
+              "--set", "cip.layer_dims=[64,32]", "--set", "denoiser.cond_dim=32"]
+
+
+def test_phantom_on_a_too_small_grid_exits_2(tmp_path):
     out = tmp_path / "p.oatd"
-    assert cli.main(["phantom", "--out", str(out)]) == 2
+    proc = _run_cli("phantom", *SMALL_GRID, "--out", str(out))
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "at least 16x16" in proc.stderr
     assert not out.exists()
 
 
-def test_deterministic_without_threadpoolctl_warns(monkeypatch, caplog):
-    monkeypatch.setitem(sys.modules, "threadpoolctl", None)
-    with caplog.at_level(logging.WARNING, logger="oatdar"):
-        cli._setup_threads(True)
-    assert [r.levelno for r in caplog.records] == [logging.WARNING]
-    assert "not applied" in caplog.records[0].getMessage()
+def test_simulate_noise_on_an_all_zero_phantom_exits_2(tmp_path):
+    phantom, out = tmp_path / "zero.oatd", tmp_path / "s.oatd"
+    write_tensor(phantom, np.zeros((32, 32)))
+    proc = _run_cli("simulate", "--phantom", str(phantom), "--snr", "20",
+                    "--out", str(out))
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "all-zero sinogram" in proc.stderr
+    assert not out.exists()
 
 
 def test_run_all_is_bit_reproducible(tmp_path):

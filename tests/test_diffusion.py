@@ -326,7 +326,7 @@ def test_sample_batch_desk_denoiser_rows_match_one_seed_calls(eta):
 def test_sample_rejects_bad_denoiser_shape(paper_sched):
     with pytest.raises(ShapeError):
         sample_batch(lambda x, c, t: np.zeros((1, 2, 2)), None, (4, 4),
-                     paper_sched, nis=2, seeds=[0])
+                     paper_sched, nis=2, eta=0.0, seeds=[0])
 
 
 def test_model_space_scaling():

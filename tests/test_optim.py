@@ -11,7 +11,7 @@ from oatdar.tensorfile import read_bundle, write_bundle
 
 def test_two_steps_match_hand_computed_adam():
     p = {"a": np.array([1.0, -2.0])}
-    st = OptimizerState(learning_rate=0.1, beta1=0.9, beta2=0.999, eps=1e-8)
+    st = OptimizerState(learning_rate=0.1, beta1=0.9, beta2=0.999)
     adam_update(p, {"a": np.array([0.5, 0.0])}, st)
     # step 1: m = 0.05, v = 2.5e-4; m/(1-0.9) = 0.5, v/(1-0.999) = 0.25
     a1 = 1.0 - 0.1 * 0.5 / (np.sqrt(0.25) + 1e-8)

@@ -13,6 +13,7 @@ from oatdar.errors import ConfigError, NumericalError
 from oatdar.config import load_config
 from oatdar.dataset import build_dataset
 from oatdar.layers import load_parameters
+from oatdar.optim import OptimizerState
 from oatdar.patches import PatchGrid, split_patches
 from oatdar.tensorfile import read_bundle, write_bundle
 
@@ -111,7 +112,9 @@ def test_resume_refuses_an_aborted_checkpoint(tmp_path):
 def test_resume_rejects_a_checkpoint_of_another_model(tmp_path):
     w = ad.Tensor(np.ones(3, dtype=np.float32), requires_grad=True)
     training.save_checkpoint(tmp_path / "checkpoints" / "probe.ckpt",
-                             {"v": w.data}, None, {"epoch": 0, "losses": []})
+                             {"v": w.data}, OptimizerState(),
+                             {"epoch": 0, "losses": []},
+                             np.random.default_rng(0))
     with pytest.raises(ConfigError):
         training.fit(_cfg(2), tmp_path, "fdunet", "probe.ckpt", {"w": w}, 4,
                      lambda idx, rng: ad.sum_(w), {}, resume=True)
