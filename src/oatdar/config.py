@@ -60,31 +60,24 @@ def desk_config() -> dict:
 
 
 def paper_config() -> dict:
-    cfg = desk_config()
-    cfg.update({
+    """The desk profile with the reference geometry, model sizes and
+    dataset; every other value is the desk one."""
+    return _merge_checked(desk_config(), {
         "profile": "paper",
-        "geometry": {
-            "grid_nx": 128, "grid_ny": 128, "pixel_pitch": 110e-6,
-            "detector_count": 36, "ring_radius": 44e-3,
-            "position_jitter_frac": 1e-3, "sound_speed": 1490.0,
-            "dt": 1.0 / 24.4e6, "time_samples": 1024,
-            "sir_subelements": 8, "sensor_diameter": 13e-3, "jitter_seed": 0,
-        },
-        "schedule": {"T": 1000, "beta1": 1e-4, "betaT": 0.02},
+        "geometry": {"grid_nx": 128, "grid_ny": 128, "detector_count": 36,
+                     "ring_radius": 44e-3, "time_samples": 1024,
+                     "sir_subelements": 8, "sensor_diameter": 13e-3},
+        "schedule": {"T": 1000},
         "patch": {"h": 64, "w": 64},
         "fd_unet": {"scales": [64, 128, 256], "growth": 16,
-                    "layers_per_block": 4, "seed": 100},
-        "cip": {"layer_dims": [4096, 3072, 2048, 1024], "seed": 200},
+                    "layers_per_block": 4},
+        "cip": {"layer_dims": [4096, 3072, 2048, 1024]},
         "denoiser": {"scales": [128, 256, 512, 1024],
-                     "resblocks_per_scale": 2, "attention_heads": 4,
-                     "cond_dim": 1024, "cond_tokens": 16,
-                     "time_embed_dim": 128, "norm_groups": 8, "seed": 300},
-        "training": {"learning_rate": 1e-4, "adam_beta1": 0.9,
-                     "adam_beta2": 0.999, "epochs": 200, "batch_size": 16},
-        "dataset": {"train": 64000, "val": 10000, "test": 600,
-                    "snr_db_range": [20.0, 80.0], "master_seed": 7},
+                     "resblocks_per_scale": 2, "cond_dim": 1024,
+                     "cond_tokens": 16, "time_embed_dim": 128},
+        "training": {"epochs": 200},
+        "dataset": {"train": 64000, "val": 10000, "test": 600},
     })
-    return cfg
 
 
 _PROFILES = {"desk": desk_config, "paper": paper_config}

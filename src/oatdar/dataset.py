@@ -194,7 +194,8 @@ def build_dataset(cfg: dict, run_dir, force: bool = False) -> DatasetManifest:
 
 def load_images(manifest: DatasetManifest, directory, field: str,
                 split: str | None = None) -> np.ndarray:
-    """Stack one artifact kind for a split into an (N, H, W) float array."""
+    """Stack one artifact kind for a split into an (N, H, W) float array;
+    an empty split or a missing output raises :class:`PrerequisiteError`."""
     directory = Path(directory)
     entries = manifest.entries if split is None else manifest.split(split)
     if not entries:
@@ -202,8 +203,10 @@ def load_images(manifest: DatasetManifest, directory, field: str,
     out = []
     for e in entries:
         rel = getattr(e, field)
-        if rel == "-":
-            raise ConfigError(f"entry {e.index} has no {field} artifact yet")
+        if rel == "-":  # only the enhancer output starts out empty
+            raise PrerequisiteError(
+                f"entry {e.index} has no {field} output yet; run "
+                "'train fdunet' first")
         out.append(read_tensor(directory / rel))
     return np.stack(out)
 

@@ -1,18 +1,17 @@
-"""Image value mapping, portable graymap import/export, bilinear resampling.
+"""Image value mapping, graymap export, the bilinear resampling matrix.
 
 :func:`normalize01` is the one min-max rule of the package: training inputs,
-reported reconstructions, graymap export and normalized ingestion all map
-an image (or each image of a stack) to [0, 1] through it.
+reported reconstructions and graymap export all map an image (or each image
+of a stack) to [0, 1] through it.
 
-PGM is the only raster format supported: P2 ascii or P5 binary with 8- or
-16-bit samples is read, 16-bit P5 is written (16-bit samples big-endian per
-the netpbm convention). It exists for visual inspection; the lossless path is
-always the tensor container.
+PGM is write-only: :func:`write_pgm` writes a 16-bit P5 graymap (samples
+big-endian per the netpbm convention) for visual inspection, and nothing
+reads one back. A user image or sinogram enters only as tensor data, through
+``cli._read_arg``, at exactly the configured shape.
 """
 
 from __future__ import annotations
 
-import re
 from pathlib import Path
 
 import numpy as np
@@ -45,36 +44,6 @@ def write_pgm(path, img: np.ndarray) -> Path:
     return path
 
 
-def read_pgm(path) -> np.ndarray:
-    """Read P2/P5 into floats scaled to [0, 1] by the file's maxval."""
-    raw = Path(path).read_bytes()
-    if raw[:2] not in (b"P2", b"P5"):
-        raise ValueError(f"{path}: not a PGM file")
-    binary = raw[:2] == b"P5"
-    # header: magic, width, height, maxval; '#' comments allowed
-    tokens = []
-    pos = 2
-    while len(tokens) < 3:
-        m = re.match(rb"(?:\s+|#[^\n]*\n)*(\d+)", raw[pos:])
-        if not m:
-            raise ValueError(f"{path}: malformed PGM header")
-        tokens.append(int(m.group(1)))
-        pos += m.end()
-    width, height, maxval = tokens
-    if binary:
-        pos += 1  # single whitespace after maxval
-        dtype = ">u2" if maxval > 255 else "u1"
-        count = width * height
-        data = np.frombuffer(raw, dtype=dtype, count=count, offset=pos)
-        if data.size != count:
-            raise ValueError(f"{path}: truncated PGM payload")
-    else:
-        data = np.array(raw[pos:].split(), dtype=np.float64)
-        if data.size != width * height:
-            raise ValueError(f"{path}: wrong sample count in ascii PGM")
-    return data.reshape(height, width).astype(np.float64) / maxval
-
-
 def resize_matrix(n_src: int, n_dst: int) -> np.ndarray:
     """1-D bilinear resampling matrix (half-pixel centers, edge clamped).
 
@@ -91,9 +60,3 @@ def resize_matrix(n_src: int, n_dst: int) -> np.ndarray:
         m[i, i0] += 1.0 - f
         m[i, i1] += f
     return m
-
-
-def bilinear_resize(img: np.ndarray, ny: int, nx: int) -> np.ndarray:
-    img = np.asarray(img, dtype=np.float64)
-    h, w = img.shape
-    return resize_matrix(h, ny) @ img @ resize_matrix(w, nx).T

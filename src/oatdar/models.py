@@ -9,7 +9,7 @@ The three inference entry points take batches only.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -135,9 +135,6 @@ class DenoiserConfig:
     @property
     def token_dim(self) -> int:
         return self.cond_dim // self.cond_tokens
-
-    def to_dict(self) -> dict:
-        return {**asdict(self), "scales": list(self.scales)}
 
     @classmethod
     def from_dict(cls, d):

@@ -1,10 +1,14 @@
-"""Procedural vessel-like phantoms and external image ingestion.
+"""Procedural vessel-like phantoms.
 
 Phantoms are branching trees of tapered capsule segments rasterized with
 subpixel-exact distances. Coverage is binary: a pixel is foreground iff its
 center lies within a segment's half-width, and it then carries exactly the
 vessel's intensity (max-composited across overlaps). Background is exactly
 zero. Generation is bit-deterministic given the parameter seed.
+
+A user-supplied phantom does not pass through here: it enters as tensor data
+through ``cli._read_arg``, at exactly the configured grid shape, and PGM is
+only ever written (``pipeline.export_image``).
 """
 
 from __future__ import annotations
@@ -17,8 +21,6 @@ import numpy as np
 from . import kernels
 from .errors import ConfigError
 from .geometry import Image
-from .grayio import bilinear_resize, normalize01, read_pgm
-from .tensorfile import read_tensor
 
 log = logging.getLogger(__name__)
 
@@ -126,27 +128,3 @@ def generate_phantom(params: PhantomParams, nx: int, ny: int) -> Image:
                 "(closest miss %.4f)", params.seed, (lo, hi),
                 params.max_attempts, best_dist)
     return Image(data=best_img)
-
-
-def ingest_image(path, nx: int, ny: int, normalize: bool = True) -> Image:
-    """Load an external grayscale raster (PGM or tensor container), resample
-    bilinearly to ``ny x nx``, and optionally min-max rescale to [0, 1].
-
-    A constant image maps to all zeros under ``normalize``; without
-    ``normalize`` it is passed through with a logged warning.
-    """
-    spath = str(path)
-    if spath.endswith(".pgm"):
-        data = read_pgm(path)
-    else:
-        data = read_tensor(path)
-        if data.ndim != 2:
-            raise ValueError(f"{path}: expected a 2-D array")
-    data = np.asarray(data, dtype=np.float64)
-    if data.shape != (ny, nx):
-        data = bilinear_resize(data, ny, nx)
-    if normalize:
-        return Image(data=normalize01(data))
-    if data.min() == data.max():
-        log.warning("%s: zero dynamic range, passed through unnormalized", path)
-    return Image(data=data)

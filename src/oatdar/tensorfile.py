@@ -113,11 +113,10 @@ def write_bundle(path, arrays: dict, meta: dict | None = None) -> Path:
     place only once every file is written, so a write that fails (or a
     crash of the process) leaves the previous bundle at ``path`` readable,
     and no file of an older, larger bundle survives the swap. The two
-    renames of the swap are not atomic together: a crash between them
-    leaves the previous bundle at ``.<name>.old``, and the next write to
-    ``path`` moves it back before it starts. Nothing is fsynced.
+    renames of the swap are not atomic together; :func:`recover_bundle`
+    undoes a crash between them. Nothing is fsynced.
     """
-    path = Path(path)
+    path = recover_bundle(path)
     if path.exists() and not (path / "bundle.json").is_file() \
             and (not path.is_dir() or any(path.iterdir())):
         raise TensorFileError(f"{path}: exists and is not a bundle; "
@@ -125,8 +124,6 @@ def write_bundle(path, arrays: dict, meta: dict | None = None) -> Path:
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f".{path.name}.tmp")
     old = path.with_name(f".{path.name}.old")
-    if old.is_dir() and not path.exists():  # crashed between the renames
-        old.rename(path)
     for stale in (tmp, old):  # left behind by an earlier crash
         shutil.rmtree(stale, ignore_errors=True)
     tmp.mkdir()
@@ -150,9 +147,23 @@ def write_bundle(path, arrays: dict, meta: dict | None = None) -> Path:
     return path
 
 
+def recover_bundle(path) -> Path:
+    """``path``, after moving back the bundle that a crash between
+    :func:`write_bundle`'s two renames left at ``.<name>.old``.
+
+    Every lookup of a bundle goes through here, so such a bundle is read,
+    resumed from and replaced as if the swap had never started.
+    """
+    path = Path(path)
+    old = path.with_name(f".{path.name}.old")
+    if old.is_dir() and not path.exists():
+        old.rename(path)
+    return path
+
+
 def read_bundle(path) -> tuple[dict, dict]:
     """Read a bundle directory; returns (arrays, meta). Validates every file."""
-    path = Path(path)
+    path = recover_bundle(path)
     mpath = path / "bundle.json"
     if not mpath.is_file():
         raise TensorFileError(f"{path}: not a bundle (missing bundle.json)")

@@ -35,7 +35,7 @@ from .models import (CIPAutoencoder, CIPEncoder, ConditionalDenoiser,
                      DenoiserConfig, FDUNet, FDUNetConfig, fd_unet_forward)
 from .optim import OptimizerState, adam_update
 from .patches import PatchGrid, split_patches
-from .tensorfile import read_bundle, write_bundle
+from .tensorfile import read_bundle, recover_bundle, write_bundle
 
 log = logging.getLogger(__name__)
 
@@ -81,7 +81,7 @@ def load_checkpoint(path):
 def checkpoint(run_dir, name: str) -> Path:
     """``run_dir/checkpoints/<name>.ckpt``; raises :class:`PrerequisiteError`
     naming the ``train`` command that writes it when it is missing."""
-    path = Path(run_dir) / "checkpoints" / f"{name}.ckpt"
+    path = recover_bundle(Path(run_dir) / "checkpoints" / f"{name}.ckpt")
     if not path.is_dir():  # 'train diffusion' writes denoiser_<cond>.ckpt
         block, _, cond = name.replace("denoiser", "diffusion").partition("_")
         flag = f" --condition-on {cond}" if cond else ""
@@ -134,7 +134,7 @@ def fit(cfg: dict, run_dir, stage: str, ckpt_name: str, params: dict,
                          beta1=tr["adam_beta1"], beta2=tr["adam_beta2"])
     rng = stage_rng(cfg["dataset"]["master_seed"], stage)
     start_epoch, losses = 0, []
-    if resume and ckpt.is_dir():
+    if resume and recover_bundle(ckpt).is_dir():
         saved, opt_arrays, m = load_checkpoint(ckpt)
         load_parameters(params, saved, ckpt)
         opt.load_state_arrays(opt_arrays, m["opt_step"])
@@ -227,11 +227,6 @@ def _cond_patches(cfg, manifest, data_dir, condition_on):
     """Flattened float32 training patches ``(N * P, ph * pw)`` and grid."""
     if condition_on not in CONDITIONS:
         raise ValueError(f"condition_on must be one of {CONDITIONS}")
-    if condition_on == "fdunet" and any(
-            e.fdunet == "-" for e in manifest.split("train")):
-        raise PrerequisiteError(
-            "conditioning on the enhancer requires its outputs; run "
-            "'train fdunet' first or use --condition-on lbp")
     imgs = normalize01(load_images(manifest, data_dir, condition_on, "train"))
     grid = PatchGrid.for_image(imgs.shape[1:], cfg["patch"]["h"],
                                cfg["patch"]["w"])
@@ -283,8 +278,7 @@ def train_diffusion(cfg: dict, run_dir, manifest: DatasetManifest,
     data_dir = Path(run_dir) / "dataset"
     cip_ckpt = checkpoint(run_dir, f"cip_{condition_on}")
     sched = schedule_from_config(cfg)
-    den_cfg = DenoiserConfig.from_dict(cfg["denoiser"])
-    model = ConditionalDenoiser(den_cfg)
+    model = ConditionalDenoiser(DenoiserConfig.from_dict(cfg["denoiser"]))
     encoder = load_cip_encoder(cip_ckpt)
     if encoder.layer_dims != tuple(cfg["cip"]["layer_dims"]):
         raise PrerequisiteError(
@@ -307,7 +301,7 @@ def train_diffusion(cfg: dict, run_dir, manifest: DatasetManifest,
 
     meta = {"kind": "denoiser", "condition_on": condition_on,
             "config_hash": config_hash(cfg),
-            "denoiser_config": den_cfg.to_dict(),
+            "denoiser_config": cfg["denoiser"],
             "cip_layer_dims": list(encoder.layer_dims),
             "schedule": cfg["schedule"],
             "patch": {"h": grid.patch_h, "w": grid.patch_w}}

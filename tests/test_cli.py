@@ -1,9 +1,10 @@
 """One method dispatch: ``oatdar reconstruct`` and ``oatdar eval`` agree on
 every method, and bad methods, step counts, eta, list flags, geometries,
 grids too small for a phantom, input files, all-zero phantoms to add noise
-to and checkpoints that do not fit their model exit with a config error; a missing checkpoint or an empty train split exits with
-a prerequisite error, as does a CIP checkpoint of other widths; a non-finite
-enhancer or an aborted checkpoint exits with a numerical error;
+to and checkpoints that do not fit their model exit with a config error; a
+missing checkpoint, an empty train split or a missing enhancer output exits
+with a prerequisite error, as does a CIP checkpoint of other widths; a
+non-finite enhancer or an aborted checkpoint exits with a numerical error;
 ``run-all`` is bit-reproducible."""
 
 import json
@@ -135,6 +136,17 @@ def test_empty_train_split_exits_3(tiny_run, tmp_path, block):
     manifest.write(run / "dataset")
     assert cli.main(["train", block, "--condition-on", "lbp", *common[:2],
                      "--run-dir", str(run)]) == 3
+
+
+def test_train_cip_before_the_enhancer_exits_3(tmp_path, caplog):
+    """Conditioning on the enhancer needs its outputs in the dataset."""
+    cfg_path = tmp_path / "tiny.json"
+    cfg_path.write_text(json.dumps(TINY))
+    common = ["--config", str(cfg_path), "--run-dir", str(tmp_path / "run")]
+    assert cli.main(["dataset", "build", *common]) == 0
+    with caplog.at_level(logging.ERROR, logger="oatdar"):
+        assert cli.main(["train", "cip", *common]) == 3
+    assert "'train fdunet'" in caplog.text
 
 
 @pytest.mark.parametrize("argv", [

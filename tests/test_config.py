@@ -3,7 +3,7 @@
 import pytest
 
 from oatdar import cli
-from oatdar.config import load_config
+from oatdar.config import config_hash, desk_config, load_config, paper_config
 from oatdar.errors import ConfigError
 
 
@@ -92,3 +92,9 @@ def test_negative_seed_flag_exits_2(tmp_path, capsys, argv):
     assert exc.value.code == 2
     assert not out.exists()
     assert "--seed: must be an integer >= 0" in capsys.readouterr().err
+
+
+def test_profile_hashes_are_pinned():
+    """The paper profile is the desk one plus its differences."""
+    assert config_hash(desk_config()) == "8af1ce7f7025aee1"
+    assert config_hash(paper_config()) == "275094462f120372"

@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from oatdar.errors import ConfigError
-from oatdar.grayio import bilinear_resize, read_pgm, write_pgm
-from oatdar.phantoms import PhantomParams, generate_phantom, ingest_image
-from oatdar.tensorfile import write_tensor
+from oatdar.grayio import resize_matrix, write_pgm
+from oatdar.phantoms import PhantomParams, generate_phantom
 
 
 def test_deterministic_given_seed():
@@ -73,35 +72,12 @@ def test_too_small_grid_rejected():
 
 
 # ---------------------------------------------------------------------------
-# ingestion
+# graymap export and the bilinear resampling matrix
 # ---------------------------------------------------------------------------
 
-def test_tensorfile_roundtrip_no_resample(tmp_path):
-    rng = np.random.default_rng(6)
-    data = rng.uniform(0.0, 1.0, (32, 32))
-    f = write_tensor(tmp_path / "img.oatd", data)
-    img = ingest_image(f, 32, 32, normalize=False)
-    assert np.array_equal(img.data, data)
-
-
-def test_constant_image_normalizes_to_zero(tmp_path):
-    f = write_tensor(tmp_path / "c.oatd", np.full((20, 20), 0.7))
-    img = ingest_image(f, 20, 20, normalize=True)
-    assert not np.any(img.data)
-
-
-def test_constant_without_normalize_passthrough(tmp_path, caplog):
-    f = write_tensor(tmp_path / "c.oatd", np.full((20, 20), 0.7))
-    with caplog.at_level(logging.WARNING, logger="oatdar.phantoms"):
-        img = ingest_image(f, 20, 20, normalize=False)
-    assert np.all(img.data == 0.7)
-    assert any("zero dynamic range" in r.message for r in caplog.records)
-
-
-def test_ramp_resample_matches_direct_interpolation(tmp_path):
+def test_ramp_resample_matches_direct_interpolation():
     src = np.add.outer(np.linspace(0, 1, 256), np.linspace(0, 2, 256))
-    f = write_tensor(tmp_path / "r.oatd", src)
-    img = ingest_image(f, 128, 128, normalize=False)
+    got = resize_matrix(256, 128) @ src @ resize_matrix(256, 128).T
 
     # independent bilinear oracle: loop output pixels
     want = np.empty((128, 128))
@@ -116,46 +92,24 @@ def test_ramp_resample_matches_direct_interpolation(tmp_path):
                           + src[y0, x1] * (1 - fy) * fx
                           + src[y1, x0] * fy * (1 - fx)
                           + src[y1, x1] * fy * fx)
-    assert np.allclose(img.data, want, atol=1e-6)
+    assert np.allclose(got, want, atol=1e-6)
 
 
 def test_pgm_roundtrip(tmp_path):
     rng = np.random.default_rng(7)
     data = rng.uniform(0.0, 1.0, (24, 40))
-    f = write_pgm(tmp_path / "img.pgm", data)
-    back = read_pgm(f)
-    assert back.shape == (24, 40)
+    raw = write_pgm(tmp_path / "img.pgm", data).read_bytes()
+    header = b"P5\n40 24\n65535\n"
+    assert raw[:len(header)] == header
+    back = np.frombuffer(raw[len(header):], dtype=">u2").reshape(24, 40)
     # 16-bit quantization of a min-max-scaled image
     lo, hi = data.min(), data.max()
-    assert np.abs(back - (data - lo) / (hi - lo)).max() <= 0.5 / 65535 + 1e-12
-
-
-def test_pgm_ascii(tmp_path):
-    p = tmp_path / "a.pgm"
-    p.write_text("P2\n# comment\n3 2\n255\n0 128 255\n64 32 16\n")
-    img = read_pgm(p)
-    assert img.shape == (2, 3)
-    assert img[0, 2] == 1.0
-    assert abs(img[0, 1] - 128 / 255) < 1e-12
-
-
-def test_pgm_ingest_resamples(tmp_path):
-    data = np.add.outer(np.linspace(0, 1, 64), np.zeros(64))
-    f = write_pgm(tmp_path / "g.pgm", data)
-    img = ingest_image(f, 32, 32, normalize=True)
-    assert img.data.shape == (32, 32)
-    assert img.data.min() == 0.0 and img.data.max() == 1.0
-    # vertical ramp stays monotone after resampling
-    col = img.data[:, 7]
-    assert np.all(np.diff(col) > 0)
-
-
-def test_ingest_unreadable(tmp_path):
-    with pytest.raises(Exception):
-        ingest_image(tmp_path / "missing.oatd", 16, 16)
+    assert np.abs(back / 65535 - (data - lo) / (hi - lo)).max() \
+        <= 0.5 / 65535 + 1e-12
 
 
 def test_same_size_resize_is_identity():
     rng = np.random.default_rng(8)
     img = rng.standard_normal((17, 23))
-    assert np.array_equal(bilinear_resize(img, 17, 23), img)
+    assert np.array_equal(resize_matrix(17, 17) @ img
+                          @ resize_matrix(23, 23).T, img)

@@ -124,6 +124,15 @@ def test_bundle_write_restores_bundle_left_mid_swap(tmp_path, monkeypatch):
     assert [p.name for p in tmp_path.iterdir()] == ["ckpt"]
 
 
+def test_bundle_read_restores_bundle_left_mid_swap(tmp_path):
+    path = tmp_path / "ckpt"
+    write_bundle(path, {"w": np.ones(3)}, {"epoch": 1})
+    path.rename(tmp_path / ".ckpt.old")  # a crash between the two renames
+    arrays, meta = read_bundle(path)
+    assert meta == {"epoch": 1} and np.array_equal(arrays["w"], np.ones(3))
+    assert [p.name for p in tmp_path.iterdir()] == ["ckpt"]
+
+
 def test_bundle_overwrite_drops_stale_arrays(tmp_path):
     path = tmp_path / "ckpt"
     write_bundle(path, {f"a{i}": np.zeros(2) for i in range(3)})

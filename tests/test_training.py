@@ -1,7 +1,9 @@
 """The shared epoch loop: resuming a stage reproduces the uninterrupted run
-bit for bit, and the CLI hands ``--resume`` to every block."""
+bit for bit, also from a checkpoint a crash left mid-swap, and the CLI hands
+``--resume`` to every block."""
 
 import json
+import logging
 import shutil
 
 import numpy as np
@@ -118,6 +120,35 @@ def test_resume_rejects_a_checkpoint_of_another_model(tmp_path):
     with pytest.raises(ConfigError):
         training.fit(_cfg(2), tmp_path, "fdunet", "probe.ckpt", {"w": w}, 4,
                      lambda idx, rng: ad.sum_(w), {}, resume=True)
+
+
+def test_resume_continues_from_a_checkpoint_left_mid_swap(tmp_path, caplog):
+    """A crash between write_bundle's two renames leaves the checkpoint at
+    ``.<name>.old``; resume still continues from it."""
+    w = ad.Tensor(np.ones(3, dtype=np.float32), requires_grad=True)
+
+    def run(epochs, resume):
+        return training.fit(_cfg(epochs), tmp_path, "fdunet", "probe.ckpt",
+                            {"w": w}, 4, lambda idx, rng: ad.sum_(w),
+                            {"kind": "probe"}, resume=resume)
+
+    ckpt = run(2, False)
+    saved = read_bundle(ckpt)[1]["losses"]
+    ckpt.rename(ckpt.with_name(".probe.ckpt.old"))
+    with caplog.at_level(logging.INFO, logger="oatdar.training"):
+        run(3, True)
+    assert [r.getMessage().split(" loss")[0] for r in caplog.records
+            if " epoch " in r.getMessage()] == ["fdunet epoch 3/3"]
+    meta = read_bundle(ckpt)[1]
+    assert meta["epoch"] == 2 and meta["losses"][:2] == saved
+
+
+def test_checkpoint_lookup_finds_a_checkpoint_left_mid_swap(tmp_path):
+    path = write_bundle(tmp_path / "checkpoints" / "fdunet.ckpt",
+                        {"w": np.ones(3)}, {"epoch": 0})
+    path.rename(path.with_name(".fdunet.ckpt.old"))
+    assert training.checkpoint(tmp_path, "fdunet") == path
+    assert read_bundle(path)[1] == {"epoch": 0}
 
 
 # block -> the loader of the checkpoint its trainer writes
