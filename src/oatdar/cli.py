@@ -15,7 +15,7 @@ from pathlib import Path
 from . import pipeline, training
 from .config import (apply_flag_overrides, config_hash, geometry_from_config,
                      load_config, phantom_params_from_config)
-from .dataset import DatasetManifest, build_dataset
+from .dataset import SPLITS, DatasetManifest, build_dataset
 from .errors import (ConfigError, NumericalError, PrerequisiteError,
                      ShapeError, TensorFileError)
 from .geometry import Image, Sinogram, check_image, check_sinogram
@@ -250,7 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--methods", default="lbp,fdunet,dar")
     sp.add_argument("--nis", default=None, help="comma list for dar methods")
     sp.add_argument("--snr", default=None, help="comma list of re-noise SNRs")
-    sp.add_argument("--split", default="test")
+    sp.add_argument("--split", default="test", choices=SPLITS)
     sp.add_argument("--out", default=None)
     sp.set_defaults(fn=cmd_eval)
 

@@ -34,6 +34,8 @@ log = logging.getLogger(__name__)
 
 MANIFEST_NAME = "manifest.tsv"
 
+SPLITS = ("train", "val", "test")   # in dataset index order
+
 
 @dataclass(frozen=True)
 class DatasetEntry:
@@ -42,7 +44,7 @@ class DatasetEntry:
     sinogram: str
     lbp: str
     fdunet: str          # "-" until the enhancement stage fills it in
-    split: str           # train | val | test
+    split: str           # one of SPLITS
     seed: int
     snr_db: float
 
@@ -161,11 +163,10 @@ def build_dataset(cfg: dict, run_dir, force: bool = False) -> DatasetManifest:
     ds = cfg["dataset"]
     master = ds["master_seed"]
     lo, hi = ds["snr_db_range"]
-    counts = [("train", ds["train"]), ("val", ds["val"]), ("test", ds["test"])]
     entries = []
     index = 0
-    for split, count in counts:
-        for _ in range(count):
+    for split in SPLITS:
+        for _ in range(ds[split]):
             ph_seed, nz_seed, snr_rng = entry_seeds(master, index)
             params = phantom_params_from_config(cfg, ph_seed)
             phantom = generate_phantom(params, geom.grid_nx, geom.grid_ny)

@@ -1,19 +1,20 @@
 """Hot numeric kernels, one numpy/scipy lane.
 
 * :func:`forward_entries` emits the spreading matrix as COO triplets, one
-  vectorized pass per (detector, sub-element) pair.
-* :func:`assemble_csr` orders them by one stable sort on the int64
-  row-major key ``row * n_cols + col`` and sums duplicates into a CSR
-  matrix with int32 offsets and column indices.
+  vectorized pass per (detector, sub-element) pair. The operator calls it
+  once per detector, whose rows form one contiguous block.
+* :func:`assemble_csr` orders a block's triplets by two stable sorts,
+  column then row, which together equal ``np.lexsort((cols, rows))``, and
+  sums duplicates into a CSR matrix with int32 offsets and column indices.
 * :func:`csr_matvec` / :func:`csr_rmatvec` apply that matrix and its
   transpose through ``scipy.sparse``. The operator's apply, adjoint and
   spectral-gain power iteration all run through these two products.
 * :func:`render_capsules` rasterizes phantom vessels.
 
 The CSR arrays are int32 because scipy keeps int32 index arrays as they
-are but copies int64 ones on every wrap; :func:`assemble_csr` therefore
-refuses matrices whose entry or column count does not fit in int32, and
-shapes whose row-major key does not fit in int64.
+are but copies int64 ones on every wrap; :func:`check_index_count`
+therefore refuses matrices whose row, column or entry count does not fit
+in int32.
 
 Nothing here is threaded or uses fused/reordered arithmetic: the CSR
 product sums each row in stored order and the transpose product scatters
@@ -29,7 +30,14 @@ from .errors import GeometryError, SignalWindowError
 
 INDEX_DTYPE = np.int32
 _INDEX_MAX = int(np.iinfo(INDEX_DTYPE).max)
-_KEY_MAX = int(np.iinfo(np.int64).max)
+
+
+def check_index_count(count, what):
+    """Refuse ``count`` rows, columns or entries that int32 cannot index."""
+    if count > _INDEX_MAX:
+        raise GeometryError(
+            f"operator has {count} {what}; CSR indices are int32, so it "
+            f"must have fewer than 2**31")
 
 
 # ---------------------------------------------------------------------------
@@ -46,11 +54,14 @@ _KEY_MAX = int(np.iinfo(np.int64).max)
 # ---------------------------------------------------------------------------
 
 
-def forward_entries(px, py, dsx, dsy, vs, dt, nt, base):
-    """COO triplets (row = detector*nt + time_index, col = pixel, value).
+def forward_entries(px, py, dsx, dsy, vs, dt, nt, base, first_detector=0):
+    """COO triplets (row = l*nt + time_index, col = pixel, value), where
+    ``l`` is the detector's row in ``dsx``.
 
     Raises :class:`SignalWindowError` when an arrival lies past the last
-    time sample's window, i.e. farther than ``(nt - 1/2) * dt * vs``.
+    time sample's window, i.e. farther than ``(nt - 1/2) * dt * vs``. The
+    message names detector ``first_detector + l``, so a caller passing one
+    detector's rows of ``dsx`` names that detector's place on the ring.
     """
     px = np.ascontiguousarray(px, dtype=np.float64)
     py = np.ascontiguousarray(py, dtype=np.float64)
@@ -69,8 +80,8 @@ def forward_entries(px, py, dsx, dsy, vs, dt, nt, base):
             if tau.max() - (nt - 1) * dt >= half:
                 raise SignalWindowError(
                     f"time window covers {(nt - 0.5) * dt * vs:g} m but "
-                    f"detector {l}'s farthest pixel is {dist.max():g} m "
-                    f"away; increase time_samples or dt")
+                    f"detector {first_detector + l}'s farthest pixel is "
+                    f"{dist.max():g} m away; increase time_samples or dt")
             kf = np.floor(tau / dt).astype(np.int64)
             for kc in (kf, kf + 1):
                 # the hit pixels' indices are their columns
@@ -90,18 +101,23 @@ def forward_entries(px, py, dsx, dsy, vs, dt, nt, base):
 def assemble_csr(rows, cols, vals, n_rows, n_cols):
     """Sort COO triplets into CSR, summing duplicates in stable order.
 
-    The triplets are ordered by one stable sort on the int64 key
-    ``row * n_cols + col``. With ``0 <= col < n_cols`` that key is a
-    bijection onto row-major (row, col) order, so the permutation equals
-    ``np.lexsort((cols, rows))`` and each duplicate run is summed
-    (``np.add.reduceat``) in input order.
+    Two stable argsorts order the triplets, least-significant key first:
+    by column, then by row. Stable passes compose, so the permutation
+    equals ``np.lexsort((cols, rows))`` whatever stable sort each pass
+    uses, and each duplicate run is summed (``np.add.reduceat``) in input
+    order. The row pass casts rows to ``np.min_scalar_type(n_rows - 1)``,
+    which numpy radix-sorts up to 16 bits. The column pass sorts the
+    columns as given: :func:`forward_entries` emits them in ascending
+    runs, one per (sub-element, candidate) pass, and numpy's timsort
+    merges those about three times faster than its radix sort at paper
+    scale.
 
     Returns int32 ``indptr``/``indices`` and ``data`` in ``vals``' dtype.
     Raises ``ValueError`` before sorting when a row lies outside
     ``[0, n_rows)`` or a column outside ``[0, n_cols)``, and
     :class:`GeometryError` before sorting when the column count exceeds
-    int32 or ``n_rows * n_cols`` exceeds int64, and after summing when the
-    entry count exceeds int32.
+    int32, and after summing, before ``indptr`` is allocated, when the
+    entry or row count does.
     """
     n_rows, n_cols = int(n_rows), int(n_cols)
     rows, cols = np.asarray(rows), np.asarray(cols)
@@ -109,33 +125,23 @@ def assemble_csr(rows, cols, vals, n_rows, n_cols):
                           and 0 <= cols.min() and cols.max() < n_cols):
         raise ValueError(
             f"COO indices outside the {n_rows} x {n_cols} operator")
-    if n_cols > _INDEX_MAX:
-        raise GeometryError(
-            f"operator has {n_cols} columns; CSR indices are int32, so it "
-            f"must have fewer than 2**31")
-    if n_rows * n_cols > _KEY_MAX:
-        raise GeometryError(
-            f"operator shape {n_rows} x {n_cols} has more cells than an "
-            f"int64 sort key can number")
-    key = np.multiply(rows, n_cols, dtype=np.int64)
-    key += cols
-    order = np.argsort(key, kind="stable")
-    key, vals = key[order], vals[order]
-    if key.size:
-        new = np.empty(key.size, dtype=bool)
+    check_index_count(n_cols, "columns")
+    rows = rows.astype(np.min_scalar_type(n_rows - 1))
+    order = np.argsort(cols, kind="stable")
+    order = order[np.argsort(rows[order], kind="stable")]
+    rows, cols, vals = rows[order], cols[order], vals[order]
+    if rows.size:
+        new = np.empty(rows.size, dtype=bool)
         new[0] = True
-        np.not_equal(key[1:], key[:-1], out=new[1:])
+        np.not_equal(rows[1:], rows[:-1], out=new[1:])
+        new[1:] |= cols[1:] != cols[:-1]
         starts = np.flatnonzero(new)
         vals = np.add.reduceat(vals, starts)
-        key = key[starts]
-    if key.size > _INDEX_MAX:
-        raise GeometryError(
-            f"operator has {key.size} entries; CSR indices are int32, so it "
-            f"must have fewer than 2**31")
-    rows, cols = np.divmod(key, n_cols)
-    indptr = np.zeros(n_rows + 1, dtype=INDEX_DTYPE)
-    np.cumsum(np.bincount(rows, minlength=n_rows), out=indptr[1:])
-    return indptr, cols.astype(INDEX_DTYPE), vals
+        rows, cols = rows[starts], cols[starts]
+    check_index_count(vals.size, "entries")
+    check_index_count(n_rows, "rows")
+    indptr = np.searchsorted(rows, np.arange(n_rows + 1))  # rows are sorted
+    return indptr.astype(INDEX_DTYPE), cols.astype(INDEX_DTYPE), vals
 
 
 # ---------------------------------------------------------------------------

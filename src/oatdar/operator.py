@@ -11,9 +11,11 @@ sub-element count; finite apertures average S point sub-detectors along a
 tangential chord). That window rule, and the refusal of a geometry whose
 arrivals outrun the last sample, are stated once, in
 :func:`kernels.forward_entries`. The spreading matrix is assembled once as
-CSR, and every product with it (apply, adjoint, and the power iteration
-below) goes through :func:`kernels.csr_matvec` /
-:func:`kernels.csr_rmatvec`.
+CSR, one detector at a time: detector l owns the contiguous row block
+``l*nt .. (l+1)*nt - 1``, so assembling each block on its own and
+stitching the blocks gives the same arrays as one sort over all entries.
+Every product with it (apply, adjoint, and the power iteration below)
+goes through :func:`kernels.csr_matvec` / :func:`kernels.csr_rmatvec`.
 
 The derivative along the time axis uses a central difference in the interior
 and one-sided first-order differences at both ends; the adjoint applies the
@@ -145,14 +147,25 @@ def build_forward_operator(geometry: ImagingGeometry,
         raise GeometryError(
             f"ring_radius {geometry.ring_radius:g} m must exceed the grid "
             f"half-diagonal {geometry.half_diagonal():g} m")
-    px, py = geometry.pixel_coords()
-    dsx, dsy = geometry.subelement_positions(jittered=jittered)
-    rows, cols, vals = kernels.forward_entries(
-        px, py, dsx, dsy, geometry.sound_speed, geometry.dt,
-        geometry.time_samples, entry_scale(geometry))
-    op = ForwardOperator(geometry, jittered, *kernels.assemble_csr(
-        rows, cols, vals, math.prod(geometry.sinogram_shape),
-        geometry.n_pixels))
+    g = geometry
+    nt, n_rows = g.time_samples, math.prod(g.sinogram_shape)
+    kernels.check_index_count(n_rows, "rows")
+    px, py = g.pixel_coords()
+    dsx, dsy = g.subelement_positions(jittered=jittered)
+    blocks = []
+    for l in range(len(dsx)):
+        rows, cols, vals = kernels.forward_entries(
+            px, py, dsx[l:l + 1], dsy[l:l + 1], g.sound_speed, g.dt, nt,
+            entry_scale(g), first_detector=l)
+        blocks.append(kernels.assemble_csr(rows, cols, vals, nt, g.n_pixels))
+    indptrs, indices, values = zip(*blocks)
+    counts = np.concatenate([np.diff(p) for p in indptrs])
+    # each block fits int32 on its own; the stitched offsets must too
+    kernels.check_index_count(int(counts.sum(dtype=np.int64)), "entries")
+    indptr = np.zeros(n_rows + 1, dtype=kernels.INDEX_DTYPE)
+    np.cumsum(counts, out=indptr[1:])
+    op = ForwardOperator(geometry, jittered, indptr, np.concatenate(indices),
+                         np.concatenate(values))
     op.output_scale = _spectral_gain(op)
     return op
 

@@ -1,7 +1,8 @@
 """One method dispatch: ``oatdar reconstruct`` and ``oatdar eval`` agree on
 every method, and bad methods, step counts, eta, list flags, geometries,
 grids too small for a phantom, input files, all-zero phantoms to add noise
-to and checkpoints that do not fit their model exit with a config error; a
+to and checkpoints that do not fit their model exit with a config error, and
+a misspelt ``eval --split`` with the parser's usage error (also 2); a
 missing checkpoint, an empty train split or a missing enhancer output exits
 with a prerequisite error, as does a CIP checkpoint of other widths; a
 non-finite enhancer or an aborted checkpoint exits with a numerical error;
@@ -179,6 +180,16 @@ def test_unknown_method_fails_before_reading_data(tiny_run, tmp_path,
     monkeypatch.setattr(pipeline, "read_tensor", read_tensor)
     assert cli.main(["eval", *common, "--methods", "foo",
                      "--out", str(tmp_path / "out")]) == 2
+
+
+def test_eval_split_typo_exits_2(tiny_run, tmp_path, capsys):
+    common, *_ = tiny_run
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["eval", *common, "--split", "tset", "--out", str(out)])
+    assert exc.value.code == 2
+    assert "invalid choice: 'tset'" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def _run_cli(*argv):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from oatdar import kernels
+from oatdar.config import desk_config, geometry_from_config, paper_config
 from oatdar.errors import (ConfigError, GeometryError, NumericalError,
                            ShapeError, SignalWindowError)
 from oatdar.geometry import ImagingGeometry, Image, Sinogram
@@ -122,6 +123,32 @@ def test_window_is_the_kernels_arrival_rule():
                           np.ones(op.n_cols, dtype=np.int64))
 
 
+def test_window_error_names_the_truncating_detector():
+    # the same geometry with a second detector at angle 0, whose farthest
+    # pixel (3.89 mm) fits the 28 windows: only detector 1 truncates
+    geom = ImagingGeometry(
+        grid_nx=16, grid_ny=16, pixel_pitch=1e-4, detector_count=2,
+        detector_angles=(0.0, 5 * np.pi / 4), ring_radius=3.065e-3,
+        position_jitter_frac=0.0, sir_subelements=1, sound_speed=1500.0,
+        dt=1e-7, time_samples=28)
+    with pytest.raises(SignalWindowError, match="detector 1's farthest"):
+        build_forward_operator(geom)
+
+
+def test_build_refuses_more_entries_than_int32_in_total(monkeypatch):
+    # 2 detectors x 256 pixels, one sub-element: each block holds 256
+    # entries and the operator 512, so only the stitched count overflows
+    geom = ImagingGeometry(
+        grid_nx=16, grid_ny=16, pixel_pitch=1e-4, detector_count=2,
+        ring_radius=3.065e-3, position_jitter_frac=0.0, sir_subelements=1,
+        sound_speed=1500.0, dt=1e-7, time_samples=64)
+    op = build_forward_operator(geom)
+    assert op.indptr[geom.time_samples] == 256 and op.indptr[-1] == 512
+    monkeypatch.setattr(kernels, "_INDEX_MAX", 300)
+    with pytest.raises(GeometryError, match="512 entries.*int32"):
+        build_forward_operator(geom)
+
+
 def test_operator_bundle_roundtrip(tmp_path, toy_geometry):
     op = build_forward_operator(toy_geometry)
     op.to_bundle(tmp_path / "op")
@@ -177,12 +204,12 @@ def test_assemble_csr_refuses_indices_outside_the_shape(row, col):
         kernels.assemble_csr(rows, cols, np.ones(2), 2, 3)
 
 
-def test_assemble_csr_refuses_key_overflow_before_allocating():
-    # 2**40 rows of 2**30 columns: the row-major key needs 70 bits, and an
+def test_assemble_csr_refuses_too_many_rows_before_allocating():
+    # 2**40 rows of 2**30 columns: int32 cannot index the rows, and an
     # indptr of 2**40 + 1 int32 offsets would not fit in memory
     rows = np.array([0, 5, 2**40 - 1], dtype=np.int64)
     cols = np.array([1, 0, 2**30 - 1], dtype=np.int64)
-    with pytest.raises(GeometryError, match="int64"):
+    with pytest.raises(GeometryError, match="1099511627776 rows.*int32"):
         kernels.assemble_csr(rows, cols, np.ones(3), 2**40, 2**30)
     with pytest.raises(GeometryError, match="int32"):
         kernels.assemble_csr(rows, cols, np.ones(3), 2**40, 2**31)
@@ -211,13 +238,16 @@ def assert_same_csr(got, want):
         assert np.array_equal(g, w)
 
 
-@pytest.mark.parametrize("seed", [0, 1, 2])
-def test_assemble_csr_sums_duplicates_in_input_order(seed):
+@pytest.mark.parametrize("seed,n_rows,n_cols", [
+    (0, 37, 29), (1, 37, 29), (2, 37, 29), (3, 2, 70001), (4, 70001, 2)],
+    ids=["0", "1", "2", "3-wide", "4-tall"])
+def test_assemble_csr_sums_duplicates_in_input_order(seed, n_rows, n_cols):
     # every (row, col) cell gets a run of 1..12 duplicates, shuffled, so
     # runs are longer than reduceat's 8-wide block; with 1e16 and -1e16
-    # among the values each run's float sum depends on its order
+    # among the values each run's float sum depends on its order. The
+    # wide and tall shapes number 17-bit columns and rows; 17-bit rows
+    # are past numpy's 16-bit radix sort.
     rng = np.random.default_rng(seed)
-    n_rows, n_cols = 37, 29
     runs = rng.integers(1, 13, size=n_rows * n_cols)
     runs[:12] = np.arange(1, 13)
     cells = np.repeat(rng.permutation(n_rows * n_cols), runs)
@@ -275,14 +305,17 @@ def test_forward_entries_match_mask_reference_in_order(case, toy_geometry):
         assert np.unique(rows * geom.n_pixels + cols).size < rows.size
 
 
-def test_build_matches_reference_assembly_bit_for_bit():
-    geom = ImagingGeometry(grid_nx=48, grid_ny=48, pixel_pitch=110e-6,
-                           detector_count=12, ring_radius=5e-3,
-                           position_jitter_frac=1e-3, time_samples=160,
-                           sir_subelements=4, sensor_diameter=2e-3,
-                           jitter_seed=7)
-    op = build_forward_operator(geom, jittered=True)
-    _, (rows, cols, vals) = _entries_both_ways(geom, jittered=True)
+@pytest.mark.parametrize("jittered", [False, True],
+                         ids=["nominal", "jittered"])
+@pytest.mark.parametrize("geom", [
+    geometry_from_config(desk_config()), geometry_from_config(paper_config()),
+    _DUPLICATING], ids=["desk", "paper", "duplicating"])
+def test_build_matches_reference_assembly_bit_for_bit(geom, jittered):
+    # one lexsort over every detector's entries; the per-detector blocks
+    # sort time samples as uint8 (desk, duplicating) or uint16 (paper)
+    # keys, and the duplicating geometry sums runs of tied cells
+    op = build_forward_operator(geom, jittered=jittered)
+    _, (rows, cols, vals) = _entries_both_ways(geom, jittered=jittered)
     want = lexsort_csr_reference(rows, cols, vals, geom.detector_count
                                  * geom.time_samples)
     assert_same_csr((op.indptr, op.indices, op.values), want)
