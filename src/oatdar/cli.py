@@ -152,7 +152,7 @@ def cmd_eval(args):
     cfg = _load_cfg(args)
     run_dir = Path(args.run_dir)
     manifest = _manifest(run_dir)
-    methods = [m.strip() for m in args.methods.split(",") if m.strip()]
+    methods = [m.strip() for m in args.methods.split(",")]
     nis_list = _parse_list(args.nis, int, "--nis") if args.nis else ()
     snr_list = _parse_list(args.snr, float, "--snr") if args.snr else None
     report = pipeline.evaluate_methods(cfg, run_dir, manifest, methods,

@@ -119,10 +119,16 @@ class DatasetManifest:
                 read_tensor(directory / rel)
 
 
+def derive_seed(*keys) -> int:
+    """The one rule that turns integer keys into a seed: the first word
+    ``np.random.SeedSequence(keys)`` generates."""
+    return int(np.random.SeedSequence(keys).generate_state(1)[0])
+
+
 def entry_seeds(master_seed: int, index: int):
     """(phantom_seed, noise_seed, snr_rng) for one dataset entry."""
-    ph = int(np.random.SeedSequence((master_seed, index, 0)).generate_state(1)[0])
-    nz = int(np.random.SeedSequence((master_seed, index, 1)).generate_state(1)[0])
+    ph = derive_seed(master_seed, index, 0)
+    nz = derive_seed(master_seed, index, 1)
     snr_rng = np.random.default_rng(np.random.SeedSequence((master_seed, index, 2)))
     return ph, nz, snr_rng
 

@@ -7,7 +7,7 @@ Conventions used everywhere downstream:
 * images are ``[ny, nx]`` arrays flattened row-major, sinograms are
   ``[n_detectors, n_time_samples]``;
 * time sample k is at ``t = k * dt`` (acquisition starts at the laser pulse);
-* detector l sits nominally at angle ``detector_angles[l]`` on a ring of
+* detector l of L sits nominally at angle ``2*pi*l/L`` on a ring of
   radius ``ring_radius``. Jittered positions perturb radius by
   ``ring_radius * u1 * position_jitter_frac`` and angle by
   ``u2 * position_jitter_frac`` (u uniform in [-1, 1]), drawn once from
@@ -27,10 +27,6 @@ from .errors import GeometryError, ShapeError
 TWO_PI = 2.0 * np.pi
 
 
-def _uniform_angles(n: int) -> np.ndarray:
-    return np.arange(n) * (TWO_PI / n)
-
-
 @dataclass(frozen=True)
 class ImagingGeometry:
     grid_nx: int = 128
@@ -38,12 +34,10 @@ class ImagingGeometry:
     pixel_pitch: float = 110e-6
     detector_count: int = 36
     ring_radius: float = 44e-3
-    detector_angles: tuple = None  # radians, strictly increasing in [0, 2pi)
     position_jitter_frac: float = 1e-3
     sound_speed: float = 1490.0
     dt: float = 1.0 / 24.4e6
     time_samples: int = 1024
-    voxel_volume: float = None  # defaults to pixel_pitch**3 (unit-pitch slice)
     sir_subelements: int = 1
     sensor_diameter: float = 13e-3
     jitter_seed: int = 0
@@ -51,22 +45,11 @@ class ImagingGeometry:
     def __post_init__(self):
         if self.detector_count < 1:
             raise GeometryError("detector_count must be >= 1")
-        if self.detector_angles is None:
-            object.__setattr__(
-                self, "detector_angles",
-                tuple(_uniform_angles(int(self.detector_count))))
-        else:
-            object.__setattr__(
-                self, "detector_angles",
-                tuple(float(a) for a in self.detector_angles))
-        if self.voxel_volume is None:
-            object.__setattr__(self, "voxel_volume", float(self.pixel_pitch) ** 3)
         if self.time_samples < 2:
             raise GeometryError("time_samples must be >= 2")
         if self.grid_nx < 1 or self.grid_ny < 1:
             raise GeometryError("grid must have at least one pixel")
-        for name in ("pixel_pitch", "ring_radius", "sound_speed", "dt",
-                     "voxel_volume"):
+        for name in ("pixel_pitch", "ring_radius", "sound_speed", "dt"):
             if not getattr(self, name) > 0:
                 raise GeometryError(f"{name} must be positive")
         if self.position_jitter_frac < 0:
@@ -76,13 +59,6 @@ class ImagingGeometry:
         if self.sir_subelements > 1 and not self.sensor_diameter > 0:
             raise GeometryError(
                 "sensor_diameter must be positive when sir_subelements > 1")
-        angles = np.asarray(self.detector_angles)
-        if angles.shape != (self.detector_count,):
-            raise GeometryError("detector_angles length must equal detector_count")
-        if np.any(angles < 0) or np.any(angles >= TWO_PI):
-            raise GeometryError("detector_angles must lie in [0, 2pi)")
-        if self.detector_count > 1 and np.any(np.diff(angles) <= 0):
-            raise GeometryError("detector_angles must be strictly increasing")
 
     # -- derived geometry ---------------------------------------------------
 
@@ -97,6 +73,16 @@ class ImagingGeometry:
     @property
     def sinogram_shape(self) -> tuple:
         return (self.detector_count, self.time_samples)
+
+    @property
+    def detector_angles(self) -> np.ndarray:
+        """Nominal detector angles ``2*pi*l/L`` in radians."""
+        return np.arange(self.detector_count) * (TWO_PI / self.detector_count)
+
+    @property
+    def voxel_volume(self) -> float:
+        """A unit-pitch slice: ``pixel_pitch**3``."""
+        return float(self.pixel_pitch) ** 3
 
     def half_diagonal(self) -> float:
         w = self.grid_nx * self.pixel_pitch
@@ -123,7 +109,7 @@ class ImagingGeometry:
         rng = np.random.default_rng(self.jitter_seed)
         u = rng.uniform(-1.0, 1.0, size=(self.detector_count, 2))
         radii = self.ring_radius * (1.0 + u[:, 0] * frac)
-        angles = np.asarray(self.detector_angles) + u[:, 1] * frac
+        angles = self.detector_angles + u[:, 1] * frac
         half, s = self.sensor_diameter / 2.0, self.sir_subelements
         offsets = np.linspace(-half, half, s) if s > 1 else np.zeros(1)
         r = radii[:, None]
@@ -133,9 +119,7 @@ class ImagingGeometry:
     # -- serialization ------------------------------------------------------
 
     def to_dict(self) -> dict:
-        d = asdict(self)
-        d["detector_angles"] = list(self.detector_angles)
-        return d
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "ImagingGeometry":

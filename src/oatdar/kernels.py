@@ -1,8 +1,8 @@
 """Hot numeric kernels, one numpy/scipy lane.
 
-* :func:`forward_entries` emits the spreading matrix as COO triplets, one
-  vectorized pass per (detector, sub-element) pair. The operator calls it
-  once per detector, whose rows form one contiguous block.
+* :func:`forward_entries` emits one detector's block of the spreading
+  matrix as COO triplets (row = time index), one vectorized pass per
+  sub-element. The operator calls it once per detector.
 * :func:`assemble_csr` orders a block's triplets by two stable sorts,
   column then row, which together equal ``np.lexsort((cols, rows))``, and
   sums duplicates into a CSR matrix with int32 offsets and column indices.
@@ -54,43 +54,40 @@ def check_index_count(count, what):
 # ---------------------------------------------------------------------------
 
 
-def forward_entries(px, py, dsx, dsy, vs, dt, nt, base, first_detector=0):
-    """COO triplets (row = l*nt + time_index, col = pixel, value), where
-    ``l`` is the detector's row in ``dsx``.
+def forward_entries(px, py, dsx, dsy, vs, dt, nt, base, detector):
+    """COO triplets (row = time index, col = pixel, value) of one detector,
+    whose sub-elements sit at ``dsx``/``dsy`` (each of shape (S,)).
 
-    Raises :class:`SignalWindowError` when an arrival lies past the last
-    time sample's window, i.e. farther than ``(nt - 1/2) * dt * vs``. The
-    message names detector ``first_detector + l``, so a caller passing one
-    detector's rows of ``dsx`` names that detector's place on the ring.
+    Raises :class:`SignalWindowError`, naming ``detector``, when an arrival
+    lies past the last time sample's window, i.e. farther than
+    ``(nt - 1/2) * dt * vs``.
     """
     px = np.ascontiguousarray(px, dtype=np.float64)
     py = np.ascontiguousarray(py, dtype=np.float64)
     dsx = np.ascontiguousarray(dsx, dtype=np.float64)
     dsy = np.ascontiguousarray(dsy, dtype=np.float64)
     vs, dt, nt, base = float(vs), float(dt), int(nt), float(base)
-    n_det, n_sub = dsx.shape
     rows_out, cols_out, vals_out = [], [], []
     half = 0.5 * dt
-    for l in range(n_det):
-        for s in range(n_sub):
-            dx = px - dsx[l, s]
-            dy = py - dsy[l, s]
-            dist = np.sqrt(dx * dx + dy * dy)
-            tau = dist / vs
-            if tau.max() - (nt - 1) * dt >= half:
-                raise SignalWindowError(
-                    f"time window covers {(nt - 0.5) * dt * vs:g} m but "
-                    f"detector {first_detector + l}'s farthest pixel is "
-                    f"{dist.max():g} m away; increase time_samples or dt")
-            kf = np.floor(tau / dt).astype(np.int64)
-            for kc in (kf, kf + 1):
-                # the hit pixels' indices are their columns
-                idx = np.flatnonzero(
-                    (kc >= 0) & (kc < nt) & (np.abs(kc * dt - tau) < half))
-                if idx.size:
-                    rows_out.append(l * nt + kc[idx])
-                    cols_out.append(idx)
-                    vals_out.append(base / dist[idx])
+    for sx, sy in zip(dsx, dsy):
+        dx = px - sx
+        dy = py - sy
+        dist = np.sqrt(dx * dx + dy * dy)
+        tau = dist / vs
+        if tau.max() - (nt - 1) * dt >= half:
+            raise SignalWindowError(
+                f"time window covers {(nt - 0.5) * dt * vs:g} m but "
+                f"detector {detector}'s farthest pixel is "
+                f"{dist.max():g} m away; increase time_samples or dt")
+        kf = np.floor(tau / dt).astype(np.int64)
+        for kc in (kf, kf + 1):
+            # the hit pixels' indices are their columns
+            idx = np.flatnonzero(
+                (kc >= 0) & (kc < nt) & (np.abs(kc * dt - tau) < half))
+            if idx.size:
+                rows_out.append(kc[idx])
+                cols_out.append(idx)
+                vals_out.append(base / dist[idx])
     if not rows_out:
         empty = np.zeros(0)
         return empty.astype(np.int64), empty.astype(np.int64), empty

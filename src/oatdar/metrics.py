@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -94,7 +94,6 @@ class MetricRecord:
 class MetricReport:
     records: list
     config_hash: str = ""
-    aggregates: dict = field(default_factory=dict)
 
     def variant_names(self):
         seen = []
@@ -125,7 +124,6 @@ class MetricReport:
                 "ssim_median": float(np.median(ss)),
                 "wall_time_mean": float(ts.mean()),
             }
-        self.aggregates = out
         return out
 
     def write(self, directory) -> Path:
@@ -144,11 +142,10 @@ class MetricReport:
                          f"{r.wall_time!r}")
         (directory / "records.tsv").write_text("\n".join(lines) + "\n")
         (directory / "timings.tsv").write_text("\n".join(times) + "\n")
-        self.compute_aggregates()
         rows = [f"{'variant':<14}{'n':>5}{'PSNR mean':>12}{'+-':>8}"
                 f"{'median':>10}{'SSIM mean':>12}{'+-':>8}{'median':>10}"
                 f"{'sec/img':>10}"]
-        for name, a in self.aggregates.items():
+        for name, a in self.compute_aggregates().items():
             rows.append(f"{name:<14}{a['count']:>5}{a['psnr_mean']:>12.3f}"
                         f"{a['psnr_std']:>8.3f}{a['psnr_median']:>10.3f}"
                         f"{a['ssim_mean']:>12.4f}{a['ssim_std']:>8.4f}"
@@ -156,32 +153,6 @@ class MetricReport:
                         f"{a['wall_time_mean']:>10.3f}")
         (directory / "summary.txt").write_text("\n".join(rows) + "\n")
         return directory / "records.tsv"
-
-    @classmethod
-    def read(cls, directory) -> "MetricReport":
-        directory = Path(directory)
-        times = []
-        tpath = directory / "timings.tsv"
-        if tpath.is_file():
-            times = [float(line.split("\t")[3])
-                     for line in tpath.read_text().splitlines()[1:]]
-        records = []
-        chash = ""
-        for line in (directory / "records.tsv").read_text().splitlines():
-            if line.startswith("#config_hash="):
-                chash = line.split("=", 1)[1]
-                continue
-            if line.startswith("#") or line.startswith("index\t") \
-                    or not line.strip():
-                continue
-            f = line.split("\t")
-            wall = times[len(records)] if len(records) < len(times) else 0.0
-            records.append(MetricRecord(int(f[0]), f[1], int(f[2]),
-                                        float(f[3]), float(f[4]),
-                                        float(f[5]), wall))
-        rep = cls(records=records, config_hash=chash)
-        rep.compute_aggregates()
-        return rep
 
     def content_hash(self, directory) -> str:
         path = Path(directory) / "records.tsv"

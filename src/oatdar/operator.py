@@ -28,8 +28,8 @@ an all-ones start on the assembled CSR. Without it the 1/dt in the
 derivative dominates every other scale, quadratic-penalty weights lose
 meaning, and the normal equations become numerically rank deficient. The
 gain multiplies the whole map, so it cancels anywhere reconstructions are
-range-normalized. Serialized operators store the gain, so loading one does
-not run the power iteration again.
+range-normalized. An exported operator (``oatdar operator``) stores the
+gain with its arrays.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from . import kernels
 from .errors import ConfigError, GeometryError, NumericalError
 from .geometry import (ImagingGeometry, Image, Sinogram, check_image,
                        check_sinogram)
-from .tensorfile import read_bundle, write_bundle
+from .tensorfile import write_bundle
 
 
 @dataclass
@@ -97,37 +97,6 @@ class ForwardOperator:
                 "geometry": self.geometry.to_dict()}
         return write_bundle(path, arrays, meta)
 
-    @classmethod
-    def from_bundle(cls, path) -> "ForwardOperator":
-        """Load a saved operator, including its stored gain."""
-        arrays, meta = read_bundle(path)
-        if meta.get("kind") != "forward_operator":
-            raise ValueError(f"{path} is not a serialized operator")
-        geom = ImagingGeometry.from_dict(meta["geometry"])
-        offsets, cols = arrays["row_offsets"], arrays["col_indices"]
-        op = cls(geometry=geom, jittered=meta["jittered"],
-                 indptr=offsets.astype(kernels.INDEX_DTYPE),
-                 indices=cols.astype(kernels.INDEX_DTYPE),
-                 values=arrays["values"],
-                 output_scale=float(meta["output_scale"]))
-        if offsets.shape != (op.n_rows + 1,):
-            raise ValueError(
-                f"{path}: row_offsets has shape {offsets.shape}, the "
-                f"geometry needs ({op.n_rows + 1},)")
-        nnz = int(offsets[-1])
-        for name in ("col_indices", "values"):
-            if arrays[name].shape != (nnz,):
-                raise ValueError(
-                    f"{path}: {name} has shape {arrays[name].shape}, the "
-                    f"row offsets need ({nnz},)")
-        # the sparse product does not bounds-check, so out-of-range
-        # offsets or columns would read outside the arrays
-        if offsets[0] != 0 or np.any(np.diff(offsets) < 0) or (nnz and (
-                cols.min() < 0 or cols.max() >= op.n_cols)):
-            raise ValueError(f"{path}: row_offsets or col_indices out of "
-                             f"range for the geometry")
-        return op
-
 
 def entry_scale(geometry: ImagingGeometry) -> float:
     """Scale factor multiplying 1/distance in every spreading entry."""
@@ -155,8 +124,8 @@ def build_forward_operator(geometry: ImagingGeometry,
     blocks = []
     for l in range(len(dsx)):
         rows, cols, vals = kernels.forward_entries(
-            px, py, dsx[l:l + 1], dsy[l:l + 1], g.sound_speed, g.dt, nt,
-            entry_scale(g), first_detector=l)
+            px, py, dsx[l], dsy[l], g.sound_speed, g.dt, nt, entry_scale(g),
+            detector=l)
         blocks.append(kernels.assemble_csr(rows, cols, vals, nt, g.n_pixels))
     indptrs, indices, values = zip(*blocks)
     counts = np.concatenate([np.diff(p) for p in indptrs])

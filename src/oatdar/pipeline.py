@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import config_hash, geometry_from_config
-from .dataset import DatasetManifest
+from .dataset import DatasetManifest, derive_seed
 from .diffusion import sample_batch, scale_from_model
 from .errors import ConfigError, NumericalError, PrerequisiteError
 from .geometry import Image, ImagingGeometry, Sinogram
@@ -66,11 +66,15 @@ def load_models(run_dir, condition_on: str = "fdunet") -> ModelBundle:
         *load_denoiser(checkpoint(run_dir, f"denoiser_{condition_on}")))
 
 
-def load_method_models(run_dir, method: str) -> ModelBundle | None:
-    """The checkpoints ``method`` needs (``None`` for lbp and tikhonov)."""
+def check_method(method: str):
     if method not in METHODS:
         raise ConfigError(f"unknown method {method!r}; "
                           f"choose from {', '.join(METHODS)}")
+
+
+def load_method_models(run_dir, method: str) -> ModelBundle | None:
+    """The checkpoints ``method`` needs (``None`` for lbp and tikhonov)."""
+    check_method(method)
     if method in DAR_INITIAL:
         return load_models(run_dir, DAR_INITIAL[method])
     if method == "fdunet":
@@ -121,8 +125,7 @@ def reconstruct_dar(sino: Sinogram, models: ModelBundle,
     grid = PatchGrid.for_image(geometry.image_shape, ph, pw)
     conds = cip_encode(models.encoder,
                        split_patches(init, grid).reshape(grid.n_patches, -1))
-    seeds = [int(np.random.SeedSequence((int(seed), b)).generate_state(1)[0])
-             for b in range(grid.n_patches)]
+    seeds = [derive_seed(int(seed), b) for b in range(grid.n_patches)]
 
     def denoiser_fn(x_batch, cond_batch, t):
         return denoise_predict(models.denoiser, x_batch, cond_batch,
@@ -145,9 +148,7 @@ def reconstruct(method: str, cfg: dict, rec_op, sino: Sinogram,
         ev = cfg["eval"]
         return reconstruct_tikhonov(rec_op, sino, ev["tikhonov_lambda"],
                                     ev["tikhonov_iters"], ev["tikhonov_tol"])
-    if method not in DAR_INITIAL:
-        raise ConfigError(f"unknown method {method!r}; "
-                          f"choose from {', '.join(METHODS)}")
+    check_method(method)
     return reconstruct_dar(sino, models, rec_op.geometry, nis=nis, eta=eta,
                            seed=seed, condition_on=DAR_INITIAL[method],
                            rec_op=rec_op)
@@ -174,16 +175,26 @@ def evaluate_methods(cfg: dict, run_dir, manifest: DatasetManifest,
                      split: str = "test") -> MetricReport:
     """Reconstruct every image of a split with every method variant.
 
-    ``methods`` is an iterable of names from ``METHODS``; the DAR methods
-    expand over ``nis_list``. When ``snr_list`` is given
+    ``methods`` is a non-empty iterable of names from ``METHODS``; the DAR
+    methods expand over ``nis_list``. When ``snr_list`` is given
     the stored sinograms are replaced by fresh simulations renoised at each
-    requested SNR (seeds derived from the dataset master seed).
+    requested SNR (seeds derived from the dataset master seed). An unknown
+    method, a bad SNR or an entry listed twice raises :class:`ConfigError`
+    before any work.
     """
+    methods = list(methods)
+    if not methods:
+        raise ConfigError("no method to evaluate")
+    for m in methods:
+        check_method(m)
     for snr in snr_list or ():
         check_snr(snr)
+    for what, values in (("method", methods), ("nis", list(nis_list)),
+                         ("SNR", list(snr_list or ()))):
+        if len(set(values)) < len(values):
+            raise ConfigError(f"each {what} may be listed once, got {values}")
     run_dir = Path(run_dir)
     data_dir = run_dir / "dataset"
-    methods = list(methods)
     models = {m: load_method_models(run_dir, m) for m in methods}
     entries = manifest.split(split)
     if not entries:
@@ -201,8 +212,7 @@ def evaluate_methods(cfg: dict, run_dir, manifest: DatasetManifest,
 
     def run_variants(entry, sino, snr_db):
         gt = read_tensor(data_dir / entry.phantom)
-        image_seed = int(np.random.SeedSequence(
-            (inf["seed"], entry.index)).generate_state(1)[0])
+        image_seed = derive_seed(inf["seed"], entry.index)
         for m in methods:
             steps = (nis_list or [inf["nis"]]) if m in DAR_INITIAL else [0]
             for nis in steps:
@@ -224,14 +234,11 @@ def evaluate_methods(cfg: dict, run_dir, manifest: DatasetManifest,
             for snr in snr_list:
                 sino = clean
                 if snr != np.inf:
-                    seed = int(np.random.SeedSequence(
-                        (master, entry.index, 3, int(round(snr * 1000))))
-                        .generate_state(1)[0])
+                    seed = derive_seed(master, entry.index, 3,
+                                       int(round(snr * 1000)))
                     sino = add_noise(clean, snr, seed)
                 run_variants(entry, sino, float(snr))
-    report = MetricReport(records=records, config_hash=config_hash(cfg))
-    report.compute_aggregates()
-    return report
+    return MetricReport(records=records, config_hash=config_hash(cfg))
 
 
 def simulate_sinogram(cfg: dict, phantom: Image, snr_db: float,

@@ -21,9 +21,10 @@ import numpy as np
 import pytest
 
 from oatdar import cli, pipeline
-from oatdar.config import load_config
-from oatdar.dataset import DatasetManifest
-from oatdar.metrics import MetricReport, psnr
+from oatdar.config import geometry_from_config, load_config
+from oatdar.dataset import DatasetManifest, derive_seed
+from oatdar.metrics import psnr
+from oatdar.operator import build_forward_operator
 from oatdar.pipeline import METHODS
 from oatdar.tensorfile import (read_bundle, read_tensor, write_bundle,
                                write_tensor)
@@ -47,24 +48,25 @@ def tiny_run(tmp_path_factory):
                      "--out", str(root / "report")]) == 0
     (entry,) = DatasetManifest.read(run / "dataset").split("test")
     # the per-image DAR seed evaluate_methods derives from the config seed
-    seed = int(np.random.SeedSequence(
-        (load_config(cfg_path)["inference"]["seed"], entry.index))
-        .generate_state(1)[0])
-    return (common, run / "dataset", entry, seed,
-            MetricReport.read(root / "report"))
+    seed = derive_seed(load_config(cfg_path)["inference"]["seed"], entry.index)
+    # (method, nis, psnr) of each records.tsv line after the three headers
+    lines = (root / "report" / "records.tsv").read_text().splitlines()[3:]
+    records = [(f[1], int(f[2]), float(f[4]))
+               for f in (line.split("\t") for line in lines)]
+    return common, run / "dataset", entry, seed, records
 
 
 @pytest.mark.parametrize("method", METHODS)
 def test_reconstruct_scores_as_eval(tiny_run, tmp_path, method):
-    common, data_dir, entry, seed, report = tiny_run
+    common, data_dir, entry, seed, records = tiny_run
     out = tmp_path / f"{method}.oatd"
     assert cli.main(["reconstruct", method, *common,
                      "--sino", str(data_dir / entry.sinogram),
                      "--out", str(out), "--seed", str(seed)]) == 0
-    (rec,) = [r for r in report.records if r.method == method]
-    assert rec.nis == (2 if method in pipeline.DAR_INITIAL else 0)
+    ((nis, rec_psnr),) = [(n, p) for m, n, p in records if m == method]
+    assert nis == (2 if method in pipeline.DAR_INITIAL else 0)
     gt = read_tensor(data_dir / entry.phantom)
-    assert psnr(read_tensor(out), gt) == rec.psnr
+    assert psnr(read_tensor(out), gt) == rec_psnr
 
 
 def test_reconstruct_dar_without_checkpoints_exits_3(tiny_run, tmp_path):
@@ -180,6 +182,42 @@ def test_unknown_method_fails_before_reading_data(tiny_run, tmp_path,
     monkeypatch.setattr(pipeline, "read_tensor", read_tensor)
     assert cli.main(["eval", *common, "--methods", "foo",
                      "--out", str(tmp_path / "out")]) == 2
+
+
+@pytest.mark.parametrize("lists", [
+    ["--methods", ","], ["--methods", "lbp,lbp"],
+    ["--methods", "dar", "--nis", "2,2"], ["--methods", "lbp", "--snr", "20,20"],
+], ids=["empty-method", "repeated-method", "repeated-nis", "repeated-snr"])
+def test_empty_or_repeated_eval_entry_exits_2_before_any_work(
+        tiny_run, tmp_path, monkeypatch, lists):
+    """An empty or repeated entry would write an empty or double-counted
+    report; it is refused before a model loads or an operator builds."""
+    common, *_ = tiny_run
+
+    def work(*args, **kwargs):
+        raise AssertionError("work started before the list check")
+
+    monkeypatch.setattr(pipeline, "load_method_models", work)
+    monkeypatch.setattr(pipeline, "build_forward_operator", work)
+    out = tmp_path / "out"
+    assert cli.main(["eval", *common, *lists, "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("jittered", [False, True],
+                         ids=["nominal", "jittered"])
+def test_operator_exports_the_built_csr(tmp_path, jittered):
+    out = tmp_path / "op"
+    flags = ["--jittered"] if jittered else []
+    assert cli.main(["operator", "--out", str(out), *flags]) == 0
+    arrays, meta = read_bundle(out)
+    op = build_forward_operator(geometry_from_config(load_config()),
+                                jittered=jittered)
+    assert np.array_equal(arrays["row_offsets"], op.indptr)
+    assert np.array_equal(arrays["col_indices"], op.indices)
+    assert np.array_equal(arrays["values"], op.values)
+    assert meta["jittered"] is jittered
+    assert meta["output_scale"] == op.output_scale
 
 
 def test_eval_split_typo_exits_2(tiny_run, tmp_path, capsys):

@@ -1,5 +1,7 @@
 """Config values keep the type of the profile default."""
 
+import logging
+
 import pytest
 
 from oatdar import cli
@@ -43,6 +45,18 @@ def test_schedule_sigma_mode_is_an_unknown_key(tmp_path):
     out = tmp_path / "phantom.oatd"
     assert cli.main(["phantom", "--config", str(cfg_path),
                      "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("setting", ["geometry.detector_angles=[0.0]",
+                                     "geometry.voxel_volume=1e-12"])
+def test_computed_geometry_values_are_unknown_keys(tmp_path, caplog, setting):
+    """The detector angles (2*pi*l/L) and the voxel volume (pitch**3) are
+    computed, so no config sets either."""
+    out = tmp_path / "phantom.oatd"
+    with caplog.at_level(logging.ERROR, logger="oatdar"):
+        assert cli.main(["phantom", "--out", str(out), "--set", setting]) == 2
+    assert f"unknown config key: {setting.split('=')[0]}" in caplog.text
     assert not out.exists()
 
 

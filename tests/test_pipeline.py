@@ -6,6 +6,7 @@ import pytest
 from oatdar import cli
 from oatdar.config import geometry_from_config, load_config
 from oatdar.dataset import DatasetManifest
+from oatdar.errors import ConfigError
 from oatdar.geometry import Image
 from oatdar.metrics import psnr
 from oatdar.operator import apply_forward, build_forward_operator
@@ -14,6 +15,12 @@ from oatdar.pipeline import (ModelBundle, evaluate_methods, export_image,
 from oatdar.tensorfile import read_tensor
 
 TINY = {"profile": "desk", "dataset": {"train": 1, "val": 0, "test": 1}}
+
+
+def test_evaluate_without_a_method_raises_before_any_work(tmp_path):
+    # neither the config, the run directory nor the manifest is read
+    with pytest.raises(ConfigError, match="no method"):
+        evaluate_methods({}, tmp_path / "missing", None, [])
 
 
 def test_eval_snr_inf_scores_the_clean_simulation(tmp_path):
