@@ -134,15 +134,17 @@ def cmd_train(args):
 
 def cmd_reconstruct(args):
     cfg = _load_cfg(args)
+    inf = cfg["inference"]
+    nis = args.nis if args.nis is not None else inf["nis"]
+    eta = args.eta if args.eta is not None else inf["eta"]
+    if args.method in pipeline.DAR_INITIAL:
+        pipeline.check_dar_steps(cfg, [nis], eta)
     models = pipeline.load_method_models(args.run_dir, args.method)
     rec_op = build_forward_operator(geometry_from_config(cfg), jittered=False)
     sino = _read_arg(args.sino, "--sino", Sinogram, check_sinogram,
                      rec_op.geometry)
-    inf = cfg["inference"]
     img = pipeline.reconstruct(
-        args.method, cfg, rec_op, sino, models,
-        nis=args.nis if args.nis is not None else inf["nis"],
-        eta=args.eta if args.eta is not None else inf["eta"],
+        args.method, cfg, rec_op, sino, models, nis=nis, eta=eta,
         seed=args.seed if args.seed is not None else inf["seed"])
     pipeline.export_image(img, args.out)
     print(f"{args.method} reconstruction -> {args.out}")

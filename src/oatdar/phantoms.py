@@ -6,6 +6,12 @@ center lies within a segment's half-width, and it then carries exactly the
 vessel's intensity (max-composited across overlaps). Background is exactly
 zero. Generation is bit-deterministic given the parameter seed.
 
+Each attempt grows its trees into one segment list and hands it to
+:func:`kernels.render_capsules`, which rasterizes all segments in one
+vectorized pass (in chunks of at most ``kernels._RASTER_CHUNK`` bounding-box
+pixels) and writes only the pixels a segment covers; the attempt starts from
+zeros, so every other pixel stays exactly zero.
+
 A user-supplied phantom does not pass through here: it enters as tensor data
 through ``cli._read_arg``, at exactly the configured grid shape, and PGM is
 only ever written (``pipeline.export_image``).

@@ -26,7 +26,8 @@ import numpy as np
 
 from .config import config_hash, geometry_from_config
 from .dataset import DatasetManifest, derive_seed
-from .diffusion import sample_batch, scale_from_model
+from .diffusion import (check_eta, make_inference_timesteps, sample_batch,
+                        scale_from_model)
 from .errors import ConfigError, NumericalError, PrerequisiteError
 from .geometry import Image, ImagingGeometry, Sinogram
 from .grayio import normalize01, write_pgm
@@ -154,6 +155,16 @@ def reconstruct(method: str, cfg: dict, rec_op, sino: Sinogram,
                            rec_op=rec_op)
 
 
+def check_dar_steps(cfg: dict, nis_list, eta: float):
+    """Refuse each DAR step count in ``nis_list`` and ``eta`` before a model
+    loads or an operator builds; the ranges are those of
+    :func:`make_inference_timesteps` (against ``cfg``'s schedule T) and
+    :func:`check_eta`."""
+    for nis in nis_list:
+        make_inference_timesteps(cfg["schedule"]["T"], nis)
+    check_eta(eta)
+
+
 def export_image(img: Image, path) -> Path:
     """Write an image as a 16-bit graymap if ``path`` ends in ``.pgm``, and
     as lossless tensor data otherwise."""
@@ -179,8 +190,8 @@ def evaluate_methods(cfg: dict, run_dir, manifest: DatasetManifest,
     methods expand over ``nis_list``. When ``snr_list`` is given
     the stored sinograms are replaced by fresh simulations renoised at each
     requested SNR (seeds derived from the dataset master seed). An unknown
-    method, a bad SNR or an entry listed twice raises :class:`ConfigError`
-    before any work.
+    method, a bad SNR, a DAR step count outside the schedule or an entry
+    listed twice raises :class:`ConfigError` before any work.
     """
     methods = list(methods)
     if not methods:
@@ -193,6 +204,10 @@ def evaluate_methods(cfg: dict, run_dir, manifest: DatasetManifest,
                          ("SNR", list(snr_list or ()))):
         if len(set(values)) < len(values):
             raise ConfigError(f"each {what} may be listed once, got {values}")
+    inf = cfg["inference"]
+    dar_steps = list(nis_list) or [inf["nis"]]
+    if any(m in DAR_INITIAL for m in methods):
+        check_dar_steps(cfg, dar_steps, inf["eta"])
     run_dir = Path(run_dir)
     data_dir = run_dir / "dataset"
     models = {m: load_method_models(run_dir, m) for m in methods}
@@ -207,15 +222,13 @@ def evaluate_methods(cfg: dict, run_dir, manifest: DatasetManifest,
         sim_op = build_forward_operator(geometry, jittered=True)
 
     master = manifest.master_seed
-    inf = cfg["inference"]
     records = []
 
     def run_variants(entry, sino, snr_db):
         gt = read_tensor(data_dir / entry.phantom)
         image_seed = derive_seed(inf["seed"], entry.index)
         for m in methods:
-            steps = (nis_list or [inf["nis"]]) if m in DAR_INITIAL else [0]
-            for nis in steps:
+            for nis in dar_steps if m in DAR_INITIAL else [0]:
                 with Stopwatch() as sw:
                     rec = reconstruct(m, cfg, rec_op, sino, models[m], nis,
                                       inf["eta"], image_seed)

@@ -112,3 +112,34 @@ def dense_full_oracle(geom, jittered=False):
     for l in range(nd):
         out[l * nt:(l + 1) * nt] = d @ a_s[l * nt:(l + 1) * nt]
     return out
+
+
+def render_capsules_loop(img, segs, vals):
+    """Reference rasterizer: one segment at a time, over its clipped
+    bounding box, max-compositing ``where(inside, v, 0)`` into the box (so
+    it also raises the box's uncovered pixels to at least 0)."""
+    segs = np.ascontiguousarray(segs, dtype=np.float64)
+    vals = np.ascontiguousarray(vals, dtype=np.float64)
+    ny, nx = img.shape
+    for m in range(segs.shape[0]):
+        x0, y0, x1, y1, r = segs[m]
+        v = vals[m]
+        lo_i = max(int(np.floor(min(y0, y1) - r)), 0)
+        hi_i = min(int(np.ceil(max(y0, y1) + r)) + 1, ny)
+        lo_j = max(int(np.floor(min(x0, x1) - r)), 0)
+        hi_j = min(int(np.ceil(max(x0, x1) + r)) + 1, nx)
+        if lo_i >= hi_i or lo_j >= hi_j:
+            continue
+        jj, ii = np.meshgrid(np.arange(lo_j, hi_j), np.arange(lo_i, hi_i))
+        wx = jj - x0
+        wy = ii - y0
+        ex = x1 - x0
+        ey = y1 - y0
+        ee = ex * ex + ey * ey
+        t = np.clip((wx * ex + wy * ey) / ee, 0.0, 1.0) if ee > 0.0 else 0.0
+        cx = wx - t * ex
+        cy = wy - t * ey
+        inside = cx * cx + cy * cy <= r * r
+        sub = img[lo_i:hi_i, lo_j:hi_j]
+        np.maximum(sub, np.where(inside, v, 0.0), out=sub)
+    return img

@@ -163,8 +163,18 @@ def test_train_cip_before_the_enhancer_exits_3(tmp_path, caplog):
     ["eval", "--methods", "dar", "--nis", "2,x"],
     ["eval", "--methods", "lbp", "--snr", "abc"],
 ])
-def test_bad_method_nis_or_eta_exits_2(tiny_run, tmp_path, argv):
+def test_bad_method_nis_or_eta_exits_2(tiny_run, tmp_path, monkeypatch,
+                                      argv):
+    """Each bad value is refused before a model loads or an operator
+    builds."""
     common, data_dir, entry, *_ = tiny_run
+
+    def work(*args, **kwargs):
+        raise AssertionError("work started before the value check")
+
+    monkeypatch.setattr(pipeline, "load_method_models", work)
+    monkeypatch.setattr(pipeline, "build_forward_operator", work)
+    monkeypatch.setattr(cli, "build_forward_operator", work)
     out = tmp_path / "out"
     io = (["--sino", str(data_dir / entry.sinogram)]
           if argv[0] == "reconstruct" else [])

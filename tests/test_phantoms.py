@@ -1,11 +1,14 @@
 import logging
+import warnings
 
 import numpy as np
 import pytest
 
+from oatdar import kernels, phantoms
 from oatdar.errors import ConfigError
-from oatdar.grayio import resize_matrix, write_pgm
 from oatdar.phantoms import PhantomParams, generate_phantom
+
+from conftest import render_capsules_loop
 
 
 def test_deterministic_given_seed():
@@ -72,44 +75,81 @@ def test_too_small_grid_rejected():
 
 
 # ---------------------------------------------------------------------------
-# graymap export and the bilinear resampling matrix
+# the vectorized rasterizer against the per-segment loop
 # ---------------------------------------------------------------------------
 
-def test_ramp_resample_matches_direct_interpolation():
-    src = np.add.outer(np.linspace(0, 1, 256), np.linspace(0, 2, 256))
-    got = resize_matrix(256, 128) @ src @ resize_matrix(256, 128).T
-
-    # independent bilinear oracle: loop output pixels
-    want = np.empty((128, 128))
-    for i in range(128):
-        for j in range(128):
-            sy = min(max((i + 0.5) * 2.0 - 0.5, 0.0), 255.0)
-            sx = min(max((j + 0.5) * 2.0 - 0.5, 0.0), 255.0)
-            y0, x0 = int(sy), int(sx)
-            y1, x1 = min(y0 + 1, 255), min(x0 + 1, 255)
-            fy, fx = sy - y0, sx - x0
-            want[i, j] = (src[y0, x0] * (1 - fy) * (1 - fx)
-                          + src[y0, x1] * (1 - fy) * fx
-                          + src[y1, x0] * fy * (1 - fx)
-                          + src[y1, x1] * fy * fx)
-    assert np.allclose(got, want, atol=1e-6)
+def _assert_matches_loop(segs, vals, shape=None, start=None):
+    start = np.zeros(shape) if start is None else start
+    want = render_capsules_loop(start.copy(), segs, vals)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = kernels.render_capsules(start.copy(), segs, vals)
+    assert np.array_equal(got, want)
 
 
-def test_pgm_roundtrip(tmp_path):
-    rng = np.random.default_rng(7)
-    data = rng.uniform(0.0, 1.0, (24, 40))
-    raw = write_pgm(tmp_path / "img.pgm", data).read_bytes()
-    header = b"P5\n40 24\n65535\n"
-    assert raw[:len(header)] == header
-    back = np.frombuffer(raw[len(header):], dtype=">u2").reshape(24, 40)
-    # 16-bit quantization of a min-max-scaled image
-    lo, hi = data.min(), data.max()
-    assert np.abs(back / 65535 - (data - lo) / (hi - lo)).max() \
-        <= 0.5 / 65535 + 1e-12
+def _attempt_segments(monkeypatch, seed, n):
+    """The segment list ``_render_attempt`` rasterizes for ``seed``."""
+    seen = []
+    with monkeypatch.context() as m:
+        m.setattr(kernels, "render_capsules",
+                  lambda img, segs, vals: seen.append((segs, vals)))
+        phantoms._render_attempt(PhantomParams(seed=seed), n, n, 0)
+    return seen[0]
 
 
-def test_same_size_resize_is_identity():
-    rng = np.random.default_rng(8)
-    img = rng.standard_normal((17, 23))
-    assert np.array_equal(resize_matrix(17, 17) @ img
-                          @ resize_matrix(23, 23).T, img)
+@pytest.mark.parametrize("n, seeds", [(32, range(50)), (128, range(10))])
+def test_rasterizer_matches_loop_on_phantom_segments(monkeypatch, n, seeds):
+    for seed in seeds:
+        segs, vals = _attempt_segments(monkeypatch, seed, n)
+        _assert_matches_loop(segs, vals, shape=(n, n))
+
+
+# (x0, y0, x1, y1, r) on a 20 x 30 (ny x nx) grid
+EDGE_SEGMENTS = np.array([
+    [5.3, 7.7, 5.3, 7.7, 2.2],          # zero length
+    [12.0, 4.0, 12.0, 4.0, 0.0],        # r = 0 on a pixel centre
+    [3.0, 15.0, 9.5, 15.0, 0.0],        # r = 0 along a pixel row
+    [-9.0, -9.0, -4.0, -6.0, 1.5],      # off-grid
+    [40.0, 5.0, 45.0, 9.0, 2.0],        # off-grid
+    [-3.0, 10.0, 4.0, 11.0, 1.7],       # crosses the left edge
+    [26.0, 2.0, 33.0, 6.0, 2.5],        # crosses the right edge
+    [14.0, -4.0, 16.0, 3.0, 1.2],       # crosses the top edge
+    [20.0, 17.0, 22.5, 26.0, 3.1],      # crosses the bottom edge
+    [-5.0, 10.0, 35.0, 10.0, 0.6],      # crosses the whole grid
+    [8.0, 3.0, 18.0, 12.0, 2.0],        # overlaps the next with a
+    [9.0, 12.0, 17.0, 2.0, 2.5],        # different value
+])
+EDGE_VALUES = np.linspace(0.3, 1.0, len(EDGE_SEGMENTS))[::-1].copy()
+
+
+@pytest.mark.parametrize("chunk", [1, 64, kernels._RASTER_CHUNK])
+def test_rasterizer_matches_loop_on_edge_cases(monkeypatch, chunk):
+    monkeypatch.setattr(kernels, "_RASTER_CHUNK", chunk)
+    _assert_matches_loop(EDGE_SEGMENTS, EDGE_VALUES, shape=(20, 30))
+    _assert_matches_loop(EDGE_SEGMENTS[::-1], EDGE_VALUES[::-1],
+                         shape=(20, 30))
+    for m in range(len(EDGE_SEGMENTS)):
+        _assert_matches_loop(EDGE_SEGMENTS[m:m + 1], EDGE_VALUES[m:m + 1],
+                             shape=(20, 30))
+    start = np.random.default_rng(3).uniform(0.0, 1.2, (20, 30))
+    _assert_matches_loop(EDGE_SEGMENTS, EDGE_VALUES, start=start)
+    segs, vals = _attempt_segments(monkeypatch, 4, 128)
+    _assert_matches_loop(segs, vals, shape=(128, 128))
+
+
+def test_rasterizer_takes_an_empty_segment_list():
+    _assert_matches_loop(np.asarray([]), np.asarray([]), shape=(16, 16))
+    _assert_matches_loop(np.empty((0, 5)), np.empty(0), shape=(16, 16))
+
+
+def test_rasterizer_writes_only_covered_pixels():
+    """Unlike the loop, which raised a box's uncovered pixels to 0."""
+    start = np.full((20, 30), -1.0)
+    img = kernels.render_capsules(start.copy(), EDGE_SEGMENTS, EDGE_VALUES)
+    covered = render_capsules_loop(np.zeros((20, 30)), EDGE_SEGMENTS,
+                                   EDGE_VALUES) > 0
+    assert covered.any() and not covered.all()
+    assert np.all(img[~covered] == -1.0)
+    assert np.array_equal(img[covered],
+                          render_capsules_loop(start.copy(), EDGE_SEGMENTS,
+                                               EDGE_VALUES)[covered])
