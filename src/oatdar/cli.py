@@ -135,19 +135,18 @@ def cmd_train(args):
 def cmd_reconstruct(args):
     cfg = _load_cfg(args)
     inf = cfg["inference"]
-    nis = args.nis if args.nis is not None else inf["nis"]
     eta = args.eta if args.eta is not None else inf["eta"]
-    if args.method in pipeline.DAR_INITIAL:
-        pipeline.check_dar_steps(cfg, [nis], eta)
-    models = pipeline.load_method_models(args.run_dir, args.method)
+    ((method, nis),) = pipeline.check_methods(
+        cfg, [args.method], [] if args.nis is None else [args.nis], eta)
+    models = pipeline.load_method_models(cfg, args.run_dir, method)
     rec_op = build_forward_operator(geometry_from_config(cfg), jittered=False)
     sino = _read_arg(args.sino, "--sino", Sinogram, check_sinogram,
                      rec_op.geometry)
     img = pipeline.reconstruct(
-        args.method, cfg, rec_op, sino, models, nis=nis, eta=eta,
+        method, cfg, rec_op, sino, models, nis=nis, eta=eta,
         seed=args.seed if args.seed is not None else inf["seed"])
     pipeline.export_image(img, args.out)
-    print(f"{args.method} reconstruction -> {args.out}")
+    print(f"{method} reconstruction -> {args.out}")
 
 
 def cmd_eval(args):
@@ -175,10 +174,8 @@ def cmd_run_all(args):
     for cond in training.CONDITIONS:
         training.train_cip(cfg, run_dir, manifest, condition_on=cond)
         training.train_diffusion(cfg, run_dir, manifest, condition_on=cond)
-    report = pipeline.evaluate_methods(
-        cfg, run_dir, manifest,
-        [m for m in pipeline.METHODS if m != "tikhonov"],
-        nis_list=[cfg["inference"]["nis"]])
+    report = pipeline.evaluate_methods(cfg, run_dir, manifest,
+                                       pipeline.METHODS)
     out = run_dir / "reports"
     report.write(out)
     print((out / "summary.txt").read_text())
@@ -249,8 +246,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("eval", help="score methods over the test split")
     common(sp)
-    sp.add_argument("--methods", default="lbp,fdunet,dar")
-    sp.add_argument("--nis", default=None, help="comma list for dar methods")
+    sp.add_argument("--methods",
+                    default=",".join(pipeline.DEFAULT_EVAL_METHODS),
+                    help=f"comma list of {', '.join(pipeline.METHODS)}; each "
+                         "DAR method runs once per --nis step count")
+    sp.add_argument("--nis", default=None,
+                    help="comma list of DAR step counts (default: the "
+                         "config's inference.nis)")
     sp.add_argument("--snr", default=None, help="comma list of re-noise SNRs")
     sp.add_argument("--split", default="test", choices=SPLITS)
     sp.add_argument("--out", default=None)

@@ -1,19 +1,19 @@
 """End-to-end reconstruction paths and the full-evaluation driver.
 
-``METHODS`` names every reconstruction; the CLI and :func:`evaluate_methods`
-reach them all through :func:`load_method_models` and :func:`reconstruct`.
-Every reconstruction is reported min-max scaled to [0, 1] by
-:func:`grayio.normalize01`.
-
-``INITIAL`` maps the name of an initial reconstruction (``lbp``, and the
-enhancer's ``fdunet``, which refines the LBP) to its function; the methods
-of the same names and DAR's conditioning input both come from it.
+``METHODS`` names every reconstruction. ``oatdar reconstruct``, ``oatdar
+eval`` and ``run-all`` run them in one order: :func:`check_methods` refuses
+a bad method, DAR step count or eta and returns the ``(method, nis)``
+variants to run; :func:`load_method_models` loads the checkpoints each
+method needs; the reconstruction operator is built; and :func:`reconstruct`
+runs each variant. Every reconstruction is reported min-max scaled to
+[0, 1] by :func:`grayio.normalize01`.
 
 The enhancement-assisted pipeline (DAR): take the initial reconstruction it
-conditions on (``DAR_INITIAL``), split it into patches, encode each patch
-into its conditioning vector, sample each patch with the reduced-step
-reverse process (per-patch noise streams derived from (image seed, patch
-index)), reassemble, and min-max normalize to [0, 1].
+conditions on (``DAR_INITIAL``: the LBP, or the enhancer's refinement of
+it), split it into patches, encode each patch into its conditioning vector,
+sample each patch with the reduced-step reverse process (per-patch noise
+streams derived from (image seed, patch index)), reassemble, and min-max
+normalize to [0, 1].
 """
 
 from __future__ import annotations
@@ -26,8 +26,8 @@ import numpy as np
 
 from .config import config_hash, geometry_from_config
 from .dataset import DatasetManifest, derive_seed
-from .diffusion import (check_eta, make_inference_timesteps, sample_batch,
-                        scale_from_model)
+from .diffusion import (NoiseSchedule, check_eta, make_inference_timesteps,
+                        sample_batch, scale_from_model, schedule_from_config)
 from .errors import ConfigError, NumericalError, PrerequisiteError
 from .geometry import Image, ImagingGeometry, Sinogram
 from .grayio import normalize01, write_pgm
@@ -44,6 +44,8 @@ log = logging.getLogger(__name__)
 # each DAR variant -> the initial reconstruction it conditions on
 DAR_INITIAL = dict(zip(("dar", "dar_lbp"), CONDITIONS))
 METHODS = ("lbp", "tikhonov", "fdunet", *DAR_INITIAL)
+# eval's default: what a run directory with only the enhancer chain scores
+DEFAULT_EVAL_METHODS = ("lbp", "fdunet", "dar")
 
 
 @dataclass
@@ -58,7 +60,7 @@ class ModelBundle:
     patch: tuple | None = None
 
 
-def load_models(run_dir, condition_on: str = "fdunet") -> ModelBundle:
+def load_models(run_dir, condition_on: str) -> ModelBundle:
     """The checkpoints of DAR conditioned on ``condition_on``: the denoiser
     with its encoder, plus the enhancer when DAR conditions on it."""
     return ModelBundle(
@@ -67,20 +69,62 @@ def load_models(run_dir, condition_on: str = "fdunet") -> ModelBundle:
         *load_denoiser(checkpoint(run_dir, f"denoiser_{condition_on}")))
 
 
-def check_method(method: str):
-    if method not in METHODS:
-        raise ConfigError(f"unknown method {method!r}; "
-                          f"choose from {', '.join(METHODS)}")
+def _listed_once(what: str, values: list):
+    if len(set(values)) < len(values):
+        raise ConfigError(f"each {what} may be listed once, got {values}")
 
 
-def load_method_models(run_dir, method: str) -> ModelBundle | None:
-    """The checkpoints ``method`` needs (``None`` for lbp and tikhonov)."""
-    check_method(method)
-    if method in DAR_INITIAL:
-        return load_models(run_dir, DAR_INITIAL[method])
+def check_methods(cfg: dict, methods, nis_list=(),
+                  eta: float | None = None) -> list[tuple[str, int]]:
+    """The ``(method, nis)`` variants to run, in ``methods`` order: each DAR
+    method once per step count of ``nis_list`` (default: the config's),
+    every other method once with nis 0. Raises :class:`ConfigError` on an
+    empty list, an unknown or repeated method, a repeated step count and,
+    when a DAR method is listed, a step count outside the config's schedule
+    or a bad ``eta`` (default: the config's), before anything is read."""
+    methods, nis_list = list(methods), list(nis_list)
+    if not methods:
+        raise ConfigError("no method to evaluate")
+    for m in methods:
+        if m not in METHODS:
+            raise ConfigError(f"unknown method {m!r}; "
+                              f"choose from {', '.join(METHODS)}")
+    _listed_once("method", methods)
+    _listed_once("nis", nis_list)
+    if not any(m in DAR_INITIAL for m in methods):
+        return [(m, 0) for m in methods]
+    inf = cfg["inference"]
+    dar_steps = nis_list or [inf["nis"]]
+    for nis in dar_steps:
+        make_inference_timesteps(cfg["schedule"]["T"], nis)
+    check_eta(inf["eta"] if eta is None else eta)
+    return [(m, nis) for m in methods
+            for nis in (dar_steps if m in DAR_INITIAL else [0])]
+
+
+def _schedule_text(s: NoiseSchedule) -> str:
+    return f"T={s.T}, beta1={s.beta[1]:g}, betaT={s.beta[-1]:g}"
+
+
+def load_method_models(cfg: dict, run_dir, method: str) -> ModelBundle | None:
+    """The checkpoints ``method`` (checked by :func:`check_methods`) needs;
+    ``None`` for lbp and tikhonov. A DAR denoiser trained on another noise
+    schedule than ``cfg``'s raises :class:`ConfigError` naming both and the
+    command that retrains it."""
     if method == "fdunet":
         return ModelBundle(fdunet=load_fdunet(checkpoint(run_dir, "fdunet")))
-    return None
+    if method not in DAR_INITIAL:
+        return None
+    cond = DAR_INITIAL[method]
+    models = load_models(run_dir, cond)
+    want = schedule_from_config(cfg)
+    if not np.array_equal(models.schedule.beta, want.beta):
+        raise ConfigError(
+            f"{checkpoint(run_dir, f'denoiser_{cond}')} was trained on the "
+            f"schedule {_schedule_text(models.schedule)}, the config has "
+            f"{_schedule_text(want)}; run 'train diffusion --condition-on "
+            f"{cond}' first")
+    return models
 
 
 # ---------------------------------------------------------------------------
@@ -104,24 +148,16 @@ def reconstruct_fdunet(rec_op, fdunet, sino: Sinogram) -> Image:
     return Image(normalize01(enhanced.astype(np.float64)))
 
 
-# initial reconstruction name -> (rec_op, sino, models) -> Image
-INITIAL = {
-    "lbp": lambda rec_op, sino, models: reconstruct_lbp(rec_op, sino),
-    "fdunet": lambda rec_op, sino, models: reconstruct_fdunet(
-        rec_op, models.fdunet, sino),
-}
-
-
 def reconstruct_dar(sino: Sinogram, models: ModelBundle,
                     geometry: ImagingGeometry, nis: int, eta: float,
-                    seed: int, condition_on: str = "fdunet", *,
-                    rec_op) -> Image:
+                    seed: int, condition_on: str, *, rec_op) -> Image:
     """Full enhancement pipeline for one sinogram on ``geometry``'s grid;
     deterministic given ``seed`` (per-patch streams derive from (seed, patch
     index))."""
     if condition_on not in CONDITIONS:
         raise ValueError(f"condition_on must be one of {CONDITIONS}")
-    init = INITIAL[condition_on](rec_op, sino, models).data
+    init = (reconstruct_lbp(rec_op, sino) if condition_on == "lbp"
+            else reconstruct_fdunet(rec_op, models.fdunet, sino)).data
     ph, pw = models.patch
     grid = PatchGrid.for_image(geometry.image_shape, ph, pw)
     conds = cip_encode(models.encoder,
@@ -141,28 +177,19 @@ def reconstruct_dar(sino: Sinogram, models: ModelBundle,
 def reconstruct(method: str, cfg: dict, rec_op, sino: Sinogram,
                 models: ModelBundle | None, nis: int, eta: float,
                 seed: int) -> Image:
-    """Reconstruct ``sino`` with one of ``METHODS``; ``models`` comes from
-    :func:`load_method_models`, and ``nis``/``eta``/``seed`` drive DAR."""
-    if method in INITIAL:
-        return INITIAL[method](rec_op, sino, models)
+    """Reconstruct ``sino`` with a method :func:`check_methods` passed;
+    ``models`` comes from :func:`load_method_models`, and
+    ``nis``/``eta``/``seed`` drive DAR."""
+    if method == "lbp":
+        return reconstruct_lbp(rec_op, sino)
+    if method == "fdunet":
+        return reconstruct_fdunet(rec_op, models.fdunet, sino)
     if method == "tikhonov":
         ev = cfg["eval"]
         return reconstruct_tikhonov(rec_op, sino, ev["tikhonov_lambda"],
                                     ev["tikhonov_iters"], ev["tikhonov_tol"])
-    check_method(method)
-    return reconstruct_dar(sino, models, rec_op.geometry, nis=nis, eta=eta,
-                           seed=seed, condition_on=DAR_INITIAL[method],
-                           rec_op=rec_op)
-
-
-def check_dar_steps(cfg: dict, nis_list, eta: float):
-    """Refuse each DAR step count in ``nis_list`` and ``eta`` before a model
-    loads or an operator builds; the ranges are those of
-    :func:`make_inference_timesteps` (against ``cfg``'s schedule T) and
-    :func:`check_eta`."""
-    for nis in nis_list:
-        make_inference_timesteps(cfg["schedule"]["T"], nis)
-    check_eta(eta)
+    return reconstruct_dar(sino, models, rec_op.geometry, nis, eta, seed,
+                           DAR_INITIAL[method], rec_op=rec_op)
 
 
 def export_image(img: Image, path) -> Path:
@@ -186,31 +213,22 @@ def evaluate_methods(cfg: dict, run_dir, manifest: DatasetManifest,
                      split: str = "test") -> MetricReport:
     """Reconstruct every image of a split with every method variant.
 
-    ``methods`` is a non-empty iterable of names from ``METHODS``; the DAR
-    methods expand over ``nis_list``. When ``snr_list`` is given
-    the stored sinograms are replaced by fresh simulations renoised at each
-    requested SNR (seeds derived from the dataset master seed). An unknown
-    method, a bad SNR, a DAR step count outside the schedule or an entry
-    listed twice raises :class:`ConfigError` before any work.
+    ``methods``, ``nis_list`` and the config's eta pass through
+    :func:`check_methods`, so the DAR methods expand over ``nis_list``. When
+    ``snr_list`` is given the stored sinograms are replaced by fresh
+    simulations renoised at each requested SNR (seeds derived from the
+    dataset master seed). A bad method, step count or SNR, or an entry
+    listed twice, raises :class:`ConfigError` before any work.
     """
     methods = list(methods)
-    if not methods:
-        raise ConfigError("no method to evaluate")
-    for m in methods:
-        check_method(m)
+    variants = check_methods(cfg, methods, nis_list)
     for snr in snr_list or ():
         check_snr(snr)
-    for what, values in (("method", methods), ("nis", list(nis_list)),
-                         ("SNR", list(snr_list or ()))):
-        if len(set(values)) < len(values):
-            raise ConfigError(f"each {what} may be listed once, got {values}")
+    _listed_once("SNR", list(snr_list or ()))
     inf = cfg["inference"]
-    dar_steps = list(nis_list) or [inf["nis"]]
-    if any(m in DAR_INITIAL for m in methods):
-        check_dar_steps(cfg, dar_steps, inf["eta"])
     run_dir = Path(run_dir)
     data_dir = run_dir / "dataset"
-    models = {m: load_method_models(run_dir, m) for m in methods}
+    models = {m: load_method_models(cfg, run_dir, m) for m in methods}
     entries = manifest.split(split)
     if not entries:
         raise PrerequisiteError(f"no entries in split {split!r}")
@@ -227,15 +245,14 @@ def evaluate_methods(cfg: dict, run_dir, manifest: DatasetManifest,
     def run_variants(entry, sino, snr_db):
         gt = read_tensor(data_dir / entry.phantom)
         image_seed = derive_seed(inf["seed"], entry.index)
-        for m in methods:
-            for nis in dar_steps if m in DAR_INITIAL else [0]:
-                with Stopwatch() as sw:
-                    rec = reconstruct(m, cfg, rec_op, sino, models[m], nis,
-                                      inf["eta"], image_seed)
-                records.append(MetricRecord(
-                    entry_index=entry.index, method=m, nis=nis,
-                    snr_db=snr_db, psnr=psnr(rec.data, gt),
-                    ssim=ssim(rec.data, gt), wall_time=sw.elapsed))
+        for m, nis in variants:
+            with Stopwatch() as sw:
+                rec = reconstruct(m, cfg, rec_op, sino, models[m], nis,
+                                  inf["eta"], image_seed)
+            records.append(MetricRecord(
+                entry_index=entry.index, method=m, nis=nis, snr_db=snr_db,
+                psnr=psnr(rec.data, gt), ssim=ssim(rec.data, gt),
+                wall_time=sw.elapsed))
 
     for entry in entries:
         if snr_list is None:

@@ -235,7 +235,7 @@ def _cond_patches(cfg, manifest, data_dir, condition_on):
 
 
 def train_cip(cfg: dict, run_dir, manifest: DatasetManifest,
-              condition_on: str = "fdunet", resume: bool = False) -> Path:
+              condition_on: str, resume: bool = False) -> Path:
     ae = CIPAutoencoder(cfg["cip"]["layer_dims"], seed=cfg["cip"]["seed"])
     x_all, _ = _cond_patches(cfg, manifest, Path(run_dir) / "dataset",
                              condition_on)
@@ -273,8 +273,7 @@ def _joint_parameters(denoiser, encoder) -> dict:
 
 
 def train_diffusion(cfg: dict, run_dir, manifest: DatasetManifest,
-                    condition_on: str = "fdunet",
-                    resume: bool = False) -> Path:
+                    condition_on: str, resume: bool = False) -> Path:
     data_dir = Path(run_dir) / "dataset"
     cip_ckpt = checkpoint(run_dir, f"cip_{condition_on}")
     sched = schedule_from_config(cfg)

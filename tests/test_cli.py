@@ -1,7 +1,8 @@
 """One method dispatch: ``oatdar reconstruct`` and ``oatdar eval`` agree on
 every method, and bad methods, step counts, eta, list flags, geometries,
 grids too small for a phantom, input files, all-zero phantoms to add noise
-to and checkpoints that do not fit their model exit with a config error, and
+to, checkpoints that do not fit their model and denoisers trained on
+another schedule than the config's exit with a config error, and
 a misspelt ``eval --split`` with the parser's usage error (also 2); a
 missing checkpoint, an empty train split or a missing enhancer output exits
 with a prerequisite error, as does a CIP checkpoint of other widths; a
@@ -179,6 +180,23 @@ def test_bad_method_nis_or_eta_exits_2(tiny_run, tmp_path, monkeypatch,
     io = (["--sino", str(data_dir / entry.sinogram)]
           if argv[0] == "reconstruct" else [])
     assert cli.main([*argv, *common, *io, "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["eval", "reconstruct"])
+def test_denoiser_of_another_schedule_exits_2(tiny_run, tmp_path, caplog,
+                                              command):
+    """The denoisers were trained at T = 20; a config at T = 40 would sample
+    with the checkpoint's schedule under the config's hash."""
+    common, data_dir, entry, *_ = tiny_run
+    argv = (["eval", "--methods", "dar"] if command == "eval" else
+            ["reconstruct", "dar", "--sino", str(data_dir / entry.sinogram)])
+    out = tmp_path / "out"
+    with caplog.at_level(logging.ERROR, logger="oatdar"):
+        assert cli.main([*argv, *common, "--set", f"schedule.T={2 * T}",
+                         "--nis", "10", "--out", str(out)]) == 2
+    assert f"T={T}," in caplog.text and f"T={2 * T}," in caplog.text
+    assert "'train diffusion --condition-on fdunet'" in caplog.text
     assert not out.exists()
 
 

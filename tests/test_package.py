@@ -9,7 +9,8 @@ from pathlib import Path
 
 import oatdar
 
-TRACING = Path(__file__).resolve().parents[1] / "benchmarks" / "tracing.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACING = ROOT / "benchmarks" / "tracing.py"
 # removed with the on-the-fly operator; the benchmark still lists them
 STALE_TRACE_TARGETS = {"kernels.otf_apply", "kernels.otf_adjoint"}
 
@@ -80,3 +81,32 @@ def test_every_oatdar_name_the_workloads_use_resolves():
         # the call's positional count and keyword names must bind
         keywords = {k.arg: k for k in call.keywords if k.arg is not None}
         inspect.signature(obj).bind(*call.args, **keywords)
+
+
+def _unused_imports(path: Path) -> list[str]:
+    """Names ``path`` imports but never reads; names in ``__all__`` count
+    as read."""
+    tree = ast.parse(path.read_text())
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for a in node.names:
+                imported[a.asname or a.name.partition(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for a in node.names:
+                imported[a.asname or a.name] = node.lineno
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__"
+                for t in node.targets):
+            used |= set(ast.literal_eval(node.value))
+    return [f"{path.relative_to(ROOT)}:{line} {name}"
+            for name, line in imported.items() if name not in used]
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    paths = sorted([*(ROOT / "src" / "oatdar").glob("*.py"),
+                    *(ROOT / "tests").glob("*.py")])
+    assert len(paths) > 20
+    assert [u for p in paths for u in _unused_imports(p)] == []

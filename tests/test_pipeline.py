@@ -10,8 +10,8 @@ from oatdar.errors import ConfigError
 from oatdar.geometry import Image
 from oatdar.metrics import psnr
 from oatdar.operator import apply_forward, build_forward_operator
-from oatdar.pipeline import (ModelBundle, evaluate_methods, export_image,
-                             reconstruct_dar, reconstruct_lbp)
+from oatdar.pipeline import (ModelBundle, check_methods, evaluate_methods,
+                             export_image, reconstruct_dar, reconstruct_lbp)
 from oatdar.tensorfile import read_tensor
 
 TINY = {"profile": "desk", "dataset": {"train": 1, "val": 0, "test": 1}}
@@ -21,6 +21,16 @@ def test_evaluate_without_a_method_raises_before_any_work(tmp_path):
     # neither the config, the run directory nor the manifest is read
     with pytest.raises(ConfigError, match="no method"):
         evaluate_methods({}, tmp_path / "missing", None, [])
+
+
+def test_check_methods_expands_dar_over_the_step_counts():
+    cfg = load_config()
+    assert check_methods(cfg, ["dar_lbp", "lbp", "dar"], [1, 3]) == [
+        ("dar_lbp", 1), ("dar_lbp", 3), ("lbp", 0), ("dar", 1), ("dar", 3)]
+    assert check_methods(cfg, ["dar"]) == [("dar", cfg["inference"]["nis"])]
+    # without a DAR method neither the step counts nor the config are read
+    assert check_methods({}, ["tikhonov", "fdunet"], [0]) == [
+        ("tikhonov", 0), ("fdunet", 0)]
 
 
 def test_eval_snr_inf_scores_the_clean_simulation(tmp_path):

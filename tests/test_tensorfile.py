@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oatdar.errors import TensorFileError
-from oatdar.tensorfile import (MAGIC, read_bundle, read_tensor, write_bundle,
+from oatdar.tensorfile import (read_bundle, read_tensor, write_bundle,
                                write_tensor)
 
 
