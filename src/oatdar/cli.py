@@ -134,17 +134,13 @@ def cmd_train(args):
 
 def cmd_reconstruct(args):
     cfg = _load_cfg(args)
-    inf = cfg["inference"]
-    eta = args.eta if args.eta is not None else inf["eta"]
-    ((method, nis),) = pipeline.check_methods(
-        cfg, [args.method], [] if args.nis is None else [args.nis], eta)
+    ((method, nis),) = pipeline.check_methods(cfg, [args.method])
     models = pipeline.load_method_models(cfg, args.run_dir, method)
     rec_op = build_forward_operator(geometry_from_config(cfg), jittered=False)
     sino = _read_arg(args.sino, "--sino", Sinogram, check_sinogram,
                      rec_op.geometry)
-    img = pipeline.reconstruct(
-        method, cfg, rec_op, sino, models, nis=nis, eta=eta,
-        seed=args.seed if args.seed is not None else inf["seed"])
+    img = pipeline.reconstruct(method, cfg, rec_op, sino, models, nis,
+                               cfg["inference"]["seed"])
     pipeline.export_image(img, args.out)
     print(f"{method} reconstruction -> {args.out}")
 
@@ -234,14 +230,13 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--resume", action="store_true")
     sp.set_defaults(fn=cmd_train)
 
-    sp = sub.add_parser("reconstruct", help="reconstruct one sinogram file")
+    sp = sub.add_parser("reconstruct", help="reconstruct one sinogram file; "
+                        "DAR samples with the config's inference.nis, eta "
+                        "and seed (change them with --set)")
     sp.add_argument("method", choices=pipeline.METHODS)
     common(sp)
     sp.add_argument("--sino", required=True)
     sp.add_argument("--out", required=True)
-    sp.add_argument("--nis", type=int, default=None)
-    sp.add_argument("--eta", type=float, default=None)
-    sp.add_argument("--seed", type=_seed, default=None)
     sp.set_defaults(fn=cmd_reconstruct)
 
     sp = sub.add_parser("eval", help="score methods over the test split")
@@ -253,7 +248,10 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--nis", default=None,
                     help="comma list of DAR step counts (default: the "
                          "config's inference.nis)")
-    sp.add_argument("--snr", default=None, help="comma list of re-noise SNRs")
+    sp.add_argument("--snr", default=None,
+                    help="comma list of SNRs to re-noise the clean "
+                         "simulation at; the summary has one row per "
+                         "variant per SNR")
     sp.add_argument("--split", default="test", choices=SPLITS)
     sp.add_argument("--out", default=None)
     sp.set_defaults(fn=cmd_eval)

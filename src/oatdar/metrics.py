@@ -1,5 +1,10 @@
 """Image-quality metrics and multi-method comparison reports.
 
+A :class:`MetricReport` holds one record per (entry, SNR, variant) case.
+Its summary has one row per grouping key: the variant (``method``, or
+``method-nis`` for a DAR step count) and, in the report of an SNR sweep,
+the SNR.
+
 Both metrics score images on the [0, 1] intensity range (a data range of
 1). PSNR uses a declared cap of 99 dB (identical images would otherwise be
 infinite and poison aggregates). SSIM follows the standard windowed
@@ -10,7 +15,6 @@ averaged over windows fully inside the image.
 from __future__ import annotations
 
 import hashlib
-import time
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -94,23 +98,20 @@ class MetricRecord:
 class MetricReport:
     records: list
     config_hash: str = ""
+    by_snr: bool = False     # a sweep's report: one summary row per SNR too
 
-    def variant_names(self):
-        seen = []
-        for r in self.records:
-            name = f"{r.method}-{r.nis}" if r.nis else r.method
-            if name not in seen:
-                seen.append(name)
-        return seen
-
-    def variant_records(self, name: str):
-        return [r for r in self.records
-                if (f"{r.method}-{r.nis}" if r.nis else r.method) == name]
+    def group_key(self, r: MetricRecord) -> str:
+        """The summary row ``r`` counts in: ``dar-25``, or ``dar-25@snr=20``
+        in a sweep's report."""
+        name = f"{r.method}-{r.nis}" if r.nis else r.method
+        return f"{name}@snr={r.snr_db:g}" if self.by_snr else name
 
     def compute_aggregates(self) -> dict:
+        groups = {}
+        for r in self.records:
+            groups.setdefault(self.group_key(r), []).append(r)
         out = {}
-        for name in self.variant_names():
-            rs = self.variant_records(name)
+        for name, rs in groups.items():
             ps = np.array([r.psnr for r in rs])
             ss = np.array([r.ssim for r in rs])
             ts = np.array([r.wall_time for r in rs])
@@ -142,11 +143,12 @@ class MetricReport:
                          f"{r.wall_time!r}")
         (directory / "records.tsv").write_text("\n".join(lines) + "\n")
         (directory / "timings.tsv").write_text("\n".join(times) + "\n")
-        rows = [f"{'variant':<14}{'n':>5}{'PSNR mean':>12}{'+-':>8}"
+        w = 18 if self.by_snr else 14     # room for an ``@snr=<snr>`` label
+        rows = [f"{'variant':<{w}}{'n':>5}{'PSNR mean':>12}{'+-':>8}"
                 f"{'median':>10}{'SSIM mean':>12}{'+-':>8}{'median':>10}"
                 f"{'sec/img':>10}"]
         for name, a in self.compute_aggregates().items():
-            rows.append(f"{name:<14}{a['count']:>5}{a['psnr_mean']:>12.3f}"
+            rows.append(f"{name:<{w}}{a['count']:>5}{a['psnr_mean']:>12.3f}"
                         f"{a['psnr_std']:>8.3f}{a['psnr_median']:>10.3f}"
                         f"{a['ssim_mean']:>12.4f}{a['ssim_std']:>8.4f}"
                         f"{a['ssim_median']:>10.4f}"
@@ -157,13 +159,3 @@ class MetricReport:
     def content_hash(self, directory) -> str:
         path = Path(directory) / "records.tsv"
         return hashlib.sha256(path.read_bytes()).hexdigest()
-
-
-class Stopwatch:
-    def __enter__(self):
-        self.t0 = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc):
-        self.elapsed = time.perf_counter() - self.t0
-        return False

@@ -8,6 +8,12 @@ method needs; the reconstruction operator is built; and :func:`reconstruct`
 runs each variant. Every reconstruction is reported min-max scaled to
 [0, 1] by :func:`grayio.normalize01`.
 
+:func:`evaluate_methods` is one loop: for each entry of a split it reads the
+phantom once and builds the entry's ``(snr_db, sinogram)`` cases (the stored
+sinogram, or the clean simulation re-noised at each SNR of a sweep), then
+scores every variant on every case. Its report's summary groups by variant
+and, for a sweep, by SNR (:class:`metrics.MetricReport`).
+
 The enhancement-assisted pipeline (DAR): take the initial reconstruction it
 conditions on (``DAR_INITIAL``: the LBP, or the enhancer's refinement of
 it), split it into patches, encode each patch into its conditioning vector,
@@ -19,6 +25,7 @@ normalize to [0, 1].
 from __future__ import annotations
 
 import logging
+import time
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -31,7 +38,7 @@ from .diffusion import (NoiseSchedule, check_eta, make_inference_timesteps,
 from .errors import ConfigError, NumericalError, PrerequisiteError
 from .geometry import Image, ImagingGeometry, Sinogram
 from .grayio import normalize01, write_pgm
-from .metrics import MetricRecord, MetricReport, Stopwatch, psnr, ssim
+from .metrics import MetricRecord, MetricReport, psnr, ssim
 from .models import cip_encode, denoise_predict, fd_unet_forward
 from .operator import (add_noise, apply_adjoint, apply_forward,
                        build_forward_operator, check_snr, tikhonov_solve)
@@ -74,14 +81,13 @@ def _listed_once(what: str, values: list):
         raise ConfigError(f"each {what} may be listed once, got {values}")
 
 
-def check_methods(cfg: dict, methods, nis_list=(),
-                  eta: float | None = None) -> list[tuple[str, int]]:
+def check_methods(cfg: dict, methods, nis_list=()) -> list[tuple[str, int]]:
     """The ``(method, nis)`` variants to run, in ``methods`` order: each DAR
     method once per step count of ``nis_list`` (default: the config's),
     every other method once with nis 0. Raises :class:`ConfigError` on an
     empty list, an unknown or repeated method, a repeated step count and,
     when a DAR method is listed, a step count outside the config's schedule
-    or a bad ``eta`` (default: the config's), before anything is read."""
+    or a bad config eta, before anything is read."""
     methods, nis_list = list(methods), list(nis_list)
     if not methods:
         raise ConfigError("no method to evaluate")
@@ -97,7 +103,7 @@ def check_methods(cfg: dict, methods, nis_list=(),
     dar_steps = nis_list or [inf["nis"]]
     for nis in dar_steps:
         make_inference_timesteps(cfg["schedule"]["T"], nis)
-    check_eta(inf["eta"] if eta is None else eta)
+    check_eta(inf["eta"])
     return [(m, nis) for m in methods
             for nis in (dar_steps if m in DAR_INITIAL else [0])]
 
@@ -175,11 +181,10 @@ def reconstruct_dar(sino: Sinogram, models: ModelBundle,
 
 
 def reconstruct(method: str, cfg: dict, rec_op, sino: Sinogram,
-                models: ModelBundle | None, nis: int, eta: float,
-                seed: int) -> Image:
+                models: ModelBundle | None, nis: int, seed: int) -> Image:
     """Reconstruct ``sino`` with a method :func:`check_methods` passed;
-    ``models`` comes from :func:`load_method_models`, and
-    ``nis``/``eta``/``seed`` drive DAR."""
+    ``models`` comes from :func:`load_method_models`, and ``nis``, ``seed``
+    and the config's eta drive DAR."""
     if method == "lbp":
         return reconstruct_lbp(rec_op, sino)
     if method == "fdunet":
@@ -188,8 +193,9 @@ def reconstruct(method: str, cfg: dict, rec_op, sino: Sinogram,
         ev = cfg["eval"]
         return reconstruct_tikhonov(rec_op, sino, ev["tikhonov_lambda"],
                                     ev["tikhonov_iters"], ev["tikhonov_tol"])
-    return reconstruct_dar(sino, models, rec_op.geometry, nis, eta, seed,
-                           DAR_INITIAL[method], rec_op=rec_op)
+    return reconstruct_dar(sino, models, rec_op.geometry, nis,
+                           cfg["inference"]["eta"], seed, DAR_INITIAL[method],
+                           rec_op=rec_op)
 
 
 def export_image(img: Image, path) -> Path:
@@ -211,64 +217,57 @@ def export_image(img: Image, path) -> Path:
 def evaluate_methods(cfg: dict, run_dir, manifest: DatasetManifest,
                      methods, nis_list=(), snr_list=None,
                      split: str = "test") -> MetricReport:
-    """Reconstruct every image of a split with every method variant.
+    """Score every ``(method, nis)`` variant of :func:`check_methods` on
+    every case of every entry of a split.
 
-    ``methods``, ``nis_list`` and the config's eta pass through
-    :func:`check_methods`, so the DAR methods expand over ``nis_list``. When
-    ``snr_list`` is given the stored sinograms are replaced by fresh
-    simulations renoised at each requested SNR (seeds derived from the
-    dataset master seed). A bad method, step count or SNR, or an entry
-    listed twice, raises :class:`ConfigError` before any work.
+    An entry's cases are its stored sinogram at its stored SNR or, when
+    ``snr_list`` is given, the clean jittered simulation of its phantom
+    re-noised at each requested SNR (seeds derived from the dataset master
+    seed). A bad method, step count or SNR, or an entry listed twice,
+    raises :class:`ConfigError` before any work.
     """
     methods = list(methods)
     variants = check_methods(cfg, methods, nis_list)
     for snr in snr_list or ():
         check_snr(snr)
     _listed_once("SNR", list(snr_list or ()))
-    inf = cfg["inference"]
-    run_dir = Path(run_dir)
-    data_dir = run_dir / "dataset"
-    models = {m: load_method_models(cfg, run_dir, m) for m in methods}
+    data_dir = Path(run_dir) / "dataset"
+    models = {m: load_method_models(cfg, run_dir, m) for m in methods
+              if m != "fdunet" or "dar" not in methods}
+    if "dar" in methods:  # its bundle holds the enhancer: fdunet shares it
+        models["fdunet"] = models["dar"]
     entries = manifest.split(split)
     if not entries:
         raise PrerequisiteError(f"no entries in split {split!r}")
     geometry = geometry_from_config(cfg)
     rec_op = build_forward_operator(geometry, jittered=False)
-
-    sim_op = None
     if snr_list is not None:
         sim_op = build_forward_operator(geometry, jittered=True)
 
-    master = manifest.master_seed
     records = []
-
-    def run_variants(entry, sino, snr_db):
-        gt = read_tensor(data_dir / entry.phantom)
-        image_seed = derive_seed(inf["seed"], entry.index)
-        for m, nis in variants:
-            with Stopwatch() as sw:
-                rec = reconstruct(m, cfg, rec_op, sino, models[m], nis,
-                                  inf["eta"], image_seed)
-            records.append(MetricRecord(
-                entry_index=entry.index, method=m, nis=nis, snr_db=snr_db,
-                psnr=psnr(rec.data, gt), ssim=ssim(rec.data, gt),
-                wall_time=sw.elapsed))
-
     for entry in entries:
+        gt = read_tensor(data_dir / entry.phantom)
         if snr_list is None:
-            sino = Sinogram(read_tensor(data_dir / entry.sinogram))
-            run_variants(entry, sino, entry.snr_db)
+            cases = [(entry.snr_db,
+                      Sinogram(read_tensor(data_dir / entry.sinogram)))]
         else:
-            phantom = Image(read_tensor(data_dir / entry.phantom))
-            clean = apply_forward(sim_op, phantom)
-            for snr in snr_list:
-                sino = clean
-                if snr != np.inf:
-                    seed = derive_seed(master, entry.index, 3,
-                                       int(round(snr * 1000)))
-                    sino = add_noise(clean, snr, seed)
-                run_variants(entry, sino, float(snr))
-    return MetricReport(records=records, config_hash=config_hash(cfg))
+            clean = apply_forward(sim_op, Image(gt))
+            cases = [(float(snr), clean if snr == np.inf else add_noise(
+                clean, snr, derive_seed(manifest.master_seed, entry.index, 3,
+                                        int(round(snr * 1000)))))
+                     for snr in snr_list]
+        image_seed = derive_seed(cfg["inference"]["seed"], entry.index)
+        for snr_db, sino in cases:
+            for m, nis in variants:
+                t0 = time.perf_counter()
+                rec = reconstruct(m, cfg, rec_op, sino, models[m], nis,
+                                  image_seed).data
+                wall_time = time.perf_counter() - t0
+                records.append(MetricRecord(
+                    entry.index, m, nis, snr_db, psnr(rec, gt), ssim(rec, gt),
+                    wall_time))
+    return MetricReport(records=records, config_hash=config_hash(cfg),
+                        by_snr=snr_list is not None)
 
 
 def simulate_sinogram(cfg: dict, phantom: Image, snr_db: float,

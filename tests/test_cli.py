@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oatdar import cli, pipeline
+from oatdar import cli, pipeline, training
 from oatdar.config import geometry_from_config, load_config
 from oatdar.dataset import DatasetManifest, derive_seed
 from oatdar.metrics import psnr
@@ -63,11 +63,29 @@ def test_reconstruct_scores_as_eval(tiny_run, tmp_path, method):
     out = tmp_path / f"{method}.oatd"
     assert cli.main(["reconstruct", method, *common,
                      "--sino", str(data_dir / entry.sinogram),
-                     "--out", str(out), "--seed", str(seed)]) == 0
+                     "--out", str(out),
+                     "--set", f"inference.seed={seed}"]) == 0
     ((nis, rec_psnr),) = [(n, p) for m, n, p in records if m == method]
     assert nis == (2 if method in pipeline.DAR_INITIAL else 0)
     gt = read_tensor(data_dir / entry.phantom)
     assert psnr(read_tensor(out), gt) == rec_psnr
+
+
+def test_eval_reads_the_enhancer_checkpoint_once(tiny_run, monkeypatch):
+    """fdunet and dar share one copy of the enhancer."""
+    common, data_dir, *_ = tiny_run
+    calls = []
+
+    def load_fdunet(ckpt):
+        calls.append(ckpt)
+        return training.load_fdunet(ckpt)
+
+    monkeypatch.setattr(pipeline, "load_fdunet", load_fdunet)
+    report = pipeline.evaluate_methods(
+        load_config(common[1]), data_dir.parent,
+        DatasetManifest.read(data_dir), ["fdunet", "dar"])
+    assert len(calls) == 1
+    assert [r.method for r in report.records] == ["fdunet", "dar"]
 
 
 def test_reconstruct_dar_without_checkpoints_exits_3(tiny_run, tmp_path):
@@ -157,10 +175,10 @@ def test_train_cip_before_the_enhancer_exits_3(tmp_path, caplog):
     ["eval", "--methods", "lbp,foo"],
     ["eval", "--methods", "dar", "--nis", "0"],
     ["eval", "--methods", "dar_lbp", "--nis", str(T + 1)],
-    ["reconstruct", "dar", "--nis", "0"],
-    ["reconstruct", "dar_lbp", "--nis", str(T + 1)],
-    ["reconstruct", "dar", "--eta", "2"],
-    ["reconstruct", "dar_lbp", "--eta", "nan"],
+    ["reconstruct", "dar", "--set", "inference.nis=0"],
+    ["reconstruct", "dar_lbp", "--set", f"inference.nis={T + 1}"],
+    ["reconstruct", "dar", "--set", "inference.eta=2"],
+    ["reconstruct", "dar_lbp", "--set", "inference.eta=NaN"],
     ["eval", "--methods", "dar", "--nis", "2,x"],
     ["eval", "--methods", "lbp", "--snr", "abc"],
 ])
@@ -189,12 +207,14 @@ def test_denoiser_of_another_schedule_exits_2(tiny_run, tmp_path, caplog,
     """The denoisers were trained at T = 20; a config at T = 40 would sample
     with the checkpoint's schedule under the config's hash."""
     common, data_dir, entry, *_ = tiny_run
-    argv = (["eval", "--methods", "dar"] if command == "eval" else
-            ["reconstruct", "dar", "--sino", str(data_dir / entry.sinogram)])
+    sino = str(data_dir / entry.sinogram)
+    argv = (["eval", "--methods", "dar", "--nis", "10"] if command == "eval"
+            else ["reconstruct", "dar", "--sino", sino,
+                  "--set", "inference.nis=10"])
     out = tmp_path / "out"
     with caplog.at_level(logging.ERROR, logger="oatdar"):
         assert cli.main([*argv, *common, "--set", f"schedule.T={2 * T}",
-                         "--nis", "10", "--out", str(out)]) == 2
+                         "--out", str(out)]) == 2
     assert f"T={T}," in caplog.text and f"T={2 * T}," in caplog.text
     assert "'train diffusion --condition-on fdunet'" in caplog.text
     assert not out.exists()

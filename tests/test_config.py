@@ -97,7 +97,6 @@ def test_config_error_is_a_value_error():
 @pytest.mark.parametrize("argv", [
     ["phantom", "--seed", "-3"],
     ["simulate", "--phantom", "p.oatd", "--seed", "-1"],
-    ["reconstruct", "dar", "--sino", "s.oatd", "--seed", "-1"],
 ])
 def test_negative_seed_flag_exits_2(tmp_path, capsys, argv):
     out = tmp_path / "out.oatd"

@@ -35,3 +35,10 @@ def test_report_roundtrip_with_computed_psnr(tmp_path):
     summary = (tmp_path / "summary.txt").read_text().splitlines()
     assert [row.split()[:2] for row in summary[1:]] == [["lbp", "2"],
                                                          ["dar-5", "1"]]
+    # a sweep's report also groups by SNR; records.tsv is the same
+    MetricReport(records, "abc", by_snr=True).write(tmp_path / "sweep")
+    summary = (tmp_path / "sweep" / "summary.txt").read_text().splitlines()
+    assert [row.split()[:2] for row in summary[1:]] == [
+        ["lbp@snr=30", "2"], ["dar-5@snr=inf", "1"]]
+    assert (tmp_path / "sweep" / "records.tsv").read_bytes() == \
+        (tmp_path / "records.tsv").read_bytes()

@@ -43,6 +43,10 @@ def test_eval_snr_inf_scores_the_clean_simulation(tmp_path):
                      "--out", str(tmp_path / "report")]) == 0
     rows = (tmp_path / "report" / "records.tsv").read_text().splitlines()
     assert [r.split("\t")[3] for r in rows[3:]] == ["inf", "30.0"]
+    # one summary row per SNR of the sweep, not one pooling both
+    summary = (tmp_path / "report" / "summary.txt").read_text().splitlines()
+    assert [row.split()[:2] for row in summary[1:]] == [["lbp@snr=inf", "1"],
+                                                         ["lbp@snr=30", "1"]]
     assert cli.main(["eval", *common, "--methods", "lbp", "--snr=-inf",
                      "--out", str(tmp_path / "bad")]) == 2
 
