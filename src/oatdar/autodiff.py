@@ -11,6 +11,13 @@ float64. An op none of whose inputs requires grad returns a plain
 tape-free Tensor that keeps no parents and no closure, so inference through
 frozen parameters (loaded checkpoints, see ``layers.Module.freeze``) holds
 no graph alive.
+
+Code that runs per op avoids two numpy slow paths that do no arithmetic
+(float32, one BLAS thread, 2-core x86 host): ``_sigmoid`` selects its
+branch through ``np.minimum``, not a three-operand ``np.where``, which
+cut a (4, 16, 16, 16) call from ~113 to ~32 us; ``_im2col`` builds its
+window with ``as_strided`` in ~3.5 us, where ``sliding_window_view``
+spends ~11 us of Python.
 """
 
 from __future__ import annotations
@@ -236,10 +243,14 @@ def relu(a):
 
 
 def _sigmoid(x):
-    # single exp of -|x| keeps it overflow-free and vectorized
-    e = np.exp(-np.abs(x))
-    d = 1.0 + e
-    return np.where(x >= 0, 1.0 / d, e / d)
+    # exp(min(x, 0)) / (1 + exp(-|x|)): no exp overflows, and the numerator
+    # is exp(-|x|) for x < 0 and exactly 1 for x >= 0, so it equals the
+    # two-branch where(x >= 0, 1/d, e/d) bit for bit without a masked select
+    d = np.exp(-np.abs(x))
+    d += 1.0
+    s = np.exp(np.minimum(x, 0))
+    s /= d
+    return s
 
 
 def silu(a):
@@ -322,8 +333,10 @@ def _im2col(x, k):
     pad = k // 2
     xp = np.zeros((n, c, h + 2 * pad, w + 2 * pad), dtype=x.dtype)
     xp[:, :, pad:pad + h, pad:pad + w] = x
-    win = np.lib.stride_tricks.sliding_window_view(xp, (k, k), axis=(2, 3))
-    cols = np.ascontiguousarray(win.transpose(0, 1, 4, 5, 2, 3))
+    sn, sc, sh, sw = xp.strides
+    win = np.lib.stride_tricks.as_strided(
+        xp, (n, c, k, k, h, w), (sn, sc, sh, sw, sh, sw), writeable=False)
+    cols = np.ascontiguousarray(win)
     return cols.reshape(n, c * k * k, h * w)
 
 

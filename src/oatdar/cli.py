@@ -230,9 +230,13 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--resume", action="store_true")
     sp.set_defaults(fn=cmd_train)
 
-    sp = sub.add_parser("reconstruct", help="reconstruct one sinogram file; "
-                        "DAR samples with the config's inference.nis, eta "
-                        "and seed (change them with --set)")
+    sp = sub.add_parser(
+        "reconstruct", help="reconstruct one sinogram file",
+        description="Reconstruct one sinogram file. DAR samples with the "
+        "config's inference.nis, eta and seed (change them with --set). "
+        "'oatdar eval' seeds dataset entry i with derive_seed(inference.seed,"
+        " i) from oatdar.dataset, so --set inference.seed=<that value> on "
+        "entry i's stored sinogram reproduces the DAR image eval scored.")
     sp.add_argument("method", choices=pipeline.METHODS)
     common(sp)
     sp.add_argument("--sino", required=True)

@@ -145,6 +145,10 @@ def reconstruct_lbp(rec_op, sino: Sinogram) -> Image:
 def reconstruct_tikhonov(rec_op, sino: Sinogram, lam: float, max_iters: int,
                          tol: float) -> Image:
     res = tikhonov_solve(rec_op, sino, lam, max_iters=max_iters, tol=tol)
+    if not res.converged:
+        log.warning("Tikhonov CG %s after %d iterations: relative residual "
+                    "%.3e, tol %g", "diverged" if res.diverged else
+                    "stopped unconverged", res.iterations, res.residual, tol)
     return Image(normalize01(res.image.data))
 
 
@@ -184,7 +188,13 @@ def reconstruct(method: str, cfg: dict, rec_op, sino: Sinogram,
                 models: ModelBundle | None, nis: int, seed: int) -> Image:
     """Reconstruct ``sino`` with a method :func:`check_methods` passed;
     ``models`` comes from :func:`load_method_models`, and ``nis``, ``seed``
-    and the config's eta drive DAR."""
+    and the config's eta drive DAR.
+
+    :func:`evaluate_methods` seeds dataset entry *i* with
+    ``derive_seed(inference.seed, i)``, while ``oatdar reconstruct`` passes
+    ``inference.seed`` itself; so ``oatdar reconstruct`` with ``--set
+    inference.seed=<derive_seed(inference.seed, i)>`` on entry *i*'s stored
+    sinogram reproduces the DAR image ``eval`` scored for it."""
     if method == "lbp":
         return reconstruct_lbp(rec_op, sino)
     if method == "fdunet":

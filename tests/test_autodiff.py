@@ -81,6 +81,41 @@ def test_matmul_batched_and_broadcast():
              {"a": _r((2, 3, 4), 18), "b": _r((4, 5), 19)})
 
 
+def _sigmoid_reference(x):
+    # the two-branch form ad._sigmoid replaced, kept as its bit oracle
+    e = np.exp(-np.abs(x))
+    d = 1.0 + e
+    return np.where(x >= 0, 1.0 / d, e / d)
+
+
+_SIGMOID_EDGES = [0.0, -0.0, np.inf, -np.inf, np.nan, 88.0, -88.0,
+                  700.0, -700.0, 1e-45, -1e-45]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_sigmoid_bit_identical_to_where_form(dtype):
+    x = np.random.default_rng(60).normal(0.0, 20.0, 100_000)
+    x = np.concatenate([x, _SIGMOID_EDGES]).astype(dtype)
+    got, want = ad._sigmoid(x), _sigmoid_reference(x)
+    assert got.dtype == want.dtype == dtype
+    assert np.array_equal(got, want, equal_nan=True)
+    ok = ~np.isnan(want)  # same bits, so also the same sign of zero
+    assert np.array_equal(got[ok].view(f"u{got.itemsize}"),
+                          want[ok].view(f"u{want.itemsize}"))
+
+
+def test_silu_forward_and_vjp_bit_identical_to_where_form():
+    rng = np.random.default_rng(61)
+    x = (rng.standard_normal((4, 16, 16, 16)) * 3).astype(np.float32)
+    g = rng.standard_normal(x.shape).astype(np.float32)
+    a = ad.Tensor(x.copy(), requires_grad=True)
+    out = ad.silu(a)
+    s = _sigmoid_reference(x)
+    assert out.dtype == np.float32 and np.array_equal(out.data, x * s)
+    out._vjp(g)
+    assert np.array_equal(a.grad, g * (s + x * s * (1.0 - s)))
+
+
 def test_relu_silu_sigmoid():
     # keep points away from the relu kink
     a = _r((4, 4), 20)
@@ -321,13 +356,17 @@ def test_softmax_bit_identical_to_reference(dtype, axis, length):
     assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
-def _im2col_reference(x, kh, kw, pad):
-    n, c = x.shape[:2]
+def _window_reference(x, kh, kw, pad):
+    """(N, C, KH, KW, OH, OW) view of ``x`` padded by ``np.pad``."""
     x = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-    oh, ow = x.shape[2] - kh + 1, x.shape[3] - kw + 1
     win = np.lib.stride_tricks.sliding_window_view(x, (kh, kw), axis=(2, 3))
-    cols = win.transpose(0, 1, 4, 5, 2, 3).reshape(n, c * kh * kw, oh * ow)
-    return cols, oh, ow
+    return win.transpose(0, 1, 4, 5, 2, 3)
+
+
+def _im2col_reference(x, kh, kw, pad):
+    win = _window_reference(x, kh, kw, pad)
+    n, c, _, _, oh, ow = win.shape
+    return win.reshape(n, c * kh * kw, oh * ow), oh, ow
 
 
 @pytest.mark.parametrize("odd", [0, 1])  # an even or an odd input width
@@ -339,6 +378,22 @@ def test_im2col_bit_identical_to_np_pad(odd, k):
     want, oh, ow = _im2col_reference(x, k, k, k // 2)
     assert (oh, ow) == x.shape[2:]
     assert cols.dtype == np.float32 and np.array_equal(cols, want)
+
+
+@pytest.mark.parametrize("k", [1, 3, 5])
+@pytest.mark.parametrize("hw", [4, 16, 32])
+@pytest.mark.parametrize("c", [1, 16, 64])
+@pytest.mark.parametrize("n", [4, 16])
+def test_im2col_desk_shapes_bit_identical(n, c, hw, k):
+    x = np.random.default_rng(n + c + hw + k) \
+        .standard_normal((n, c, hw, hw)).astype(np.float32)
+    cols = ad._im2col(x, k)
+    assert cols.shape == (n, c * k * k, hw * hw) and cols.dtype == np.float32
+    # compared as the 6-D window, so the reference stays a view
+    assert np.array_equal(cols.reshape(n, c, k, k, hw, hw),
+                          _window_reference(x, k, k, k // 2))
+    if k > 1:  # a copy: writing the columns must never reach x
+        assert not np.shares_memory(cols, x)
 
 
 @pytest.mark.parametrize("shape", [(2, 3, 2, 2), (2, 3, 3, 1), (2, 3, 1, 3),

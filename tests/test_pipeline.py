@@ -1,4 +1,5 @@
 import json
+import logging
 
 import numpy as np
 import pytest
@@ -7,11 +8,12 @@ from oatdar import cli
 from oatdar.config import geometry_from_config, load_config
 from oatdar.dataset import DatasetManifest
 from oatdar.errors import ConfigError
-from oatdar.geometry import Image
+from oatdar.geometry import Image, Sinogram
 from oatdar.metrics import psnr
 from oatdar.operator import apply_forward, build_forward_operator
 from oatdar.pipeline import (ModelBundle, check_methods, evaluate_methods,
-                             export_image, reconstruct_dar, reconstruct_lbp)
+                             export_image, reconstruct_dar, reconstruct_lbp,
+                             reconstruct_tikhonov)
 from oatdar.tensorfile import read_tensor
 
 TINY = {"profile": "desk", "dataset": {"train": 1, "val": 0, "test": 1}}
@@ -92,3 +94,19 @@ def test_dar_rejects_an_unknown_initial_reconstruction():
     with pytest.raises(ValueError, match="condition_on"):
         reconstruct_dar(None, ModelBundle(), geom, nis=1, eta=0.0, seed=0,
                         condition_on="tikhonov", rec_op=None)
+
+
+def test_unconverged_tikhonov_warns_with_its_cg_record(tik_geometry, caplog):
+    op = build_forward_operator(tik_geometry)
+    sino = Sinogram(np.random.default_rng(13)
+                    .standard_normal(tik_geometry.sinogram_shape))
+    with caplog.at_level(logging.WARNING, logger="oatdar.pipeline"):
+        reconstruct_tikhonov(op, sino, 1e-2, max_iters=1, tol=1e-12)
+    (warning,) = caplog.records
+    assert warning.levelno == logging.WARNING
+    assert "stopped unconverged after 1 iterations" in warning.getMessage()
+    assert "relative residual" in warning.getMessage()
+    caplog.clear()
+    with caplog.at_level(logging.WARNING, logger="oatdar.pipeline"):
+        reconstruct_tikhonov(op, sino, 1e-2, max_iters=2000, tol=1e-6)
+    assert not caplog.records
