@@ -7,17 +7,23 @@
   column then row, which together equal ``np.lexsort((cols, rows))``, and
   sums duplicates into a CSR matrix with int32 offsets and column indices.
 * :func:`csr_matvec` / :func:`csr_rmatvec` apply that matrix and its
-  transpose through ``scipy.sparse``. The operator's apply, adjoint and
-  spectral-gain power iteration all run through these two products.
+  transpose. They call scipy's compiled ``csr_matvec`` and ``csc_matvec``
+  routines (``scipy.sparse._sparsetools``) directly, writing into a zeroed
+  float64 output, with no per-call matrix object: at desk size, building
+  one cost as much as the product. ``csr_matrix @ x`` runs the same
+  ``csr_matvec`` on the same arrays, and ``.T @ y`` the same ``csc_matvec``
+  (a CSR matrix's transpose is the CSC matrix of its three arrays), so
+  every product has the bits the matrix objects gave. The operator's
+  apply, adjoint and spectral-gain power iteration all run through these
+  two products.
 * :func:`render_capsules` rasterizes phantom vessels: every segment's
   clipped bounding box in one vectorized pass (in chunks of at most
   ``_RASTER_CHUNK`` box pixels), composited by ``np.maximum.at``. It
   writes only covered pixels.
 
-The CSR arrays are int32 because scipy keeps int32 index arrays as they
-are but copies int64 ones on every wrap; :func:`check_index_count`
-therefore refuses matrices whose row, column or entry count does not fit
-in int32.
+The CSR arrays are int32, half the index bytes of int64 (the compiled
+routines take either); :func:`check_index_count` therefore refuses
+matrices whose row, column or entry count does not fit in int32.
 
 Nothing here is threaded or uses fused/reordered arithmetic: the CSR
 product sums each row in stored order and the transpose product scatters
@@ -27,7 +33,7 @@ rows in stored order, so results are a fixed function of the inputs.
 from __future__ import annotations
 
 import numpy as np
-import scipy.sparse as sp
+from scipy.sparse import _sparsetools
 
 from .errors import GeometryError, SignalWindowError
 
@@ -149,20 +155,23 @@ def assemble_csr(rows, cols, vals, n_rows, n_cols):
 # ---------------------------------------------------------------------------
 
 
-def _csr(indptr, indices, data, n_cols):
-    # int32 index arrays are wrapped as they are; nothing is copied
-    return sp.csr_matrix((data, indices, indptr),
-                         shape=(indptr.size - 1, n_cols), copy=False)
-
-
 def csr_matvec(indptr, indices, data, x):
+    """``A @ x`` for the CSR matrix ``A`` with ``x.size`` columns."""
     x = np.ascontiguousarray(x, dtype=np.float64)
-    return _csr(indptr, indices, data, x.size) @ x
+    out = np.zeros(indptr.size - 1)
+    _sparsetools.csr_matvec(out.size, x.size, indptr, indices, data, x, out)
+    return out
 
 
 def csr_rmatvec(indptr, indices, data, y, n_cols):
+    """``A.T @ y``: the CSR arrays read as the CSC arrays of ``A.T``."""
     y = np.ascontiguousarray(y, dtype=np.float64)
-    return _csr(indptr, indices, data, n_cols).T @ y
+    if y.size != indptr.size - 1:
+        raise ValueError(f"y has {y.size} entries, the matrix "
+                         f"{indptr.size - 1} rows")
+    out = np.zeros(int(n_cols))
+    _sparsetools.csc_matvec(out.size, y.size, indptr, indices, data, y, out)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,18 @@ center lies within a segment's half-width, and it then carries exactly the
 vessel's intensity (max-composited across overlaps). Background is exactly
 zero. Generation is bit-deterministic given the parameter seed.
 
+That promise fixes the draw order. Attempt a draws from
+``default_rng(SeedSequence((seed, a)))``: the tree count, then per tree
+its depth, intensity, width, start point (one uniform of size 2) and
+angle, then per branch, last pushed first, its curvature, step count,
+step length, the step count's turns (one ``normal`` call of that size,
+the same draws as that many scalar calls) and, for an inner branch, the
+spread and each child's width. :func:`_grow_tree` runs on Python floats
+with ``math.cos``/``math.sin`` and draws a uniform on [lo, hi) as
+``lo + (hi - lo) * rng.random()``, which is what ``Generator.uniform``
+computes from the same draw, bit for bit. ``tests/test_phantoms.py``
+keeps the form on numpy scalars as its oracle.
+
 Each attempt grows its trees into one segment list and hands it to
 :func:`kernels.render_capsules`, which rasterizes all segments in one
 vectorized pass (in chunks of at most ``kernels._RASTER_CHUNK`` bounding-box
@@ -20,6 +32,7 @@ only ever written (``pipeline.export_image``).
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,7 +69,8 @@ class PhantomParams:
 
     def __post_init__(self):
         _check_range("n_trees", self.n_trees, lo=1)
-        _check_range("branch_depth", self.branch_depth, lo=0)
+        # a tree has 2**(depth + 1) - 1 branches: depth 12 is 8191 of them
+        _check_range("branch_depth", self.branch_depth, lo=0, hi=12)
         _check_range("segment_curvature", self.segment_curvature, lo=0.0)
         _check_range("vessel_width_px", self.vessel_width_px, lo=0.0)
         if not self.vessel_width_px[1] > 0:
@@ -75,31 +89,36 @@ class PhantomParams:
         return cls(**kw)
 
 
+def _uniform(rng, lo, hi):
+    # ``Generator.uniform(lo, hi)`` returns exactly this, from the same draw
+    return lo + (hi - lo) * rng.random()
+
+
 def _grow_tree(rng, params: PhantomParams, nx: int, ny: int, segs, vals):
     scale = min(nx, ny)
     depth = int(rng.integers(params.branch_depth[0], params.branch_depth[1] + 1))
-    intensity = float(rng.uniform(*params.intensity_range))
-    width = float(rng.uniform(*params.vessel_width_px))
-    start = rng.uniform(0.15, 0.85, size=2) * (nx, ny)
-    angle = float(rng.uniform(0.0, 2.0 * np.pi))
-    stack = [(start[0], start[1], angle, width, depth)]
+    intensity = _uniform(rng, *params.intensity_range)
+    width = _uniform(rng, *params.vessel_width_px)
+    x, y = (rng.uniform(0.15, 0.85, size=2) * (nx, ny)).tolist()
+    angle = _uniform(rng, 0.0, 2.0 * math.pi)
+    stack = [(x, y, angle, width, depth)]
     while stack:
         x, y, ang, w, d = stack.pop()
-        curv = float(rng.uniform(*params.segment_curvature))
+        curv = _uniform(rng, *params.segment_curvature)
         n_steps = int(rng.integers(3, 7))
-        step = float(rng.uniform(0.05, 0.10)) * scale
-        for _ in range(n_steps):
-            ang += float(rng.normal(0.0, curv))
-            x2 = x + step * np.cos(ang)
-            y2 = y + step * np.sin(ang)
+        step = _uniform(rng, 0.05, 0.10) * scale
+        for turn in rng.normal(0.0, curv, size=n_steps).tolist():
+            ang += turn
+            x2 = x + step * math.cos(ang)
+            y2 = y + step * math.sin(ang)
             segs.append((x, y, x2, y2, max(w, 0.35) / 2.0))
             vals.append(intensity)
             x, y = x2, y2
             w *= 0.93
         if d > 0:
-            spread = float(rng.uniform(0.35, 0.95))
+            spread = _uniform(rng, 0.35, 0.95)
             for sign in (-1.0, 1.0):
-                child_w = w * float(rng.uniform(0.6, 0.9))
+                child_w = w * _uniform(rng, 0.6, 0.9)
                 stack.append((x, y, ang + sign * spread, child_w, d - 1))
 
 

@@ -1,13 +1,13 @@
 """One method dispatch: ``oatdar reconstruct`` and ``oatdar eval`` agree on
 every method, and bad methods, step counts, eta, list flags, geometries,
-grids too small for a phantom, input files, all-zero phantoms to add noise
-to, checkpoints that do not fit their model and denoisers trained on
-another schedule than the config's exit with a config error, and
-a misspelt ``eval --split`` with the parser's usage error (also 2); a
-missing checkpoint, an empty train split or a missing enhancer output exits
-with a prerequisite error, as does a CIP checkpoint of other widths; a
-non-finite enhancer or an aborted checkpoint exits with a numerical error;
-``run-all`` is bit-reproducible."""
+grids too small for a phantom, unbounded branch depths, input files,
+all-zero phantoms to add noise to, checkpoints that do not fit their model
+and denoisers trained on another schedule than the config's exit with a
+config error, and a misspelt ``eval --split`` with the parser's usage error
+(also 2); a missing checkpoint, an empty train split or a missing enhancer
+output exits with a prerequisite error, as does a CIP checkpoint of other
+widths; a non-finite enhancer or an aborted checkpoint exits with a
+numerical error; ``run-all`` is bit-reproducible."""
 
 import json
 import logging
@@ -299,6 +299,16 @@ def test_phantom_on_a_too_small_grid_exits_2(tmp_path):
     assert proc.returncode == 2, proc.stderr
     assert "Traceback" not in proc.stderr
     assert "at least 16x16" in proc.stderr
+    assert not out.exists()
+
+
+def test_phantom_with_an_unbounded_branch_depth_exits_2(tmp_path):
+    out = tmp_path / "p.oatd"
+    proc = _run_cli("phantom", "--set", "phantom.branch_depth=[2,40]",
+                    "--out", str(out))
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "branch_depth" in proc.stderr
     assert not out.exists()
 
 

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from oatdar import kernels
 from oatdar.config import desk_config, geometry_from_config, paper_config
@@ -398,6 +399,37 @@ def test_csr_products_match_bincount_reference(toy_geometry):
                           want_ax)
     assert np.array_equal(
         kernels.csr_rmatvec(indptr, indices, data, y, op.n_cols), want_aty)
+
+
+@pytest.mark.parametrize("index_dtype", [np.int32, np.int64])
+@pytest.mark.parametrize("geom", ["toy", "desk"])
+def test_csr_products_equal_scipy_matrix_products(toy_geometry, geom,
+                                                  index_dtype):
+    # the kernels call scipy's private compiled routines; a scipy release
+    # that changes them must fail here, not shift every operator bit
+    geometry = (toy_geometry if geom == "toy"
+                else geometry_from_config(desk_config()))
+    op = build_forward_operator(geometry, jittered=True)
+    indptr = op.indptr.astype(index_dtype)
+    indices = op.indices.astype(index_dtype)
+    a = sp.csr_matrix((op.values, indices, indptr),
+                      shape=(op.n_rows, op.n_cols))
+    rng = np.random.default_rng(5)
+    for _ in range(3):
+        x = rng.standard_normal(op.n_cols)
+        y = rng.standard_normal(op.n_rows)
+        ax = kernels.csr_matvec(indptr, indices, op.values, x)
+        aty = kernels.csr_rmatvec(indptr, indices, op.values, y, op.n_cols)
+        assert ax.dtype == aty.dtype == np.float64
+        assert np.array_equal(ax, a @ x)
+        assert np.array_equal(aty, a.T @ y)
+
+
+def test_csr_rmatvec_refuses_a_vector_of_another_length(toy_geometry):
+    op = build_forward_operator(toy_geometry)
+    with pytest.raises(ValueError, match="rows"):
+        kernels.csr_rmatvec(op.indptr, op.indices, op.values,
+                            np.ones(op.n_rows - 1), op.n_cols)
 
 
 def test_shape_mismatch_rejected(toy_geometry):

@@ -74,6 +74,90 @@ def test_too_small_grid_rejected():
         generate_phantom(PhantomParams(), 8, 8)
 
 
+def test_branch_depth_capped_at_12():
+    # a tree has 2**(depth + 1) - 1 branches; depth 40 would never finish
+    PhantomParams(branch_depth=(0, 12))
+    with pytest.raises(ConfigError, match="branch_depth.*above 12"):
+        PhantomParams(branch_depth=(2, 40))
+    with pytest.raises(ConfigError, match="branch_depth"):
+        PhantomParams(branch_depth=(13, 13))
+
+
+# ---------------------------------------------------------------------------
+# the tree grower against its numpy-scalar form
+# ---------------------------------------------------------------------------
+
+def _grow_tree_reference(rng, params, nx, ny, segs, vals):
+    """``phantoms._grow_tree`` as it was written on numpy scalars, one
+    ``Generator.uniform`` and one ``Generator.normal`` call per draw."""
+    scale = min(nx, ny)
+    depth = int(rng.integers(params.branch_depth[0], params.branch_depth[1] + 1))
+    intensity = float(rng.uniform(*params.intensity_range))
+    width = float(rng.uniform(*params.vessel_width_px))
+    start = rng.uniform(0.15, 0.85, size=2) * (nx, ny)
+    angle = float(rng.uniform(0.0, 2.0 * np.pi))
+    stack = [(start[0], start[1], angle, width, depth)]
+    while stack:
+        x, y, ang, w, d = stack.pop()
+        curv = float(rng.uniform(*params.segment_curvature))
+        n_steps = int(rng.integers(3, 7))
+        step = float(rng.uniform(0.05, 0.10)) * scale
+        for _ in range(n_steps):
+            ang += float(rng.normal(0.0, curv))
+            x2 = x + step * np.cos(ang)
+            y2 = y + step * np.sin(ang)
+            segs.append((x, y, x2, y2, max(w, 0.35) / 2.0))
+            vals.append(intensity)
+            x, y = x2, y2
+            w *= 0.93
+        if d > 0:
+            spread = float(rng.uniform(0.35, 0.95))
+            for sign in (-1.0, 1.0):
+                child_w = w * float(rng.uniform(0.6, 0.9))
+                stack.append((x, y, ang + sign * spread, child_w, d - 1))
+
+
+def _grow_attempt(grow, params, n, attempt):
+    """Segments, values and final generator state of one attempt's trees,
+    drawn as ``_render_attempt`` draws them."""
+    rng = np.random.default_rng(np.random.SeedSequence((params.seed, attempt)))
+    segs, vals = [], []
+    for _ in range(int(rng.integers(params.n_trees[0], params.n_trees[1] + 1))):
+        grow(rng, params, n, n, segs, vals)
+    return np.asarray(segs), np.asarray(vals), rng.bit_generator.state
+
+
+@pytest.mark.parametrize("n, overrides, seeds", [
+    (32, {}, range(250)),
+    (128, {}, range(250)),
+    (32, {"branch_depth": (0, 0)}, range(50)),
+    (32, {"segment_curvature": (0, 0)}, range(50)),
+    (32, {"vessel_width_px": (0, 2.0)}, range(50)),
+], ids=["desk", "paper", "depth0", "straight", "width0"])
+def test_grow_tree_matches_reference_draw_for_draw(n, overrides, seeds):
+    # 4 attempts per seed: 1000 (seed, attempt) pairs at desk and paper size
+    for seed in seeds:
+        params = PhantomParams(seed=seed, **overrides)
+        for attempt in range(4):
+            got = _grow_attempt(phantoms._grow_tree, params, n, attempt)
+            want = _grow_attempt(_grow_tree_reference, params, n, attempt)
+            assert got[0].dtype == want[0].dtype == np.float64
+            assert got[0].shape == want[0].shape
+            assert got[0].tobytes() == want[0].tobytes()
+            assert got[1].tobytes() == want[1].tobytes()
+            assert got[2] == want[2]
+
+
+def test_generate_phantom_matches_reference_bytes(monkeypatch):
+    seeds = range(200)
+    got = [generate_phantom(PhantomParams(seed=s), 32, 32).data.tobytes()
+           for s in seeds]
+    monkeypatch.setattr(phantoms, "_grow_tree", _grow_tree_reference)
+    want = [generate_phantom(PhantomParams(seed=s), 32, 32).data.tobytes()
+            for s in seeds]
+    assert got == want
+
+
 # ---------------------------------------------------------------------------
 # the vectorized rasterizer against the per-segment loop
 # ---------------------------------------------------------------------------
