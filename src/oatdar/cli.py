@@ -7,6 +7,7 @@ Exit codes: 0 success, 2 configuration error, 3 missing prerequisite,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import logging
 import sys
@@ -53,6 +54,16 @@ def _read_arg(path, flag: str, kind, check, geometry):
         raise ConfigError(f"{flag}: {exc}") from None
 
 
+@contextlib.contextmanager
+def _writing(flag: str):
+    """A failed write to the file or directory ``flag`` names is a
+    :class:`ConfigError` naming ``flag``."""
+    try:
+        yield
+    except (OSError, TensorFileError) as exc:
+        raise ConfigError(f"{flag}: {exc}") from None
+
+
 def _load_cfg(args) -> dict:
     overrides = apply_flag_overrides({}, args.set or [])
     cfg = load_config(args.config, overrides)
@@ -62,7 +73,8 @@ def _load_cfg(args) -> dict:
 
 def _run_dir(args) -> Path:
     rd = Path(args.run_dir)
-    rd.mkdir(parents=True, exist_ok=True)
+    with _writing("--run-dir"):
+        rd.mkdir(parents=True, exist_ok=True)
     return rd
 
 
@@ -76,7 +88,8 @@ def cmd_phantom(args):
     geom = geometry_from_config(cfg)
     params = phantom_params_from_config(cfg, args.seed)
     img = generate_phantom(params, geom.grid_nx, geom.grid_ny)
-    pipeline.export_image(img, args.out)
+    with _writing("--out"):
+        pipeline.export_image(img, args.out)
     print(f"phantom seed={args.seed} -> {args.out}")
 
 
@@ -84,7 +97,8 @@ def cmd_operator(args):
     cfg = _load_cfg(args)
     op = build_forward_operator(geometry_from_config(cfg),
                                 jittered=args.jittered)
-    op.to_bundle(args.out)
+    with _writing("--out"):
+        op.to_bundle(args.out)
     nnz = int(op.indptr[-1])
     print(f"operator {op.n_rows}x{op.n_cols}, {nnz} entries -> {args.out}")
 
@@ -94,7 +108,8 @@ def cmd_simulate(args):
     phantom = _read_arg(args.phantom, "--phantom", Image, check_image,
                         geometry_from_config(cfg))
     sino = pipeline.simulate_sinogram(cfg, phantom, args.snr, args.seed)
-    write_tensor(args.out, sino.data)
+    with _writing("--out"):
+        write_tensor(args.out, sino.data)
     print(f"sinogram {sino.data.shape} snr={args.snr} -> {args.out}")
 
 
@@ -141,7 +156,8 @@ def cmd_reconstruct(args):
                      rec_op.geometry)
     img = pipeline.reconstruct(method, cfg, rec_op, sino, models, nis,
                                cfg["inference"]["seed"])
-    pipeline.export_image(img, args.out)
+    with _writing("--out"):
+        pipeline.export_image(img, args.out)
     print(f"{method} reconstruction -> {args.out}")
 
 
@@ -155,7 +171,8 @@ def cmd_eval(args):
     report = pipeline.evaluate_methods(cfg, run_dir, manifest, methods,
                                        nis_list, snr_list, split=args.split)
     out = Path(args.out) if args.out else run_dir / "reports"
-    report.write(out)
+    with _writing("--out" if args.out else "--run-dir"):
+        report.write(out)
     print((out / "summary.txt").read_text())
     print(f"report hash {report.content_hash(out)[:16]}")
 

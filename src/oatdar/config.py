@@ -5,6 +5,11 @@ Two built-in profiles: ``desk`` (32x32 grid, 16 detectors, 256 samples,
 T=200 — the whole pipeline trains in about an hour on a CPU) and ``paper``
 (the full-scale reference geometry and model sizes; provided for
 completeness, not exercised by the test suite).
+
+A value the program sets one way is a constant where it is used, not a key:
+``optim.ADAM_BETA1``/``ADAM_BETA2``, ``models.FDUNET_SEED``/``CIP_SEED``/
+``DENOISER_SEED``/``ATTENTION_HEADS``, ``layers.NORM_GROUPS`` and
+``phantoms.MAX_ATTEMPTS``.
 """
 
 from __future__ import annotations
@@ -39,18 +44,15 @@ def desk_config() -> dict:
             "n_trees": [2, 5], "branch_depth": [2, 4],
             "segment_curvature": [0.08, 0.35], "vessel_width_px": [1.2, 3.5],
             "intensity_range": [0.4, 1.0], "fill_fraction_target": [0.03, 0.16],
-            "max_attempts": 20,
         },
         "schedule": {"T": 200, "beta1": 1e-4, "betaT": 0.02},
         "patch": {"h": 16, "w": 16},
         "fd_unet": {"scales": [12, 24, 48], "growth": 10,
-                    "layers_per_block": 3, "seed": 100},
-        "cip": {"layer_dims": [256, 192, 128, 64], "seed": 200},
+                    "layers_per_block": 3},
+        "cip": {"layer_dims": [256, 192, 128, 64]},
         "denoiser": {"scales": [16, 32, 64], "resblocks_per_scale": 1,
-                     "attention_heads": 4, "cond_dim": 64, "cond_tokens": 8,
-                     "time_embed_dim": 64, "norm_groups": 8, "seed": 300},
-        "training": {"learning_rate": 1e-4, "adam_beta1": 0.9,
-                     "adam_beta2": 0.999, "epochs": 20, "batch_size": 16},
+                     "cond_dim": 64, "cond_tokens": 8, "time_embed_dim": 64},
+        "training": {"learning_rate": 1e-4, "epochs": 20, "batch_size": 16},
         "dataset": {"train": 2000, "val": 50, "test": 50,
                     "snr_db_range": [20.0, 80.0], "master_seed": 7},
         "inference": {"nis": 25, "eta": 0.0, "seed": 1234},
@@ -187,7 +189,7 @@ def validate_config(cfg: dict):
     check_tikhonov(ev["tikhonov_lambda"], ev["tikhonov_iters"],
                    ev["tikhonov_tol"])
     tr = cfg["training"]
-    OptimizerState(tr["learning_rate"], tr["adam_beta1"], tr["adam_beta2"])
+    OptimizerState(tr["learning_rate"])
     ds = cfg["dataset"]
     if min(ds["train"], ds["val"], ds["test"]) < 0 or ds["train"] < 1:
         raise ConfigError("dataset split sizes invalid")

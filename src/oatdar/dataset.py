@@ -15,6 +15,7 @@ config hash and master seed; each record line is tab-separated:
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import logging
 from dataclasses import dataclass, replace
@@ -119,6 +120,17 @@ class DatasetManifest:
                 read_tensor(directory / rel)
 
 
+@contextlib.contextmanager
+def reading_dataset():
+    """A dataset file read in this block that is missing or corrupt raises
+    :class:`ConfigError` ("dataset failed validation"), in every stage that
+    reads the dataset as in the build that finds it."""
+    try:
+        yield
+    except TensorFileError as exc:
+        raise ConfigError(f"dataset failed validation: {exc}") from exc
+
+
 def derive_seed(*keys) -> int:
     """The one rule that turns integer keys into a seed: the first word
     ``np.random.SeedSequence(keys)`` generates."""
@@ -154,10 +166,8 @@ def build_dataset(cfg: dict, run_dir, force: bool = False) -> DatasetManifest:
             raise ConfigError(
                 f"existing dataset was built with config {manifest.config_hash},"
                 f" current is {chash}; use force to rebuild")
-        try:
+        with reading_dataset():
             manifest.validate_files(data_dir)
-        except TensorFileError as exc:
-            raise ConfigError(f"dataset failed validation: {exc}") from exc
         log.info("dataset already built (%d entries), skipping",
                  len(manifest.entries))
         return manifest
@@ -202,19 +212,21 @@ def build_dataset(cfg: dict, run_dir, force: bool = False) -> DatasetManifest:
 def load_images(manifest: DatasetManifest, directory, field: str,
                 split: str | None = None) -> np.ndarray:
     """Stack one artifact kind for a split into an (N, H, W) float array;
-    an empty split or a missing output raises :class:`PrerequisiteError`."""
+    an empty split or a missing output raises :class:`PrerequisiteError`,
+    and a missing or corrupt file :class:`ConfigError`."""
     directory = Path(directory)
     entries = manifest.entries if split is None else manifest.split(split)
     if not entries:
         raise PrerequisiteError(f"no entries in split {split!r}")
     out = []
-    for e in entries:
-        rel = getattr(e, field)
-        if rel == "-":  # only the enhancer output starts out empty
-            raise PrerequisiteError(
-                f"entry {e.index} has no {field} output yet; run "
-                "'train fdunet' first")
-        out.append(read_tensor(directory / rel))
+    with reading_dataset():
+        for e in entries:
+            rel = getattr(e, field)
+            if rel == "-":  # only the enhancer output starts out empty
+                raise PrerequisiteError(
+                    f"entry {e.index} has no {field} output yet; run "
+                    "'train fdunet' first")
+            out.append(read_tensor(directory / rel))
     return np.stack(out)
 
 

@@ -2,8 +2,11 @@
 
 The CLI maps these onto exit codes: ConfigError -> 2 (an invalid geometry is
 one), PrerequisiteError -> 3, NumericalError -> 4. A command turns a
-ShapeError or TensorFileError of the file a flag names into a ConfigError.
-Everything else is an ordinary crash.
+ShapeError or TensorFileError of the file a flag names, and an OSError or
+TensorFileError of a write to the file or directory a flag names, into a
+ConfigError naming the flag. A missing or corrupt dataset file is a
+ConfigError in every stage that reads it (``dataset.reading_dataset``).
+Any other exception is a defect of the program and ends in a traceback.
 """
 
 

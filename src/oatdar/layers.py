@@ -21,6 +21,7 @@ from .errors import ConfigError
 from .grayio import resize_matrix
 
 PARAM_DTYPE = np.float32
+NORM_GROUPS = 8  # groups of every GroupNorm, fewer where they do not divide
 
 
 class Module:
@@ -131,17 +132,13 @@ class Conv2d(Module):
         return ad.conv2d(x, self.w, self.b)
 
 
-def _norm_groups(channels: int, groups: int) -> int:
-    g = min(groups, channels)
-    while channels % g:
-        g -= 1
-    return g
-
-
 class GroupNorm(Module):
-    def __init__(self, channels, groups=8):
+    def __init__(self, channels):
         super().__init__()
-        self.groups = _norm_groups(channels, groups)
+        g = min(NORM_GROUPS, channels)
+        while channels % g:
+            g -= 1
+        self.groups = g
         self.gamma = self.register("gamma", np.ones(channels))
         self.beta = self.register("beta", np.zeros(channels))
 
@@ -236,12 +233,12 @@ class CrossAttentionBlock(Module):
 class ResBlock(Module):
     """norm - silu - conv, time-embedding bias, norm - silu - conv, skip."""
 
-    def __init__(self, c_in, c_out, temb_dim, rng, groups=8):
+    def __init__(self, c_in, c_out, temb_dim, rng):
         super().__init__()
-        self.norm1 = GroupNorm(c_in, groups)
+        self.norm1 = GroupNorm(c_in)
         self.conv1 = Conv2d(c_in, c_out, 3, rng)
         self.time_proj = Linear(temb_dim, c_out, rng)
-        self.norm2 = GroupNorm(c_out, groups)
+        self.norm2 = GroupNorm(c_out)
         self.conv2 = Conv2d(c_out, c_out, 3, rng)
         self.skip = None if c_in == c_out else Conv2d(c_in, c_out, 1, rng)
 

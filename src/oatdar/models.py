@@ -9,7 +9,7 @@ The three inference entry points take batches only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -18,6 +18,11 @@ from .autodiff import Tensor
 from .errors import ConfigError, NumericalError, ShapeError
 from .layers import (PARAM_DTYPE, Conv2d, CrossAttentionBlock, GroupNorm,
                      Linear, Module, ModuleList, ResBlock, upsample2)
+
+FDUNET_SEED = 100     # initial-weight seed of the enhancer
+CIP_SEED = 200        # ... of the conditioning autoencoder
+DENOISER_SEED = 300   # ... of the denoiser
+ATTENTION_HEADS = 4   # heads of every denoiser cross-attention block
 
 # ---------------------------------------------------------------------------
 # sinusoidal time embedding
@@ -74,9 +79,9 @@ class CIPAutoencoder(Module):
     ``enc`` is the deliverable. The child names are the checkpoint's
     ``enc.``/``dec.`` prefixes."""
 
-    def __init__(self, layer_dims, seed=0):
+    def __init__(self, layer_dims):
         super().__init__()
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(CIP_SEED)
         self.enc = CIPEncoder(layer_dims, rng)
         dims = self.enc.layer_dims[::-1]
         self.dec = ModuleList(
@@ -106,21 +111,28 @@ def cip_encode(encoder: CIPEncoder, patches: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def _config_from_dict(cls, d: dict):
+    """``cls`` built from a config section that sets each of its fields;
+    raises :class:`ConfigError` naming an unknown or missing key."""
+    names = [f.name for f in fields(cls)]
+    bad = [f"unknown key {k!r}" for k in sorted(set(d) - set(names))] + [
+        f"missing key {n!r}" for n in names if n not in d]
+    if bad:
+        raise ConfigError(f"{cls.__name__}: {', '.join(bad)}")
+    return cls(**{**d, "scales": tuple(d["scales"])})
+
+
 @dataclass(frozen=True)
 class DenoiserConfig:
     scales: tuple = (128, 256, 512, 1024)
     resblocks_per_scale: int = 2
-    attention_heads: int = 4
     cond_dim: int = 1024
     cond_tokens: int = 16
     time_embed_dim: int = 64
-    norm_groups: int = 8
-    seed: int = 0
 
     def __post_init__(self):
         if not self.scales or min(*self.scales, self.resblocks_per_scale,
-                                  self.attention_heads, self.cond_tokens,
-                                  self.norm_groups) < 1:
+                                  self.cond_tokens) < 1:
             raise ConfigError("denoiser scales (one or more) and counts "
                               "must be >= 1")
         if self.time_embed_dim < 2 or self.time_embed_dim % 2:
@@ -128,9 +140,9 @@ class DenoiserConfig:
         if self.cond_dim % self.cond_tokens:
             raise ConfigError("cond_dim must split evenly into cond_tokens")
         for c in self.scales:
-            if c % self.attention_heads:
+            if c % ATTENTION_HEADS:
                 raise ConfigError(f"channel width {c} not divisible by "
-                                  f"{self.attention_heads} heads")
+                                  f"{ATTENTION_HEADS} heads")
 
     @property
     def token_dim(self) -> int:
@@ -138,9 +150,7 @@ class DenoiserConfig:
 
     @classmethod
     def from_dict(cls, d):
-        d = dict(d)
-        d["scales"] = tuple(d["scales"])
-        return cls(**d)
+        return _config_from_dict(cls, d)
 
 
 class ConditionalDenoiser(Module):
@@ -151,7 +161,7 @@ class ConditionalDenoiser(Module):
     def __init__(self, cfg: DenoiserConfig):
         super().__init__()
         self.cfg = cfg
-        rng = np.random.default_rng(cfg.seed)
+        rng = np.random.default_rng(DENOISER_SEED)
         ch = cfg.scales
         td = cfg.time_embed_dim
         self.time_mlp1 = Linear(td, td, rng)
@@ -159,11 +169,10 @@ class ConditionalDenoiser(Module):
         self.conv_in = Conv2d(1, ch[0], 3, rng)
 
         def res(a, b):
-            return ResBlock(a, b, td, rng, groups=cfg.norm_groups)
+            return ResBlock(a, b, td, rng)
 
         def attn(c):
-            return CrossAttentionBlock(c, cfg.token_dim, cfg.attention_heads,
-                                       rng)
+            return CrossAttentionBlock(c, cfg.token_dim, ATTENTION_HEADS, rng)
 
         self.down_res = ModuleList()
         self.down_attn = ModuleList()
@@ -186,7 +195,7 @@ class ConditionalDenoiser(Module):
                 stage.append(res(ch[i + 1] + ch[i] if r == 0 else ch[i], ch[i]))
             self.up_res.append(stage)
             self.up_attn.append(attn(ch[i]))
-        self.norm_out = GroupNorm(ch[0], cfg.norm_groups)
+        self.norm_out = GroupNorm(ch[0])
         self.conv_out = Conv2d(ch[0], 1, 3, rng)
 
     def _cond_tokens(self, cond):
@@ -249,7 +258,6 @@ class FDUNetConfig:
     scales: tuple = (16, 32, 64)
     growth: int = 16
     layers_per_block: int = 4
-    seed: int = 0
 
     def __post_init__(self):
         if (not self.scales or min(*self.scales, self.growth) < 1
@@ -259,9 +267,7 @@ class FDUNetConfig:
 
     @classmethod
     def from_dict(cls, d):
-        d = dict(d)
-        d["scales"] = tuple(d["scales"])
-        return cls(**d)
+        return _config_from_dict(cls, d)
 
 
 class DenseBlock(Module):
@@ -291,7 +297,7 @@ class FDUNet(Module):
     def __init__(self, cfg: FDUNetConfig):
         super().__init__()
         self.cfg = cfg
-        rng = np.random.default_rng(cfg.seed)
+        rng = np.random.default_rng(FDUNET_SEED)
         ch = cfg.scales
         self.conv_in = Conv2d(1, ch[0], 3, rng)
         self.enc_blocks = ModuleList()

@@ -1,4 +1,6 @@
-"""Adaptive-moment gradient updates with bias correction."""
+"""Adaptive-moment gradient updates with bias correction. A config sets only
+the learning rate; the decays and epsilon are the standard Adam values
+(Kingma & Ba, arXiv 1412.6980), the constants below."""
 
 from __future__ import annotations
 
@@ -8,23 +10,22 @@ import numpy as np
 
 from .errors import ConfigError, NumericalError
 
-ADAM_EPS = 1e-8  # added to the root of the second moment
+ADAM_BETA1 = 0.9    # first-moment decay
+ADAM_BETA2 = 0.999  # second-moment decay
+ADAM_EPS = 1e-8     # added to the root of the second moment
 
 
 @dataclass
 class OptimizerState:
     learning_rate: float = 1e-4
-    beta1: float = 0.9
-    beta2: float = 0.999
     step: int = 0
     m: dict = field(default_factory=dict)   # first-moment accumulators
     v: dict = field(default_factory=dict)   # second-moment accumulators
 
     def __post_init__(self):
-        if not (0 < self.learning_rate < np.inf and 0 <= self.beta1 < 1
-                and 0 <= self.beta2 < 1):
-            raise ConfigError("Adam needs a finite learning_rate > 0 and "
-                              f"betas in [0, 1), got {self}")
+        if not 0 < self.learning_rate < np.inf:
+            raise ConfigError("Adam needs a finite learning_rate > 0, got "
+                              f"{self.learning_rate}")
 
     def ensure(self, params: dict):
         for k, p in params.items():
@@ -56,17 +57,16 @@ def adam_update(params: dict, grads: dict, state: OptimizerState):
     state.ensure(params)
     state.step += 1
     t = state.step
-    b1, b2 = state.beta1, state.beta2
-    bc1 = 1.0 - b1 ** t
-    bc2 = 1.0 - b2 ** t
+    bc1 = 1.0 - ADAM_BETA1 ** t
+    bc2 = 1.0 - ADAM_BETA2 ** t
     for k, p in params.items():
         g = np.asarray(grads[k], dtype=np.float64)
         m = state.m[k]
         v = state.v[k]
-        m *= b1
-        m += (1.0 - b1) * g
-        v *= b2
-        v += (1.0 - b2) * g * g
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * g * g
         step = state.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
         p -= step.astype(p.dtype)
     return params, state

@@ -43,6 +43,8 @@ from .geometry import Image
 
 log = logging.getLogger(__name__)
 
+MAX_ATTEMPTS = 20  # phantom draws per seed before the closest one is kept
+
 
 def _check_range(name, rng_pair, lo=None, hi=None):
     if len(rng_pair) != 2:
@@ -65,7 +67,6 @@ class PhantomParams:
     vessel_width_px: tuple = (1.2, 3.5)
     intensity_range: tuple = (0.4, 1.0)
     fill_fraction_target: tuple = (0.03, 0.16)
-    max_attempts: int = 20
 
     def __post_init__(self):
         _check_range("n_trees", self.n_trees, lo=1)
@@ -80,8 +81,6 @@ class PhantomParams:
         lo, hi = self.fill_fraction_target
         if not (0.0 < lo and hi < 0.5):
             raise ConfigError("fill_fraction_target must sit inside (0, 0.5)")
-        if self.max_attempts < 1:
-            raise ConfigError("max_attempts must be >= 1")
 
     @classmethod
     def from_dict(cls, d: dict) -> "PhantomParams":
@@ -135,13 +134,13 @@ def _render_attempt(params: PhantomParams, nx: int, ny: int, attempt: int):
 
 def generate_phantom(params: PhantomParams, nx: int, ny: int) -> Image:
     """Render a vessel phantom whose foreground fill fraction falls inside
-    ``params.fill_fraction_target`` (resampling up to ``max_attempts`` times;
+    ``params.fill_fraction_target`` (resampling up to ``MAX_ATTEMPTS`` times;
     the closest attempt is returned, with a warning, if none lands inside)."""
     if nx < 16 or ny < 16:
         raise ConfigError("phantom grids must be at least 16x16")
     lo, hi = params.fill_fraction_target
     best_img, best_dist = None, np.inf
-    for attempt in range(params.max_attempts):
+    for attempt in range(MAX_ATTEMPTS):
         img = _render_attempt(params, nx, ny, attempt)
         fill = np.count_nonzero(img) / img.size
         if lo <= fill <= hi:
@@ -151,5 +150,5 @@ def generate_phantom(params: PhantomParams, nx: int, ny: int) -> Image:
             best_img, best_dist = img, dist
     log.warning("phantom seed %d: fill fraction missed %s after %d attempts "
                 "(closest miss %.4f)", params.seed, (lo, hi),
-                params.max_attempts, best_dist)
+                MAX_ATTEMPTS, best_dist)
     return Image(data=best_img)

@@ -32,7 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import config_hash, geometry_from_config
-from .dataset import DatasetManifest, derive_seed
+from .dataset import DatasetManifest, derive_seed, reading_dataset
 from .diffusion import (NoiseSchedule, check_eta, make_inference_timesteps,
                         sample_batch, scale_from_model, schedule_from_config)
 from .errors import ConfigError, NumericalError, PrerequisiteError
@@ -256,11 +256,12 @@ def evaluate_methods(cfg: dict, run_dir, manifest: DatasetManifest,
 
     records = []
     for entry in entries:
-        gt = read_tensor(data_dir / entry.phantom)
-        if snr_list is None:
-            cases = [(entry.snr_db,
-                      Sinogram(read_tensor(data_dir / entry.sinogram)))]
-        else:
+        with reading_dataset():
+            gt = read_tensor(data_dir / entry.phantom)
+            if snr_list is None:
+                cases = [(entry.snr_db,
+                          Sinogram(read_tensor(data_dir / entry.sinogram)))]
+        if snr_list is not None:
             clean = apply_forward(sim_op, Image(gt))
             cases = [(float(snr), clean if snr == np.inf else add_noise(
                 clean, snr, derive_seed(manifest.master_seed, entry.index, 3,

@@ -28,7 +28,7 @@ from .autodiff import Tensor
 from .config import config_hash
 from .dataset import DatasetManifest, attach_fdunet_outputs, load_images
 from .diffusion import q_sample, scale_to_model, schedule_from_config
-from .errors import NumericalError, PrerequisiteError
+from .errors import ConfigError, NumericalError, PrerequisiteError
 from .grayio import normalize01
 from .layers import PARAM_DTYPE, load_parameters
 from .models import (CIPAutoencoder, CIPEncoder, ConditionalDenoiser,
@@ -60,7 +60,6 @@ def save_checkpoint(path, params: dict, opt: OptimizerState, meta: dict,
     arrays = {f"p.{k}": np.asarray(v) for k, v in params.items()}
     arrays.update({f"o.{k}": v for k, v in opt.state_arrays().items()})
     meta = {**meta, "opt_step": opt.step, "learning_rate": opt.learning_rate,
-            "adam_beta1": opt.beta1, "adam_beta2": opt.beta2,
             "rng_state": rng.bit_generator.state}
     write_bundle(path, arrays, meta)
     return Path(path)
@@ -78,16 +77,32 @@ def load_checkpoint(path):
     return params, opt_arrays, meta
 
 
+def _train_command(name: str) -> str:
+    """The ``train`` command that writes checkpoint ``name``."""
+    # 'train diffusion' writes denoiser_<cond>.ckpt
+    block, _, cond = name.replace("denoiser", "diffusion").partition("_")
+    flag = f" --condition-on {cond}" if cond else ""
+    return f"train {block}{flag}"
+
+
 def checkpoint(run_dir, name: str) -> Path:
     """``run_dir/checkpoints/<name>.ckpt``; raises :class:`PrerequisiteError`
     naming the ``train`` command that writes it when it is missing."""
     path = recover_bundle(Path(run_dir) / "checkpoints" / f"{name}.ckpt")
-    if not path.is_dir():  # 'train diffusion' writes denoiser_<cond>.ckpt
-        block, _, cond = name.replace("denoiser", "diffusion").partition("_")
-        flag = f" --condition-on {cond}" if cond else ""
+    if not path.is_dir():
         raise PrerequisiteError(
-            f"{path} is missing; run 'train {block}{flag}' first")
+            f"{path} is missing; run '{_train_command(name)}' first")
     return path
+
+
+def _model_config(cls, section: dict, ckpt, name: str):
+    """``cls.from_dict(section)`` of checkpoint ``ckpt``; a
+    :class:`ConfigError` names ``ckpt`` and the command that rewrites it."""
+    try:
+        return cls.from_dict(section)
+    except ConfigError as exc:
+        raise ConfigError(f"{ckpt}: {exc}; run '{_train_command(name)}' "
+                          "to rewrite it") from None
 
 
 def _restore_rng(rng: np.random.Generator, meta: dict):
@@ -130,8 +145,7 @@ def fit(cfg: dict, run_dir, stage: str, ckpt_name: str, params: dict,
     run_dir = Path(run_dir)
     ckpt = run_dir / "checkpoints" / ckpt_name
     tr = cfg["training"]
-    opt = OptimizerState(learning_rate=tr["learning_rate"],
-                         beta1=tr["adam_beta1"], beta2=tr["adam_beta2"])
+    opt = OptimizerState(tr["learning_rate"])
     rng = stage_rng(cfg["dataset"]["master_seed"], stage)
     start_epoch, losses = 0, []
     if resume and recover_bundle(ckpt).is_dir():
@@ -199,7 +213,8 @@ def train_fdunet(cfg: dict, run_dir, manifest: DatasetManifest,
 def load_fdunet(ckpt) -> FDUNet:
     """The trained enhancer, frozen for inference."""
     params, _, meta = load_checkpoint(ckpt)
-    model = FDUNet(FDUNetConfig.from_dict(meta["model_config"]))
+    model = FDUNet(_model_config(FDUNetConfig, meta["model_config"], ckpt,
+                                 "fdunet"))
     load_parameters(model.parameters(), params, ckpt)
     return model.freeze()
 
@@ -236,7 +251,7 @@ def _cond_patches(cfg, manifest, data_dir, condition_on):
 
 def train_cip(cfg: dict, run_dir, manifest: DatasetManifest,
               condition_on: str, resume: bool = False) -> Path:
-    ae = CIPAutoencoder(cfg["cip"]["layer_dims"], seed=cfg["cip"]["seed"])
+    ae = CIPAutoencoder(cfg["cip"]["layer_dims"])
     x_all, _ = _cond_patches(cfg, manifest, Path(run_dir) / "dataset",
                              condition_on)
 
@@ -314,8 +329,9 @@ def load_denoiser(ckpt):
     """Returns (denoiser, jointly tuned conditioning encoder, schedule,
     (patch_h, patch_w)); both networks are frozen for inference."""
     params, _, meta = load_checkpoint(ckpt)
-    model = ConditionalDenoiser(DenoiserConfig.from_dict(
-        meta["denoiser_config"]))
+    model = ConditionalDenoiser(_model_config(
+        DenoiserConfig, meta["denoiser_config"], ckpt,
+        f"denoiser_{meta['condition_on']}"))
     encoder = CIPEncoder(meta["cip_layer_dims"], np.random.default_rng(0))
     load_parameters(_joint_parameters(model, encoder), params, ckpt)
     return (model.freeze(), encoder.freeze(), schedule_from_config(meta),

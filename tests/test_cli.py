@@ -7,7 +7,10 @@ config error, and a misspelt ``eval --split`` with the parser's usage error
 (also 2); a missing checkpoint, an empty train split or a missing enhancer
 output exits with a prerequisite error, as does a CIP checkpoint of other
 widths; a non-finite enhancer or an aborted checkpoint exits with a
-numerical error; ``run-all`` is bit-reproducible."""
+numerical error; ``run-all`` is bit-reproducible. A checkpoint whose model
+config holds a key the config no longer has, an output flag whose path
+cannot be written and a corrupt dataset file read by ``train`` or ``eval``
+exit with a config error too."""
 
 import json
 import logging
@@ -405,3 +408,83 @@ def test_cip_checkpoint_of_other_layer_dims_exits_3(tiny_run, tmp_path,
                          "--set", "patch.h=16", "--set", "patch.w=8",
                          "--set", "cip.layer_dims=[128,64]"]) == 3
     assert "'train cip --condition-on lbp'" in caplog.text
+
+
+@pytest.mark.parametrize("ckpt, section, key, command", [
+    pytest.param("fdunet.ckpt", "model_config", "seed", "train fdunet",
+                 id="fdunet"),
+    pytest.param("denoiser_fdunet.ckpt", "denoiser_config", "norm_groups",
+                 "train diffusion --condition-on fdunet", id="denoiser"),
+])
+def test_checkpoint_of_a_removed_model_key_exits_2(tiny_run, tmp_path, caplog,
+                                                   ckpt, section, key,
+                                                   command):
+    """A checkpoint written while its model config still held a key that is
+    now a constant names itself and the command that rewrites it."""
+    common, data_dir, *_ = tiny_run
+    run = tmp_path / "run"
+    shutil.copytree(data_dir.parent / "checkpoints", run / "checkpoints")
+    shutil.copytree(data_dir, run / "dataset")
+    bundle = run / "checkpoints" / ckpt / "bundle.json"
+    manifest = json.loads(bundle.read_text())
+    manifest["meta"][section][key] = 100
+    bundle.write_text(json.dumps(manifest))
+    out = tmp_path / "report"
+    with caplog.at_level(logging.ERROR, logger="oatdar"):
+        assert cli.main(["eval", *common[:2], "--run-dir", str(run),
+                         "--out", str(out)]) == 2
+    assert str(run / "checkpoints" / ckpt) in caplog.text
+    assert f"unknown key '{key}'" in caplog.text
+    assert f"'{command}'" in caplog.text
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["phantom", "operator", "simulate",
+                                     "dataset"])
+def test_output_that_cannot_be_written_exits_2(tmp_path, caplog, command):
+    """A write to the path an output flag names that fails (a missing
+    parent directory, a directory that is not a bundle, a file where the
+    run directory goes) is a config error naming the flag."""
+    missing = str(tmp_path / "missing" / "x.oatd")
+    not_a_bundle = tmp_path / "notes"
+    not_a_bundle.mkdir()
+    (not_a_bundle / "keep.txt").write_text("not a bundle")
+    a_file = tmp_path / "file"
+    a_file.write_text("")
+    phantom = tmp_path / "p.oatd"
+    write_tensor(phantom, np.random.default_rng(0).random((32, 32)))
+    argv, flag = {
+        "phantom": (["phantom", "--out", str(tmp_path / "missing" / "x.pgm")],
+                    "--out"),
+        "operator": (["operator", "--out", str(not_a_bundle)], "--out"),
+        "simulate": (["simulate", "--phantom", str(phantom),
+                      "--out", missing], "--out"),
+        "dataset": (["dataset", "build", "--run-dir", str(a_file)],
+                    "--run-dir"),
+    }[command]
+    with caplog.at_level(logging.ERROR, logger="oatdar"):
+        assert cli.main(argv) == 2
+    assert f"config error: {flag}: " in caplog.text
+    assert not (tmp_path / "missing").exists()
+    assert [f.name for f in not_a_bundle.iterdir()] == ["keep.txt"]
+
+
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_corrupt_dataset_file_exits_2(tiny_run, tmp_path, caplog, command):
+    """train reads the train split's LBP images and eval the test entry's
+    phantom; either one replaced with junk fails as the dataset build's
+    validation does."""
+    common, data_dir, entry, *_ = tiny_run
+    run = tmp_path / "run"
+    shutil.copytree(data_dir.parent / "checkpoints", run / "checkpoints")
+    shutil.copytree(data_dir, run / "dataset")
+    manifest = DatasetManifest.read(data_dir)
+    junk = (manifest.split("train")[0].lbp if command == "train"
+            else entry.phantom)
+    (run / "dataset" / junk).write_bytes(b"junk")
+    argv = (["train", "fdunet"] if command == "train"
+            else ["eval", "--methods", "lbp", "--out", str(tmp_path / "r")])
+    with caplog.at_level(logging.ERROR, logger="oatdar"):
+        assert cli.main([*argv, *common[:2], "--run-dir", str(run)]) == 2
+    assert "dataset failed validation" in caplog.text
+    assert junk in caplog.text

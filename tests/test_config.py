@@ -1,5 +1,6 @@
 """Config values keep the type of the profile default."""
 
+import json
 import logging
 
 import pytest
@@ -60,6 +61,34 @@ def test_computed_geometry_values_are_unknown_keys(tmp_path, caplog, setting):
     assert not out.exists()
 
 
+# each of these settings had one value in every profile and is a constant of
+# the module that uses it; a config that still sets one exits 2
+REMOVED_KEYS = {
+    "training.adam_beta1": 0.9, "training.adam_beta2": 0.999,
+    "fd_unet.seed": 100, "cip.seed": 200, "denoiser.seed": 300,
+    "denoiser.attention_heads": 4, "denoiser.norm_groups": 8,
+    "phantom.max_attempts": 20,
+}
+
+
+@pytest.mark.parametrize("key", REMOVED_KEYS)
+@pytest.mark.parametrize("given", ["file", "set"])
+def test_constant_settings_are_unknown_keys(tmp_path, caplog, key, given):
+    section, name = key.split(".")
+    value = REMOVED_KEYS[key]
+    cfg_path = tmp_path / "old.json"
+    cfg_path.write_text(json.dumps(
+        {section: {name: value}} if given == "file" else {}))
+    out = tmp_path / "phantom.oatd"
+    with caplog.at_level(logging.ERROR, logger="oatdar"):
+        assert cli.main(["phantom", "--config", str(cfg_path),
+                         "--out", str(out)]
+                        + (["--set", f"{key}={value}"] if given == "set"
+                           else [])) == 2
+    assert f"unknown config key: {key}" in caplog.text
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("assignment", [
     "denoiser.scales=[]", "patch.h=0", "dataset.snr_db_range=[20.0]",
     "cip.layer_dims=[]", "denoiser.time_embed_dim=7",
@@ -109,5 +138,5 @@ def test_negative_seed_flag_exits_2(tmp_path, capsys, argv):
 
 def test_profile_hashes_are_pinned():
     """The paper profile is the desk one plus its differences."""
-    assert config_hash(desk_config()) == "8af1ce7f7025aee1"
-    assert config_hash(paper_config()) == "275094462f120372"
+    assert config_hash(desk_config()) == "6176979ed1b6f67e"
+    assert config_hash(paper_config()) == "5a4d33c260403dde"

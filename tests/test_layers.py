@@ -153,10 +153,10 @@ def test_attention_gradients():
 
 
 def test_groupnorm_handles_non_divisible_request():
-    gn = GroupNorm(channels=6, groups=4)   # falls back to 3 groups
-    assert gn.groups == 3
-    x = Tensor(np.random.default_rng(12).standard_normal((2, 6, 4, 4)))
-    assert gn(x).data.shape == (2, 6, 4, 4)
+    gn = GroupNorm(channels=12)   # 8 groups do not divide 12: falls back to 6
+    assert gn.groups == 6
+    x = Tensor(np.random.default_rng(12).standard_normal((2, 12, 4, 4)))
+    assert gn(x).data.shape == (2, 12, 4, 4)
 
 
 def test_resblock_shapes_and_skip():

@@ -5,13 +5,14 @@ import numpy as np
 import pytest
 
 from oatdar.errors import ConfigError, NumericalError
-from oatdar.optim import OptimizerState, adam_update
+from oatdar.optim import ADAM_BETA1, ADAM_BETA2, OptimizerState, adam_update
 from oatdar.tensorfile import read_bundle, write_bundle
 
 
 def test_two_steps_match_hand_computed_adam():
     p = {"a": np.array([1.0, -2.0])}
-    st = OptimizerState(learning_rate=0.1, beta1=0.9, beta2=0.999)
+    assert (ADAM_BETA1, ADAM_BETA2) == (0.9, 0.999)
+    st = OptimizerState(learning_rate=0.1)
     adam_update(p, {"a": np.array([0.5, 0.0])}, st)
     # step 1: m = 0.05, v = 2.5e-4; m/(1-0.9) = 0.5, v/(1-0.999) = 0.25
     a1 = 1.0 - 0.1 * 0.5 / (np.sqrt(0.25) + 1e-8)
@@ -31,8 +32,7 @@ def test_two_steps_match_hand_computed_adam():
 
 @pytest.mark.parametrize("kw", [
     dict(learning_rate=np.nan), dict(learning_rate=0.0),
-    dict(learning_rate=np.inf), dict(beta1=1.0), dict(beta2=-0.1),
-    dict(beta1=np.nan),
+    dict(learning_rate=np.inf),
 ])
 def test_state_rejects_bad_hyperparameters(kw):
     with pytest.raises(ConfigError):

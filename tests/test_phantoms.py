@@ -51,7 +51,7 @@ def test_mean_fill_fraction_in_target():
 def test_unreachable_fill_warns_and_returns_closest(caplog):
     p = PhantomParams(seed=1, n_trees=(1, 1), branch_depth=(0, 0),
                       vessel_width_px=(0.5, 0.6),
-                      fill_fraction_target=(0.45, 0.49), max_attempts=3)
+                      fill_fraction_target=(0.45, 0.49))
     with caplog.at_level(logging.WARNING, logger="oatdar.phantoms"):
         img = generate_phantom(p, 64, 64)
     assert img.data is not None
