@@ -47,9 +47,7 @@ def _seed(text: str) -> int:
 def _read_arg(path, flag: str, kind, check, geometry):
     """``flag``'s tensor file as a ``kind`` that fits ``geometry``."""
     try:
-        value = kind(read_tensor(path))
-        check(geometry, value)
-        return value
+        return check(geometry, kind(read_tensor(path)))
     except (TensorFileError, ShapeError) as exc:
         raise ConfigError(f"{flag}: {exc}") from None
 
@@ -128,7 +126,7 @@ def _manifest(run_dir) -> DatasetManifest:
 
 def cmd_train(args):
     cfg = _load_cfg(args)
-    run_dir = _run_dir(args)
+    run_dir = Path(args.run_dir)
     manifest = _manifest(run_dir)
     if args.block == "fdunet":
         ckpt = training.train_fdunet(cfg, run_dir, manifest,
@@ -161,6 +159,15 @@ def cmd_reconstruct(args):
     print(f"{method} reconstruction -> {args.out}")
 
 
+def _write_report(report, out: Path, flag: str):
+    """Write ``report`` to directory ``out``, which ``flag`` names, and
+    print its summary and hash."""
+    with _writing(flag):
+        report.write(out)
+    print((out / "summary.txt").read_text())
+    print(f"report hash {report.content_hash(out)[:16]}")
+
+
 def cmd_eval(args):
     cfg = _load_cfg(args)
     run_dir = Path(args.run_dir)
@@ -170,11 +177,9 @@ def cmd_eval(args):
     snr_list = _parse_list(args.snr, float, "--snr") if args.snr else None
     report = pipeline.evaluate_methods(cfg, run_dir, manifest, methods,
                                        nis_list, snr_list, split=args.split)
-    out = Path(args.out) if args.out else run_dir / "reports"
-    with _writing("--out" if args.out else "--run-dir"):
-        report.write(out)
-    print((out / "summary.txt").read_text())
-    print(f"report hash {report.content_hash(out)[:16]}")
+    out, flag = ((Path(args.out), "--out") if args.out
+                 else (run_dir / "reports", "--run-dir"))
+    _write_report(report, out, flag)
 
 
 def cmd_run_all(args):
@@ -189,10 +194,7 @@ def cmd_run_all(args):
         training.train_diffusion(cfg, run_dir, manifest, condition_on=cond)
     report = pipeline.evaluate_methods(cfg, run_dir, manifest,
                                        pipeline.METHODS)
-    out = run_dir / "reports"
-    report.write(out)
-    print((out / "summary.txt").read_text())
-    print(f"report hash {report.content_hash(out)[:16]}")
+    _write_report(report, run_dir / "reports", "--run-dir")
 
 
 def build_parser() -> argparse.ArgumentParser:

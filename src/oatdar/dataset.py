@@ -3,14 +3,16 @@
 Every entry derives all of its randomness from (master_seed, index), so
 builds produce bit-identical artifacts at a fixed BLAS thread count
 (``OPENBLAS_NUM_THREADS`` set before the process starts; nothing else pins
-it) and re-running a build is a no-op once the manifest validates. Simulation uses the jittered detector positions while
-the stored backprojection uses nominal ones — the reconstruction operator
-never sees the true detector placement.
+it) and re-running a build is a no-op once the manifest validates. An entry
+stores its phantom and its sinogram, simulated on the jittered detector
+positions. Its LBP is computed, not stored: every stage backprojects the
+sinogram on the nominal positions (``operator.reconstruct_lbp``).
 
-Manifest format: line-oriented text. '#'-prefixed header lines carry the
-config hash and master seed; each record line is tab-separated:
+Manifest format v2: the line ``#oatdar-manifest v2`` (any other needs
+``--force``), '#'-prefixed config hash and master seed lines, then one
+tab-separated line per entry:
 
-    index  phantom  sinogram  lbp  fdunet(or -)  split  seed  snr_db
+    index  phantom  sinogram  fdunet(or -)  split  seed  snr_db
 """
 
 from __future__ import annotations
@@ -18,22 +20,23 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import logging
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from .config import (config_hash, geometry_from_config,
                      phantom_params_from_config)
-from .errors import ConfigError, PrerequisiteError, TensorFileError
-from .operator import add_noise, apply_adjoint, apply_forward, \
-    build_forward_operator
+from .errors import (ConfigError, PrerequisiteError, ShapeError,
+                     TensorFileError)
+from .operator import add_noise, apply_forward, build_forward_operator
 from .phantoms import generate_phantom
 from .tensorfile import read_tensor, write_tensor
 
 log = logging.getLogger(__name__)
 
 MANIFEST_NAME = "manifest.tsv"
+MANIFEST_VERSION = "#oatdar-manifest v2"
 
 SPLITS = ("train", "val", "test")   # in dataset index order
 
@@ -43,7 +46,6 @@ class DatasetEntry:
     index: int
     phantom: str
     sinogram: str
-    lbp: str
     fdunet: str          # "-" until the enhancement stage fills it in
     split: str           # one of SPLITS
     seed: int
@@ -61,13 +63,9 @@ class DatasetManifest:
 
     def write(self, directory) -> Path:
         directory = Path(directory)
-        lines = ["#oatdar-manifest v1",
-                 f"#config_hash={self.config_hash}",
+        lines = [MANIFEST_VERSION, f"#config_hash={self.config_hash}",
                  f"#master_seed={self.master_seed}"]
-        for e in self.entries:
-            lines.append("\t".join([
-                str(e.index), e.phantom, e.sinogram, e.lbp, e.fdunet,
-                e.split, str(e.seed), repr(e.snr_db)]))
+        lines += ["\t".join(map(str, astuple(e))) for e in self.entries]
         path = directory / MANIFEST_NAME
         path.write_text("\n".join(lines) + "\n")
         return path
@@ -76,23 +74,23 @@ class DatasetManifest:
     def read(cls, directory) -> "DatasetManifest":
         path = Path(directory) / MANIFEST_NAME
         if not path.is_file():
-            raise ConfigError(f"no manifest at {path}")
-        header = {}
+            raise PrerequisiteError(f"no manifest at {path}; run 'dataset "
+                                    "build' first")
+        version, *lines = path.read_text().splitlines() or [""]
+        if version != MANIFEST_VERSION:
+            raise ConfigError(f"{path} is not {MANIFEST_VERSION[1:]}; "
+                              "rebuild it with 'dataset build --force'")
+        header = dict(line[1:].split("=", 1) for line in lines
+                      if line.startswith("#") and "=" in line)
         entries = []
-        for line in path.read_text().splitlines():
-            if not line.strip():
-                continue
-            if line.startswith("#"):
-                if "=" in line:
-                    k, v = line[1:].split("=", 1)
-                    header[k] = v
+        for line in lines:
+            if not line.strip() or line.startswith("#"):
                 continue
             try:   # a wrong field count fails the unpacking
-                index, phantom, sino, lbp, fdunet, split, seed, snr = \
+                index, phantom, sino, fdunet, split, seed, snr = \
                     line.split("\t")
-                entries.append(DatasetEntry(int(index), phantom, sino, lbp,
-                                            fdunet, split, int(seed),
-                                            float(snr)))
+                entries.append(DatasetEntry(int(index), phantom, sino, fdunet,
+                                            split, int(seed), float(snr)))
             except ValueError:
                 raise ConfigError(f"malformed manifest line: {line!r}") \
                     from None
@@ -109,25 +107,25 @@ class DatasetManifest:
 
     def validate_files(self, directory):
         directory = Path(directory)
-        seen_splits = {}
+        seen = set()
         for e in self.entries:
-            if e.index in seen_splits:
+            if e.index in seen:
                 raise ConfigError(f"entry {e.index} appears twice")
-            seen_splits[e.index] = e.split
-            for rel in (e.phantom, e.sinogram, e.lbp, e.fdunet):
-                if rel == "-":
-                    continue
-                read_tensor(directory / rel)
+            seen.add(e.index)
+            for rel in (e.phantom, e.sinogram, e.fdunet):
+                if rel != "-":
+                    read_tensor(directory / rel)
 
 
 @contextlib.contextmanager
 def reading_dataset():
-    """A dataset file read in this block that is missing or corrupt raises
-    :class:`ConfigError` ("dataset failed validation"), in every stage that
-    reads the dataset as in the build that finds it."""
+    """A dataset file read in this block that is missing or corrupt, or
+    that does not fit the config's geometry, raises :class:`ConfigError`
+    ("dataset failed validation"), in every stage that reads the dataset as
+    in the build that finds it."""
     try:
         yield
-    except TensorFileError as exc:
+    except (TensorFileError, ShapeError) as exc:
         raise ConfigError(f"dataset failed validation: {exc}") from exc
 
 
@@ -145,13 +143,14 @@ def entry_seeds(master_seed: int, index: int):
     return ph, nz, snr_rng
 
 
-def _hashed_name(stem: str, arr: np.ndarray) -> str:
+def _write_hashed(directory: Path, stem: str, arr: np.ndarray) -> str:
     h = hashlib.sha256(np.ascontiguousarray(arr).tobytes()).hexdigest()[:8]
+    write_tensor(directory / f"{stem}_{h}.oatd", arr)
     return f"{stem}_{h}.oatd"
 
 
 def build_dataset(cfg: dict, run_dir, force: bool = False) -> DatasetManifest:
-    """Generate phantoms, simulate noisy sinograms, backproject, persist.
+    """Generate phantoms, simulate noisy sinograms, persist both.
 
     Idempotent: an existing manifest with the same config hash short-circuits
     after validating every referenced file; a different hash is an error
@@ -175,34 +174,25 @@ def build_dataset(cfg: dict, run_dir, force: bool = False) -> DatasetManifest:
 
     geom = geometry_from_config(cfg)
     sim_op = build_forward_operator(geom, jittered=True)
-    rec_op = build_forward_operator(geom, jittered=False)
     ds = cfg["dataset"]
     master = ds["master_seed"]
     lo, hi = ds["snr_db_range"]
     entries = []
-    index = 0
-    for split in SPLITS:
-        for _ in range(ds[split]):
-            ph_seed, nz_seed, snr_rng = entry_seeds(master, index)
-            params = phantom_params_from_config(cfg, ph_seed)
-            phantom = generate_phantom(params, geom.grid_nx, geom.grid_ny)
-            sino = apply_forward(sim_op, phantom)
-            snr = float(snr_rng.uniform(lo, hi))
-            noisy = add_noise(sino, snr, nz_seed)
-            lbp = apply_adjoint(rec_op, noisy)
-            names = {}
-            for stem, arr in (("phantom", phantom.data),
-                              ("sino", noisy.data), ("lbp", lbp.data)):
-                name = _hashed_name(f"{stem}_{index:05d}", arr)
-                write_tensor(data_dir / name, arr)
-                names[stem] = name
-            entries.append(DatasetEntry(
-                index=index, phantom=names["phantom"], sinogram=names["sino"],
-                lbp=names["lbp"], fdunet="-", split=split, seed=ph_seed,
-                snr_db=snr))
-            index += 1
-            if index % 250 == 0:
-                log.info("dataset: %d entries done", index)
+    for index, split in enumerate(s for s in SPLITS for _ in range(ds[s])):
+        ph_seed, nz_seed, snr_rng = entry_seeds(master, index)
+        params = phantom_params_from_config(cfg, ph_seed)
+        phantom = generate_phantom(params, geom.grid_nx, geom.grid_ny)
+        sino = apply_forward(sim_op, phantom)
+        snr = float(snr_rng.uniform(lo, hi))
+        noisy = add_noise(sino, snr, nz_seed)
+        entries.append(DatasetEntry(
+            index=index,
+            phantom=_write_hashed(data_dir, f"phantom_{index:05d}",
+                                  phantom.data),
+            sinogram=_write_hashed(data_dir, f"sino_{index:05d}", noisy.data),
+            fdunet="-", split=split, seed=ph_seed, snr_db=snr))
+        if (index + 1) % 250 == 0:
+            log.info("dataset: %d entries done", index + 1)
     manifest = DatasetManifest(entries=entries, master_seed=master,
                                config_hash=chash)
     manifest.write(data_dir)
@@ -210,10 +200,11 @@ def build_dataset(cfg: dict, run_dir, force: bool = False) -> DatasetManifest:
 
 
 def load_images(manifest: DatasetManifest, directory, field: str,
-                split: str | None = None) -> np.ndarray:
-    """Stack one artifact kind for a split into an (N, H, W) float array;
-    an empty split or a missing output raises :class:`PrerequisiteError`,
-    and a missing or corrupt file :class:`ConfigError`."""
+                split: str | None = None, each=None) -> np.ndarray:
+    """Stack one artifact kind of a split, each file's array mapped through
+    ``each`` if given, into an (N, H, W) array; an empty split or a missing
+    output raises :class:`PrerequisiteError`, and a missing, corrupt or
+    misshapen file :class:`ConfigError`."""
     directory = Path(directory)
     entries = manifest.entries if split is None else manifest.split(split)
     if not entries:
@@ -226,7 +217,8 @@ def load_images(manifest: DatasetManifest, directory, field: str,
                 raise PrerequisiteError(
                     f"entry {e.index} has no {field} output yet; run "
                     "'train fdunet' first")
-            out.append(read_tensor(directory / rel))
+            arr = read_tensor(directory / rel)
+            out.append(arr if each is None else each(arr))
     return np.stack(out)
 
 
@@ -236,13 +228,9 @@ def attach_fdunet_outputs(manifest: DatasetManifest, directory,
     directory = Path(directory)
     if outputs.shape[0] != len(manifest.entries):
         raise ConfigError("one enhancement output per entry required")
-    new_entries = []
-    for e, arr in zip(manifest.entries, outputs):
-        name = _hashed_name(f"fdunet_{e.index:05d}", arr)
-        write_tensor(directory / name, arr.astype(np.float32))
-        new_entries.append(replace(e, fdunet=name))
-    manifest = DatasetManifest(entries=new_entries,
-                               master_seed=manifest.master_seed,
-                               config_hash=manifest.config_hash)
+    manifest = replace(manifest, entries=[
+        replace(e, fdunet=_write_hashed(directory, f"fdunet_{e.index:05d}",
+                                        arr.astype(np.float32)))
+        for e, arr in zip(manifest.entries, outputs)])
     manifest.write(directory)
     return manifest

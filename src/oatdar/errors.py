@@ -4,8 +4,10 @@ The CLI maps these onto exit codes: ConfigError -> 2 (an invalid geometry is
 one), PrerequisiteError -> 3, NumericalError -> 4. A command turns a
 ShapeError or TensorFileError of the file a flag names, and an OSError or
 TensorFileError of a write to the file or directory a flag names, into a
-ConfigError naming the flag. A missing or corrupt dataset file is a
-ConfigError in every stage that reads it (``dataset.reading_dataset``).
+ConfigError naming the flag. A missing or corrupt dataset file, or a stored
+phantom or sinogram that does not fit the config's geometry, is a
+ConfigError in every stage that reads it (``dataset.reading_dataset``); a
+missing manifest is a PrerequisiteError.
 Any other exception is a defect of the program and ends in a traceback.
 """
 

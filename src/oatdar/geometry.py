@@ -158,13 +158,15 @@ class Sinogram:
         return self.data.shape
 
 
-def check_image(geometry: ImagingGeometry, img: Image):
+def check_image(geometry: ImagingGeometry, img: Image) -> Image:
     if img.data.shape != geometry.image_shape:
         raise ShapeError(
             f"image shape {img.data.shape} != geometry grid {geometry.image_shape}")
+    return img
 
 
-def check_sinogram(geometry: ImagingGeometry, sino: Sinogram):
+def check_sinogram(geometry: ImagingGeometry, sino: Sinogram) -> Sinogram:
     if sino.data.shape != geometry.sinogram_shape:
         raise ShapeError(
             f"sinogram shape {sino.data.shape} != geometry {geometry.sinogram_shape}")
+    return sino

@@ -43,6 +43,7 @@ from . import kernels
 from .errors import ConfigError, GeometryError, NumericalError
 from .geometry import (ImagingGeometry, Image, Sinogram, check_image,
                        check_sinogram)
+from .grayio import normalize01
 from .tensorfile import write_bundle
 
 
@@ -208,6 +209,11 @@ def apply_adjoint(op: ForwardOperator, sino: Sinogram) -> Image:
     check_sinogram(op.geometry, sino)
     x = op.adjoint_vec(sino.data.astype(np.float64).ravel())
     return Image(data=x.reshape(op.geometry.image_shape))
+
+
+def reconstruct_lbp(rec_op: ForwardOperator, sino: Sinogram) -> Image:
+    """The initial reconstruction: the adjoint of ``sino``, min-max scaled."""
+    return Image(normalize01(apply_adjoint(rec_op, sino).data))
 
 
 def check_snr(snr_db: float):

@@ -36,12 +36,13 @@ from .dataset import DatasetManifest, derive_seed, reading_dataset
 from .diffusion import (NoiseSchedule, check_eta, make_inference_timesteps,
                         sample_batch, scale_from_model, schedule_from_config)
 from .errors import ConfigError, NumericalError, PrerequisiteError
-from .geometry import Image, ImagingGeometry, Sinogram
+from .geometry import (Image, ImagingGeometry, Sinogram, check_image,
+                       check_sinogram)
 from .grayio import normalize01, write_pgm
 from .metrics import MetricRecord, MetricReport, psnr, ssim
 from .models import cip_encode, denoise_predict, fd_unet_forward
-from .operator import (add_noise, apply_adjoint, apply_forward,
-                       build_forward_operator, check_snr, tikhonov_solve)
+from .operator import (add_noise, apply_forward, build_forward_operator,
+                       check_snr, reconstruct_lbp, tikhonov_solve)
 from .patches import PatchGrid, merge_patches, split_patches
 from .tensorfile import read_tensor, write_tensor
 from .training import CONDITIONS, checkpoint, load_denoiser, load_fdunet
@@ -136,10 +137,6 @@ def load_method_models(cfg: dict, run_dir, method: str) -> ModelBundle | None:
 # ---------------------------------------------------------------------------
 # single-method reconstructions (all return images min-max scaled to [0, 1])
 # ---------------------------------------------------------------------------
-
-
-def reconstruct_lbp(rec_op, sino: Sinogram) -> Image:
-    return Image(normalize01(apply_adjoint(rec_op, sino).data))
 
 
 def reconstruct_tikhonov(rec_op, sino: Sinogram, lam: float, max_iters: int,
@@ -257,10 +254,11 @@ def evaluate_methods(cfg: dict, run_dir, manifest: DatasetManifest,
     records = []
     for entry in entries:
         with reading_dataset():
-            gt = read_tensor(data_dir / entry.phantom)
+            gt = check_image(geometry,
+                             Image(read_tensor(data_dir / entry.phantom))).data
             if snr_list is None:
-                cases = [(entry.snr_db,
-                          Sinogram(read_tensor(data_dir / entry.sinogram)))]
+                cases = [(entry.snr_db, check_sinogram(geometry, Sinogram(
+                    read_tensor(data_dir / entry.sinogram))))]
         if snr_list is not None:
             clean = apply_forward(sim_op, Image(gt))
             cases = [(float(snr), clean if snr == np.inf else add_noise(

@@ -25,14 +25,16 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .config import config_hash
+from .config import config_hash, geometry_from_config
 from .dataset import DatasetManifest, attach_fdunet_outputs, load_images
 from .diffusion import q_sample, scale_to_model, schedule_from_config
 from .errors import ConfigError, NumericalError, PrerequisiteError
+from .geometry import Image, Sinogram, check_image
 from .grayio import normalize01
 from .layers import PARAM_DTYPE, load_parameters
 from .models import (CIPAutoencoder, CIPEncoder, ConditionalDenoiser,
                      DenoiserConfig, FDUNet, FDUNetConfig, fd_unet_forward)
+from .operator import build_forward_operator, reconstruct_lbp
 from .optim import OptimizerState, adam_update
 from .patches import PatchGrid, split_patches
 from .tensorfile import read_bundle, recover_bundle, write_bundle
@@ -192,12 +194,30 @@ def fit(cfg: dict, run_dir, stage: str, ckpt_name: str, params: dict,
 # ---------------------------------------------------------------------------
 
 
+def initial_images(cfg: dict, manifest: DatasetManifest, data_dir, kind: str,
+                   split: str | None = None) -> np.ndarray:
+    """Min-max scaled initial images ``kind`` of a split (or all entries):
+    ``reconstruct_lbp`` of each stored sinogram, or the enhancer outputs."""
+    if kind != "lbp":
+        return normalize01(load_images(manifest, data_dir, kind, split))
+    rec_op = build_forward_operator(geometry_from_config(cfg), jittered=False)
+    return load_images(manifest, data_dir, "sinogram", split,
+                       lambda s: reconstruct_lbp(rec_op, Sinogram(s)).data)
+
+
+def _train_phantoms(cfg: dict, manifest: DatasetManifest, data_dir):
+    """The train split's phantoms, on the config's grid as the LBPs are."""
+    geometry = geometry_from_config(cfg)
+    return load_images(manifest, data_dir, "phantom", "train",
+                       lambda p: check_image(geometry, Image(p)).data)
+
+
 def train_fdunet(cfg: dict, run_dir, manifest: DatasetManifest,
                  resume: bool = False) -> Path:
     data_dir = Path(run_dir) / "dataset"
     model = FDUNet(FDUNetConfig.from_dict(cfg["fd_unet"]))
-    lbp = normalize01(load_images(manifest, data_dir, "lbp", "train"))
-    gt = load_images(manifest, data_dir, "phantom", "train")
+    lbp = initial_images(cfg, manifest, data_dir, "lbp", "train")
+    gt = _train_phantoms(cfg, manifest, data_dir)
     x_all = lbp[:, None].astype(PARAM_DTYPE)
     y_all = gt[:, None].astype(PARAM_DTYPE)
 
@@ -227,7 +247,7 @@ def emit_fdunet_outputs(cfg: dict, run_dir,
     """Run the trained enhancer over every entry and record the outputs."""
     model = load_fdunet(checkpoint(run_dir, "fdunet"))
     data_dir = Path(run_dir) / "dataset"
-    lbp = normalize01(load_images(manifest, data_dir, "lbp"))
+    lbp = initial_images(cfg, manifest, data_dir, "lbp")
     outs = [fd_unet_forward(model, lbp[s:s + _EMIT_BATCH])
             for s in range(0, lbp.shape[0], _EMIT_BATCH)]
     return attach_fdunet_outputs(manifest, data_dir, np.concatenate(outs))
@@ -242,7 +262,7 @@ def _cond_patches(cfg, manifest, data_dir, condition_on):
     """Flattened float32 training patches ``(N * P, ph * pw)`` and grid."""
     if condition_on not in CONDITIONS:
         raise ValueError(f"condition_on must be one of {CONDITIONS}")
-    imgs = normalize01(load_images(manifest, data_dir, condition_on, "train"))
+    imgs = initial_images(cfg, manifest, data_dir, condition_on, "train")
     grid = PatchGrid.for_image(imgs.shape[1:], cfg["patch"]["h"],
                                cfg["patch"]["w"])
     flat = split_patches(imgs, grid).reshape(-1, grid.patch_h * grid.patch_w)
@@ -301,7 +321,7 @@ def train_diffusion(cfg: dict, run_dir, manifest: DatasetManifest,
             f"--condition-on {condition_on}' first")
 
     cond_flat, grid = _cond_patches(cfg, manifest, data_dir, condition_on)
-    gt = load_images(manifest, data_dir, "phantom", "train")
+    gt = _train_phantoms(cfg, manifest, data_dir)
     x0_all = scale_to_model(split_patches(gt, grid).reshape(
         -1, 1, grid.patch_h, grid.patch_w).astype(PARAM_DTYPE))
 

@@ -4,13 +4,13 @@ grids too small for a phantom, unbounded branch depths, input files,
 all-zero phantoms to add noise to, checkpoints that do not fit their model
 and denoisers trained on another schedule than the config's exit with a
 config error, and a misspelt ``eval --split`` with the parser's usage error
-(also 2); a missing checkpoint, an empty train split or a missing enhancer
-output exits with a prerequisite error, as does a CIP checkpoint of other
-widths; a non-finite enhancer or an aborted checkpoint exits with a
-numerical error; ``run-all`` is bit-reproducible. A checkpoint whose model
-config holds a key the config no longer has, an output flag whose path
-cannot be written and a corrupt dataset file read by ``train`` or ``eval``
-exit with a config error too."""
+(also 2); a missing dataset or checkpoint, an empty train split or a
+missing enhancer output exits with a prerequisite error, as does a CIP
+checkpoint of other widths; a non-finite enhancer or an aborted checkpoint
+exits with a numerical error; ``run-all`` is bit-reproducible. A checkpoint
+whose model config holds a key the config no longer has, an output flag or
+report path that cannot be written and a corrupt dataset file read by
+``train`` or ``eval`` exit with a config error too."""
 
 import json
 import logging
@@ -471,15 +471,15 @@ def test_output_that_cannot_be_written_exits_2(tmp_path, caplog, command):
 
 @pytest.mark.parametrize("command", ["train", "eval"])
 def test_corrupt_dataset_file_exits_2(tiny_run, tmp_path, caplog, command):
-    """train reads the train split's LBP images and eval the test entry's
-    phantom; either one replaced with junk fails as the dataset build's
-    validation does."""
+    """train backprojects the train split's sinograms and eval reads the
+    test entry's phantom; either one replaced with junk fails as the
+    dataset build's validation does."""
     common, data_dir, entry, *_ = tiny_run
     run = tmp_path / "run"
     shutil.copytree(data_dir.parent / "checkpoints", run / "checkpoints")
     shutil.copytree(data_dir, run / "dataset")
     manifest = DatasetManifest.read(data_dir)
-    junk = (manifest.split("train")[0].lbp if command == "train"
+    junk = (manifest.split("train")[0].sinogram if command == "train"
             else entry.phantom)
     (run / "dataset" / junk).write_bytes(b"junk")
     argv = (["train", "fdunet"] if command == "train"
@@ -488,3 +488,54 @@ def test_corrupt_dataset_file_exits_2(tiny_run, tmp_path, caplog, command):
         assert cli.main([*argv, *common[:2], "--run-dir", str(run)]) == 2
     assert "dataset failed validation" in caplog.text
     assert junk in caplog.text
+
+
+@pytest.mark.parametrize("command", ["train", "eval"])
+@pytest.mark.parametrize("setting, stored", [
+    (["geometry.grid_nx=48", "geometry.grid_ny=48"], "image shape"),
+    (["geometry.detector_count=15"], "sinogram shape"),
+], ids=["grid", "detectors"])
+def test_dataset_of_another_geometry_exits_2(tiny_run, tmp_path, caplog,
+                                             command, setting, stored):
+    """train and eval compute the LBP from the stored sinograms on the
+    config's geometry: a stored phantom or sinogram that does not fit it
+    fails the dataset's validation."""
+    common, data_dir, *_ = tiny_run
+    run = tmp_path / "run"
+    shutil.copytree(data_dir.parent / "checkpoints", run / "checkpoints")
+    shutil.copytree(data_dir, run / "dataset")
+    argv = (["train", "fdunet"] if command == "train"
+            else ["eval", "--methods", "lbp", "--out", str(tmp_path / "r")])
+    sets = [arg for kv in setting for arg in ("--set", kv)]
+    with caplog.at_level(logging.ERROR, logger="oatdar"):
+        assert cli.main([*argv, *common[:2], "--run-dir", str(run),
+                         *sets]) == 2
+    assert f"dataset failed validation: {stored}" in caplog.text
+
+
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_missing_dataset_exits_3(tiny_run, tmp_path, caplog, command):
+    """A run directory without a dataset is a missing prerequisite, and
+    train creates nothing before it finds that out."""
+    common, *_ = tiny_run
+    run = tmp_path / "fresh"
+    argv = (["train", "fdunet"] if command == "train"
+            else ["eval", "--methods", "lbp"])
+    with caplog.at_level(logging.ERROR, logger="oatdar"):
+        assert cli.main([*argv, *common[:2], "--run-dir", str(run)]) == 3
+    assert "run 'dataset build' first" in caplog.text
+    assert not run.exists()
+
+
+def test_run_all_report_that_cannot_be_written_exits_2(tmp_path, caplog):
+    """run-all writes its report as eval does: a reports path that is a
+    file is a config error naming --run-dir."""
+    cfg_path = tmp_path / "tiny.json"
+    cfg_path.write_text(json.dumps(TINY))
+    run = tmp_path / "run"
+    run.mkdir()
+    (run / "reports").write_text("")
+    with caplog.at_level(logging.ERROR, logger="oatdar"):
+        assert cli.main(["run-all", "--config", str(cfg_path),
+                         "--run-dir", str(run)]) == 2
+    assert "config error: --run-dir: " in caplog.text

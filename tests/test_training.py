@@ -10,14 +10,16 @@ import numpy as np
 import pytest
 
 from oatdar import autodiff as ad
-from oatdar import cli, training
+from oatdar import cli, pipeline, training
 from oatdar.errors import ConfigError, NumericalError
-from oatdar.config import load_config
+from oatdar.config import geometry_from_config, load_config
 from oatdar.dataset import build_dataset
+from oatdar.geometry import Sinogram
 from oatdar.layers import load_parameters
+from oatdar.operator import build_forward_operator, reconstruct_lbp
 from oatdar.optim import OptimizerState
 from oatdar.patches import PatchGrid, split_patches
-from oatdar.tensorfile import read_bundle, write_bundle
+from oatdar.tensorfile import read_bundle, read_tensor, write_bundle
 
 TINY = {"profile": "desk", "dataset": {"train": 3, "val": 0, "test": 0},
         "schedule": {"T": 20}, "inference": {"nis": 5},
@@ -174,6 +176,21 @@ def test_loader_names_parameters_as_the_trainer_saved_them(
     saved = [k[2:] for k in sorted(files, key=files.get)
              if k.startswith("p.")]
     assert loaded == [saved]
+
+
+def test_trainers_backproject_the_stored_sinograms(base_run):
+    """The trainers' LBP stack is inference's ``reconstruct_lbp`` of each
+    stored sinogram, bit for bit, and pipeline calls that same function."""
+    base, manifest = base_run
+    cfg, data_dir = _cfg(1), base / "dataset"
+    rec_op = build_forward_operator(geometry_from_config(cfg), jittered=False)
+    stack = training.initial_images(cfg, manifest, data_dir, "lbp", "train")
+    entries = manifest.split("train")
+    assert stack.shape[0] == len(entries)
+    for img, e in zip(stack, entries):
+        sino = Sinogram(read_tensor(data_dir / e.sinogram))
+        assert np.array_equal(img, reconstruct_lbp(rec_op, sino).data)
+    assert pipeline.reconstruct_lbp is training.reconstruct_lbp
 
 
 def test_cip_checkpoint_still_loads_as_encoder(base_run):
