@@ -120,14 +120,10 @@ def cmd_dataset(args):
           f"hash {manifest.content_hash(run_dir / 'dataset')[:16]}")
 
 
-def _manifest(run_dir) -> DatasetManifest:
-    return DatasetManifest.read(Path(run_dir) / "dataset")
-
-
 def cmd_train(args):
     cfg = _load_cfg(args)
     run_dir = Path(args.run_dir)
-    manifest = _manifest(run_dir)
+    manifest = DatasetManifest.read(run_dir / "dataset")
     if args.block == "fdunet":
         ckpt = training.train_fdunet(cfg, run_dir, manifest,
                                      resume=args.resume)
@@ -171,7 +167,7 @@ def _write_report(report, out: Path, flag: str):
 def cmd_eval(args):
     cfg = _load_cfg(args)
     run_dir = Path(args.run_dir)
-    manifest = _manifest(run_dir)
+    manifest = DatasetManifest.read(run_dir / "dataset")
     methods = [m.strip() for m in args.methods.split(",")]
     nis_list = _parse_list(args.nis, int, "--nis") if args.nis else ()
     snr_list = _parse_list(args.snr, float, "--snr") if args.snr else None
@@ -188,7 +184,7 @@ def cmd_run_all(args):
     _write_effective_config(cfg, run_dir)
     manifest = build_dataset(cfg, run_dir, force=args.force)
     training.train_fdunet(cfg, run_dir, manifest)
-    manifest = training.emit_fdunet_outputs(cfg, run_dir, manifest)
+    training.emit_fdunet_outputs(cfg, run_dir, manifest)
     for cond in training.CONDITIONS:
         training.train_cip(cfg, run_dir, manifest, condition_on=cond)
         training.train_diffusion(cfg, run_dir, manifest, condition_on=cond)
@@ -255,7 +251,8 @@ def build_parser() -> argparse.ArgumentParser:
         "config's inference.nis, eta and seed (change them with --set). "
         "'oatdar eval' seeds dataset entry i with derive_seed(inference.seed,"
         " i) from oatdar.dataset, so --set inference.seed=<that value> on "
-        "entry i's stored sinogram reproduces the DAR image eval scored.")
+        "entry i's stored sinogram, dataset/sinogram_<i:05d>.oatd in the run "
+        "directory, reproduces the DAR image eval scored.")
     sp.add_argument("method", choices=pipeline.METHODS)
     common(sp)
     sp.add_argument("--sino", required=True)

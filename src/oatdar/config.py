@@ -123,15 +123,15 @@ def load_config(path=None, overrides: dict | None = None) -> dict:
     file_cfg = {}
     if path is not None:
         try:
-            file_cfg = json.loads(Path(path).read_text())
+            file_cfg = json.loads(Path(path).read_text(encoding="utf-8"))
         except OSError as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
+        except ValueError as exc:   # not UTF-8, or not JSON
+            raise ConfigError(f"config {path} is not UTF-8 JSON: {exc}") from exc
         if not isinstance(file_cfg, dict):
             raise ConfigError("config root must be an object")
     profile = file_cfg.get("profile", "desk")
-    if profile not in _PROFILES:
+    if not isinstance(profile, str) or profile not in _PROFILES:
         raise ConfigError(f"unknown profile {profile!r}")
     cfg = _merge_checked(_PROFILES[profile](), file_cfg)
     if overrides:
@@ -156,6 +156,8 @@ def apply_flag_overrides(cfg_overrides: dict, assignments: list):
         node = cfg_overrides
         for k in keys[:-1]:
             node = node.setdefault(k, {})
+            if not isinstance(node, dict):
+                raise ConfigError(f"--set {item!r}: {k} is not a section")
         node[keys[-1]] = value
     return cfg_overrides
 

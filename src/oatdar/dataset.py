@@ -8,11 +8,18 @@ stores its phantom and its sinogram, simulated on the jittered detector
 positions. Its LBP is computed, not stored: every stage backprojects the
 sinogram on the nominal positions (``operator.reconstruct_lbp``).
 
-Manifest format v2: the line ``#oatdar-manifest v2`` (any other needs
-``--force``), '#'-prefixed config hash and master seed lines, then one
-tab-separated line per entry:
+Every array is stored at the path its kind and entry index give,
+``<kind>_<index:05d>.oatd`` (:func:`entry_file`): the build writes the
+``phantom`` and ``sinogram`` arrays, ``train fdunet`` the ``fdunet`` ones.
+Only the build writes the manifest: it first deletes the manifest and
+every ``*.oatd``, and it writes the manifest last.
 
-    index  phantom  sinogram  fdunet(or -)  split  seed  snr_db
+Manifest format v3: the line ``#oatdar-manifest v3`` (any other needs
+``--force``), '#'-prefixed config hash, master seed and ``data_sha256``
+(of each entry's phantom and sinogram files, in entry order) lines, then
+one tab-separated line per entry, each index once:
+
+    index  split  seed  snr_db
 """
 
 from __future__ import annotations
@@ -20,7 +27,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import logging
-from dataclasses import astuple, dataclass, replace
+from dataclasses import astuple, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -36,17 +43,20 @@ from .tensorfile import read_tensor, write_tensor
 log = logging.getLogger(__name__)
 
 MANIFEST_NAME = "manifest.tsv"
-MANIFEST_VERSION = "#oatdar-manifest v2"
+MANIFEST_VERSION = "#oatdar-manifest v3"
 
 SPLITS = ("train", "val", "test")   # in dataset index order
+STORED = ("phantom", "sinogram")    # the kinds a build writes per entry
+
+
+def entry_file(directory, kind: str, index: int) -> Path:
+    """Where entry ``index``'s array of ``kind`` is stored."""
+    return Path(directory) / f"{kind}_{index:05d}.oatd"
 
 
 @dataclass(frozen=True)
 class DatasetEntry:
     index: int
-    phantom: str
-    sinogram: str
-    fdunet: str          # "-" until the enhancement stage fills it in
     split: str           # one of SPLITS
     seed: int
     snr_db: float
@@ -57,18 +67,17 @@ class DatasetManifest:
     entries: list
     master_seed: int
     config_hash: str
+    data_sha256: str
 
     def split(self, name: str) -> list:
         return [e for e in self.entries if e.split == name]
 
-    def write(self, directory) -> Path:
-        directory = Path(directory)
+    def write(self, directory):
         lines = [MANIFEST_VERSION, f"#config_hash={self.config_hash}",
-                 f"#master_seed={self.master_seed}"]
+                 f"#master_seed={self.master_seed}",
+                 f"#data_sha256={self.data_sha256}"]
         lines += ["\t".join(map(str, astuple(e))) for e in self.entries]
-        path = directory / MANIFEST_NAME
-        path.write_text("\n".join(lines) + "\n")
-        return path
+        (Path(directory) / MANIFEST_NAME).write_text("\n".join(lines) + "\n")
 
     @classmethod
     def read(cls, directory) -> "DatasetManifest":
@@ -76,45 +85,43 @@ class DatasetManifest:
         if not path.is_file():
             raise PrerequisiteError(f"no manifest at {path}; run 'dataset "
                                     "build' first")
-        version, *lines = path.read_text().splitlines() or [""]
+        try:
+            version, *lines = path.read_text("utf-8").splitlines() or [""]
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{path} is not UTF-8 text: {exc}") from None
         if version != MANIFEST_VERSION:
             raise ConfigError(f"{path} is not {MANIFEST_VERSION[1:]}; "
                               "rebuild it with 'dataset build --force'")
         header = dict(line[1:].split("=", 1) for line in lines
                       if line.startswith("#") and "=" in line)
-        entries = []
+        entries = {}   # by index, the key of every stored file
         for line in lines:
             if not line.strip() or line.startswith("#"):
                 continue
             try:   # a wrong field count fails the unpacking
-                index, phantom, sino, fdunet, split, seed, snr = \
-                    line.split("\t")
-                entries.append(DatasetEntry(int(index), phantom, sino, fdunet,
-                                            split, int(seed), float(snr)))
+                index, split, seed, snr = line.split("\t")
+                e = DatasetEntry(int(index), split, int(seed), float(snr))
             except ValueError:
                 raise ConfigError(f"malformed manifest line: {line!r}") \
                     from None
+            if e.index in entries:
+                raise ConfigError(f"{path}: entry {e.index} appears twice")
+            entries[e.index] = e
         try:
-            return cls(entries=entries, master_seed=int(header["master_seed"]),
-                       config_hash=header["config_hash"])
+            return cls(list(entries.values()), int(header["master_seed"]),
+                       header["config_hash"], header["data_sha256"])
         except (KeyError, ValueError) as exc:
-            raise ConfigError(f"manifest {path} needs #master_seed=<int> and "
-                              f"#config_hash= headers ({exc!r})") from None
+            raise ConfigError(f"manifest {path} has a missing or bad "
+                              f"header ({exc!r})") from None
 
     def content_hash(self, directory) -> str:
         path = Path(directory) / MANIFEST_NAME
         return hashlib.sha256(path.read_bytes()).hexdigest()
 
     def validate_files(self, directory):
-        directory = Path(directory)
-        seen = set()
         for e in self.entries:
-            if e.index in seen:
-                raise ConfigError(f"entry {e.index} appears twice")
-            seen.add(e.index)
-            for rel in (e.phantom, e.sinogram, e.fdunet):
-                if rel != "-":
-                    read_tensor(directory / rel)
+            for kind in STORED:
+                read_tensor(entry_file(directory, kind, e.index))
 
 
 @contextlib.contextmanager
@@ -143,21 +150,14 @@ def entry_seeds(master_seed: int, index: int):
     return ph, nz, snr_rng
 
 
-def _write_hashed(directory: Path, stem: str, arr: np.ndarray) -> str:
-    h = hashlib.sha256(np.ascontiguousarray(arr).tobytes()).hexdigest()[:8]
-    write_tensor(directory / f"{stem}_{h}.oatd", arr)
-    return f"{stem}_{h}.oatd"
-
-
 def build_dataset(cfg: dict, run_dir, force: bool = False) -> DatasetManifest:
     """Generate phantoms, simulate noisy sinograms, persist both.
 
     Idempotent: an existing manifest with the same config hash short-circuits
-    after validating every referenced file; a different hash is an error
-    unless ``force``.
+    after validating every stored file; a different hash is an error
+    unless ``force``. A build first deletes the manifest and every array.
     """
-    run_dir = Path(run_dir)
-    data_dir = run_dir / "dataset"
+    data_dir = Path(run_dir) / "dataset"
     chash = config_hash(cfg)
     if (data_dir / MANIFEST_NAME).is_file() and not force:
         manifest = DatasetManifest.read(data_dir)
@@ -171,66 +171,48 @@ def build_dataset(cfg: dict, run_dir, force: bool = False) -> DatasetManifest:
                  len(manifest.entries))
         return manifest
     data_dir.mkdir(parents=True, exist_ok=True)
+    for stale in [data_dir / MANIFEST_NAME, *data_dir.glob("*.oatd")]:
+        stale.unlink(missing_ok=True)
 
     geom = geometry_from_config(cfg)
     sim_op = build_forward_operator(geom, jittered=True)
     ds = cfg["dataset"]
     master = ds["master_seed"]
     lo, hi = ds["snr_db_range"]
-    entries = []
+    entries, digest = [], hashlib.sha256()
     for index, split in enumerate(s for s in SPLITS for _ in range(ds[s])):
         ph_seed, nz_seed, snr_rng = entry_seeds(master, index)
         params = phantom_params_from_config(cfg, ph_seed)
         phantom = generate_phantom(params, geom.grid_nx, geom.grid_ny)
-        sino = apply_forward(sim_op, phantom)
         snr = float(snr_rng.uniform(lo, hi))
-        noisy = add_noise(sino, snr, nz_seed)
-        entries.append(DatasetEntry(
-            index=index,
-            phantom=_write_hashed(data_dir, f"phantom_{index:05d}",
-                                  phantom.data),
-            sinogram=_write_hashed(data_dir, f"sino_{index:05d}", noisy.data),
-            fdunet="-", split=split, seed=ph_seed, snr_db=snr))
+        noisy = add_noise(apply_forward(sim_op, phantom), snr, nz_seed)
+        for kind, arr in zip(STORED, (phantom.data, noisy.data)):
+            path = write_tensor(entry_file(data_dir, kind, index), arr)
+            digest.update(path.read_bytes())
+        entries.append(DatasetEntry(index, split, ph_seed, snr))
         if (index + 1) % 250 == 0:
             log.info("dataset: %d entries done", index + 1)
-    manifest = DatasetManifest(entries=entries, master_seed=master,
-                               config_hash=chash)
+    manifest = DatasetManifest(entries, master, chash, digest.hexdigest())
     manifest.write(data_dir)
     return manifest
 
 
-def load_images(manifest: DatasetManifest, directory, field: str,
+def load_images(manifest: DatasetManifest, directory, kind: str,
                 split: str | None = None, each=None) -> np.ndarray:
-    """Stack one artifact kind of a split, each file's array mapped through
+    """Stack one array kind of a split, each file's array mapped through
     ``each`` if given, into an (N, H, W) array; an empty split or a missing
-    output raises :class:`PrerequisiteError`, and a missing, corrupt or
-    misshapen file :class:`ConfigError`."""
-    directory = Path(directory)
+    enhancer output raises :class:`PrerequisiteError`, and a missing,
+    corrupt or misshapen stored file :class:`ConfigError`."""
     entries = manifest.entries if split is None else manifest.split(split)
     if not entries:
         raise PrerequisiteError(f"no entries in split {split!r}")
     out = []
     with reading_dataset():
         for e in entries:
-            rel = getattr(e, field)
-            if rel == "-":  # only the enhancer output starts out empty
-                raise PrerequisiteError(
-                    f"entry {e.index} has no {field} output yet; run "
-                    "'train fdunet' first")
-            arr = read_tensor(directory / rel)
+            path = entry_file(directory, kind, e.index)
+            if kind == "fdunet" and not path.is_file():
+                raise PrerequisiteError(f"{path} is missing; run 'train "
+                                        "fdunet' first")
+            arr = read_tensor(path)
             out.append(arr if each is None else each(arr))
     return np.stack(out)
-
-
-def attach_fdunet_outputs(manifest: DatasetManifest, directory,
-                          outputs: np.ndarray) -> DatasetManifest:
-    """Persist enhancement outputs for every entry and rewrite the manifest."""
-    directory = Path(directory)
-    if outputs.shape[0] != len(manifest.entries):
-        raise ConfigError("one enhancement output per entry required")
-    manifest = replace(manifest, entries=[
-        replace(e, fdunet=_write_hashed(directory, f"fdunet_{e.index:05d}",
-                                        arr.astype(np.float32)))
-        for e, arr in zip(manifest.entries, outputs)])
-    manifest.write(directory)
-    return manifest

@@ -7,7 +7,9 @@ TensorFileError of a write to the file or directory a flag names, into a
 ConfigError naming the flag. A missing or corrupt dataset file, or a stored
 phantom or sinogram that does not fit the config's geometry, is a
 ConfigError in every stage that reads it (``dataset.reading_dataset``); a
-missing manifest is a PrerequisiteError.
+missing manifest is a PrerequisiteError. A corrupt checkpoint (a
+TensorFileError of its bundle) is a ConfigError naming the checkpoint and
+the ``train`` command that rewrites it (``training.load_checkpoint``).
 Any other exception is a defect of the program and ends in a traceback.
 """
 

@@ -32,7 +32,8 @@ from pathlib import Path
 import numpy as np
 
 from .config import config_hash, geometry_from_config
-from .dataset import DatasetManifest, derive_seed, reading_dataset
+from .dataset import (DatasetManifest, derive_seed, entry_file,
+                      reading_dataset)
 from .diffusion import (NoiseSchedule, check_eta, make_inference_timesteps,
                         sample_batch, scale_from_model, schedule_from_config)
 from .errors import ConfigError, NumericalError, PrerequisiteError
@@ -230,8 +231,8 @@ def evaluate_methods(cfg: dict, run_dir, manifest: DatasetManifest,
     An entry's cases are its stored sinogram at its stored SNR or, when
     ``snr_list`` is given, the clean jittered simulation of its phantom
     re-noised at each requested SNR (seeds derived from the dataset master
-    seed). A bad method, step count or SNR, or an entry listed twice,
-    raises :class:`ConfigError` before any work.
+    seed). A bad method, step count or SNR raises :class:`ConfigError`
+    before any work.
     """
     methods = list(methods)
     variants = check_methods(cfg, methods, nis_list)
@@ -254,11 +255,12 @@ def evaluate_methods(cfg: dict, run_dir, manifest: DatasetManifest,
     records = []
     for entry in entries:
         with reading_dataset():
-            gt = check_image(geometry,
-                             Image(read_tensor(data_dir / entry.phantom))).data
+            gt = check_image(geometry, Image(read_tensor(
+                entry_file(data_dir, "phantom", entry.index)))).data
             if snr_list is None:
                 cases = [(entry.snr_db, check_sinogram(geometry, Sinogram(
-                    read_tensor(data_dir / entry.sinogram))))]
+                    read_tensor(entry_file(data_dir, "sinogram",
+                                           entry.index)))))]
         if snr_list is not None:
             clean = apply_forward(sim_op, Image(gt))
             cases = [(float(snr), clean if snr == np.inf else add_noise(

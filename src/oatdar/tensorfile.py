@@ -168,8 +168,8 @@ def read_bundle(path) -> tuple[dict, dict]:
     if not mpath.is_file():
         raise TensorFileError(f"{path}: not a bundle (missing bundle.json)")
     try:
-        manifest = json.loads(mpath.read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+        manifest = json.loads(mpath.read_text(encoding="utf-8"))
+    except (OSError, ValueError) as exc:   # ValueError: not UTF-8 or JSON
         raise TensorFileError(f"{mpath}: unreadable manifest: {exc}") from exc
     if manifest.get("format") != "oatdar-bundle":
         raise TensorFileError(f"{mpath}: not an oatdar bundle")

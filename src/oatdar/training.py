@@ -18,6 +18,7 @@ master seed.
 
 from __future__ import annotations
 
+import contextlib
 import logging
 from pathlib import Path
 
@@ -26,9 +27,10 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .config import config_hash, geometry_from_config
-from .dataset import DatasetManifest, attach_fdunet_outputs, load_images
+from .dataset import DatasetManifest, entry_file, load_images
 from .diffusion import q_sample, scale_to_model, schedule_from_config
-from .errors import ConfigError, NumericalError, PrerequisiteError
+from .errors import (ConfigError, NumericalError, PrerequisiteError,
+                     TensorFileError)
 from .geometry import Image, Sinogram, check_image
 from .grayio import normalize01
 from .layers import PARAM_DTYPE, load_parameters
@@ -37,7 +39,8 @@ from .models import (CIPAutoencoder, CIPEncoder, ConditionalDenoiser,
 from .operator import build_forward_operator, reconstruct_lbp
 from .optim import OptimizerState, adam_update
 from .patches import PatchGrid, split_patches
-from .tensorfile import read_bundle, recover_bundle, write_bundle
+from .tensorfile import (read_bundle, recover_bundle, write_bundle,
+                         write_tensor)
 
 log = logging.getLogger(__name__)
 
@@ -69,8 +72,10 @@ def save_checkpoint(path, params: dict, opt: OptimizerState, meta: dict,
 
 def load_checkpoint(path):
     """(parameters, Adam arrays, meta) of a checkpoint; raises
-    :class:`NumericalError` if its run aborted on a non-finite loss."""
-    arrays, meta = read_bundle(path)
+    :class:`NumericalError` if its run aborted on a non-finite loss, and
+    :class:`ConfigError` (:func:`_rewritable`) if it is corrupt."""
+    with _rewritable(path):
+        arrays, meta = read_bundle(path)
     if meta.get("aborted"):
         raise NumericalError(f"{path} was saved by a run aborted on a "
                              "non-finite loss; retrain it without --resume")
@@ -97,14 +102,17 @@ def checkpoint(run_dir, name: str) -> Path:
     return path
 
 
-def _model_config(cls, section: dict, ckpt, name: str):
-    """``cls.from_dict(section)`` of checkpoint ``ckpt``; a
-    :class:`ConfigError` names ``ckpt`` and the command that rewrites it."""
+@contextlib.contextmanager
+def _rewritable(ckpt):
+    """A corrupt checkpoint ``ckpt``, or a model it does not configure, is
+    a :class:`ConfigError` naming ``ckpt`` and the command that rewrites
+    it."""
     try:
-        return cls.from_dict(section)
-    except ConfigError as exc:
-        raise ConfigError(f"{ckpt}: {exc}; run '{_train_command(name)}' "
-                          "to rewrite it") from None
+        yield
+    except (TensorFileError, ConfigError) as exc:
+        command = _train_command(Path(ckpt).stem)
+        raise ConfigError(f"{ckpt}: {exc}; run '{command}' to rewrite it") \
+            from None
 
 
 def _restore_rng(rng: np.random.Generator, meta: dict):
@@ -233,8 +241,8 @@ def train_fdunet(cfg: dict, run_dir, manifest: DatasetManifest,
 def load_fdunet(ckpt) -> FDUNet:
     """The trained enhancer, frozen for inference."""
     params, _, meta = load_checkpoint(ckpt)
-    model = FDUNet(_model_config(FDUNetConfig, meta["model_config"], ckpt,
-                                 "fdunet"))
+    with _rewritable(ckpt):
+        model = FDUNet(FDUNetConfig.from_dict(meta["model_config"]))
     load_parameters(model.parameters(), params, ckpt)
     return model.freeze()
 
@@ -244,13 +252,19 @@ _EMIT_BATCH = 64  # images per enhancer forward in emit_fdunet_outputs
 
 def emit_fdunet_outputs(cfg: dict, run_dir,
                         manifest: DatasetManifest) -> DatasetManifest:
-    """Run the trained enhancer over every entry and record the outputs."""
+    """Run the trained enhancer over every entry; once every output is
+    computed, replace the stored ``fdunet`` arrays with them. Returns
+    ``manifest`` unchanged."""
     model = load_fdunet(checkpoint(run_dir, "fdunet"))
     data_dir = Path(run_dir) / "dataset"
     lbp = initial_images(cfg, manifest, data_dir, "lbp")
-    outs = [fd_unet_forward(model, lbp[s:s + _EMIT_BATCH])
-            for s in range(0, lbp.shape[0], _EMIT_BATCH)]
-    return attach_fdunet_outputs(manifest, data_dir, np.concatenate(outs))
+    outs = np.concatenate([fd_unet_forward(model, lbp[s:s + _EMIT_BATCH])
+                           for s in range(0, lbp.shape[0], _EMIT_BATCH)])
+    for old in data_dir.glob("fdunet_*.oatd"):
+        old.unlink()
+    for e, out in zip(manifest.entries, outs):
+        write_tensor(entry_file(data_dir, "fdunet", e.index), out)
+    return manifest
 
 
 # ---------------------------------------------------------------------------
@@ -349,9 +363,9 @@ def load_denoiser(ckpt):
     """Returns (denoiser, jointly tuned conditioning encoder, schedule,
     (patch_h, patch_w)); both networks are frozen for inference."""
     params, _, meta = load_checkpoint(ckpt)
-    model = ConditionalDenoiser(_model_config(
-        DenoiserConfig, meta["denoiser_config"], ckpt,
-        f"denoiser_{meta['condition_on']}"))
+    with _rewritable(ckpt):
+        model = ConditionalDenoiser(DenoiserConfig.from_dict(
+            meta["denoiser_config"]))
     encoder = CIPEncoder(meta["cip_layer_dims"], np.random.default_rng(0))
     load_parameters(_joint_parameters(model, encoder), params, ckpt)
     return (model.freeze(), encoder.freeze(), schedule_from_config(meta),

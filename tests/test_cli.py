@@ -9,8 +9,9 @@ missing enhancer output exits with a prerequisite error, as does a CIP
 checkpoint of other widths; a non-finite enhancer or an aborted checkpoint
 exits with a numerical error; ``run-all`` is bit-reproducible. A checkpoint
 whose model config holds a key the config no longer has, an output flag or
-report path that cannot be written and a corrupt dataset file read by
-``train`` or ``eval`` exit with a config error too."""
+report path that cannot be written, a corrupt dataset file read by
+``train`` or ``eval`` and a corrupt checkpoint exit with a config error
+too."""
 
 import json
 import logging
@@ -26,7 +27,7 @@ import pytest
 
 from oatdar import cli, pipeline, training
 from oatdar.config import geometry_from_config, load_config
-from oatdar.dataset import DatasetManifest, derive_seed
+from oatdar.dataset import DatasetManifest, derive_seed, entry_file
 from oatdar.metrics import psnr
 from oatdar.operator import build_forward_operator
 from oatdar.pipeline import METHODS
@@ -60,17 +61,22 @@ def tiny_run(tmp_path_factory):
     return common, run / "dataset", entry, seed, records
 
 
+def _sino(data_dir, entry) -> str:
+    """The path of ``entry``'s stored sinogram."""
+    return str(entry_file(data_dir, "sinogram", entry.index))
+
+
 @pytest.mark.parametrize("method", METHODS)
 def test_reconstruct_scores_as_eval(tiny_run, tmp_path, method):
     common, data_dir, entry, seed, records = tiny_run
     out = tmp_path / f"{method}.oatd"
     assert cli.main(["reconstruct", method, *common,
-                     "--sino", str(data_dir / entry.sinogram),
+                     "--sino", _sino(data_dir, entry),
                      "--out", str(out),
                      "--set", f"inference.seed={seed}"]) == 0
     ((nis, rec_psnr),) = [(n, p) for m, n, p in records if m == method]
     assert nis == (2 if method in pipeline.DAR_INITIAL else 0)
-    gt = read_tensor(data_dir / entry.phantom)
+    gt = read_tensor(entry_file(data_dir, "phantom", entry.index))
     assert psnr(read_tensor(out), gt) == rec_psnr
 
 
@@ -96,7 +102,7 @@ def test_reconstruct_dar_without_checkpoints_exits_3(tiny_run, tmp_path):
     out = tmp_path / "dar.oatd"
     assert cli.main(["reconstruct", "dar", common[0], common[1],
                      "--run-dir", str(tmp_path / "empty"),
-                     "--sino", str(data_dir / entry.sinogram),
+                     "--sino", _sino(data_dir, entry),
                      "--out", str(out)]) == 3
     assert not out.exists()
 
@@ -117,7 +123,7 @@ def test_missing_checkpoint_exits_3_naming_its_command(
     run = tmp_path / "run"
     shutil.copytree(data_dir, run / "dataset")
     out = tmp_path / "out.oatd"
-    io = (["--sino", str(data_dir / entry.sinogram), "--out", str(out)]
+    io = (["--sino", _sino(data_dir, entry), "--out", str(out)]
           if argv[0] == "reconstruct" else [])
     with caplog.at_level(logging.ERROR, logger="oatdar"):
         assert cli.main([*argv, *common[:2], "--run-dir", str(run),
@@ -142,7 +148,7 @@ def test_checkpoint_not_matching_its_model_exits_2(tiny_run, tmp_path, argv):
     shutil.copytree(data_dir, run / "dataset")
     saved = {f.name: f.read_bytes() for f in ckpt.iterdir()}
     out = tmp_path / "out.oatd"
-    io = (["--sino", str(data_dir / entry.sinogram), "--out", str(out)]
+    io = (["--sino", _sino(data_dir, entry), "--out", str(out)]
           if argv[0] == "reconstruct" else [])
     assert cli.main([*argv, *common[:2], "--run-dir", str(run), *io]) == 2
     assert {f.name: f.read_bytes() for f in ckpt.iterdir()} == saved
@@ -164,14 +170,19 @@ def test_empty_train_split_exits_3(tiny_run, tmp_path, block):
 
 
 def test_train_cip_before_the_enhancer_exits_3(tmp_path, caplog):
-    """Conditioning on the enhancer needs its outputs in the dataset."""
+    """Conditioning on the enhancer needs its outputs in the dataset, and
+    a forced rebuild deletes them."""
     cfg_path = tmp_path / "tiny.json"
     cfg_path.write_text(json.dumps(TINY))
     common = ["--config", str(cfg_path), "--run-dir", str(tmp_path / "run")]
-    assert cli.main(["dataset", "build", *common]) == 0
-    with caplog.at_level(logging.ERROR, logger="oatdar"):
-        assert cli.main(["train", "cip", *common]) == 3
-    assert "'train fdunet'" in caplog.text
+    for build in (["dataset", "build"], ["dataset", "build", "--force"]):
+        assert cli.main([*build, *common]) == 0
+        caplog.clear()
+        with caplog.at_level(logging.ERROR, logger="oatdar"):
+            assert cli.main(["train", "cip", *common]) == 3
+        assert "'train fdunet'" in caplog.text
+        assert cli.main(["train", "fdunet", *common]) == 0
+        assert cli.main(["train", "cip", *common]) == 0
 
 
 @pytest.mark.parametrize("argv", [
@@ -198,7 +209,7 @@ def test_bad_method_nis_or_eta_exits_2(tiny_run, tmp_path, monkeypatch,
     monkeypatch.setattr(pipeline, "build_forward_operator", work)
     monkeypatch.setattr(cli, "build_forward_operator", work)
     out = tmp_path / "out"
-    io = (["--sino", str(data_dir / entry.sinogram)]
+    io = (["--sino", _sino(data_dir, entry)]
           if argv[0] == "reconstruct" else [])
     assert cli.main([*argv, *common, *io, "--out", str(out)]) == 2
     assert not out.exists()
@@ -210,7 +221,7 @@ def test_denoiser_of_another_schedule_exits_2(tiny_run, tmp_path, caplog,
     """The denoisers were trained at T = 20; a config at T = 40 would sample
     with the checkpoint's schedule under the config's hash."""
     common, data_dir, entry, *_ = tiny_run
-    sino = str(data_dir / entry.sinogram)
+    sino = _sino(data_dir, entry)
     argv = (["eval", "--methods", "dar", "--nis", "10"] if command == "eval"
             else ["reconstruct", "dar", "--sino", sino,
                   "--set", "inference.nis=10"])
@@ -376,7 +387,7 @@ def test_non_finite_enhancer_exits_4(tiny_run, tmp_path):
     out = tmp_path / "out.oatd"
     assert cli.main(["reconstruct", "fdunet", *common[:2],
                      "--run-dir", str(run),
-                     "--sino", str(data_dir / entry.sinogram),
+                     "--sino", _sino(data_dir, entry),
                      "--out", str(out)]) == 4
     assert not out.exists()
 
@@ -390,7 +401,7 @@ def test_aborted_checkpoint_exits_4(tiny_run, tmp_path):
     out = tmp_path / "out.oatd"
     assert cli.main(["reconstruct", "fdunet", *common[:2],
                      "--run-dir", str(run),
-                     "--sino", str(data_dir / entry.sinogram),
+                     "--sino", _sino(data_dir, entry),
                      "--out", str(out)]) == 4
     assert not out.exists()
 
@@ -478,16 +489,49 @@ def test_corrupt_dataset_file_exits_2(tiny_run, tmp_path, caplog, command):
     run = tmp_path / "run"
     shutil.copytree(data_dir.parent / "checkpoints", run / "checkpoints")
     shutil.copytree(data_dir, run / "dataset")
-    manifest = DatasetManifest.read(data_dir)
-    junk = (manifest.split("train")[0].sinogram if command == "train"
-            else entry.phantom)
-    (run / "dataset" / junk).write_bytes(b"junk")
+    (train_entry,) = DatasetManifest.read(data_dir).split("train")[:1]
+    junk = (entry_file(run / "dataset", "sinogram", train_entry.index)
+            if command == "train"
+            else entry_file(run / "dataset", "phantom", entry.index))
+    junk.write_bytes(b"junk")
     argv = (["train", "fdunet"] if command == "train"
             else ["eval", "--methods", "lbp", "--out", str(tmp_path / "r")])
     with caplog.at_level(logging.ERROR, logger="oatdar"):
         assert cli.main([*argv, *common[:2], "--run-dir", str(run)]) == 2
     assert "dataset failed validation" in caplog.text
-    assert junk in caplog.text
+    assert str(junk) in caplog.text
+
+
+@pytest.mark.parametrize("argv, ckpt, junk, command", [
+    pytest.param(["eval", "--methods", "fdunet"], "fdunet.ckpt",
+                 "a0000.oatd", "train fdunet", id="eval"),
+    pytest.param(["reconstruct", "dar_lbp"], "denoiser_lbp.ckpt",
+                 "a0000.oatd", "train diffusion --condition-on lbp",
+                 id="reconstruct"),
+    pytest.param(["train", "fdunet", "--resume"], "fdunet.ckpt",
+                 "bundle.json", "train fdunet", id="train-resume"),
+    pytest.param(["train", "diffusion"], "cip_fdunet.ckpt", "bundle.json",
+                 "train cip --condition-on fdunet", id="train-diffusion"),
+])
+def test_corrupt_checkpoint_exits_2(tiny_run, tmp_path, caplog, argv, ckpt,
+                                   junk, command):
+    """A junk array file, or a bundle.json that is not UTF-8, in a
+    checkpoint names the checkpoint and the command that rewrites it."""
+    common, data_dir, entry, *_ = tiny_run
+    run = tmp_path / "run"
+    shutil.copytree(data_dir.parent / "checkpoints", run / "checkpoints")
+    shutil.copytree(data_dir, run / "dataset")
+    (run / "checkpoints" / ckpt / junk).write_bytes(b"\xffjunk")
+    out = tmp_path / "out"
+    io = {"eval": ["--out", str(out)], "train": [],
+          "reconstruct": ["--sino", _sino(data_dir, entry), "--out",
+                          str(out)]}[argv[0]]
+    with caplog.at_level(logging.ERROR, logger="oatdar"):
+        assert cli.main([*argv, *common[:2], "--run-dir", str(run),
+                         *io]) == 2
+    assert f"{run / 'checkpoints' / ckpt}: " in caplog.text
+    assert f"run '{command}' to rewrite it" in caplog.text
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["train", "eval"])

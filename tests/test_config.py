@@ -18,6 +18,21 @@ def test_set_of_the_wrong_type_exits_2(tmp_path, assignment):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("text, sets", [
+    (b"{}", ["geometry.grid_nx=32", "geometry.grid_nx.foo=1"]),
+    (b'{"profile": ["desk"]}', []),
+    (b'{"profile": {"desk": 1}}', []),
+    (b'{"profile": "d\xe9sk"}', []),
+], ids=["set-inside-a-value", "list-profile", "object-profile", "not-utf8"])
+def test_malformed_config_input_exits_2(tmp_path, text, sets):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_bytes(text)
+    out = tmp_path / "phantom.oatd"
+    assert cli.main(["phantom", "--config", str(cfg_path), "--out", str(out),
+                     *[arg for kv in sets for arg in ("--set", kv)]]) == 2
+    assert not out.exists()
+
+
 def test_an_int_stands_in_for_a_float():
     cfg = load_config(None, {"training": {"learning_rate": 1},
                              "dataset": {"snr_db_range": [20, 80]}})

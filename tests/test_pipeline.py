@@ -6,7 +6,7 @@ import pytest
 
 from oatdar import cli
 from oatdar.config import geometry_from_config, load_config
-from oatdar.dataset import DatasetManifest
+from oatdar.dataset import DatasetManifest, entry_file
 from oatdar.errors import ConfigError
 from oatdar.geometry import Image, Sinogram
 from oatdar.metrics import psnr
@@ -57,7 +57,7 @@ def test_eval_snr_inf_scores_the_clean_simulation(tmp_path):
     report = evaluate_methods(cfg, run, manifest, ["lbp"], snr_list=[np.inf])
     (rec,) = report.records
     (entry,) = manifest.split("test")
-    gt = read_tensor(run / "dataset" / entry.phantom)
+    gt = read_tensor(entry_file(run / "dataset", "phantom", entry.index))
     geom = geometry_from_config(cfg)
     clean = apply_forward(build_forward_operator(geom, jittered=True),
                           Image(gt))

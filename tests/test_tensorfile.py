@@ -84,6 +84,15 @@ def test_bundle_missing_manifest(tmp_path):
         read_bundle(tmp_path / "nb")
 
 
+@pytest.mark.parametrize("text", [b"{", b'{"format": "oatdar-bundle\xff"}'],
+                         ids=["not-json", "not-utf8"])
+def test_bundle_unreadable_manifest(tmp_path, text):
+    path = write_bundle(tmp_path / "b", {"w": np.zeros(2)})
+    (path / "bundle.json").write_bytes(text)
+    with pytest.raises(TensorFileError, match="unreadable manifest"):
+        read_bundle(path)
+
+
 def test_bundle_write_failure_keeps_previous_bundle(tmp_path, monkeypatch):
     from oatdar import tensorfile
     path = tmp_path / "ckpt"

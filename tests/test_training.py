@@ -1,6 +1,7 @@
 """The shared epoch loop: resuming a stage reproduces the uninterrupted run
 bit for bit, also from a checkpoint a crash left mid-swap, and the CLI hands
-``--resume`` to every block."""
+``--resume`` to every block; the enhancer's outputs replace the stored ones
+without a rewrite of the manifest."""
 
 import json
 import logging
@@ -13,13 +14,16 @@ from oatdar import autodiff as ad
 from oatdar import cli, pipeline, training
 from oatdar.errors import ConfigError, NumericalError
 from oatdar.config import geometry_from_config, load_config
-from oatdar.dataset import build_dataset
+from oatdar.dataset import MANIFEST_NAME, build_dataset, entry_file
 from oatdar.geometry import Sinogram
+from oatdar.grayio import normalize01
 from oatdar.layers import load_parameters
+from oatdar.models import fd_unet_forward
 from oatdar.operator import build_forward_operator, reconstruct_lbp
 from oatdar.optim import OptimizerState
 from oatdar.patches import PatchGrid, split_patches
-from oatdar.tensorfile import read_bundle, read_tensor, write_bundle
+from oatdar.tensorfile import (read_bundle, read_tensor, write_bundle,
+                               write_tensor)
 
 TINY = {"profile": "desk", "dataset": {"train": 3, "val": 0, "test": 0},
         "schedule": {"T": 20}, "inference": {"nis": 5},
@@ -188,7 +192,8 @@ def test_trainers_backproject_the_stored_sinograms(base_run):
     entries = manifest.split("train")
     assert stack.shape[0] == len(entries)
     for img, e in zip(stack, entries):
-        sino = Sinogram(read_tensor(data_dir / e.sinogram))
+        sino = Sinogram(read_tensor(entry_file(data_dir, "sinogram",
+                                               e.index)))
         assert np.array_equal(img, reconstruct_lbp(rec_op, sino).data)
     assert pipeline.reconstruct_lbp is training.reconstruct_lbp
 
@@ -269,6 +274,28 @@ def test_emit_refuses_a_non_finite_enhancer(base_run, tmp_path):
     with pytest.raises(NumericalError):
         training.emit_fdunet_outputs(cfg, run, manifest)
     assert not list((run / "dataset").glob("fdunet_*"))
+
+
+def test_emit_replaces_every_output_and_leaves_the_manifest(base_run,
+                                                           tmp_path):
+    """The outputs go to one path per entry; an output of an entry the
+    dataset no longer has is removed, and the manifest is not rewritten."""
+    base, manifest = base_run
+    run = _copy_run(base, tmp_path / "run")
+    data_dir = run / "dataset"
+    stale = entry_file(data_dir, "fdunet", 99)
+    write_tensor(stale, np.zeros((2, 2), dtype=np.float32))
+    before = (data_dir / MANIFEST_NAME).read_bytes()
+    cfg = _cfg(0)
+    training.train_fdunet(cfg, run, manifest)
+    assert training.emit_fdunet_outputs(cfg, run, manifest) is manifest
+    assert (data_dir / MANIFEST_NAME).read_bytes() == before
+    assert sorted(data_dir.glob("fdunet_*")) == [
+        entry_file(data_dir, "fdunet", e.index) for e in manifest.entries]
+    stored = training.initial_images(cfg, manifest, data_dir, "fdunet")
+    lbp = training.initial_images(cfg, manifest, data_dir, "lbp")
+    model = training.load_fdunet(run / "checkpoints" / "fdunet.ckpt")
+    assert np.array_equal(stored, normalize01(fd_unet_forward(model, lbp)))
 
 
 def test_denoiser_checkpoint_with_sigma_mode_loads(base_run, tmp_path):
