@@ -7,7 +7,6 @@ Exit codes: 0 success, 2 configuration error, 3 missing prerequisite,
 from __future__ import annotations
 
 import argparse
-import contextlib
 import json
 import logging
 import sys
@@ -17,8 +16,7 @@ from . import pipeline, training
 from .config import (apply_flag_overrides, config_hash, geometry_from_config,
                      load_config, phantom_params_from_config)
 from .dataset import SPLITS, DatasetManifest, build_dataset
-from .errors import (ConfigError, NumericalError, PrerequisiteError,
-                     ShapeError, TensorFileError)
+from .errors import ConfigError, NumericalError, PrerequisiteError, blame
 from .geometry import Image, Sinogram, check_image, check_sinogram
 from .operator import build_forward_operator
 from .phantoms import generate_phantom
@@ -44,24 +42,6 @@ def _seed(text: str) -> int:
     return int(text)
 
 
-def _read_arg(path, flag: str, kind, check, geometry):
-    """``flag``'s tensor file as a ``kind`` that fits ``geometry``."""
-    try:
-        return check(geometry, kind(read_tensor(path)))
-    except (TensorFileError, ShapeError) as exc:
-        raise ConfigError(f"{flag}: {exc}") from None
-
-
-@contextlib.contextmanager
-def _writing(flag: str):
-    """A failed write to the file or directory ``flag`` names is a
-    :class:`ConfigError` naming ``flag``."""
-    try:
-        yield
-    except (OSError, TensorFileError) as exc:
-        raise ConfigError(f"{flag}: {exc}") from None
-
-
 def _load_cfg(args) -> dict:
     overrides = apply_flag_overrides({}, args.set or [])
     cfg = load_config(args.config, overrides)
@@ -71,7 +51,7 @@ def _load_cfg(args) -> dict:
 
 def _run_dir(args) -> Path:
     rd = Path(args.run_dir)
-    with _writing("--run-dir"):
+    with blame("--run-dir"):
         rd.mkdir(parents=True, exist_ok=True)
     return rd
 
@@ -86,7 +66,7 @@ def cmd_phantom(args):
     geom = geometry_from_config(cfg)
     params = phantom_params_from_config(cfg, args.seed)
     img = generate_phantom(params, geom.grid_nx, geom.grid_ny)
-    with _writing("--out"):
+    with blame("--out"):
         pipeline.export_image(img, args.out)
     print(f"phantom seed={args.seed} -> {args.out}")
 
@@ -95,7 +75,7 @@ def cmd_operator(args):
     cfg = _load_cfg(args)
     op = build_forward_operator(geometry_from_config(cfg),
                                 jittered=args.jittered)
-    with _writing("--out"):
+    with blame("--out"):
         op.to_bundle(args.out)
     nnz = int(op.indptr[-1])
     print(f"operator {op.n_rows}x{op.n_cols}, {nnz} entries -> {args.out}")
@@ -103,10 +83,11 @@ def cmd_operator(args):
 
 def cmd_simulate(args):
     cfg = _load_cfg(args)
-    phantom = _read_arg(args.phantom, "--phantom", Image, check_image,
-                        geometry_from_config(cfg))
+    geometry = geometry_from_config(cfg)
+    with blame("--phantom"):
+        phantom = check_image(geometry, Image(read_tensor(args.phantom)))
     sino = pipeline.simulate_sinogram(cfg, phantom, args.snr, args.seed)
-    with _writing("--out"):
+    with blame("--out"):
         write_tensor(args.out, sino.data)
     print(f"sinogram {sino.data.shape} snr={args.snr} -> {args.out}")
 
@@ -146,11 +127,12 @@ def cmd_reconstruct(args):
     ((method, nis),) = pipeline.check_methods(cfg, [args.method])
     models = pipeline.load_method_models(cfg, args.run_dir, method)
     rec_op = build_forward_operator(geometry_from_config(cfg), jittered=False)
-    sino = _read_arg(args.sino, "--sino", Sinogram, check_sinogram,
-                     rec_op.geometry)
+    with blame("--sino"):
+        sino = check_sinogram(rec_op.geometry,
+                              Sinogram(read_tensor(args.sino)))
     img = pipeline.reconstruct(method, cfg, rec_op, sino, models, nis,
                                cfg["inference"]["seed"])
-    with _writing("--out"):
+    with blame("--out"):
         pipeline.export_image(img, args.out)
     print(f"{method} reconstruction -> {args.out}")
 
@@ -158,7 +140,7 @@ def cmd_reconstruct(args):
 def _write_report(report, out: Path, flag: str):
     """Write ``report`` to directory ``out``, which ``flag`` names, and
     print its summary and hash."""
-    with _writing(flag):
+    with blame(flag):
         report.write(out)
     print((out / "summary.txt").read_text())
     print(f"report hash {report.content_hash(out)[:16]}")

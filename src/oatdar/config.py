@@ -22,7 +22,7 @@ from pathlib import Path
 
 from .diffusion import (check_eta, make_inference_timesteps,
                         schedule_from_config)
-from .errors import ConfigError
+from .errors import ConfigError, blame
 from .geometry import ImagingGeometry
 from .models import DenoiserConfig, FDUNetConfig, check_layer_dims
 from .operator import check_tikhonov
@@ -122,12 +122,8 @@ def load_config(path=None, overrides: dict | None = None) -> dict:
     """
     file_cfg = {}
     if path is not None:
-        try:
+        with blame(f"config {path}"):
             file_cfg = json.loads(Path(path).read_text(encoding="utf-8"))
-        except OSError as exc:
-            raise ConfigError(f"cannot read config {path}: {exc}") from exc
-        except ValueError as exc:   # not UTF-8, or not JSON
-            raise ConfigError(f"config {path} is not UTF-8 JSON: {exc}") from exc
         if not isinstance(file_cfg, dict):
             raise ConfigError("config root must be an object")
     profile = file_cfg.get("profile", "desk")

@@ -24,7 +24,6 @@ one tab-separated line per entry, each index once:
 
 from __future__ import annotations
 
-import contextlib
 import hashlib
 import logging
 from dataclasses import astuple, dataclass
@@ -34,8 +33,7 @@ import numpy as np
 
 from .config import (config_hash, geometry_from_config,
                      phantom_params_from_config)
-from .errors import (ConfigError, PrerequisiteError, ShapeError,
-                     TensorFileError)
+from .errors import ConfigError, PrerequisiteError, blame
 from .operator import add_noise, apply_forward, build_forward_operator
 from .phantoms import generate_phantom
 from .tensorfile import read_tensor, write_tensor
@@ -85,10 +83,8 @@ class DatasetManifest:
         if not path.is_file():
             raise PrerequisiteError(f"no manifest at {path}; run 'dataset "
                                     "build' first")
-        try:
+        with blame(path):
             version, *lines = path.read_text("utf-8").splitlines() or [""]
-        except UnicodeDecodeError as exc:
-            raise ConfigError(f"{path} is not UTF-8 text: {exc}") from None
         if version != MANIFEST_VERSION:
             raise ConfigError(f"{path} is not {MANIFEST_VERSION[1:]}; "
                               "rebuild it with 'dataset build --force'")
@@ -124,16 +120,12 @@ class DatasetManifest:
                 read_tensor(entry_file(directory, kind, e.index))
 
 
-@contextlib.contextmanager
 def reading_dataset():
     """A dataset file read in this block that is missing or corrupt, or
     that does not fit the config's geometry, raises :class:`ConfigError`
     ("dataset failed validation"), in every stage that reads the dataset as
     in the build that finds it."""
-    try:
-        yield
-    except (TensorFileError, ShapeError) as exc:
-        raise ConfigError(f"dataset failed validation: {exc}") from exc
+    return blame("dataset failed validation")
 
 
 def derive_seed(*keys) -> int:

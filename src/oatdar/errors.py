@@ -1,17 +1,19 @@
-"""Exception hierarchy shared across the toolkit.
+"""Exception hierarchy shared across the toolkit, and its one fault rule.
 
 The CLI maps these onto exit codes: ConfigError -> 2 (an invalid geometry is
-one), PrerequisiteError -> 3, NumericalError -> 4. A command turns a
-ShapeError or TensorFileError of the file a flag names, and an OSError or
-TensorFileError of a write to the file or directory a flag names, into a
-ConfigError naming the flag. A missing or corrupt dataset file, or a stored
-phantom or sinogram that does not fit the config's geometry, is a
-ConfigError in every stage that reads it (``dataset.reading_dataset``); a
-missing manifest is a PrerequisiteError. A corrupt checkpoint (a
-TensorFileError of its bundle) is a ConfigError naming the checkpoint and
-the ``train`` command that rewrites it (``training.load_checkpoint``).
-Any other exception is a defect of the program and ends in a traceback.
+one), PrerequisiteError -> 3, NumericalError -> 4. A file the program reads
+or writes is bad when reading, checking or writing it raises a file fault
+(TensorFileError, ShapeError, OSError, UnicodeError, JSONDecodeError or
+ConfigError), and :func:`blame` is the one place that turns a file fault
+into a ConfigError naming the file's source: the flag that names it, the
+config file, the dataset ("dataset failed validation") or the checkpoint
+and the ``train`` command that rewrites it. A missing manifest or
+checkpoint is a PrerequisiteError. Any other exception is a defect of the
+program and ends in a traceback.
 """
+
+import contextlib
+import json
 
 
 class OatdarError(Exception):
@@ -44,3 +46,14 @@ class NumericalError(OatdarError):
 
 class TensorFileError(OatdarError):
     """Corrupt, truncated, missing, or otherwise invalid on-disk tensor data."""
+
+
+@contextlib.contextmanager
+def blame(source, then: str = ""):
+    """A file fault raised in this block is the :class:`ConfigError`
+    ``f"{source}: {exc}{then}"``."""
+    try:
+        yield
+    except (TensorFileError, ShapeError, OSError, UnicodeError,
+            json.JSONDecodeError, ConfigError) as exc:
+        raise ConfigError(f"{source}: {exc}{then}") from None

@@ -7,7 +7,8 @@ of a stack) to [0, 1] through it.
 PGM is write-only: :func:`write_pgm` writes a 16-bit P5 graymap (samples
 big-endian per the netpbm convention) for visual inspection, and nothing
 reads one back. A user image or sinogram enters only as tensor data, through
-``cli._read_arg``, at exactly the configured shape.
+``oatdar simulate --phantom`` or ``oatdar reconstruct --sino``, at exactly
+the configured shape.
 """
 
 from __future__ import annotations

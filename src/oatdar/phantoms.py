@@ -25,8 +25,8 @@ pixels) and writes only the pixels a segment covers; the attempt starts from
 zeros, so every other pixel stays exactly zero.
 
 A user-supplied phantom does not pass through here: it enters as tensor data
-through ``cli._read_arg``, at exactly the configured grid shape, and PGM is
-only ever written (``pipeline.export_image``).
+through ``oatdar simulate --phantom``, at exactly the configured grid shape,
+and PGM is only ever written (``pipeline.export_image``).
 """
 
 from __future__ import annotations

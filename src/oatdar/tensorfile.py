@@ -171,8 +171,16 @@ def read_bundle(path) -> tuple[dict, dict]:
         manifest = json.loads(mpath.read_text(encoding="utf-8"))
     except (OSError, ValueError) as exc:   # ValueError: not UTF-8 or JSON
         raise TensorFileError(f"{mpath}: unreadable manifest: {exc}") from exc
+    if not isinstance(manifest, dict):
+        raise TensorFileError(f"{mpath}: unreadable manifest: not an object")
     if manifest.get("format") != "oatdar-bundle":
         raise TensorFileError(f"{mpath}: not an oatdar bundle")
-    arrays = {name: read_tensor(path / fname)
-              for name, fname in manifest["arrays"].items()}
-    return arrays, manifest.get("meta", {})
+    files, meta = manifest.get("arrays"), manifest.get("meta", {})
+    # each array file is a plain name inside the bundle
+    if not (isinstance(files, dict) and isinstance(meta, dict) and all(
+            isinstance(f, str) and f not in ("", "..") and Path(f).name == f
+            for f in files.values())):
+        raise TensorFileError(f"{mpath}: unreadable manifest: 'arrays' must "
+                              "map names to files in the bundle and 'meta' "
+                              "must be an object")
+    return {name: read_tensor(path / f) for name, f in files.items()}, meta

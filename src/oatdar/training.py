@@ -18,7 +18,6 @@ master seed.
 
 from __future__ import annotations
 
-import contextlib
 import logging
 from pathlib import Path
 
@@ -29,8 +28,7 @@ from .autodiff import Tensor
 from .config import config_hash, geometry_from_config
 from .dataset import DatasetManifest, entry_file, load_images
 from .diffusion import q_sample, scale_to_model, schedule_from_config
-from .errors import (ConfigError, NumericalError, PrerequisiteError,
-                     TensorFileError)
+from .errors import ConfigError, NumericalError, PrerequisiteError, blame
 from .geometry import Image, Sinogram, check_image
 from .grayio import normalize01
 from .layers import PARAM_DTYPE, load_parameters
@@ -70,12 +68,17 @@ def save_checkpoint(path, params: dict, opt: OptimizerState, meta: dict,
     return Path(path)
 
 
-def load_checkpoint(path):
-    """(parameters, Adam arrays, meta) of a checkpoint; raises
+def load_checkpoint(path, **meta_types):
+    """(parameters, Adam arrays, meta) of a checkpoint whose meta holds a
+    value of each ``meta_types`` type at its key; raises
     :class:`NumericalError` if its run aborted on a non-finite loss, and
-    :class:`ConfigError` (:func:`_rewritable`) if it is corrupt."""
+    :class:`ConfigError` (:func:`_rewritable`) if it is corrupt or its
+    meta lacks such a value."""
     with _rewritable(path):
         arrays, meta = read_bundle(path)
+        for key, kind in meta_types.items():
+            if not isinstance(meta.get(key), kind):
+                raise ConfigError(f"its meta has no {kind.__name__} {key!r}")
     if meta.get("aborted"):
         raise NumericalError(f"{path} was saved by a run aborted on a "
                              "non-finite loss; retrain it without --resume")
@@ -102,17 +105,12 @@ def checkpoint(run_dir, name: str) -> Path:
     return path
 
 
-@contextlib.contextmanager
 def _rewritable(ckpt):
-    """A corrupt checkpoint ``ckpt``, or a model it does not configure, is
-    a :class:`ConfigError` naming ``ckpt`` and the command that rewrites
-    it."""
-    try:
-        yield
-    except (TensorFileError, ConfigError) as exc:
-        command = _train_command(Path(ckpt).stem)
-        raise ConfigError(f"{ckpt}: {exc}; run '{command}' to rewrite it") \
-            from None
+    """A corrupt checkpoint ``ckpt``, or a model it does not configure, read
+    in this block is a :class:`ConfigError` naming ``ckpt`` and the command
+    that rewrites it."""
+    command = _train_command(Path(ckpt).stem)
+    return blame(ckpt, f"; run '{command}' to rewrite it")
 
 
 def _restore_rng(rng: np.random.Generator, meta: dict):
@@ -158,8 +156,10 @@ def fit(cfg: dict, run_dir, stage: str, ckpt_name: str, params: dict,
     opt = OptimizerState(tr["learning_rate"])
     rng = stage_rng(cfg["dataset"]["master_seed"], stage)
     start_epoch, losses = 0, []
-    if resume and recover_bundle(ckpt).is_dir():
-        saved, opt_arrays, m = load_checkpoint(ckpt)
+    resumed = resume and recover_bundle(ckpt).is_dir()
+    if resumed:
+        saved, opt_arrays, m = load_checkpoint(
+            ckpt, opt_step=int, rng_state=dict, epoch=int, losses=list)
         load_parameters(params, saved, ckpt)
         opt.load_state_arrays(opt_arrays, m["opt_step"])
         _restore_rng(rng, m)
@@ -190,7 +190,7 @@ def fit(cfg: dict, run_dir, stage: str, ckpt_name: str, params: dict,
                  epoch_loss)
         save_checkpoint(ckpt, arrays(), opt,
                         {**meta, "epoch": epoch, "losses": losses}, rng)
-    if tr["epochs"] == 0 or not ckpt.is_dir():
+    if tr["epochs"] == 0 and not resumed:   # the initial weights
         save_checkpoint(ckpt, arrays(), opt,
                         {**meta, "epoch": -1, "losses": losses}, rng)
     _write_loss_log(run_dir, stage, losses)
@@ -240,7 +240,7 @@ def train_fdunet(cfg: dict, run_dir, manifest: DatasetManifest,
 
 def load_fdunet(ckpt) -> FDUNet:
     """The trained enhancer, frozen for inference."""
-    params, _, meta = load_checkpoint(ckpt)
+    params, _, meta = load_checkpoint(ckpt, model_config=dict)
     with _rewritable(ckpt):
         model = FDUNet(FDUNetConfig.from_dict(meta["model_config"]))
     load_parameters(model.parameters(), params, ckpt)
@@ -304,8 +304,9 @@ def train_cip(cfg: dict, run_dir, manifest: DatasetManifest,
 
 def load_cip_encoder(ckpt) -> CIPEncoder:
     """The pretrained encoder, left trainable: the denoiser stage tunes it."""
-    params, _, meta = load_checkpoint(ckpt)
-    ae = CIPAutoencoder(meta["layer_dims"])
+    params, _, meta = load_checkpoint(ckpt, layer_dims=list)
+    with _rewritable(ckpt):
+        ae = CIPAutoencoder(meta["layer_dims"])
     load_parameters(ae.parameters(), params, ckpt)
     return ae.enc
 
@@ -362,11 +363,14 @@ def train_diffusion(cfg: dict, run_dir, manifest: DatasetManifest,
 def load_denoiser(ckpt):
     """Returns (denoiser, jointly tuned conditioning encoder, schedule,
     (patch_h, patch_w)); both networks are frozen for inference."""
-    params, _, meta = load_checkpoint(ckpt)
+    params, _, meta = load_checkpoint(
+        ckpt, denoiser_config=dict, cip_layer_dims=list, schedule=dict,
+        patch=dict)
     with _rewritable(ckpt):
         model = ConditionalDenoiser(DenoiserConfig.from_dict(
             meta["denoiser_config"]))
-    encoder = CIPEncoder(meta["cip_layer_dims"], np.random.default_rng(0))
+        encoder = CIPEncoder(meta["cip_layer_dims"], np.random.default_rng(0))
+        schedule = schedule_from_config(meta)
     load_parameters(_joint_parameters(model, encoder), params, ckpt)
-    return (model.freeze(), encoder.freeze(), schedule_from_config(meta),
+    return (model.freeze(), encoder.freeze(), schedule,
             (meta["patch"]["h"], meta["patch"]["w"]))

@@ -512,16 +512,44 @@ def test_corrupt_dataset_file_exits_2(tiny_run, tmp_path, caplog, command):
                  "bundle.json", "train fdunet", id="train-resume"),
     pytest.param(["train", "diffusion"], "cip_fdunet.ckpt", "bundle.json",
                  "train cip --condition-on fdunet", id="train-diffusion"),
+    # a dict edits the checkpoint's meta; None deletes the key
+    pytest.param(["eval", "--methods", "fdunet"], "fdunet.ckpt",
+                 {"model_config": None}, "train fdunet",
+                 id="eval-no-model-config"),
+    pytest.param(["eval", "--methods", "dar_lbp"], "denoiser_lbp.ckpt",
+                 {"patch": None}, "train diffusion --condition-on lbp",
+                 id="eval-no-patch"),
+    pytest.param(["eval", "--methods", "dar_lbp"], "denoiser_lbp.ckpt",
+                 {"schedule": None}, "train diffusion --condition-on lbp",
+                 id="eval-no-schedule"),
+    pytest.param(["train", "diffusion", "--condition-on", "lbp"],
+                 "cip_lbp.ckpt", {"layer_dims": None},
+                 "train cip --condition-on lbp",
+                 id="train-diffusion-no-layer-dims"),
+    pytest.param(["train", "fdunet", "--resume"], "fdunet.ckpt",
+                 {"opt_step": None}, "train fdunet",
+                 id="train-resume-no-opt-step"),
+    pytest.param(["train", "fdunet", "--resume"], "fdunet.ckpt",
+                 {"rng_state": 3}, "train fdunet",
+                 id="train-resume-bad-rng-state"),
 ])
 def test_corrupt_checkpoint_exits_2(tiny_run, tmp_path, caplog, argv, ckpt,
                                    junk, command):
-    """A junk array file, or a bundle.json that is not UTF-8, in a
-    checkpoint names the checkpoint and the command that rewrites it."""
+    """A junk array file, a bundle.json that is not UTF-8, or a meta
+    without a value its reader needs, in a checkpoint names the checkpoint
+    and the command that rewrites it."""
     common, data_dir, entry, *_ = tiny_run
     run = tmp_path / "run"
     shutil.copytree(data_dir.parent / "checkpoints", run / "checkpoints")
     shutil.copytree(data_dir, run / "dataset")
-    (run / "checkpoints" / ckpt / junk).write_bytes(b"\xffjunk")
+    bundle = run / "checkpoints" / ckpt
+    if isinstance(junk, str):
+        (bundle / junk).write_bytes(b"\xffjunk")
+    else:
+        manifest = json.loads((bundle / "bundle.json").read_text())
+        manifest["meta"] = {k: v for k, v in {**manifest["meta"],
+                                              **junk}.items() if v is not None}
+        (bundle / "bundle.json").write_text(json.dumps(manifest))
     out = tmp_path / "out"
     io = {"eval": ["--out", str(out)], "train": [],
           "reconstruct": ["--sino", _sino(data_dir, entry), "--out",

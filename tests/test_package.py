@@ -2,12 +2,14 @@
 names and call signatures its workloads use."""
 
 import ast
+import builtins
 import importlib
 import importlib.util
 import inspect
 from pathlib import Path
 
 import oatdar
+from oatdar.errors import ConfigError
 
 ROOT = Path(__file__).resolve().parents[1]
 TRACING = ROOT / "benchmarks" / "tracing.py"
@@ -110,3 +112,42 @@ def test_no_module_imports_a_name_it_never_uses():
                     *(ROOT / "tests").glob("*.py")])
     assert len(paths) > 20
     assert [u for p in paths for u in _unused_imports(p)] == []
+
+
+# every exception that says a file is bad: OSError and UnicodeError with
+# their subclasses, and the toolkit's and json's own
+FILE_FAULT_NAMES = {
+    name for name, obj in vars(builtins).items()
+    if isinstance(obj, type) and issubclass(obj, (OSError, UnicodeError))
+} | {"TensorFileError", "ShapeError", "JSONDecodeError"}
+
+
+def _subclass_names(cls) -> set[str]:
+    return {cls.__name__}.union(*map(_subclass_names, cls.__subclasses__()))
+
+
+def _names(node) -> set[str]:
+    """The exception names an ``except`` clause's type expression gives."""
+    return {n.id if isinstance(n, ast.Name) else n.attr
+            for n in ast.walk(node) if isinstance(n, (ast.Name, ast.Attribute))}
+
+
+def test_only_blame_turns_a_file_fault_into_a_config_error():
+    """``errors.blame`` is the one rule that makes a bad file exit 2: no
+    ``except`` clause elsewhere that catches a file fault raises a
+    ConfigError (or a subclass). Mapping one onto a TensorFileError, as
+    ``tensorfile`` does, stays allowed."""
+    config_errors = _subclass_names(ConfigError)
+    found = []
+    for path in sorted((ROOT / "src" / "oatdar").glob("*.py")):
+        if path.name == "errors.py":
+            continue
+        for handler in ast.walk(ast.parse(path.read_text())):
+            if not (isinstance(handler, ast.ExceptHandler) and handler.type
+                    and _names(handler.type) & FILE_FAULT_NAMES):
+                continue
+            found += [f"{path.name}:{r.lineno}"
+                      for stmt in handler.body for r in ast.walk(stmt)
+                      if isinstance(r, ast.Raise) and r.exc is not None
+                      and _names(r.exc) & config_errors]
+    assert found == []

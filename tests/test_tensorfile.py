@@ -84,8 +84,15 @@ def test_bundle_missing_manifest(tmp_path):
         read_bundle(tmp_path / "nb")
 
 
-@pytest.mark.parametrize("text", [b"{", b'{"format": "oatdar-bundle\xff"}'],
-                         ids=["not-json", "not-utf8"])
+@pytest.mark.parametrize("text", [
+    b"{", b'{"format": "oatdar-bundle\xff"}', b"[]",
+    b'{"format": "oatdar-bundle"}',
+    b'{"format": "oatdar-bundle", "arrays": [1]}',
+    b'{"format": "oatdar-bundle", "arrays": {"w": "../../etc/passwd"}}',
+    b'{"format": "oatdar-bundle", "arrays": {"w": ".."}}',
+    b'{"format": "oatdar-bundle", "arrays": {}, "meta": 3}',
+], ids=["not-json", "not-utf8", "list", "no-arrays", "arrays-list",
+        "outside-the-bundle", "parent-dir", "meta-not-object"])
 def test_bundle_unreadable_manifest(tmp_path, text):
     path = write_bundle(tmp_path / "b", {"w": np.zeros(2)})
     (path / "bundle.json").write_bytes(text)

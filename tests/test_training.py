@@ -65,14 +65,22 @@ TRAINERS = {
 }
 
 
-@pytest.mark.parametrize("block", sorted(TRAINERS))
-def test_resume_reproduces_uninterrupted_training(base_run, tmp_path, block):
+@pytest.mark.parametrize("block, stops", [
+    *(pytest.param(b, (1,), id=b) for b in sorted(TRAINERS)),
+    # a resume at zero epochs leaves the trained checkpoint as it is
+    pytest.param("fdunet", (1, 0), id="fdunet-zero-epoch-resume"),
+])
+def test_resume_reproduces_uninterrupted_training(base_run, tmp_path, block,
+                                                  stops):
+    """Training to each of ``stops`` epochs in turn, resuming after the
+    first, then resuming to 2 epochs equals training 2 epochs straight."""
     base, manifest = base_run
     stage, train = TRAINERS[block]
     straight = _copy_run(base, tmp_path / "straight")
     resumed = _copy_run(base, tmp_path / "resumed")
     ckpt_a = train(_cfg(2), straight, manifest, False)
-    train(_cfg(1), resumed, manifest, False)
+    for i, epochs in enumerate(stops):
+        train(_cfg(epochs), resumed, manifest, i > 0)
     ckpt_b = train(_cfg(2), resumed, manifest, True)
 
     arrays_a, meta_a = read_bundle(ckpt_a)
