@@ -18,6 +18,13 @@ branch through ``np.minimum``, not a three-operand ``np.where``, which
 cut a (4, 16, 16, 16) call from ~113 to ~32 us; ``_im2col`` builds its
 window with ``as_strided`` in ~3.5 us, where ``sliding_window_view``
 spends ~11 us of Python.
+
+Two kernels reorder work and keep every output bit: ``_im2col``'s row
+runs equal the window of the input zero-padded by k // 2, signed zeros,
+infinities and NaNs included, and softmax's ``_row_sum`` keeps numpy's
+pairwise order for 8 <= n <= 128 on a contiguous last axis, in the
+forward and the VJP. A numpy that changes that order fails the
+bit-oracle tests.
 """
 
 from __future__ import annotations
@@ -80,9 +87,11 @@ def as_tensor(x) -> Tensor:
 
 
 def _make(data, parents, vjp):
-    if not any(p.requires_grad for p in parents):
-        return Tensor(data)
-    return Tensor(data, requires_grad=True, _parents=tuple(parents), _vjp=vjp)
+    for p in parents:
+        if p.requires_grad:
+            return Tensor(data, requires_grad=True, _parents=tuple(parents),
+                          _vjp=vjp)
+    return Tensor(data)
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
@@ -159,11 +168,10 @@ def reshape(a, shape):
 
 def transpose(a, axes):
     a = as_tensor(a)
-    inv = np.argsort(axes)
 
     def vjp(g):
         if a.requires_grad:
-            a._accum(g.transpose(inv))
+            a._accum(g.transpose(np.argsort(axes)))
 
     return _make(a.data.transpose(axes), (a,), vjp)
 
@@ -304,6 +312,32 @@ def group_norm(x, gamma, beta, groups: int):
     return _make(out_data, (x, gamma, beta), vjp)
 
 
+def _row_sum(x, axis):
+    """``x.sum(axis=axis, keepdims=True)``, bit for bit.
+
+    numpy sums a contiguous row of 8 <= n <= 128 elements as eight running
+    block sums, the tree ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), then the
+    leftover elements in order, all added to a zero. Over a short trailing
+    axis it pays that loop's set-up once per row; here each step is one
+    vectorized op over all rows. Any other axis or length keeps ``x.sum``.
+    """
+    n = x.shape[axis]
+    if axis not in (-1, x.ndim - 1) or not 8 <= n <= 128 \
+            or not x.flags.c_contiguous:
+        return x.sum(axis=axis, keepdims=True)
+    m = n - n % 8
+    r = x[..., :8]
+    for i in range(8, m, 8):
+        r = r + x[..., i:i + 8]
+    r = r[..., 0::2] + r[..., 1::2]   # r0+r1, r2+r3, r4+r5, r6+r7
+    r = r[..., 0::2] + r[..., 1::2]
+    s = r[..., :1] + r[..., 1:]
+    for i in range(m, n):
+        s += x[..., i:i + 1]
+    s += 0  # the zero numpy starts from: a -0.0 sum becomes +0.0
+    return s
+
+
 def softmax(a, axis: int = -1):
     a = as_tensor(a)
     # reduce over a copied leading axis: numpy's max over a short trailing
@@ -312,11 +346,11 @@ def softmax(a, axis: int = -1):
     row_max = np.moveaxis(a.data, axis, 0).copy().max(axis=0)
     shifted = a.data - np.expand_dims(row_max, axis)
     e = np.exp(shifted)
-    s = e / e.sum(axis=axis, keepdims=True)
+    s = e / _row_sum(e, axis)
 
     def vjp(g):
         if a.requires_grad:
-            a._accum(s * (g - (g * s).sum(axis=axis, keepdims=True)))
+            a._accum(s * (g - _row_sum(g * s, axis)))
 
     return _make(s, (a,), vjp)
 
@@ -326,17 +360,34 @@ def softmax(a, axis: int = -1):
 # ---------------------------------------------------------------------------
 
 def _im2col(x, k):
-    """Column matrix (N, C*k*k, H*W) of ``x`` zero-padded by k // 2."""
+    """Column matrix (N, C*k*k, H*W) of ``x`` zero-padded by k // 2.
+
+    Each (n, c) plane is padded above and below only, as one flat frame
+    with k // 2 guard elements at each end, so tap (i, j) is the run of
+    H*W frame elements starting at i*W + j. Copying whole runs is the
+    padded window, except where a row's run wraps across the row edge:
+    tap column j, shifted d = j - k // 2, reads the neighbouring row in
+    its first -d (d < 0) or last d (d > 0) output columns, which are then
+    zeroed.
+    """
     n, c, h, w = x.shape
     if k == 1:  # the column matrix is x itself
         return x.reshape(n, c, h * w)
     pad = k // 2
-    xp = np.zeros((n, c, h + 2 * pad, w + 2 * pad), dtype=x.dtype)
-    xp[:, :, pad:pad + h, pad:pad + w] = x
-    sn, sc, sh, sw = xp.strides
+    lead = pad * w + pad
+    fr = np.zeros((n, c, h * w + 2 * lead), dtype=x.dtype)
+    fr[:, :, lead:lead + h * w] = x.reshape(n, c, h * w)
+    sn, sc, se = fr.strides
     win = np.lib.stride_tricks.as_strided(
-        xp, (n, c, k, k, h, w), (sn, sc, sh, sw, sh, sw), writeable=False)
+        fr, (n, c, k, k, h * w), (sn, sc, w * se, se, se), writeable=False)
     cols = np.ascontiguousarray(win)
+    rows = cols.reshape(n, c, k, k, h, w)
+    for j in range(k):
+        d = j - pad
+        if d < 0:
+            rows[:, :, :, j, :, :-d] = 0
+        elif d > 0:
+            rows[:, :, :, j, :, max(w - d, 0):] = 0
     return cols.reshape(n, c * k * k, h * w)
 
 

@@ -343,17 +343,47 @@ def _softmax_reference(x, axis):
     return e / e.sum(axis=axis, keepdims=True)
 
 
+# softmax sums rows of 8 <= n <= 128 on the last axis in numpy's pairwise
+# order by hand: lengths on both sides of each bound and of a block of 8,
+# and with one and with seven leftover elements
+_SOFTMAX_LENGTHS = [1, 7, 8, 9, 15, 16, 17, 64, 127, 128, 129, 256]
+
+
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("axis", [-1, 1])
-@pytest.mark.parametrize("length", [8, 256])
+@pytest.mark.parametrize("length", _SOFTMAX_LENGTHS)
 def test_softmax_bit_identical_to_reference(dtype, axis, length):
     shape = [2, 3, 5, 4]
     shape[axis] = length
     x = (np.random.default_rng(length).standard_normal(shape) * 6) \
         .astype(dtype)
-    got = ad.softmax(ad.Tensor(x), axis=axis).data
-    want = _softmax_reference(x, axis)
-    assert got.dtype == want.dtype and np.array_equal(got, want)
+    # numpy sums the last-axis rows of a Fortran-ordered array in another
+    # order; over axis 1 softmax's exp of such an array is laid out unlike
+    # the reference's, and numpy's e.sum then differs in the last bit
+    for x in [x, np.asfortranarray(x)] if axis == -1 else [x]:
+        got = ad.softmax(ad.Tensor(x), axis=axis).data
+        want = _softmax_reference(x, axis)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("axis", [-1, 1])
+@pytest.mark.parametrize("length", _SOFTMAX_LENGTHS)
+def test_softmax_vjp_row_sum_bit_identical(dtype, axis, length):
+    shape = [2, 3, 5, 4]
+    shape[axis] = length
+    rng = np.random.default_rng(length + 1)
+    x = (rng.standard_normal(shape) * 6).astype(dtype)
+    g = (rng.standard_normal(shape) * 3).astype(dtype)
+    # one row of -0.0: numpy's row sum of it is +0.0, so the gradient
+    # keeps g's signed zeros there only if the sum starts from zero too
+    np.moveaxis(g, axis, -1)[0, 0, 0] = -0.0
+    a = ad.Tensor(x, requires_grad=True)
+    s = ad.softmax(a, axis=axis)
+    ad.sum_(ad.mul(s, g)).backward()
+    want = s.data * (g - (g * s.data).sum(axis=axis, keepdims=True))
+    assert np.array_equal(a.grad, want)
+    assert np.array_equal(np.signbit(a.grad), np.signbit(want))
 
 
 def _window_reference(x, kh, kw, pad):
@@ -370,14 +400,24 @@ def _im2col_reference(x, kh, kw, pad):
 
 
 @pytest.mark.parametrize("odd", [0, 1])  # an even or an odd input width
-@pytest.mark.parametrize("k", [1, 3])
+@pytest.mark.parametrize("k", [1, 3, 5, 7])
 def test_im2col_bit_identical_to_np_pad(odd, k):
-    x = np.random.default_rng(k + odd).standard_normal((2, 3, 6, 4 + odd)) \
-        .astype(np.float32)
-    cols = ad._im2col(x, k)
-    want, oh, ow = _im2col_reference(x, k, k, k // 2)
-    assert (oh, ow) == x.shape[2:]
-    assert cols.dtype == np.float32 and np.array_equal(cols, want)
+    rng = np.random.default_rng(k + odd)
+    # non-square frames, and frames 1 or 2 pixels wide or high, where
+    # k // 2 reaches past the whole row
+    for shape in [(2, 3, 6, 4 + odd), (2, 3, 5, 1 + odd), (1, 2, 1 + odd, 7)]:
+        for dtype in (np.float32, np.float64):
+            x = rng.standard_normal(shape).astype(dtype)
+            x.flat[0::5] = -0.0
+            x.flat[1::7] = np.inf
+            x.flat[2::9] = -np.inf
+            x.flat[3::11] = np.nan
+            cols = ad._im2col(x, k)
+            want, oh, ow = _im2col_reference(x, k, k, k // 2)
+            assert (oh, ow) == x.shape[2:]
+            assert cols.dtype == dtype and cols.shape == want.shape
+            assert np.array_equal(cols, want, equal_nan=True)
+            assert np.array_equal(np.signbit(cols), np.signbit(want))
 
 
 @pytest.mark.parametrize("k", [1, 3, 5])
