@@ -1,13 +1,13 @@
 """Command-line orchestrator.
 
-Exit codes: 0 success, 2 configuration error, 3 missing prerequisite,
+Exit codes: 0 success, 2 configuration error, 3 missing prerequisite (so
+is a checkpoint of another model config or of other data than the run's),
 4 numerical failure.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import logging
 import sys
 from pathlib import Path
@@ -56,11 +56,6 @@ def _run_dir(args) -> Path:
     return rd
 
 
-def _write_effective_config(cfg, run_dir):
-    (Path(run_dir) / "config.json").write_text(
-        json.dumps(cfg, indent=1, sort_keys=True) + "\n")
-
-
 def cmd_phantom(args):
     cfg = _load_cfg(args)
     geom = geometry_from_config(cfg)
@@ -95,7 +90,6 @@ def cmd_simulate(args):
 def cmd_dataset(args):
     cfg = _load_cfg(args)
     run_dir = _run_dir(args)
-    _write_effective_config(cfg, run_dir)
     manifest = build_dataset(cfg, run_dir, force=args.force)
     print(f"dataset: {len(manifest.entries)} entries, "
           f"hash {manifest.content_hash(run_dir / 'dataset')[:16]}")
@@ -163,7 +157,6 @@ def cmd_eval(args):
 def cmd_run_all(args):
     cfg = _load_cfg(args)
     run_dir = _run_dir(args)
-    _write_effective_config(cfg, run_dir)
     manifest = build_dataset(cfg, run_dir, force=args.force)
     training.train_fdunet(cfg, run_dir, manifest)
     training.emit_fdunet_outputs(cfg, run_dir, manifest)

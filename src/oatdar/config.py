@@ -83,6 +83,12 @@ def paper_config() -> dict:
 
 
 _PROFILES = {"desk": desk_config, "paper": paper_config}
+# the sections that define a checkpoint's model: a run reads a checkpoint
+# only if its config equals the checkpoint's in these
+MODEL_SECTIONS = ("geometry", "schedule", "patch", "fd_unet", "cip",
+                  "denoiser")
+# the sections a dataset build reads: the manifest's config hash covers them
+DATA_SECTIONS = ("geometry", "phantom", "dataset")
 
 
 def _same_type(default, val) -> bool:
@@ -96,7 +102,12 @@ def _same_type(default, val) -> bool:
     return type(val) is type(default)
 
 
-def _merge_checked(base, override, path=""):
+def _merge_checked(base, override, path="", complete=False):
+    """``base`` overridden; ``complete``: ``override`` must set every key."""
+    missing = sorted(base.keys() - override.keys()) if complete else []
+    if missing:
+        raise ConfigError("missing config key: "
+                          + (f"{path}.{missing[0]}" if path else missing[0]))
     out = copy.deepcopy(base)
     for key, val in override.items():
         where = f"{path}.{key}" if path else key
@@ -105,7 +116,7 @@ def _merge_checked(base, override, path=""):
         if isinstance(base[key], dict):
             if not isinstance(val, dict):
                 raise ConfigError(f"{where} must be a section")
-            out[key] = _merge_checked(base[key], val, where)
+            out[key] = _merge_checked(base[key], val, where, complete)
         elif not _same_type(base[key], val):
             raise ConfigError(f"{where} must be of the type of "
                               f"{base[key]!r}, got {val!r}")
@@ -115,21 +126,26 @@ def _merge_checked(base, override, path=""):
 
 
 def load_config(path=None, overrides: dict | None = None) -> dict:
-    """Build the effective config: profile defaults <- file <- overrides.
-
-    Unknown keys anywhere are rejected, and so is a value whose type
-    differs from the profile default's.
-    """
+    """The effective config: profile defaults <- file ``path`` <-
+    ``overrides``, checked by :func:`checked_config`."""
     file_cfg = {}
     if path is not None:
         with blame(f"config {path}"):
             file_cfg = json.loads(Path(path).read_text(encoding="utf-8"))
-        if not isinstance(file_cfg, dict):
-            raise ConfigError("config root must be an object")
-    profile = file_cfg.get("profile", "desk")
+    return checked_config(file_cfg, overrides)
+
+
+def checked_config(cfg, overrides=None, complete=False) -> dict:
+    """``cfg`` merged onto its profile's defaults, then ``overrides``, and
+    validated: a key the profile lacks, a value of another type and, if
+    ``complete`` (a config stored in full), a key ``cfg`` lacks are refused."""
+    if not isinstance(cfg, dict):
+        raise ConfigError("config must be an object, got "
+                          + type(cfg).__name__)
+    profile = cfg.get("profile", "desk")
     if not isinstance(profile, str) or profile not in _PROFILES:
         raise ConfigError(f"unknown profile {profile!r}")
-    cfg = _merge_checked(_PROFILES[profile](), file_cfg)
+    cfg = _merge_checked(_PROFILES[profile](), cfg, complete=complete)
     if overrides:
         cfg = _merge_checked(cfg, overrides)
     validate_config(cfg)

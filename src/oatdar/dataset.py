@@ -15,9 +15,10 @@ Only the build writes the manifest: it first deletes the manifest and
 every ``*.oatd``, and it writes the manifest last.
 
 Manifest format v3: the line ``#oatdar-manifest v3`` (any other needs
-``--force``), '#'-prefixed config hash, master seed and ``data_sha256``
-(of each entry's phantom and sinogram files, in entry order) lines, then
-one tab-separated line per entry, each index once:
+``--force``), '#'-prefixed config hash (of only the sections a build reads,
+``config.DATA_SECTIONS``: geometry, phantom, dataset), master seed and
+``data_sha256`` (of each entry's phantom and sinogram files, in entry
+order) lines, then one tab-separated line per entry, each index once:
 
     index  split  seed  snr_db
 """
@@ -31,7 +32,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import (config_hash, geometry_from_config,
+from .config import (DATA_SECTIONS, config_hash, geometry_from_config,
                      phantom_params_from_config)
 from .errors import ConfigError, PrerequisiteError, blame
 from .operator import add_noise, apply_forward, build_forward_operator
@@ -150,7 +151,7 @@ def build_dataset(cfg: dict, run_dir, force: bool = False) -> DatasetManifest:
     unless ``force``. A build first deletes the manifest and every array.
     """
     data_dir = Path(run_dir) / "dataset"
-    chash = config_hash(cfg)
+    chash = config_hash({s: cfg[s] for s in DATA_SECTIONS})
     if (data_dir / MANIFEST_NAME).is_file() and not force:
         manifest = DatasetManifest.read(data_dir)
         if manifest.config_hash != chash:

@@ -9,7 +9,7 @@ The three inference entry points take batches only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -111,17 +111,6 @@ def cip_encode(encoder: CIPEncoder, patches: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _config_from_dict(cls, d: dict):
-    """``cls`` built from a config section that sets each of its fields;
-    raises :class:`ConfigError` naming an unknown or missing key."""
-    names = [f.name for f in fields(cls)]
-    bad = [f"unknown key {k!r}" for k in sorted(set(d) - set(names))] + [
-        f"missing key {n!r}" for n in names if n not in d]
-    if bad:
-        raise ConfigError(f"{cls.__name__}: {', '.join(bad)}")
-    return cls(**{**d, "scales": tuple(d["scales"])})
-
-
 @dataclass(frozen=True)
 class DenoiserConfig:
     scales: tuple = (128, 256, 512, 1024)
@@ -150,7 +139,7 @@ class DenoiserConfig:
 
     @classmethod
     def from_dict(cls, d):
-        return _config_from_dict(cls, d)
+        return cls(**{**d, "scales": tuple(d["scales"])})
 
 
 class ConditionalDenoiser(Module):
@@ -267,7 +256,7 @@ class FDUNetConfig:
 
     @classmethod
     def from_dict(cls, d):
-        return _config_from_dict(cls, d)
+        return cls(**{**d, "scales": tuple(d["scales"])})
 
 
 class DenseBlock(Module):

@@ -4,8 +4,9 @@
 eval`` and ``run-all`` run them in one order: :func:`check_methods` refuses
 a bad method, DAR step count or eta and returns the ``(method, nis)``
 variants to run; :func:`load_method_models` loads the checkpoints each
-method needs; the reconstruction operator is built; and :func:`reconstruct`
-runs each variant. Every reconstruction is reported min-max scaled to
+method needs, if trained under the run's models and, in ``eval``, on its
+dataset; the reconstruction operator is built; and :func:`reconstruct` runs
+each variant. Every reconstruction is reported min-max scaled to
 [0, 1] by :func:`grayio.normalize01`.
 
 :func:`evaluate_methods` is one loop: for each entry of a split it reads the
@@ -34,8 +35,8 @@ import numpy as np
 from .config import config_hash, geometry_from_config
 from .dataset import (DatasetManifest, derive_seed, entry_file,
                       reading_dataset)
-from .diffusion import (NoiseSchedule, check_eta, make_inference_timesteps,
-                        sample_batch, scale_from_model, schedule_from_config)
+from .diffusion import (check_eta, make_inference_timesteps, sample_batch,
+                        scale_from_model)
 from .errors import ConfigError, NumericalError, PrerequisiteError
 from .geometry import (Image, ImagingGeometry, Sinogram, check_image,
                        check_sinogram)
@@ -69,13 +70,15 @@ class ModelBundle:
     patch: tuple | None = None
 
 
-def load_models(run_dir, condition_on: str) -> ModelBundle:
+def load_models(run_dir, condition_on: str, cfg: dict | None = None,
+                data_sha256=None) -> ModelBundle:
     """The checkpoints of DAR conditioned on ``condition_on``: the denoiser
     with its encoder, plus the enhancer when DAR conditions on it."""
     return ModelBundle(
-        load_fdunet(checkpoint(run_dir, "fdunet"))
+        load_fdunet(checkpoint(run_dir, "fdunet"), cfg, data_sha256)
         if condition_on == "fdunet" else None,
-        *load_denoiser(checkpoint(run_dir, f"denoiser_{condition_on}")))
+        *load_denoiser(checkpoint(run_dir, f"denoiser_{condition_on}"), cfg,
+                       data_sha256))
 
 
 def _listed_once(what: str, values: list):
@@ -110,29 +113,16 @@ def check_methods(cfg: dict, methods, nis_list=()) -> list[tuple[str, int]]:
             for nis in (dar_steps if m in DAR_INITIAL else [0])]
 
 
-def _schedule_text(s: NoiseSchedule) -> str:
-    return f"T={s.T}, beta1={s.beta[1]:g}, betaT={s.beta[-1]:g}"
-
-
-def load_method_models(cfg: dict, run_dir, method: str) -> ModelBundle | None:
-    """The checkpoints ``method`` (checked by :func:`check_methods`) needs;
-    ``None`` for lbp and tikhonov. A DAR denoiser trained on another noise
-    schedule than ``cfg``'s raises :class:`ConfigError` naming both and the
-    command that retrains it."""
+def load_method_models(cfg: dict, run_dir, method: str,
+                       data_sha256=None) -> ModelBundle | None:
+    """The checkpoints ``method`` (checked by :func:`check_methods`) needs,
+    trained under ``cfg`` (and on ``data_sha256``); None for lbp, tikhonov."""
     if method == "fdunet":
-        return ModelBundle(fdunet=load_fdunet(checkpoint(run_dir, "fdunet")))
+        return ModelBundle(fdunet=load_fdunet(checkpoint(run_dir, "fdunet"),
+                                              cfg, data_sha256))
     if method not in DAR_INITIAL:
         return None
-    cond = DAR_INITIAL[method]
-    models = load_models(run_dir, cond)
-    want = schedule_from_config(cfg)
-    if not np.array_equal(models.schedule.beta, want.beta):
-        raise ConfigError(
-            f"{checkpoint(run_dir, f'denoiser_{cond}')} was trained on the "
-            f"schedule {_schedule_text(models.schedule)}, the config has "
-            f"{_schedule_text(want)}; run 'train diffusion --condition-on "
-            f"{cond}' first")
-    return models
+    return load_models(run_dir, DAR_INITIAL[method], cfg, data_sha256)
 
 
 # ---------------------------------------------------------------------------
@@ -240,8 +230,8 @@ def evaluate_methods(cfg: dict, run_dir, manifest: DatasetManifest,
         check_snr(snr)
     _listed_once("SNR", list(snr_list or ()))
     data_dir = Path(run_dir) / "dataset"
-    models = {m: load_method_models(cfg, run_dir, m) for m in methods
-              if m != "fdunet" or "dar" not in methods}
+    models = {m: load_method_models(cfg, run_dir, m, manifest.data_sha256)
+              for m in methods if m != "fdunet" or "dar" not in methods}
     if "dar" in methods:  # its bundle holds the enhancer: fdunet shares it
         models["fdunet"] = models["dar"]
     entries = manifest.split(split)

@@ -6,6 +6,14 @@ the non-finite-loss abort, per-epoch checkpoints and the loss log. Resume
 and every model loader read parameters through ``layers.load_parameters``,
 and :func:`checkpoint` is the one lookup of a checkpoint a later stage reads.
 
+A checkpoint's meta holds ``config``, the config its stage trained under,
+the ``data_sha256`` of its training data and the resume state (``epoch``,
+``losses``, ``opt_step``, ``rng_state``, ``aborted``); its models are built
+from ``config``. :func:`load_checkpoint` is the one rule: a bad meta exits
+2, and a config other than the run's in ``config.MODEL_SECTIONS`` (for a
+resume also ``training``, but epochs, and ``dataset``) or other data than
+the run's dataset exits 3.
+
 All stochasticity in a stage (shuffles, timestep draws, corruption noise)
 comes from a single generator whose state is checkpointed after every epoch
 together with the parameters and Adam moments, so for every stage (enhancer,
@@ -25,7 +33,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .config import config_hash, geometry_from_config
+from .config import MODEL_SECTIONS, checked_config, geometry_from_config
 from .dataset import DatasetManifest, entry_file, load_images
 from .diffusion import q_sample, scale_to_model, schedule_from_config
 from .errors import ConfigError, NumericalError, PrerequisiteError, blame
@@ -46,6 +54,9 @@ log = logging.getLogger(__name__)
 CONDITIONS = ("fdunet", "lbp")
 _STAGE_IDS = {"fdunet": 11, "cip_fdunet": 12, "diffusion_fdunet": 13,
               "cip_lbp": 14, "diffusion_lbp": 15}
+# the form of the resume state fit saves with every checkpoint
+_RESUME_FORM = {"epoch": 0, "losses": [], "opt_step": 0,
+                "rng_state": np.random.default_rng(0).bit_generator.state}
 
 
 def stage_rng(master_seed: int, stage: str) -> np.random.Generator:
@@ -62,26 +73,41 @@ def save_checkpoint(path, params: dict, opt: OptimizerState, meta: dict,
                     rng: np.random.Generator):
     arrays = {f"p.{k}": np.asarray(v) for k, v in params.items()}
     arrays.update({f"o.{k}": v for k, v in opt.state_arrays().items()})
-    meta = {**meta, "opt_step": opt.step, "learning_rate": opt.learning_rate,
-            "rng_state": rng.bit_generator.state}
+    meta = {**meta, "opt_step": opt.step, "rng_state": rng.bit_generator.state}
     write_bundle(path, arrays, meta)
     return Path(path)
 
 
-def load_checkpoint(path, **meta_types):
-    """(parameters, Adam arrays, meta) of a checkpoint whose meta holds a
-    value of each ``meta_types`` type at its key; raises
-    :class:`NumericalError` if its run aborted on a non-finite loss, and
-    :class:`ConfigError` (:func:`_rewritable`) if it is corrupt or its
-    meta lacks such a value."""
+def load_checkpoint(path, cfg: dict | None = None, data_sha256=None,
+                    resume: bool = False):
+    """(parameters, Adam arrays, meta) of a checkpoint, by the module's one
+    rule: :class:`ConfigError` (:func:`_rewritable`) if it is corrupt or its
+    config or resume state is bad, :class:`NumericalError` if its run
+    aborted and, given the run's ``cfg`` (and ``data_sha256``),
+    :class:`PrerequisiteError` naming the first difference and the command
+    that retrains it."""
     with _rewritable(path):
         arrays, meta = read_bundle(path)
-        for key, kind in meta_types.items():
-            if not isinstance(meta.get(key), kind):
-                raise ConfigError(f"its meta has no {kind.__name__} {key!r}")
+        meta["config"] = checked_config(meta.get("config"), complete=True)
+        if not _same_form(_RESUME_FORM, {k: meta.get(k)
+                                         for k in _RESUME_FORM}):
+            raise ConfigError("its meta holds no epoch, losses, opt_step "
+                              "and PCG64 rng_state")
     if meta.get("aborted"):
         raise NumericalError(f"{path} was saved by a run aborted on a "
                              "non-finite loss; retrain it without --resume")
+    sections = MODEL_SECTIONS + (("training", "dataset") if resume else ())
+    diffs = [] if cfg is None else [
+        (f"{s}.{k}", meta["config"][s][k], v) for s in sections
+        for k, v in cfg[s].items() if (s, k) != ("training", "epochs")]
+    if data_sha256 is not None:
+        diffs.append(("data_sha256", meta.get("data_sha256"), data_sha256))
+    for where, saved, run in diffs:
+        if saved != run:
+            raise PrerequisiteError(
+                f"{path} was trained with {where}={saved}, this run has "
+                f"{where}={run}; run '{_train_command(Path(path).stem)}' "
+                "first")
     params = {k[2:]: v for k, v in arrays.items() if k.startswith("p.")}
     opt_arrays = {k[2:]: v for k, v in arrays.items() if k.startswith("o.")}
     return params, opt_arrays, meta
@@ -106,17 +132,20 @@ def checkpoint(run_dir, name: str) -> Path:
 
 
 def _rewritable(ckpt):
-    """A corrupt checkpoint ``ckpt``, or a model it does not configure, read
-    in this block is a :class:`ConfigError` naming ``ckpt`` and the command
-    that rewrites it."""
+    """A corrupt checkpoint ``ckpt``, or one whose meta is bad, read in this
+    block is a :class:`ConfigError` naming ``ckpt`` and the command that
+    rewrites it."""
     command = _train_command(Path(ckpt).stem)
     return blame(ckpt, f"; run '{command}' to rewrite it")
 
 
-def _restore_rng(rng: np.random.Generator, meta: dict):
-    state = dict(meta["rng_state"])
-    state["state"] = {k: int(v) for k, v in state["state"].items()}
-    rng.bit_generator.state = state
+def _same_form(own, saved) -> bool:
+    """Whether ``saved`` has the keys of dict ``own`` at every level, a value
+    of ``own``'s type at each leaf, and ``own``'s strings."""
+    if isinstance(own, dict):
+        return (isinstance(saved, dict) and saved.keys() == own.keys()
+                and all(_same_form(v, saved[k]) for k, v in own.items()))
+    return type(saved) is type(own) and (type(own) is not str or saved == own)
 
 
 def _write_loss_log(run_dir, stage, losses):
@@ -138,17 +167,18 @@ def _mse(pred: Tensor, target: Tensor) -> Tensor:
 
 
 def fit(cfg: dict, run_dir, stage: str, ckpt_name: str, params: dict,
-        n: int, batch_loss, meta: dict, resume: bool = False) -> Path:
+        n: int, batch_loss, data_sha256: str, resume: bool = False) -> Path:
     """The epoch loop every trainer shares.
 
     ``params`` maps checkpoint names to the trainable tensors;
     ``batch_loss(idx, rng)`` returns the scalar loss Tensor of the training
-    items ``idx`` and may draw from the stage generator ``rng``. Every epoch
-    ends with a checkpoint of the parameters, Adam moments, generator state
-    and losses; ``resume`` continues from it. A non-finite epoch loss saves
-    an ``aborted`` checkpoint and raises :class:`NumericalError`, and so
-    does :func:`load_checkpoint` on such a checkpoint, on resume as in
-    every loader.
+    items ``idx`` of dataset ``data_sha256`` and may draw from the stage
+    generator ``rng``. Every epoch ends with a checkpoint of the parameters,
+    Adam moments, generator state and losses; ``resume`` continues from it
+    if it matches the run. A non-finite epoch loss saves an ``aborted``
+    checkpoint and raises :class:`NumericalError`, and so does
+    :func:`load_checkpoint` on such a checkpoint, on resume as in every
+    loader.
     """
     run_dir = Path(run_dir)
     ckpt = run_dir / "checkpoints" / ckpt_name
@@ -158,16 +188,21 @@ def fit(cfg: dict, run_dir, stage: str, ckpt_name: str, params: dict,
     start_epoch, losses = 0, []
     resumed = resume and recover_bundle(ckpt).is_dir()
     if resumed:
-        saved, opt_arrays, m = load_checkpoint(
-            ckpt, opt_step=int, rng_state=dict, epoch=int, losses=list)
+        saved, opt_arrays, m = load_checkpoint(ckpt, cfg, data_sha256,
+                                               resume=True)
         load_parameters(params, saved, ckpt)
         opt.load_state_arrays(opt_arrays, m["opt_step"])
-        _restore_rng(rng, m)
+        rng.bit_generator.state = m["rng_state"]
         start_epoch = m["epoch"] + 1
         losses = list(m["losses"])
 
     def arrays():
         return {k: t.data for k, t in params.items()}
+
+    def save(epoch, **aborted):
+        save_checkpoint(ckpt, arrays(), opt,
+                        {"config": cfg, "data_sha256": data_sha256,
+                         "epoch": epoch, "losses": losses, **aborted}, rng)
 
     for epoch in range(start_epoch, tr["epochs"]):
         batch_losses = []
@@ -180,19 +215,15 @@ def fit(cfg: dict, run_dir, stage: str, ckpt_name: str, params: dict,
             batch_losses.append(float(loss.data))
         epoch_loss = float(np.mean(batch_losses))
         if not np.isfinite(epoch_loss):
-            save_checkpoint(ckpt, arrays(), opt,
-                            {**meta, "epoch": epoch, "losses": losses,
-                             "aborted": True}, rng)
+            save(epoch, aborted=True)
             raise NumericalError(f"{stage}: non-finite loss {epoch_loss}; "
                                  f"checkpoint saved to {ckpt}")
         losses.append(epoch_loss)
         log.info("%s epoch %d/%d loss %.3e", stage, epoch + 1, tr["epochs"],
                  epoch_loss)
-        save_checkpoint(ckpt, arrays(), opt,
-                        {**meta, "epoch": epoch, "losses": losses}, rng)
+        save(epoch)
     if tr["epochs"] == 0 and not resumed:   # the initial weights
-        save_checkpoint(ckpt, arrays(), opt,
-                        {**meta, "epoch": -1, "losses": losses}, rng)
+        save(-1)
     _write_loss_log(run_dir, stage, losses)
     return ckpt
 
@@ -232,17 +263,14 @@ def train_fdunet(cfg: dict, run_dir, manifest: DatasetManifest,
     def batch_loss(idx, rng):
         return _mse(model(Tensor(x_all[idx])), Tensor(y_all[idx]))
 
-    meta = {"kind": "fdunet", "config_hash": config_hash(cfg),
-            "model_config": cfg["fd_unet"]}
     return fit(cfg, run_dir, "fdunet", "fdunet.ckpt", model.parameters(),
-               x_all.shape[0], batch_loss, meta, resume)
+               x_all.shape[0], batch_loss, manifest.data_sha256, resume)
 
 
-def load_fdunet(ckpt) -> FDUNet:
+def load_fdunet(ckpt, cfg: dict | None = None, data_sha256=None) -> FDUNet:
     """The trained enhancer, frozen for inference."""
-    params, _, meta = load_checkpoint(ckpt, model_config=dict)
-    with _rewritable(ckpt):
-        model = FDUNet(FDUNetConfig.from_dict(meta["model_config"]))
+    params, _, meta = load_checkpoint(ckpt, cfg, data_sha256)
+    model = FDUNet(FDUNetConfig.from_dict(meta["config"]["fd_unet"]))
     load_parameters(model.parameters(), params, ckpt)
     return model.freeze()
 
@@ -255,7 +283,8 @@ def emit_fdunet_outputs(cfg: dict, run_dir,
     """Run the trained enhancer over every entry; once every output is
     computed, replace the stored ``fdunet`` arrays with them. Returns
     ``manifest`` unchanged."""
-    model = load_fdunet(checkpoint(run_dir, "fdunet"))
+    model = load_fdunet(checkpoint(run_dir, "fdunet"), cfg,
+                        manifest.data_sha256)
     data_dir = Path(run_dir) / "dataset"
     lbp = initial_images(cfg, manifest, data_dir, "lbp")
     outs = np.concatenate([fd_unet_forward(model, lbp[s:s + _EMIT_BATCH])
@@ -293,20 +322,16 @@ def train_cip(cfg: dict, run_dir, manifest: DatasetManifest,
         xb = Tensor(x_all[idx])
         return _mse(ae(xb), xb)
 
-    meta = {"kind": "cip", "condition_on": condition_on,
-            "config_hash": config_hash(cfg),
-            "layer_dims": list(cfg["cip"]["layer_dims"])}
     stage = f"cip_{condition_on}"
     # the decoder is pretraining scaffolding, checkpointed so resume works
     return fit(cfg, run_dir, stage, f"{stage}.ckpt", ae.parameters(),
-               x_all.shape[0], batch_loss, meta, resume)
+               x_all.shape[0], batch_loss, manifest.data_sha256, resume)
 
 
-def load_cip_encoder(ckpt) -> CIPEncoder:
+def load_cip_encoder(ckpt, cfg: dict | None = None, data_sha256=None):
     """The pretrained encoder, left trainable: the denoiser stage tunes it."""
-    params, _, meta = load_checkpoint(ckpt, layer_dims=list)
-    with _rewritable(ckpt):
-        ae = CIPAutoencoder(meta["layer_dims"])
+    params, _, meta = load_checkpoint(ckpt, cfg, data_sha256)
+    ae = CIPAutoencoder(meta["config"]["cip"]["layer_dims"])
     load_parameters(ae.parameters(), params, ckpt)
     return ae.enc
 
@@ -328,12 +353,7 @@ def train_diffusion(cfg: dict, run_dir, manifest: DatasetManifest,
     cip_ckpt = checkpoint(run_dir, f"cip_{condition_on}")
     sched = schedule_from_config(cfg)
     model = ConditionalDenoiser(DenoiserConfig.from_dict(cfg["denoiser"]))
-    encoder = load_cip_encoder(cip_ckpt)
-    if encoder.layer_dims != tuple(cfg["cip"]["layer_dims"]):
-        raise PrerequisiteError(
-            f"{cip_ckpt} has layer_dims {list(encoder.layer_dims)}, the "
-            f"config {cfg['cip']['layer_dims']}; run 'train cip "
-            f"--condition-on {condition_on}' first")
+    encoder = load_cip_encoder(cip_ckpt, cfg, manifest.data_sha256)
 
     cond_flat, grid = _cond_patches(cfg, manifest, data_dir, condition_on)
     gt = _train_phantoms(cfg, manifest, data_dir)
@@ -348,29 +368,19 @@ def train_diffusion(cfg: dict, run_dir, manifest: DatasetManifest,
         cond_vec = encoder(Tensor(cond_flat[idx]))
         return _mse(model(Tensor(xt), cond_vec, t_batch), Tensor(eps))
 
-    meta = {"kind": "denoiser", "condition_on": condition_on,
-            "config_hash": config_hash(cfg),
-            "denoiser_config": cfg["denoiser"],
-            "cip_layer_dims": list(encoder.layer_dims),
-            "schedule": cfg["schedule"],
-            "patch": {"h": grid.patch_h, "w": grid.patch_w}}
     return fit(cfg, run_dir, f"diffusion_{condition_on}",
                f"denoiser_{condition_on}.ckpt",
                _joint_parameters(model, encoder), x0_all.shape[0],
-               batch_loss, meta, resume)
+               batch_loss, manifest.data_sha256, resume)
 
 
-def load_denoiser(ckpt):
+def load_denoiser(ckpt, cfg: dict | None = None, data_sha256=None):
     """Returns (denoiser, jointly tuned conditioning encoder, schedule,
     (patch_h, patch_w)); both networks are frozen for inference."""
-    params, _, meta = load_checkpoint(
-        ckpt, denoiser_config=dict, cip_layer_dims=list, schedule=dict,
-        patch=dict)
-    with _rewritable(ckpt):
-        model = ConditionalDenoiser(DenoiserConfig.from_dict(
-            meta["denoiser_config"]))
-        encoder = CIPEncoder(meta["cip_layer_dims"], np.random.default_rng(0))
-        schedule = schedule_from_config(meta)
+    params, _, meta = load_checkpoint(ckpt, cfg, data_sha256)
+    stored = meta["config"]
+    model = ConditionalDenoiser(DenoiserConfig.from_dict(stored["denoiser"]))
+    encoder = CIPEncoder(stored["cip"]["layer_dims"], np.random.default_rng(0))
     load_parameters(_joint_parameters(model, encoder), params, ckpt)
-    return (model.freeze(), encoder.freeze(), schedule,
-            (meta["patch"]["h"], meta["patch"]["w"]))
+    return (model.freeze(), encoder.freeze(), schedule_from_config(stored),
+            (stored["patch"]["h"], stored["patch"]["w"]))

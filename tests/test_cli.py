@@ -1,17 +1,19 @@
 """One method dispatch: ``oatdar reconstruct`` and ``oatdar eval`` agree on
 every method, and bad methods, step counts, eta, list flags, geometries,
 grids too small for a phantom, unbounded branch depths, input files,
-all-zero phantoms to add noise to, checkpoints that do not fit their model
-and denoisers trained on another schedule than the config's exit with a
-config error, and a misspelt ``eval --split`` with the parser's usage error
-(also 2); a missing dataset or checkpoint, an empty train split or a
-missing enhancer output exits with a prerequisite error, as does a CIP
-checkpoint of other widths; a non-finite enhancer or an aborted checkpoint
-exits with a numerical error; ``run-all`` is bit-reproducible. A checkpoint
-whose model config holds a key the config no longer has, an output flag or
-report path that cannot be written, a corrupt dataset file read by
-``train`` or ``eval`` and a corrupt checkpoint exit with a config error
-too."""
+all-zero phantoms to add noise to and checkpoints that do not fit their
+model exit with a config error, and a misspelt ``eval --split`` with the
+parser's usage error (also 2); a missing dataset or checkpoint, an empty
+train split or a missing enhancer output exits with a prerequisite error
+(3), and so does a checkpoint of another model config than the run's (a
+denoiser of another schedule, a CIP checkpoint of other widths) or of
+other data than the run's dataset, and a resume under other training or
+dataset values; a non-finite enhancer or an aborted checkpoint exits with
+a numerical error; ``run-all`` is bit-reproducible. A checkpoint whose
+config holds a key the config no longer has, or that the config rules
+refuse, an output flag or report path that cannot be written, a corrupt
+dataset file read by ``train`` or ``eval`` and a corrupt checkpoint exit
+with a config error too."""
 
 import json
 import logging
@@ -28,6 +30,7 @@ import pytest
 from oatdar import cli, pipeline, training
 from oatdar.config import geometry_from_config, load_config
 from oatdar.dataset import DatasetManifest, derive_seed, entry_file
+from oatdar.errors import PrerequisiteError
 from oatdar.metrics import psnr
 from oatdar.operator import build_forward_operator
 from oatdar.pipeline import METHODS
@@ -85,9 +88,9 @@ def test_eval_reads_the_enhancer_checkpoint_once(tiny_run, monkeypatch):
     common, data_dir, *_ = tiny_run
     calls = []
 
-    def load_fdunet(ckpt):
+    def load_fdunet(ckpt, *run):
         calls.append(ckpt)
-        return training.load_fdunet(ckpt)
+        return training.load_fdunet(ckpt, *run)
 
     monkeypatch.setattr(pipeline, "load_fdunet", load_fdunet)
     report = pipeline.evaluate_methods(
@@ -134,15 +137,14 @@ def test_missing_checkpoint_exits_3_naming_its_command(
 
 
 @pytest.mark.parametrize("argv", [
-    ["reconstruct", "fdunet"],
-    ["train", "fdunet", "--resume", "--set", "fd_unet.growth=8"],
+    ["reconstruct", "fdunet"], ["train", "fdunet", "--resume"],
 ], ids=["reconstruct", "resume"])
 def test_checkpoint_not_matching_its_model_exits_2(tiny_run, tmp_path, argv):
-    """The enhancer checkpoint's meta says growth 8, its arrays growth 10;
-    resuming configures growth 8 too."""
+    """The enhancer checkpoint's config says growth 8, its arrays growth 10;
+    the run configures growth 8 too."""
     common, data_dir, entry, *_ = tiny_run
     arrays, meta = read_bundle(data_dir.parent / "checkpoints" / "fdunet.ckpt")
-    meta["model_config"]["growth"] = 8
+    meta["config"]["fd_unet"]["growth"] = 8
     run = tmp_path / "run"
     ckpt = write_bundle(run / "checkpoints" / "fdunet.ckpt", arrays, meta)
     shutil.copytree(data_dir, run / "dataset")
@@ -150,7 +152,8 @@ def test_checkpoint_not_matching_its_model_exits_2(tiny_run, tmp_path, argv):
     out = tmp_path / "out.oatd"
     io = (["--sino", _sino(data_dir, entry), "--out", str(out)]
           if argv[0] == "reconstruct" else [])
-    assert cli.main([*argv, *common[:2], "--run-dir", str(run), *io]) == 2
+    assert cli.main([*argv, *common[:2], "--run-dir", str(run), *io,
+                     "--set", "fd_unet.growth=8"]) == 2
     assert {f.name: f.read_bytes() for f in ckpt.iterdir()} == saved
     assert not out.exists()
 
@@ -216,21 +219,24 @@ def test_bad_method_nis_or_eta_exits_2(tiny_run, tmp_path, monkeypatch,
 
 
 @pytest.mark.parametrize("command", ["eval", "reconstruct"])
-def test_denoiser_of_another_schedule_exits_2(tiny_run, tmp_path, caplog,
+def test_denoiser_of_another_schedule_exits_3(tiny_run, tmp_path, caplog,
                                               command):
     """The denoisers were trained at T = 20; a config at T = 40 would sample
-    with the checkpoint's schedule under the config's hash."""
+    with the checkpoint's schedule under the config's hash. dar_lbp reads
+    only its denoiser; dar would first refuse the enhancer, also T = 20."""
     common, data_dir, entry, *_ = tiny_run
     sino = _sino(data_dir, entry)
-    argv = (["eval", "--methods", "dar", "--nis", "10"] if command == "eval"
-            else ["reconstruct", "dar", "--sino", sino,
-                  "--set", "inference.nis=10"])
+    argv = (["eval", "--methods", "dar_lbp", "--nis", "10"]
+            if command == "eval" else
+            ["reconstruct", "dar_lbp", "--sino", sino,
+             "--set", "inference.nis=10"])
     out = tmp_path / "out"
     with caplog.at_level(logging.ERROR, logger="oatdar"):
         assert cli.main([*argv, *common, "--set", f"schedule.T={2 * T}",
-                         "--out", str(out)]) == 2
-    assert f"T={T}," in caplog.text and f"T={2 * T}," in caplog.text
-    assert "'train diffusion --condition-on fdunet'" in caplog.text
+                         "--out", str(out)]) == 3
+    assert (f"denoiser_lbp.ckpt was trained with schedule.T={T}, this run "
+            f"has schedule.T={2 * T}") in caplog.text
+    assert "'train diffusion --condition-on lbp'" in caplog.text
     assert not out.exists()
 
 
@@ -421,10 +427,74 @@ def test_cip_checkpoint_of_other_layer_dims_exits_3(tiny_run, tmp_path,
     assert "'train cip --condition-on lbp'" in caplog.text
 
 
+@pytest.mark.parametrize("sets, key", [
+    (["training.learning_rate=1e-2", "training.batch_size=2"],
+     "training.learning_rate"),
+    (["dataset.snr_db_range=[10.0,80.0]"], "dataset.snr_db_range"),
+], ids=["learning-rate-and-batch-size", "dataset"])
+def test_resume_under_another_config_exits_3(tiny_run, tmp_path, caplog,
+                                             sets, key):
+    """A resume continues the run its checkpoint holds: under other
+    training values (but epochs) or dataset values it would mix two runs in
+    one checkpoint, so it leaves the checkpoint as it is."""
+    common, data_dir, *_ = tiny_run
+    run = tmp_path / "run"
+    shutil.copytree(data_dir.parent / "checkpoints", run / "checkpoints")
+    shutil.copytree(data_dir, run / "dataset")
+    ckpt = run / "checkpoints" / "fdunet.ckpt"
+    saved = {f.name: f.read_bytes() for f in ckpt.iterdir()}
+    flags = [arg for kv in sets for arg in ("--set", kv)]
+    with caplog.at_level(logging.ERROR, logger="oatdar"):
+        assert cli.main(["train", "fdunet", "--resume", *common[:2],
+                         "--run-dir", str(run), *flags]) == 3
+    assert f"{ckpt} was trained with {key}=" in caplog.text
+    assert "'train fdunet'" in caplog.text
+    assert {f.name: f.read_bytes() for f in ckpt.iterdir()} == saved
+
+
+@pytest.mark.parametrize("stage, ckpt, command", [
+    ("eval", "fdunet.ckpt", "train fdunet"),
+    ("emit", "fdunet.ckpt", "train fdunet"),
+    ("train-diffusion", "cip_lbp.ckpt", "train cip --condition-on lbp"),
+])
+def test_checkpoint_of_other_data_exits_3(tiny_run, tmp_path, caplog, stage,
+                                          ckpt, command):
+    """After a rebuild on another seed the checkpoints hold models of data
+    the run no longer has: each stage that reads one with the dataset
+    refuses it, naming both data hashes and the command to rerun."""
+    common, data_dir, *_ = tiny_run
+    run = tmp_path / "run"
+    shutil.copytree(data_dir.parent / "checkpoints", run / "checkpoints")
+    shutil.copytree(data_dir, run / "dataset")
+    argv = [*common[:2], "--run-dir", str(run),
+            "--set", "dataset.master_seed=8"]
+    assert cli.main(["dataset", "build", "--force", *argv]) == 0
+    old = DatasetManifest.read(data_dir).data_sha256
+    manifest = DatasetManifest.read(run / "dataset")
+    out = tmp_path / "report"
+    if stage == "emit":
+        cfg = load_config(common[1], {"dataset": {"master_seed": 8}})
+        with pytest.raises(PrerequisiteError) as exc:
+            training.emit_fdunet_outputs(cfg, run, manifest)
+        text = str(exc.value)
+    else:
+        stage_argv = (["eval", "--methods", "fdunet", "--out", str(out)]
+                      if stage == "eval" else
+                      ["train", "diffusion", "--condition-on", "lbp"])
+        with caplog.at_level(logging.ERROR, logger="oatdar"):
+            assert cli.main([*stage_argv, *argv]) == 3
+        text = caplog.text
+    assert (f"{run / 'checkpoints' / ckpt} was trained with data_sha256={old}"
+            f", this run has data_sha256={manifest.data_sha256}") in text
+    assert f"'{command}'" in text
+    assert not out.exists()
+    assert not list((run / "dataset").glob("fdunet_*"))
+
+
 @pytest.mark.parametrize("ckpt, section, key, command", [
-    pytest.param("fdunet.ckpt", "model_config", "seed", "train fdunet",
+    pytest.param("fdunet.ckpt", "fd_unet", "seed", "train fdunet",
                  id="fdunet"),
-    pytest.param("denoiser_fdunet.ckpt", "denoiser_config", "norm_groups",
+    pytest.param("denoiser_fdunet.ckpt", "denoiser", "norm_groups",
                  "train diffusion --condition-on fdunet", id="denoiser"),
 ])
 def test_checkpoint_of_a_removed_model_key_exits_2(tiny_run, tmp_path, caplog,
@@ -438,14 +508,14 @@ def test_checkpoint_of_a_removed_model_key_exits_2(tiny_run, tmp_path, caplog,
     shutil.copytree(data_dir, run / "dataset")
     bundle = run / "checkpoints" / ckpt / "bundle.json"
     manifest = json.loads(bundle.read_text())
-    manifest["meta"][section][key] = 100
+    manifest["meta"]["config"][section][key] = 100
     bundle.write_text(json.dumps(manifest))
     out = tmp_path / "report"
     with caplog.at_level(logging.ERROR, logger="oatdar"):
         assert cli.main(["eval", *common[:2], "--run-dir", str(run),
                          "--out", str(out)]) == 2
     assert str(run / "checkpoints" / ckpt) in caplog.text
-    assert f"unknown key '{key}'" in caplog.text
+    assert f"unknown config key: {section}.{key}" in caplog.text
     assert f"'{command}'" in caplog.text
     assert not out.exists()
 
@@ -512,32 +582,54 @@ def test_corrupt_dataset_file_exits_2(tiny_run, tmp_path, caplog, command):
                  "bundle.json", "train fdunet", id="train-resume"),
     pytest.param(["train", "diffusion"], "cip_fdunet.ckpt", "bundle.json",
                  "train cip --condition-on fdunet", id="train-diffusion"),
-    # a dict edits the checkpoint's meta; None deletes the key
+    # a dict sets the checkpoint's meta value at each dotted key; None
+    # deletes the key
     pytest.param(["eval", "--methods", "fdunet"], "fdunet.ckpt",
-                 {"model_config": None}, "train fdunet",
+                 {"config": None, "data_sha256": None}, "train fdunet",
+                 id="eval-old-format"),
+    pytest.param(["eval", "--methods", "fdunet"], "fdunet.ckpt",
+                 {"config.fd_unet": None}, "train fdunet",
                  id="eval-no-model-config"),
+    pytest.param(["eval", "--methods", "fdunet"], "fdunet.ckpt",
+                 {"config.fd_unet.scales": 3}, "train fdunet",
+                 id="eval-scalar-fd-unet-scales"),
     pytest.param(["eval", "--methods", "dar_lbp"], "denoiser_lbp.ckpt",
-                 {"patch": None}, "train diffusion --condition-on lbp",
+                 {"config.patch": None}, "train diffusion --condition-on lbp",
                  id="eval-no-patch"),
     pytest.param(["eval", "--methods", "dar_lbp"], "denoiser_lbp.ckpt",
-                 {"schedule": None}, "train diffusion --condition-on lbp",
+                 {"config.patch": {}}, "train diffusion --condition-on lbp",
+                 id="eval-empty-patch"),
+    pytest.param(["eval", "--methods", "dar_lbp"], "denoiser_lbp.ckpt",
+                 {"config.schedule": None}, "train diffusion --condition-on lbp",
                  id="eval-no-schedule"),
+    pytest.param(["eval", "--methods", "dar_lbp"], "denoiser_lbp.ckpt",
+                 {"config.schedule.T": None},
+                 "train diffusion --condition-on lbp",
+                 id="eval-schedule-without-T"),
     pytest.param(["train", "diffusion", "--condition-on", "lbp"],
-                 "cip_lbp.ckpt", {"layer_dims": None},
+                 "cip_lbp.ckpt", {"config.cip.layer_dims": None},
                  "train cip --condition-on lbp",
                  id="train-diffusion-no-layer-dims"),
+    pytest.param(["train", "diffusion", "--condition-on", "lbp"],
+                 "cip_lbp.ckpt", {"config.cip.layer_dims": ["a", "b"]},
+                 "train cip --condition-on lbp",
+                 id="train-diffusion-string-layer-dims"),
     pytest.param(["train", "fdunet", "--resume"], "fdunet.ckpt",
                  {"opt_step": None}, "train fdunet",
                  id="train-resume-no-opt-step"),
     pytest.param(["train", "fdunet", "--resume"], "fdunet.ckpt",
                  {"rng_state": 3}, "train fdunet",
                  id="train-resume-bad-rng-state"),
+    pytest.param(["train", "fdunet", "--resume"], "fdunet.ckpt",
+                 {"rng_state": {}}, "train fdunet",
+                 id="train-resume-empty-rng-state"),
 ])
 def test_corrupt_checkpoint_exits_2(tiny_run, tmp_path, caplog, argv, ckpt,
                                    junk, command):
-    """A junk array file, a bundle.json that is not UTF-8, or a meta
-    without a value its reader needs, in a checkpoint names the checkpoint
-    and the command that rewrites it."""
+    """A junk array file, a bundle.json that is not UTF-8, a meta without a
+    config or with one the config rules refuse, or a resume state of other
+    types, in a checkpoint names the checkpoint and the command that
+    rewrites it."""
     common, data_dir, entry, *_ = tiny_run
     run = tmp_path / "run"
     shutil.copytree(data_dir.parent / "checkpoints", run / "checkpoints")
@@ -547,8 +639,14 @@ def test_corrupt_checkpoint_exits_2(tiny_run, tmp_path, caplog, argv, ckpt,
         (bundle / junk).write_bytes(b"\xffjunk")
     else:
         manifest = json.loads((bundle / "bundle.json").read_text())
-        manifest["meta"] = {k: v for k, v in {**manifest["meta"],
-                                              **junk}.items() if v is not None}
+        for dotted, value in junk.items():
+            *path, key = dotted.split(".")
+            node = manifest["meta"]
+            for k in path:
+                node = node[k]
+            node.pop(key)
+            if value is not None:
+                node[key] = value
         (bundle / "bundle.json").write_text(json.dumps(manifest))
     out = tmp_path / "out"
     io = {"eval": ["--out", str(out)], "train": [],

@@ -109,3 +109,24 @@ def test_build_stores_no_initial_reconstruction(tmp_path, force):
             digest.update(entry_file(data, kind, e.index).read_bytes())
     assert manifest.data_sha256 == digest.hexdigest()
     assert DatasetManifest.read(data) == manifest
+
+
+def test_build_under_another_training_config_reuses_the_dataset(tmp_path):
+    """The manifest's config hash covers only the sections a build reads:
+    a build under another learning rate keeps every file, and one under
+    another master seed still needs ``force``."""
+    def cfg(section=None, key=None, value=None):
+        out = load_config(None, {"profile": "desk",
+                                 "dataset": {"train": 2, "val": 0, "test": 0}})
+        if section:
+            out[section][key] = value
+        return out
+
+    first = build_dataset(cfg(), tmp_path)
+    data = tmp_path / "dataset"
+    stored = {f.name: f.read_bytes() for f in data.iterdir()}
+    assert build_dataset(cfg("training", "learning_rate", 1e-3),
+                         tmp_path) == first
+    assert {f.name: f.read_bytes() for f in data.iterdir()} == stored
+    with pytest.raises(ConfigError, match="use force"):
+        build_dataset(cfg("dataset", "master_seed", 8), tmp_path)

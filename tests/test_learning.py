@@ -43,7 +43,7 @@ def _final_loss(tmp_path, stage, params, loss):
                         "batch_size": 1},
            "dataset": {"master_seed": 0}}
     training.fit(cfg, tmp_path, stage, f"{stage}.ckpt", params, STEPS[stage],
-                 lambda idx, rng: loss(), {})
+                 lambda idx, rng: loss(), "fixed batch")
     return float(loss().data)
 
 

@@ -30,6 +30,10 @@ TINY = {"profile": "desk", "dataset": {"train": 3, "val": 0, "test": 0},
         "training": {"batch_size": 2}}
 
 
+# the data_sha256 the probe checkpoints of ``training.fit`` record
+PROBE_DATA = "probe data"
+
+
 def _cfg(epochs):
     return load_config(None, {**TINY, "training": {**TINY["training"],
                                                    "epochs": epochs}})
@@ -86,6 +90,10 @@ def test_resume_reproduces_uninterrupted_training(base_run, tmp_path, block,
     arrays_a, meta_a = read_bundle(ckpt_a)
     arrays_b, meta_b = read_bundle(ckpt_b)
     assert meta_a["epoch"] == 1 and len(meta_a["losses"]) == 2
+    assert sorted(meta_a) == ["config", "data_sha256", "epoch", "losses",
+                              "opt_step", "rng_state"]
+    assert meta_a["config"] == _cfg(2)
+    assert meta_a["data_sha256"] == manifest.data_sha256
     assert meta_a == meta_b
     assert sorted(arrays_a) == sorted(arrays_b)
     assert any(k.startswith("o.") for k in arrays_a)
@@ -103,7 +111,7 @@ def test_non_finite_loss_saves_aborted_checkpoint(tmp_path):
 
     with pytest.raises(NumericalError, match="non-finite loss"):
         training.fit(_cfg(2), tmp_path, "fdunet", "probe.ckpt", {"w": w}, 4,
-                     batch_loss, {"kind": "probe"})
+                     batch_loss, PROBE_DATA)
     arrays, meta = read_bundle(tmp_path / "checkpoints" / "probe.ckpt")
     assert meta["aborted"] and meta["epoch"] == 0 and meta["losses"] == []
     assert np.array_equal(arrays["p.w"], w.data)
@@ -115,13 +123,12 @@ def test_resume_refuses_an_aborted_checkpoint(tmp_path):
     with pytest.raises(NumericalError, match="non-finite loss"):
         training.fit(_cfg(2), tmp_path, "fdunet", "probe.ckpt", {"w": w}, 4,
                      lambda idx, rng: ad.add(ad.sum_(w), np.float32(np.inf)),
-                     {"kind": "probe"})
+                     PROBE_DATA)
     ckpt = tmp_path / "checkpoints" / "probe.ckpt"
     saved = {f.name: f.read_bytes() for f in ckpt.iterdir()}
     with pytest.raises(NumericalError, match="without --resume"):
         training.fit(_cfg(2), tmp_path, "fdunet", "probe.ckpt", {"w": w}, 4,
-                     lambda idx, rng: ad.sum_(w), {"kind": "probe"},
-                     resume=True)
+                     lambda idx, rng: ad.sum_(w), PROBE_DATA, resume=True)
     assert {f.name: f.read_bytes() for f in ckpt.iterdir()} == saved
 
 
@@ -129,11 +136,12 @@ def test_resume_rejects_a_checkpoint_of_another_model(tmp_path):
     w = ad.Tensor(np.ones(3, dtype=np.float32), requires_grad=True)
     training.save_checkpoint(tmp_path / "checkpoints" / "probe.ckpt",
                              {"v": w.data}, OptimizerState(),
-                             {"epoch": 0, "losses": []},
+                             {"config": _cfg(2), "data_sha256": PROBE_DATA,
+                              "epoch": 0, "losses": []},
                              np.random.default_rng(0))
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="do not fit the model"):
         training.fit(_cfg(2), tmp_path, "fdunet", "probe.ckpt", {"w": w}, 4,
-                     lambda idx, rng: ad.sum_(w), {}, resume=True)
+                     lambda idx, rng: ad.sum_(w), PROBE_DATA, resume=True)
 
 
 def test_resume_continues_from_a_checkpoint_left_mid_swap(tmp_path, caplog):
@@ -144,7 +152,7 @@ def test_resume_continues_from_a_checkpoint_left_mid_swap(tmp_path, caplog):
     def run(epochs, resume):
         return training.fit(_cfg(epochs), tmp_path, "fdunet", "probe.ckpt",
                             {"w": w}, 4, lambda idx, rng: ad.sum_(w),
-                            {"kind": "probe"}, resume=resume)
+                            PROBE_DATA, resume=resume)
 
     ckpt = run(2, False)
     saved = read_bundle(ckpt)[1]["losses"]
@@ -304,19 +312,3 @@ def test_emit_replaces_every_output_and_leaves_the_manifest(base_run,
     lbp = training.initial_images(cfg, manifest, data_dir, "lbp")
     model = training.load_fdunet(run / "checkpoints" / "fdunet.ckpt")
     assert np.array_equal(stored, normalize01(fd_unet_forward(model, lbp)))
-
-
-def test_denoiser_checkpoint_with_sigma_mode_loads(base_run, tmp_path):
-    """Checkpoints written while the schedule carried ``sigma_mode`` load
-    into the same schedule."""
-    base, manifest = base_run
-    run = _copy_run(base, tmp_path / "run")
-    ckpt = training.train_diffusion(_cfg(0), run, manifest, "lbp")
-    _, _, want, _ = training.load_denoiser(ckpt)
-    bundle = json.loads((ckpt / "bundle.json").read_text())
-    bundle["meta"]["schedule"]["sigma_mode"] = "beta"
-    (ckpt / "bundle.json").write_text(json.dumps(bundle))
-    _, _, sched, _ = training.load_denoiser(ckpt)
-    assert sched.T == want.T == 20
-    assert np.array_equal(sched.beta, want.beta)
-    assert np.array_equal(sched.alpha_bar, want.alpha_bar)
