@@ -8,8 +8,8 @@ completeness, not exercised by the test suite).
 
 A value the program sets one way is a constant where it is used, not a key:
 ``optim.ADAM_BETA1``/``ADAM_BETA2``, ``models.FDUNET_SEED``/``CIP_SEED``/
-``DENOISER_SEED``/``ATTENTION_HEADS``, ``layers.NORM_GROUPS`` and
-``phantoms.MAX_ATTEMPTS``.
+``DENOISER_SEED``/``ATTENTION_HEADS``/``CIP_LAYERS``, ``layers.NORM_GROUPS``
+and ``phantoms.MAX_ATTEMPTS``.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from .diffusion import (check_eta, make_inference_timesteps,
                         schedule_from_config)
 from .errors import ConfigError, blame
 from .geometry import ImagingGeometry
-from .models import DenoiserConfig, FDUNetConfig, check_layer_dims
+from .models import CIP_LAYERS, DenoiserConfig, FDUNetConfig, check_layer_dims
 from .operator import check_tikhonov
 from .optim import OptimizerState
 from .phantoms import PhantomParams
@@ -49,7 +49,6 @@ def desk_config() -> dict:
         "patch": {"h": 16, "w": 16},
         "fd_unet": {"scales": [12, 24, 48], "growth": 10,
                     "layers_per_block": 3},
-        "cip": {"layer_dims": [256, 192, 128, 64]},
         "denoiser": {"scales": [16, 32, 64], "resblocks_per_scale": 1,
                      "cond_dim": 64, "cond_tokens": 8, "time_embed_dim": 64},
         "training": {"learning_rate": 1e-4, "epochs": 20, "batch_size": 16},
@@ -73,7 +72,6 @@ def paper_config() -> dict:
         "patch": {"h": 64, "w": 64},
         "fd_unet": {"scales": [64, 128, 256], "growth": 16,
                     "layers_per_block": 4},
-        "cip": {"layer_dims": [4096, 3072, 2048, 1024]},
         "denoiser": {"scales": [128, 256, 512, 1024],
                      "resblocks_per_scale": 2, "cond_dim": 1024,
                      "cond_tokens": 16, "time_embed_dim": 128},
@@ -85,8 +83,7 @@ def paper_config() -> dict:
 _PROFILES = {"desk": desk_config, "paper": paper_config}
 # the sections that define a checkpoint's model: a run reads a checkpoint
 # only if its config equals the checkpoint's in these
-MODEL_SECTIONS = ("geometry", "schedule", "patch", "fd_unet", "cip",
-                  "denoiser")
+MODEL_SECTIONS = ("geometry", "schedule", "patch", "fd_unet", "denoiser")
 # the sections a dataset build reads: the manifest's config hash covers them
 DATA_SECTIONS = ("geometry", "phantom", "dataset")
 
@@ -185,11 +182,7 @@ def validate_config(cfg: dict):
     PhantomParams.from_dict({**cfg["phantom"], "seed": 0})
     den = DenoiserConfig.from_dict(cfg["denoiser"])
     fd = FDUNetConfig.from_dict(cfg["fd_unet"])
-    cip_dims = check_layer_dims(cfg["cip"]["layer_dims"])
-    if cip_dims[0] != ph * pw:
-        raise ConfigError(f"cip input dim {cip_dims[0]} != patch size {ph*pw}")
-    if cip_dims[-1] != den.cond_dim:
-        raise ConfigError("cip output dim must equal denoiser cond_dim")
+    check_layer_dims(cip_widths(cfg))
     # each UNet halves its input once per scale after the first
     for block, (h, w), n in (("denoiser", (ph, pw), len(den.scales)),
                              ("fd_unet", geom.image_shape, len(fd.scales))):
@@ -218,6 +211,12 @@ def validate_config(cfg: dict):
     for where, seed in seeds.items():
         if seed < 0:
             raise ConfigError(f"{where} must be >= 0, got {seed}")
+
+
+def cip_widths(cfg: dict) -> tuple:
+    """The CIP's widths: a patch's pixels narrowed to ``denoiser.cond_dim``."""
+    p, c = cfg["patch"]["h"] * cfg["patch"]["w"], cfg["denoiser"]["cond_dim"]
+    return tuple(p - i * (p - c) // CIP_LAYERS for i in range(CIP_LAYERS + 1))
 
 
 def geometry_from_config(cfg: dict) -> ImagingGeometry:

@@ -21,6 +21,7 @@ from .layers import (PARAM_DTYPE, Conv2d, CrossAttentionBlock, GroupNorm,
 
 FDUNET_SEED = 100     # initial-weight seed of the enhancer
 CIP_SEED = 200        # ... of the conditioning autoencoder
+CIP_LAYERS = 3        # linear layers of the conditioning encoder
 DENOISER_SEED = 300   # ... of the denoiser
 ATTENTION_HEADS = 4   # heads of every denoiser cross-attention block
 
@@ -55,7 +56,7 @@ def check_layer_dims(layer_dims) -> tuple:
     dims = tuple(int(d) for d in layer_dims)
     if len(dims) < 2 or dims[-1] < 1 or any(
             a <= b for a, b in zip(dims, dims[1:])):
-        raise ConfigError(f"layer_dims must strictly decrease to >= 1: {dims}")
+        raise ConfigError(f"CIP widths must strictly decrease to >= 1: {dims}")
     return dims
 
 

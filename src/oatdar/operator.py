@@ -140,7 +140,10 @@ def build_forward_operator(geometry: ImagingGeometry,
     return op
 
 
-def _spectral_gain(op: ForwardOperator, iters: int = 30) -> float:
+_GAIN_ITERS = 30  # power-iteration steps of _spectral_gain
+
+
+def _spectral_gain(op: ForwardOperator) -> float:
     """1 / (power-iteration estimate of the unnormalized spectral norm).
 
     A fixed all-ones start and step count make the gain a deterministic
@@ -150,7 +153,7 @@ def _spectral_gain(op: ForwardOperator, iters: int = 30) -> float:
     op = replace(op, output_scale=1.0)
     v = np.full(op.n_cols, 1.0 / np.sqrt(op.n_cols))
     sigma = 0.0
-    for _ in range(iters):
+    for _ in range(_GAIN_ITERS):
         w = op.apply_vec(v)
         sigma = float(np.linalg.norm(w))
         if sigma == 0.0:

@@ -33,7 +33,8 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .config import MODEL_SECTIONS, checked_config, geometry_from_config
+from .config import (MODEL_SECTIONS, checked_config, cip_widths,
+                     geometry_from_config)
 from .dataset import DatasetManifest, entry_file, load_images
 from .diffusion import q_sample, scale_to_model, schedule_from_config
 from .errors import ConfigError, NumericalError, PrerequisiteError, blame
@@ -93,6 +94,11 @@ def load_checkpoint(path, cfg: dict | None = None, data_sha256=None,
                                          for k in _RESUME_FORM}):
             raise ConfigError("its meta holds no epoch, losses, opt_step "
                               "and PCG64 rng_state")
+        rng = meta["rng_state"]
+        if not (all(0 <= v < 2**128 for v in rng["state"].values())
+                and 0 <= rng["uinteger"] < 2**32
+                and rng["has_uint32"] in (0, 1)):
+            raise ConfigError("its rng_state is out of PCG64's range")
     if meta.get("aborted"):
         raise NumericalError(f"{path} was saved by a run aborted on a "
                              "non-finite loss; retrain it without --resume")
@@ -301,11 +307,17 @@ def emit_fdunet_outputs(cfg: dict, run_dir,
 # ---------------------------------------------------------------------------
 
 
-def _cond_patches(cfg, manifest, data_dir, condition_on):
-    """Flattened float32 training patches ``(N * P, ph * pw)`` and grid."""
+def _cond_patches(cfg, run_dir, manifest, condition_on):
+    """Flattened float32 training patches ``(N * P, ph * pw)`` and grid. The
+    stored enhancer outputs are read only if ``fdunet.ckpt``, which wrote
+    them, matches the run (:func:`load_checkpoint`)."""
     if condition_on not in CONDITIONS:
         raise ValueError(f"condition_on must be one of {CONDITIONS}")
-    imgs = initial_images(cfg, manifest, data_dir, condition_on, "train")
+    if condition_on == "fdunet":
+        load_checkpoint(checkpoint(run_dir, "fdunet"), cfg,
+                        manifest.data_sha256)
+    imgs = initial_images(cfg, manifest, Path(run_dir) / "dataset",
+                          condition_on, "train")
     grid = PatchGrid.for_image(imgs.shape[1:], cfg["patch"]["h"],
                                cfg["patch"]["w"])
     flat = split_patches(imgs, grid).reshape(-1, grid.patch_h * grid.patch_w)
@@ -314,9 +326,8 @@ def _cond_patches(cfg, manifest, data_dir, condition_on):
 
 def train_cip(cfg: dict, run_dir, manifest: DatasetManifest,
               condition_on: str, resume: bool = False) -> Path:
-    ae = CIPAutoencoder(cfg["cip"]["layer_dims"])
-    x_all, _ = _cond_patches(cfg, manifest, Path(run_dir) / "dataset",
-                             condition_on)
+    ae = CIPAutoencoder(cip_widths(cfg))
+    x_all, _ = _cond_patches(cfg, run_dir, manifest, condition_on)
 
     def batch_loss(idx, rng):
         xb = Tensor(x_all[idx])
@@ -331,7 +342,7 @@ def train_cip(cfg: dict, run_dir, manifest: DatasetManifest,
 def load_cip_encoder(ckpt, cfg: dict | None = None, data_sha256=None):
     """The pretrained encoder, left trainable: the denoiser stage tunes it."""
     params, _, meta = load_checkpoint(ckpt, cfg, data_sha256)
-    ae = CIPAutoencoder(meta["config"]["cip"]["layer_dims"])
+    ae = CIPAutoencoder(cip_widths(meta["config"]))
     load_parameters(ae.parameters(), params, ckpt)
     return ae.enc
 
@@ -355,7 +366,7 @@ def train_diffusion(cfg: dict, run_dir, manifest: DatasetManifest,
     model = ConditionalDenoiser(DenoiserConfig.from_dict(cfg["denoiser"]))
     encoder = load_cip_encoder(cip_ckpt, cfg, manifest.data_sha256)
 
-    cond_flat, grid = _cond_patches(cfg, manifest, data_dir, condition_on)
+    cond_flat, grid = _cond_patches(cfg, run_dir, manifest, condition_on)
     gt = _train_phantoms(cfg, manifest, data_dir)
     x0_all = scale_to_model(split_patches(gt, grid).reshape(
         -1, 1, grid.patch_h, grid.patch_w).astype(PARAM_DTYPE))
@@ -380,7 +391,7 @@ def load_denoiser(ckpt, cfg: dict | None = None, data_sha256=None):
     params, _, meta = load_checkpoint(ckpt, cfg, data_sha256)
     stored = meta["config"]
     model = ConditionalDenoiser(DenoiserConfig.from_dict(stored["denoiser"]))
-    encoder = CIPEncoder(stored["cip"]["layer_dims"], np.random.default_rng(0))
+    encoder = CIPEncoder(cip_widths(stored), np.random.default_rng(0))
     load_parameters(_joint_parameters(model, encoder), params, ckpt)
     return (model.freeze(), encoder.freeze(), schedule_from_config(stored),
             (stored["patch"]["h"], stored["patch"]["w"]))

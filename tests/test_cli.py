@@ -6,8 +6,9 @@ model exit with a config error, and a misspelt ``eval --split`` with the
 parser's usage error (also 2); a missing dataset or checkpoint, an empty
 train split or a missing enhancer output exits with a prerequisite error
 (3), and so does a checkpoint of another model config than the run's (a
-denoiser of another schedule, a CIP checkpoint of other widths) or of
-other data than the run's dataset, and a resume under other training or
+denoiser of another schedule, a CIP checkpoint of other widths, the
+enhancer that wrote the outputs a conditioned stage reads) or of other
+data than the run's dataset, and a resume under other training or
 dataset values; a non-finite enhancer or an aborted checkpoint exits with
 a numerical error; ``run-all`` is bit-reproducible. A checkpoint whose
 config holds a key the config no longer has, or that the config rules
@@ -188,6 +189,26 @@ def test_train_cip_before_the_enhancer_exits_3(tmp_path, caplog):
         assert cli.main(["train", "cip", *common]) == 0
 
 
+def test_enhancer_outputs_of_another_config_exit_3(tiny_run, tmp_path,
+                                                   caplog):
+    """The stored enhancer outputs are fdunet.ckpt's: after 'train fdunet'
+    under another enhancer, the stages conditioned on them refuse them
+    under the run's config, naming the difference and 'train fdunet'."""
+    common, data_dir, *_ = tiny_run
+    run = tmp_path / "run"
+    shutil.copytree(data_dir.parent / "checkpoints", run / "checkpoints")
+    shutil.copytree(data_dir, run / "dataset")
+    argv = [*common[:2], "--run-dir", str(run)]
+    assert cli.main(["train", "fdunet", *argv,
+                     "--set", "fd_unet.growth=8"]) == 0
+    for block in ("cip", "diffusion"):
+        caplog.clear()
+        with caplog.at_level(logging.ERROR, logger="oatdar"):
+            assert cli.main(["train", block, *argv]) == 3
+        assert ("was trained with fd_unet.growth=8, this run has "
+                "fd_unet.growth=10; run 'train fdunet' first") in caplog.text
+
+
 @pytest.mark.parametrize("argv", [
     ["eval", "--methods", "lbp,foo"],
     ["eval", "--methods", "dar", "--nis", "0"],
@@ -307,10 +328,11 @@ def _run_cli(*argv):
 
 
 # an 8x8 grid every config rule accepts (the patch tiles it and the CIP
-# codes fit the denoiser); only the phantom renderer needs 16x16
+# narrows its 64 pixels to the denoiser's 32); only the phantom renderer
+# needs 16x16
 SMALL_GRID = ["--set", "geometry.grid_nx=8", "--set", "geometry.grid_ny=8",
               "--set", "patch.h=8", "--set", "patch.w=8",
-              "--set", "cip.layer_dims=[64,32]", "--set", "denoiser.cond_dim=32"]
+              "--set", "denoiser.cond_dim=32"]
 
 
 def test_phantom_on_a_too_small_grid_exits_2(tmp_path):
@@ -414,7 +436,8 @@ def test_aborted_checkpoint_exits_4(tiny_run, tmp_path):
 
 def test_cip_checkpoint_of_other_layer_dims_exits_3(tiny_run, tmp_path,
                                                      caplog):
-    """A valid config whose CIP widths differ from the checkpoint's."""
+    """A valid config whose patch, and so CIP widths, differ from the
+    checkpoint's."""
     common, data_dir, *_ = tiny_run
     run = tmp_path / "run"
     shutil.copytree(data_dir.parent / "checkpoints", run / "checkpoints")
@@ -422,8 +445,7 @@ def test_cip_checkpoint_of_other_layer_dims_exits_3(tiny_run, tmp_path,
     with caplog.at_level(logging.ERROR, logger="oatdar"):
         assert cli.main(["train", "diffusion", "--condition-on", "lbp",
                          *common[:2], "--run-dir", str(run),
-                         "--set", "patch.h=16", "--set", "patch.w=8",
-                         "--set", "cip.layer_dims=[128,64]"]) == 3
+                         "--set", "patch.h=16", "--set", "patch.w=8"]) == 3
     assert "'train cip --condition-on lbp'" in caplog.text
 
 
@@ -606,14 +628,12 @@ def test_corrupt_dataset_file_exits_2(tiny_run, tmp_path, caplog, command):
                  {"config.schedule.T": None},
                  "train diffusion --condition-on lbp",
                  id="eval-schedule-without-T"),
+    # the CIP widths are computed: a stored cip section is an unknown key
     pytest.param(["train", "diffusion", "--condition-on", "lbp"],
-                 "cip_lbp.ckpt", {"config.cip.layer_dims": None},
+                 "cip_lbp.ckpt",
+                 {"config.cip": {"layer_dims": [256, 192, 128, 64]}},
                  "train cip --condition-on lbp",
-                 id="train-diffusion-no-layer-dims"),
-    pytest.param(["train", "diffusion", "--condition-on", "lbp"],
-                 "cip_lbp.ckpt", {"config.cip.layer_dims": ["a", "b"]},
-                 "train cip --condition-on lbp",
-                 id="train-diffusion-string-layer-dims"),
+                 id="train-diffusion-stored-cip-section"),
     pytest.param(["train", "fdunet", "--resume"], "fdunet.ckpt",
                  {"opt_step": None}, "train fdunet",
                  id="train-resume-no-opt-step"),
@@ -623,13 +643,22 @@ def test_corrupt_dataset_file_exits_2(tiny_run, tmp_path, caplog, command):
     pytest.param(["train", "fdunet", "--resume"], "fdunet.ckpt",
                  {"rng_state": {}}, "train fdunet",
                  id="train-resume-empty-rng-state"),
+    pytest.param(["train", "fdunet", "--resume"], "fdunet.ckpt",
+                 {"rng_state.state.state": -1}, "train fdunet",
+                 id="train-resume-negative-rng-state"),
+    pytest.param(["train", "fdunet", "--resume"], "fdunet.ckpt",
+                 {"rng_state.uinteger": 2**32}, "train fdunet",
+                 id="train-resume-over-range-rng-uinteger"),
+    pytest.param(["train", "fdunet", "--resume"], "fdunet.ckpt",
+                 {"rng_state.has_uint32": 2}, "train fdunet",
+                 id="train-resume-rng-has-uint32-not-0-or-1"),
 ])
 def test_corrupt_checkpoint_exits_2(tiny_run, tmp_path, caplog, argv, ckpt,
                                    junk, command):
     """A junk array file, a bundle.json that is not UTF-8, a meta without a
     config or with one the config rules refuse, or a resume state of other
-    types, in a checkpoint names the checkpoint and the command that
-    rewrites it."""
+    types or out of the generator's range, in a checkpoint names the
+    checkpoint and the command that rewrites it."""
     common, data_dir, entry, *_ = tiny_run
     run = tmp_path / "run"
     shutil.copytree(data_dir.parent / "checkpoints", run / "checkpoints")
@@ -644,8 +673,9 @@ def test_corrupt_checkpoint_exits_2(tiny_run, tmp_path, caplog, argv, ckpt,
             node = manifest["meta"]
             for k in path:
                 node = node[k]
-            node.pop(key)
-            if value is not None:
+            if value is None:
+                node.pop(key)
+            else:
                 node[key] = value
         (bundle / "bundle.json").write_text(json.dumps(manifest))
     out = tmp_path / "out"

@@ -6,7 +6,8 @@ import logging
 import pytest
 
 from oatdar import cli
-from oatdar.config import config_hash, desk_config, load_config, paper_config
+from oatdar.config import (cip_widths, config_hash, desk_config, load_config,
+                           paper_config)
 from oatdar.errors import ConfigError
 
 
@@ -84,6 +85,8 @@ REMOVED_KEYS = {
     "denoiser.attention_heads": 4, "denoiser.norm_groups": 8,
     "phantom.max_attempts": 20,
 }
+# the key the error names where the whole section is gone
+REPORTED_KEY = {"cip.seed": "cip"}
 
 
 @pytest.mark.parametrize("key", REMOVED_KEYS)
@@ -100,15 +103,16 @@ def test_constant_settings_are_unknown_keys(tmp_path, caplog, key, given):
                          "--out", str(out)]
                         + (["--set", f"{key}={value}"] if given == "set"
                            else [])) == 2
-    assert f"unknown config key: {key}" in caplog.text
+    assert (f"unknown config key: {REPORTED_KEY.get(key, key)}\n"
+            in caplog.text)
     assert not out.exists()
 
 
 @pytest.mark.parametrize("assignment", [
     "denoiser.scales=[]", "patch.h=0", "dataset.snr_db_range=[20.0]",
-    "cip.layer_dims=[]", "denoiser.time_embed_dim=7",
+    "denoiser.cond_dim=256", "denoiser.time_embed_dim=7",
     "denoiser.cond_tokens=7", "denoiser.attention_heads=3",
-    "denoiser.norm_groups=0", "cip.layer_dims=[256,300,64]",
+    "denoiser.norm_groups=0", "denoiser.cond_dim=512",
     "fd_unet.growth=0", "fd_unet.scales=[4,4,4,4,4,4,4]",
     "phantom.n_trees=[2]", "phantom.max_attempts=0",
     "eval.tikhonov_lambda=-1", "eval.tikhonov_lambda=Infinity",
@@ -153,5 +157,16 @@ def test_negative_seed_flag_exits_2(tmp_path, capsys, argv):
 
 def test_profile_hashes_are_pinned():
     """The paper profile is the desk one plus its differences."""
-    assert config_hash(desk_config()) == "6176979ed1b6f67e"
-    assert config_hash(paper_config()) == "5a4d33c260403dde"
+    assert config_hash(desk_config()) == "c055c59eca0dd573"
+    assert config_hash(paper_config()) == "62cc18ce6f0df366"
+
+
+def test_cip_widths_narrow_the_patch_to_the_conditioning_width():
+    """Both profiles narrow a patch's pixels to ``denoiser.cond_dim`` in
+    three equal steps; a conditioning width that leaves no strictly
+    narrowing CIP for the desk's 256-pixel patch is refused."""
+    assert cip_widths(desk_config()) == (256, 192, 128, 64)
+    assert cip_widths(paper_config()) == (4096, 3072, 2048, 1024)
+    for cond_dim in (256, 512):
+        with pytest.raises(ConfigError, match="CIP widths must strictly"):
+            load_config(None, {"denoiser": {"cond_dim": cond_dim}})
