@@ -7,12 +7,12 @@ and every model loader read parameters through ``layers.load_parameters``,
 and :func:`checkpoint` is the one lookup of a checkpoint a later stage reads.
 
 A checkpoint's meta holds ``config``, the config its stage trained under,
-the ``data_sha256`` of its training data and the resume state (``epoch``,
-``losses``, ``opt_step``, ``rng_state``, ``aborted``); its models are built
-from ``config``. :func:`load_checkpoint` is the one rule: a bad meta exits
-2, and a config other than the run's in ``config.MODEL_SECTIONS`` (for a
-resume also ``training``, but epochs, and ``dataset``) or other data than
-the run's dataset exits 3.
+the ``data_sha256`` of its training data (:func:`stage_data_sha256`) and
+the resume state (``epoch``, ``losses``, ``opt_step``, ``rng_state``,
+``aborted``); its models are built from ``config``. :func:`load_checkpoint`
+is the one rule: a bad meta exits 2, and a config other than the run's in
+``config.MODEL_SECTIONS`` (for a resume also ``training``, but epochs, and
+``dataset``) or other data than the run's dataset exits 3.
 
 All stochasticity in a stage (shuffles, timestep draws, corruption noise)
 comes from a single generator whose state is checkpointed after every epoch
@@ -26,6 +26,7 @@ master seed.
 
 from __future__ import annotations
 
+import hashlib
 import logging
 from pathlib import Path
 
@@ -46,8 +47,7 @@ from .models import (CIPAutoencoder, CIPEncoder, ConditionalDenoiser,
 from .operator import build_forward_operator, reconstruct_lbp
 from .optim import OptimizerState, adam_update
 from .patches import PatchGrid, split_patches
-from .tensorfile import (read_bundle, recover_bundle, write_bundle,
-                         write_tensor)
+from .tensorfile import read_bundle, write_bundle, write_tensor
 
 log = logging.getLogger(__name__)
 
@@ -75,7 +75,8 @@ def save_checkpoint(path, params: dict, opt: OptimizerState, meta: dict,
     arrays = {f"p.{k}": np.asarray(v) for k, v in params.items()}
     arrays.update({f"o.{k}": v for k, v in opt.state_arrays().items()})
     meta = {**meta, "opt_step": opt.step, "rng_state": rng.bit_generator.state}
-    write_bundle(path, arrays, meta)
+    with blame(path):
+        write_bundle(path, arrays, meta)
     return Path(path)
 
 
@@ -130,8 +131,8 @@ def _train_command(name: str) -> str:
 def checkpoint(run_dir, name: str) -> Path:
     """``run_dir/checkpoints/<name>.ckpt``; raises :class:`PrerequisiteError`
     naming the ``train`` command that writes it when it is missing."""
-    path = recover_bundle(Path(run_dir) / "checkpoints" / f"{name}.ckpt")
-    if not path.is_dir():
+    path = Path(run_dir) / "checkpoints" / f"{name}.ckpt"
+    if not path.exists():
         raise PrerequisiteError(
             f"{path} is missing; run '{_train_command(name)}' first")
     return path
@@ -192,7 +193,7 @@ def fit(cfg: dict, run_dir, stage: str, ckpt_name: str, params: dict,
     opt = OptimizerState(tr["learning_rate"])
     rng = stage_rng(cfg["dataset"]["master_seed"], stage)
     start_epoch, losses = 0, []
-    resumed = resume and recover_bundle(ckpt).is_dir()
+    resumed = resume and ckpt.exists()
     if resumed:
         saved, opt_arrays, m = load_checkpoint(ckpt, cfg, data_sha256,
                                                resume=True)
@@ -307,10 +308,22 @@ def emit_fdunet_outputs(cfg: dict, run_dir,
 # ---------------------------------------------------------------------------
 
 
+def stage_data_sha256(run_dir, data_sha256: str, condition_on: str) -> str:
+    """The ``data_sha256`` a stage conditioned on ``condition_on`` trains
+    on, and its readers check: the dataset's ``data_sha256`` and, for the
+    enhancer's outputs, also the bytes of ``fdunet.ckpt``, which wrote them."""
+    if condition_on == "lbp":
+        return data_sha256
+    digest = hashlib.sha256(data_sha256.encode())
+    digest.update(checkpoint(run_dir, "fdunet").read_bytes())
+    return digest.hexdigest()
+
+
 def _cond_patches(cfg, run_dir, manifest, condition_on):
-    """Flattened float32 training patches ``(N * P, ph * pw)`` and grid. The
-    stored enhancer outputs are read only if ``fdunet.ckpt``, which wrote
-    them, matches the run (:func:`load_checkpoint`)."""
+    """Flattened float32 training patches ``(N * P, ph * pw)``, grid and
+    :func:`stage_data_sha256`. The stored enhancer outputs are read only if
+    ``fdunet.ckpt``, which wrote them, matches the run
+    (:func:`load_checkpoint`)."""
     if condition_on not in CONDITIONS:
         raise ValueError(f"condition_on must be one of {CONDITIONS}")
     if condition_on == "fdunet":
@@ -321,13 +334,15 @@ def _cond_patches(cfg, run_dir, manifest, condition_on):
     grid = PatchGrid.for_image(imgs.shape[1:], cfg["patch"]["h"],
                                cfg["patch"]["w"])
     flat = split_patches(imgs, grid).reshape(-1, grid.patch_h * grid.patch_w)
-    return flat.astype(PARAM_DTYPE), grid
+    return (flat.astype(PARAM_DTYPE), grid,
+            stage_data_sha256(run_dir, manifest.data_sha256, condition_on))
 
 
 def train_cip(cfg: dict, run_dir, manifest: DatasetManifest,
               condition_on: str, resume: bool = False) -> Path:
     ae = CIPAutoencoder(cip_widths(cfg))
-    x_all, _ = _cond_patches(cfg, run_dir, manifest, condition_on)
+    x_all, _, data_sha256 = _cond_patches(cfg, run_dir, manifest,
+                                          condition_on)
 
     def batch_loss(idx, rng):
         xb = Tensor(x_all[idx])
@@ -336,7 +351,7 @@ def train_cip(cfg: dict, run_dir, manifest: DatasetManifest,
     stage = f"cip_{condition_on}"
     # the decoder is pretraining scaffolding, checkpointed so resume works
     return fit(cfg, run_dir, stage, f"{stage}.ckpt", ae.parameters(),
-               x_all.shape[0], batch_loss, manifest.data_sha256, resume)
+               x_all.shape[0], batch_loss, data_sha256, resume)
 
 
 def load_cip_encoder(ckpt, cfg: dict | None = None, data_sha256=None):
@@ -364,9 +379,9 @@ def train_diffusion(cfg: dict, run_dir, manifest: DatasetManifest,
     cip_ckpt = checkpoint(run_dir, f"cip_{condition_on}")
     sched = schedule_from_config(cfg)
     model = ConditionalDenoiser(DenoiserConfig.from_dict(cfg["denoiser"]))
-    encoder = load_cip_encoder(cip_ckpt, cfg, manifest.data_sha256)
-
-    cond_flat, grid = _cond_patches(cfg, run_dir, manifest, condition_on)
+    cond_flat, grid, data_sha256 = _cond_patches(cfg, run_dir, manifest,
+                                                 condition_on)
+    encoder = load_cip_encoder(cip_ckpt, cfg, data_sha256)
     gt = _train_phantoms(cfg, manifest, data_dir)
     x0_all = scale_to_model(split_patches(gt, grid).reshape(
         -1, 1, grid.patch_h, grid.patch_w).astype(PARAM_DTYPE))
@@ -382,7 +397,7 @@ def train_diffusion(cfg: dict, run_dir, manifest: DatasetManifest,
     return fit(cfg, run_dir, f"diffusion_{condition_on}",
                f"denoiser_{condition_on}.ckpt",
                _joint_parameters(model, encoder), x0_all.shape[0],
-               batch_loss, manifest.data_sha256, resume)
+               batch_loss, data_sha256, resume)
 
 
 def load_denoiser(ckpt, cfg: dict | None = None, data_sha256=None):

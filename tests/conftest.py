@@ -1,3 +1,6 @@
+import struct
+import zlib
+
 import numpy as np
 import pytest
 
@@ -143,3 +146,12 @@ def render_capsules_loop(img, segs, vals):
         sub = img[lo_i:hi_i, lo_j:hi_j]
         np.maximum(sub, np.where(inside, v, 0.0), out=sub)
     return img
+
+
+def set_bundle_header(path, text: bytes):
+    """Replace the header JSON of the bundle file ``path`` with ``text``,
+    with the length and CRC that match it, and keep its records."""
+    raw = path.read_bytes()
+    (n,) = struct.unpack_from("<I", raw, 6)
+    path.write_bytes(raw[:6] + struct.pack("<I", len(text)) + text
+                     + struct.pack("<I", zlib.crc32(text)) + raw[14 + n:])

@@ -28,6 +28,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import set_bundle_header
 from oatdar import cli, pipeline, training
 from oatdar.config import geometry_from_config, load_config
 from oatdar.dataset import DatasetManifest, derive_seed, entry_file
@@ -149,13 +150,13 @@ def test_checkpoint_not_matching_its_model_exits_2(tiny_run, tmp_path, argv):
     run = tmp_path / "run"
     ckpt = write_bundle(run / "checkpoints" / "fdunet.ckpt", arrays, meta)
     shutil.copytree(data_dir, run / "dataset")
-    saved = {f.name: f.read_bytes() for f in ckpt.iterdir()}
+    saved = ckpt.read_bytes()
     out = tmp_path / "out.oatd"
     io = (["--sino", _sino(data_dir, entry), "--out", str(out)]
           if argv[0] == "reconstruct" else [])
     assert cli.main([*argv, *common[:2], "--run-dir", str(run), *io,
                      "--set", "fd_unet.growth=8"]) == 2
-    assert {f.name: f.read_bytes() for f in ckpt.iterdir()} == saved
+    assert ckpt.read_bytes() == saved
     assert not out.exists()
 
 
@@ -193,20 +194,34 @@ def test_enhancer_outputs_of_another_config_exit_3(tiny_run, tmp_path,
                                                    caplog):
     """The stored enhancer outputs are fdunet.ckpt's: after 'train fdunet'
     under another enhancer, the stages conditioned on them refuse them
-    under the run's config, naming the difference and 'train fdunet'."""
+    under the run's config, naming the difference and 'train fdunet'. After
+    'train fdunet' under other training values, which the model check leaves
+    out, the CIP and denoiser trained on the old enhancer's outputs hold
+    another data_sha256 (it covers fdunet.ckpt's bytes), so the stages that
+    read them name 'train cip --condition-on fdunet'."""
     common, data_dir, *_ = tiny_run
-    run = tmp_path / "run"
-    shutil.copytree(data_dir.parent / "checkpoints", run / "checkpoints")
-    shutil.copytree(data_dir, run / "dataset")
-    argv = [*common[:2], "--run-dir", str(run)]
-    assert cli.main(["train", "fdunet", *argv,
-                     "--set", "fd_unet.growth=8"]) == 0
-    for block in ("cip", "diffusion"):
-        caplog.clear()
-        with caplog.at_level(logging.ERROR, logger="oatdar"):
-            assert cli.main(["train", block, *argv]) == 3
-        assert ("was trained with fd_unet.growth=8, this run has "
-                "fd_unet.growth=10; run 'train fdunet' first") in caplog.text
+    cases = [
+        ("fd_unet.growth=8", [["train", "cip"], ["train", "diffusion"]],
+         ["was trained with fd_unet.growth=8, this run has "
+          "fd_unet.growth=10; run 'train fdunet' first"]),
+        ("training.epochs=1",
+         [["eval", "--methods", "dar", "--out", str(tmp_path / "report")],
+          ["train", "diffusion"]],
+         ["cip_fdunet.ckpt was trained with data_sha256=",
+          "; run 'train cip --condition-on fdunet' first"]),
+    ]
+    for i, (setting, stages, texts) in enumerate(cases):
+        run = tmp_path / f"run{i}"
+        shutil.copytree(data_dir.parent / "checkpoints", run / "checkpoints")
+        shutil.copytree(data_dir, run / "dataset")
+        argv = [*common[:2], "--run-dir", str(run)]
+        assert cli.main(["train", "fdunet", *argv, "--set", setting]) == 0
+        for stage in stages:
+            caplog.clear()
+            with caplog.at_level(logging.ERROR, logger="oatdar"):
+                assert cli.main([*stage, *argv]) == 3
+            assert all(text in caplog.text for text in texts)
+    assert not (tmp_path / "report").exists()
 
 
 @pytest.mark.parametrize("argv", [
@@ -464,14 +479,14 @@ def test_resume_under_another_config_exits_3(tiny_run, tmp_path, caplog,
     shutil.copytree(data_dir.parent / "checkpoints", run / "checkpoints")
     shutil.copytree(data_dir, run / "dataset")
     ckpt = run / "checkpoints" / "fdunet.ckpt"
-    saved = {f.name: f.read_bytes() for f in ckpt.iterdir()}
+    saved = ckpt.read_bytes()
     flags = [arg for kv in sets for arg in ("--set", kv)]
     with caplog.at_level(logging.ERROR, logger="oatdar"):
         assert cli.main(["train", "fdunet", "--resume", *common[:2],
                          "--run-dir", str(run), *flags]) == 3
     assert f"{ckpt} was trained with {key}=" in caplog.text
     assert "'train fdunet'" in caplog.text
-    assert {f.name: f.read_bytes() for f in ckpt.iterdir()} == saved
+    assert ckpt.read_bytes() == saved
 
 
 @pytest.mark.parametrize("stage, ckpt, command", [
@@ -528,10 +543,10 @@ def test_checkpoint_of_a_removed_model_key_exits_2(tiny_run, tmp_path, caplog,
     run = tmp_path / "run"
     shutil.copytree(data_dir.parent / "checkpoints", run / "checkpoints")
     shutil.copytree(data_dir, run / "dataset")
-    bundle = run / "checkpoints" / ckpt / "bundle.json"
-    manifest = json.loads(bundle.read_text())
-    manifest["meta"]["config"][section][key] = 100
-    bundle.write_text(json.dumps(manifest))
+    bundle = run / "checkpoints" / ckpt
+    arrays, meta = read_bundle(bundle)
+    meta["config"][section][key] = 100
+    write_bundle(bundle, arrays, meta)
     out = tmp_path / "report"
     with caplog.at_level(logging.ERROR, logger="oatdar"):
         assert cli.main(["eval", *common[:2], "--run-dir", str(run),
@@ -594,16 +609,52 @@ def test_corrupt_dataset_file_exits_2(tiny_run, tmp_path, caplog, command):
     assert str(junk) in caplog.text
 
 
+def _corrupt(bundle, junk):
+    """Corrupt the checkpoint file ``bundle``: ``junk`` bytes replace its
+    header JSON, or a name says how its bytes are changed."""
+    if isinstance(junk, bytes):
+        set_bundle_header(bundle, junk)
+        return
+    raw = bytearray(bundle.read_bytes())
+    if junk == "directory":    # the older format, one file per array
+        bundle.unlink()
+        bundle.mkdir()
+        (bundle / "a0000.oatd").write_bytes(raw)
+        (bundle / "bundle.json").write_text(json.dumps(
+            {"format": "oatdar-bundle", "arrays": {"w": "a0000.oatd"},
+             "meta": {}}))
+        return
+    if junk == "payload-crc":  # the last payload byte of the last record
+        raw[-5] ^= 1
+    elif junk == "truncated":
+        del raw[-10:]
+    else:                      # trailing bytes
+        raw += b"\0"
+    bundle.write_bytes(bytes(raw))
+
+
 @pytest.mark.parametrize("argv, ckpt, junk, command", [
     pytest.param(["eval", "--methods", "fdunet"], "fdunet.ckpt",
-                 "a0000.oatd", "train fdunet", id="eval"),
+                 "payload-crc", "train fdunet", id="eval"),
     pytest.param(["reconstruct", "dar_lbp"], "denoiser_lbp.ckpt",
-                 "a0000.oatd", "train diffusion --condition-on lbp",
+                 "payload-crc", "train diffusion --condition-on lbp",
                  id="reconstruct"),
     pytest.param(["train", "fdunet", "--resume"], "fdunet.ckpt",
-                 "bundle.json", "train fdunet", id="train-resume"),
-    pytest.param(["train", "diffusion"], "cip_fdunet.ckpt", "bundle.json",
+                 b"\xffjunk", "train fdunet", id="train-resume"),
+    pytest.param(["train", "diffusion"], "cip_fdunet.ckpt", b"\xffjunk",
                  "train cip --condition-on fdunet", id="train-diffusion"),
+    pytest.param(["eval", "--methods", "fdunet"], "fdunet.ckpt", b"[]",
+                 "train fdunet", id="eval-header-list"),
+    pytest.param(["eval", "--methods", "fdunet"], "fdunet.ckpt",
+                 "directory", "train fdunet", id="eval-directory-format"),
+    pytest.param(["train", "fdunet", "--resume"], "fdunet.ckpt",
+                 "directory", "train fdunet",
+                 id="train-resume-directory-format"),
+    pytest.param(["eval", "--methods", "dar_lbp"], "denoiser_lbp.ckpt",
+                 "truncated", "train diffusion --condition-on lbp",
+                 id="eval-truncated"),
+    pytest.param(["reconstruct", "fdunet"], "fdunet.ckpt", "trailing",
+                 "train fdunet", id="reconstruct-trailing-bytes"),
     # a dict sets the checkpoint's meta value at each dotted key; None
     # deletes the key
     pytest.param(["eval", "--methods", "fdunet"], "fdunet.ckpt",
@@ -655,29 +706,31 @@ def test_corrupt_dataset_file_exits_2(tiny_run, tmp_path, caplog, command):
 ])
 def test_corrupt_checkpoint_exits_2(tiny_run, tmp_path, caplog, argv, ckpt,
                                    junk, command):
-    """A junk array file, a bundle.json that is not UTF-8, a meta without a
-    config or with one the config rules refuse, or a resume state of other
-    types or out of the generator's range, in a checkpoint names the
-    checkpoint and the command that rewrites it."""
+    """A bad payload CRC, a header that is not UTF-8 or of the wrong shape,
+    a truncated file or one with trailing bytes, a checkpoint of the older
+    directory format, a meta without a config or with one the config rules
+    refuse, or a resume state of other types or out of the generator's
+    range, in a checkpoint names the checkpoint and the command that
+    rewrites it."""
     common, data_dir, entry, *_ = tiny_run
     run = tmp_path / "run"
     shutil.copytree(data_dir.parent / "checkpoints", run / "checkpoints")
     shutil.copytree(data_dir, run / "dataset")
     bundle = run / "checkpoints" / ckpt
-    if isinstance(junk, str):
-        (bundle / junk).write_bytes(b"\xffjunk")
-    else:
-        manifest = json.loads((bundle / "bundle.json").read_text())
+    if isinstance(junk, dict):
+        arrays, meta = read_bundle(bundle)
         for dotted, value in junk.items():
             *path, key = dotted.split(".")
-            node = manifest["meta"]
+            node = meta
             for k in path:
                 node = node[k]
             if value is None:
                 node.pop(key)
             else:
                 node[key] = value
-        (bundle / "bundle.json").write_text(json.dumps(manifest))
+        write_bundle(bundle, arrays, meta)
+    else:
+        _corrupt(bundle, junk)
     out = tmp_path / "out"
     io = {"eval": ["--out", str(out)], "train": [],
           "reconstruct": ["--sino", _sino(data_dir, entry), "--out",

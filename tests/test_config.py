@@ -2,12 +2,13 @@
 
 import json
 import logging
+from pathlib import Path
 
 import pytest
 
 from oatdar import cli
-from oatdar.config import (cip_widths, config_hash, desk_config, load_config,
-                           paper_config)
+from oatdar.config import (MODEL_SECTIONS, cip_widths, config_hash,
+                           desk_config, load_config, paper_config)
 from oatdar.errors import ConfigError
 
 
@@ -170,3 +171,17 @@ def test_cip_widths_narrow_the_patch_to_the_conditioning_width():
     for cond_dim in (256, 512):
         with pytest.raises(ConfigError, match="CIP widths must strictly"):
             load_config(None, {"denoiser": {"cond_dim": cond_dim}})
+
+
+def test_paper_geometry_config_has_the_desk_networks():
+    """configs/paper_geometry.json: the paper's geometry and data with the
+    desk models, for testing the claim at the paper's geometry."""
+    root = Path(__file__).resolve().parents[1]
+    cfg = load_config(root / "configs" / "paper_geometry.json")
+    desk, paper = desk_config(), paper_config()
+    for section in MODEL_SECTIONS:
+        assert cfg[section] == (paper if section == "geometry" else desk)[
+            section], section
+    assert {k: v for k, v in cfg.items() if k not in MODEL_SECTIONS} == {
+        k: v for k, v in paper.items() if k not in MODEL_SECTIONS}
+    assert cip_widths(cfg) == (256, 192, 128, 64)

@@ -1,7 +1,11 @@
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import set_bundle_header
+from oatdar import tensorfile
 from oatdar.errors import TensorFileError
 from oatdar.tensorfile import (read_bundle, read_tensor, write_bundle,
                                write_tensor)
@@ -71,98 +75,158 @@ def test_bundle_roundtrip(tmp_path):
               "b": np.zeros(4, dtype=np.float32)}
     meta = {"note": "hello", "n": 3}
     write_bundle(tmp_path / "b", arrays, meta)
+    assert (tmp_path / "b").is_file()
+    assert [p.name for p in tmp_path.iterdir()] == ["b"]
     back, meta2 = read_bundle(tmp_path / "b")
     assert meta2 == meta
-    assert set(back) == {"w", "b"}
+    assert list(back) == ["w", "b"]
     assert np.array_equal(back["w"], arrays["w"])
     assert np.array_equal(back["b"], arrays["b"])
+    assert back["b"].dtype == np.float32 and back["b"].flags.writeable
 
 
 def test_bundle_missing_manifest(tmp_path):
+    """A directory (the older one-file-per-array format) or a missing
+    path is no bundle."""
     (tmp_path / "nb").mkdir()
+    (tmp_path / "nb" / "bundle.json").write_text("{}")
+    for path in (tmp_path / "nb", tmp_path / "missing"):
+        with pytest.raises(TensorFileError, match="cannot read"):
+            read_bundle(path)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_bundle_corruption_rejected(tmp_path_factory, data):
+    """The header CRC, the records' CRCs and the length checks cover every
+    byte of a bundle: a truncated file, a flipped bit or trailing bytes are
+    refused."""
+    tmp_path = tmp_path_factory.mktemp("fuzz")
+    path = write_bundle(tmp_path / "b", {"w": np.arange(6.0).reshape(2, 3),
+                                         "b": np.ones(2, dtype=np.float32)},
+                        {"epoch": 3})
+    raw = bytearray(path.read_bytes())
+    mode = data.draw(st.sampled_from(["truncate", "flip", "extend"]))
+    if mode == "truncate":
+        raw = raw[:data.draw(st.integers(0, len(raw) - 1))]
+    elif mode == "flip":
+        raw[data.draw(st.integers(0, len(raw) - 1))] ^= 1 << data.draw(
+            st.integers(0, 7))
+    else:
+        raw += b"\x00" * data.draw(st.integers(1, 16))
+    path.write_bytes(bytes(raw))
     with pytest.raises(TensorFileError):
-        read_bundle(tmp_path / "nb")
-
-
-@pytest.mark.parametrize("text", [
-    b"{", b'{"format": "oatdar-bundle\xff"}', b"[]",
-    b'{"format": "oatdar-bundle"}',
-    b'{"format": "oatdar-bundle", "arrays": [1]}',
-    b'{"format": "oatdar-bundle", "arrays": {"w": "../../etc/passwd"}}',
-    b'{"format": "oatdar-bundle", "arrays": {"w": ".."}}',
-    b'{"format": "oatdar-bundle", "arrays": {}, "meta": 3}',
-], ids=["not-json", "not-utf8", "list", "no-arrays", "arrays-list",
-        "outside-the-bundle", "parent-dir", "meta-not-object"])
-def test_bundle_unreadable_manifest(tmp_path, text):
-    path = write_bundle(tmp_path / "b", {"w": np.zeros(2)})
-    (path / "bundle.json").write_bytes(text)
-    with pytest.raises(TensorFileError, match="unreadable manifest"):
         read_bundle(path)
 
 
+@pytest.mark.parametrize("field", ["header-length", "record-dims"])
+def test_bundle_lengths_past_the_end_are_refused_before_allocation(
+        tmp_path, field):
+    """A header length of 4 GB or a record dimension of 128 GB, in a file
+    of 79 bytes, is refused, not allocated."""
+    path = write_bundle(tmp_path / "b", {"w": np.zeros(2)})
+    raw = bytearray(path.read_bytes())
+    if field == "header-length":
+        struct.pack_into("<I", raw, 6, 2**32 - 1)
+    else:   # past the bundle header, its JSON and CRC, the record header
+        n = len(b'{"arrays": ["w"], "meta": {}}')
+        struct.pack_into("<Q", raw, 14 + n + 8, 2**34)
+    path.write_bytes(bytes(raw))
+    with pytest.raises(TensorFileError, match="truncated"):
+        read_bundle(path)
+
+
+@pytest.mark.parametrize("text", [
+    b"{", b'{"arrays": ["w\xff"], "meta": {}}', b"[]", b'{"meta": {}}',
+    b'{"arrays": [1], "meta": {}}', b'{"arrays": ["w"], "meta": 3}',
+    b'{"arrays": ["w", "w"], "meta": {}}', b'{"arrays": ["w"]}',
+], ids=["not-json", "not-utf8", "list", "no-arrays", "arrays-list",
+        "meta-not-object", "repeated-name", "no-meta"])
+def test_bundle_unreadable_manifest(tmp_path, text):
+    """A header JSON of the wrong shape, its length and CRC intact."""
+    path = write_bundle(tmp_path / "b", {"w": np.zeros(2)})
+    set_bundle_header(path, text)
+    with pytest.raises(TensorFileError, match="unreadable header"):
+        read_bundle(path)
+
+
+def _fail_on_third_array(monkeypatch):
+    real, calls = tensorfile.write_tensor, []
+
+    def failing(dst, arr):
+        calls.append(arr)
+        if len(calls) == 3:
+            raise OSError("disk full")
+        return real(dst, arr)
+
+    monkeypatch.setattr(tensorfile, "write_tensor", failing)
+
+
 def test_bundle_write_failure_keeps_previous_bundle(tmp_path, monkeypatch):
-    from oatdar import tensorfile
     path = tmp_path / "ckpt"
     a = {f"a{i}": np.full(3, float(i)) for i in range(4)}
     write_bundle(path, a, {"epoch": 1})
-    real, calls = tensorfile.write_tensor, []
-
-    def failing(p, arr):
-        calls.append(p)
-        if len(calls) == 3:
-            raise OSError("disk full")
-        return real(p, arr)
-
-    monkeypatch.setattr(tensorfile, "write_tensor", failing)
+    _fail_on_third_array(monkeypatch)
     with pytest.raises(OSError, match="disk full"):
         write_bundle(path, {f"b{i}": np.zeros(2) for i in range(5)},
                      {"epoch": 2})
     back, meta = read_bundle(path)
     assert meta == {"epoch": 1}
-    assert set(back) == set(a)
+    assert list(back) == list(a)
     assert all(np.array_equal(back[k], a[k]) for k in a)
     assert [p.name for p in tmp_path.iterdir()] == ["ckpt"]
 
 
-def test_bundle_write_restores_bundle_left_mid_swap(tmp_path, monkeypatch):
-    from oatdar import tensorfile
-    path = tmp_path / "ckpt"
-    write_bundle(path, {"w": np.ones(3)}, {"epoch": 1})
-    path.rename(tmp_path / ".ckpt.old")  # a crash between the two renames
+def _killed_mid_write(tmp_path, monkeypatch):
+    """A bundle at ``ckpt`` plus the ``.ckpt.tmp`` a process killed while
+    writing the next one leaves: a complete newer bundle."""
+    path = write_bundle(tmp_path / "ckpt", {"w": np.ones(3)}, {"epoch": 1})
+    monkeypatch.setattr(tensorfile.os, "replace", lambda src, dst: None)
+    write_bundle(path, {"w": np.zeros(3)}, {"epoch": 2})
+    monkeypatch.undo()
+    tmp = tmp_path / ".ckpt.tmp"
+    assert read_bundle(tmp)[1] == {"epoch": 2}
+    return path, tmp
 
-    def failing(p, arr):
-        raise OSError("disk full")
 
-    monkeypatch.setattr(tensorfile, "write_tensor", failing)
-    with pytest.raises(OSError):
-        write_bundle(path, {"w": np.zeros(3)}, {"epoch": 2})
-    assert read_bundle(path)[1] == {"epoch": 1}
+def test_bundle_write_replaces_a_stale_tmp(tmp_path, monkeypatch):
+    path, tmp = _killed_mid_write(tmp_path, monkeypatch)
+    tmp.write_bytes(b"half a bundle")
+    write_bundle(path, {"w": np.full(3, 2.0)}, {"epoch": 3})
+    assert read_bundle(path)[1] == {"epoch": 3}
     assert [p.name for p in tmp_path.iterdir()] == ["ckpt"]
 
 
-def test_bundle_read_restores_bundle_left_mid_swap(tmp_path):
-    path = tmp_path / "ckpt"
-    write_bundle(path, {"w": np.ones(3)}, {"epoch": 1})
-    path.rename(tmp_path / ".ckpt.old")  # a crash between the two renames
+def test_bundle_read_ignores_a_stale_tmp(tmp_path, monkeypatch):
+    path, tmp = _killed_mid_write(tmp_path, monkeypatch)
     arrays, meta = read_bundle(path)
     assert meta == {"epoch": 1} and np.array_equal(arrays["w"], np.ones(3))
-    assert [p.name for p in tmp_path.iterdir()] == ["ckpt"]
+    path.unlink()
+    with pytest.raises(TensorFileError, match="cannot read"):
+        read_bundle(path)
 
 
 def test_bundle_overwrite_drops_stale_arrays(tmp_path):
     path = tmp_path / "ckpt"
     write_bundle(path, {f"a{i}": np.zeros(2) for i in range(3)})
     write_bundle(path, {"only": np.ones(2)}, {"v": 2})
-    assert sorted(p.name for p in path.iterdir()) == ["a0000.oatd",
-                                                      "bundle.json"]
     back, meta = read_bundle(path)
     assert list(back) == ["only"] and meta == {"v": 2}
     assert [p.name for p in tmp_path.iterdir()] == ["ckpt"]
 
 
 def test_bundle_refuses_to_replace_other_content(tmp_path):
-    (tmp_path / "d").mkdir()
+    """A directory (empty, of other files, or a bundle of the older
+    format) or a file that is not a bundle stays as it is."""
+    for name in ("empty", "d", "old"):
+        (tmp_path / name).mkdir()
     (tmp_path / "d" / "notes.txt").write_text("keep")
-    with pytest.raises(TensorFileError, match="not a bundle"):
-        write_bundle(tmp_path / "d", {"w": np.zeros(2)})
+    (tmp_path / "old" / "bundle.json").write_text("{}")
+    (tmp_path / "notes.txt").write_text("keep")
+    for name in ("empty", "d", "old", "notes.txt"):
+        with pytest.raises(TensorFileError, match="not a bundle"):
+            write_bundle(tmp_path / name, {"w": np.zeros(2)})
     assert (tmp_path / "d" / "notes.txt").read_text() == "keep"
+    assert (tmp_path / "notes.txt").read_text() == "keep"
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "d", "empty", "notes.txt", "old"]

@@ -1,7 +1,7 @@
 """The shared epoch loop: resuming a stage reproduces the uninterrupted run
-bit for bit, also from a checkpoint a crash left mid-swap, and the CLI hands
-``--resume`` to every block; the enhancer's outputs replace the stored ones
-without a rewrite of the manifest."""
+bit for bit, never from the temp file a crash left mid-write, and the CLI
+hands ``--resume`` to every block; the enhancer's outputs replace the stored
+ones without a rewrite of the manifest."""
 
 import json
 import logging
@@ -12,7 +12,7 @@ import pytest
 
 from oatdar import autodiff as ad
 from oatdar import cli, pipeline, training
-from oatdar.errors import ConfigError, NumericalError
+from oatdar.errors import ConfigError, NumericalError, PrerequisiteError
 from oatdar.config import geometry_from_config, load_config
 from oatdar.dataset import MANIFEST_NAME, build_dataset, entry_file
 from oatdar.geometry import Sinogram
@@ -52,8 +52,8 @@ def base_run(tmp_path_factory):
 def _copy_run(base, dest):
     shutil.copytree(base / "dataset", dest / "dataset")
     (dest / "checkpoints").mkdir()
-    shutil.copytree(base / "checkpoints" / "cip_lbp.ckpt",
-                    dest / "checkpoints" / "cip_lbp.ckpt")
+    shutil.copy(base / "checkpoints" / "cip_lbp.ckpt",
+                dest / "checkpoints" / "cip_lbp.ckpt")
     return dest
 
 
@@ -125,11 +125,11 @@ def test_resume_refuses_an_aborted_checkpoint(tmp_path):
                      lambda idx, rng: ad.add(ad.sum_(w), np.float32(np.inf)),
                      PROBE_DATA)
     ckpt = tmp_path / "checkpoints" / "probe.ckpt"
-    saved = {f.name: f.read_bytes() for f in ckpt.iterdir()}
+    saved = ckpt.read_bytes()
     with pytest.raises(NumericalError, match="without --resume"):
         training.fit(_cfg(2), tmp_path, "fdunet", "probe.ckpt", {"w": w}, 4,
                      lambda idx, rng: ad.sum_(w), PROBE_DATA, resume=True)
-    assert {f.name: f.read_bytes() for f in ckpt.iterdir()} == saved
+    assert ckpt.read_bytes() == saved
 
 
 def test_resume_rejects_a_checkpoint_of_another_model(tmp_path):
@@ -144,9 +144,17 @@ def test_resume_rejects_a_checkpoint_of_another_model(tmp_path):
                      lambda idx, rng: ad.sum_(w), PROBE_DATA, resume=True)
 
 
-def test_resume_continues_from_a_checkpoint_left_mid_swap(tmp_path, caplog):
-    """A crash between write_bundle's two renames leaves the checkpoint at
-    ``.<name>.old``; resume still continues from it."""
+def _stale_tmp(ckpt):
+    """The ``.<name>.tmp`` a process killed while saving ``ckpt`` leaves:
+    a complete bundle of another epoch."""
+    arrays, meta = read_bundle(ckpt)
+    write_bundle(ckpt.with_name(f".{ckpt.name}.tmp"), arrays,
+                 {**meta, "epoch": 7, "losses": [0.0] * 8})
+
+
+def test_resume_ignores_a_stale_tmp(tmp_path, caplog):
+    """Resume continues from the checkpoint, not from the temp file a crash
+    left beside it, and the next save replaces that file."""
     w = ad.Tensor(np.ones(3, dtype=np.float32), requires_grad=True)
 
     def run(epochs, resume):
@@ -156,21 +164,25 @@ def test_resume_continues_from_a_checkpoint_left_mid_swap(tmp_path, caplog):
 
     ckpt = run(2, False)
     saved = read_bundle(ckpt)[1]["losses"]
-    ckpt.rename(ckpt.with_name(".probe.ckpt.old"))
+    _stale_tmp(ckpt)
     with caplog.at_level(logging.INFO, logger="oatdar.training"):
         run(3, True)
     assert [r.getMessage().split(" loss")[0] for r in caplog.records
             if " epoch " in r.getMessage()] == ["fdunet epoch 3/3"]
     meta = read_bundle(ckpt)[1]
     assert meta["epoch"] == 2 and meta["losses"][:2] == saved
+    assert [p.name for p in ckpt.parent.iterdir()] == ["probe.ckpt"]
 
 
-def test_checkpoint_lookup_finds_a_checkpoint_left_mid_swap(tmp_path):
+def test_checkpoint_lookup_ignores_a_stale_tmp(tmp_path):
+    """A temp file without its checkpoint is a missing checkpoint."""
     path = write_bundle(tmp_path / "checkpoints" / "fdunet.ckpt",
                         {"w": np.ones(3)}, {"epoch": 0})
-    path.rename(path.with_name(".fdunet.ckpt.old"))
     assert training.checkpoint(tmp_path, "fdunet") == path
-    assert read_bundle(path)[1] == {"epoch": 0}
+    _stale_tmp(path)
+    path.unlink()
+    with pytest.raises(PrerequisiteError, match="'train fdunet'"):
+        training.checkpoint(tmp_path, "fdunet")
 
 
 # block -> the loader of the checkpoint its trainer writes
@@ -192,9 +204,7 @@ def test_loader_names_parameters_as_the_trainer_saved_them(
 
     monkeypatch.setattr(training, "load_parameters", record)
     LOADERS[block](ckpt)
-    files = json.loads((ckpt / "bundle.json").read_text())["arrays"]
-    saved = [k[2:] for k in sorted(files, key=files.get)
-             if k.startswith("p.")]
+    saved = [k[2:] for k in read_bundle(ckpt)[0] if k.startswith("p.")]
     assert loaded == [saved]
 
 
