@@ -47,8 +47,8 @@ from .operator import (add_noise, apply_forward, build_forward_operator,
                        check_snr, reconstruct_lbp, tikhonov_solve)
 from .patches import PatchGrid, merge_patches, split_patches
 from .tensorfile import read_tensor, write_tensor
-from .training import (CONDITIONS, checkpoint, load_checkpoint,
-                       load_denoiser, load_fdunet, stage_data_sha256)
+from .training import (CONDITIONS, checkpoint, load_denoiser, load_fdunet,
+                       stage_data_sha256)
 
 log = logging.getLogger(__name__)
 
@@ -75,17 +75,14 @@ def load_models(run_dir, condition_on: str, cfg: dict | None = None,
                 data_sha256=None) -> ModelBundle:
     """The checkpoints of DAR conditioned on ``condition_on``: the denoiser
     with its encoder, plus the enhancer when DAR conditions on it. Given
-    the dataset's ``data_sha256``, the denoiser and, first, the CIP it was
-    tuned from must have trained on :func:`training.stage_data_sha256`, so
-    new enhancer weights name the CIP as the first stage to retrain."""
-    fdunet = (load_fdunet(checkpoint(run_dir, "fdunet"), cfg, data_sha256)
-              if condition_on == "fdunet" else None)
-    if data_sha256 is not None:
-        data_sha256 = stage_data_sha256(run_dir, data_sha256, condition_on)
-        load_checkpoint(checkpoint(run_dir, f"cip_{condition_on}"),
-                        data_sha256=data_sha256)
-    return ModelBundle(fdunet, *load_denoiser(
-        checkpoint(run_dir, f"denoiser_{condition_on}"), cfg, data_sha256))
+    the dataset's ``data_sha256``, the denoiser must have trained on
+    :func:`training.stage_data_sha256`."""
+    return ModelBundle(
+        load_fdunet(checkpoint(run_dir, "fdunet"), cfg, data_sha256)
+        if condition_on == "fdunet" else None,
+        *load_denoiser(checkpoint(run_dir, f"denoiser_{condition_on}"), cfg,
+                       data_sha256 and stage_data_sha256(
+                           run_dir, data_sha256, condition_on)))
 
 
 def _listed_once(what: str, values: list):

@@ -11,10 +11,10 @@ One array is a *record* (a file of its own has extension ``.oatd``):
     crc     u32 LE   CRC-32 of the payload bytes
 
 Named arrays plus JSON metadata (checkpoints, serialized operators) are a
-*bundle*, one file: magic b"OATB", version u16 LE, the header's length n as
-u32 LE, the n-byte UTF-8 JSON header ``{"arrays": [names in order], "meta":
-{...}}`` and its CRC-32 as u32 LE, then one record per name, in order, up
-to the end of the file.
+*bundle*: a directory holding one file, :func:`bundle_file`. It is magic
+b"OATB", version u16 LE, the header's length n as u32 LE, the n-byte UTF-8
+JSON header ``{"arrays": [names in order], "meta": {...}}`` and its CRC-32
+as u32 LE, then one record per name, in order, up to the end of the file.
 """
 
 from __future__ import annotations
@@ -36,6 +36,8 @@ VERSION = 1
 
 _DTYPE_CODES = {np.dtype("<f4"): 1, np.dtype("<f8"): 2}
 _CODE_DTYPES = {1: np.dtype("<f4"), 2: np.dtype("<f8")}
+
+_BUNDLE_FILE, _BUNDLE_TMP = "bundle.oatb", ".bundle.oatb.tmp"
 
 _HEADER = struct.Struct("<4sHBB")
 _BUNDLE_HEADER = struct.Struct("<4sHI")
@@ -122,45 +124,49 @@ def _read_record(fh, where) -> np.ndarray:
     return np.frombuffer(raw, dtype=dtype, count=n_elem).reshape(dims)
 
 
-def write_bundle(path, arrays: dict, meta: dict | None = None) -> Path:
-    """Write named arrays + JSON metadata as one bundle file; refuses to
-    replace anything but a bundle.
+def bundle_file(path) -> Path:
+    """The one file that holds the bundle at directory ``path``."""
+    return Path(path) / _BUNDLE_FILE
 
-    The file is written as the hidden sibling ``.<name>.tmp`` and renamed
-    onto ``path`` by one ``os.replace``, so a write that fails (or a crash
-    of the process) leaves the previous bundle whole. No reader looks at
-    the temp file, and the next write replaces it. Nothing is fsynced.
+
+def write_bundle(path, arrays: dict, meta: dict | None = None) -> Path:
+    """Write named arrays + JSON metadata as the bundle directory ``path``;
+    refuses to replace anything but a bundle.
+
+    Its file is written as ``.bundle.oatb.tmp`` beside it and renamed onto
+    it by one ``os.replace``, so a write that fails (or a crash of the
+    process) leaves the previous bundle whole. No reader looks at the temp
+    file, and the next write replaces it. A crash before the first rename
+    leaves a directory without its file, which reads as a damaged bundle
+    until the next write. Nothing is fsynced.
     """
     path = Path(path)
-    if path.exists() and not (path.is_file() and _is_bundle(path)):
+    if path.exists() and not (path.is_dir() and all(
+            f.name in (_BUNDLE_FILE, _BUNDLE_TMP) and f.is_file()
+            for f in path.iterdir())):
         raise TensorFileError(f"{path}: exists and is not a bundle; "
                               "not replacing it")
-    path.parent.mkdir(parents=True, exist_ok=True)
+    path.mkdir(parents=True, exist_ok=True)
     header = json.dumps({"arrays": list(arrays), "meta": meta or {}},
                         sort_keys=True).encode("utf-8")
-    tmp = path.with_name(f".{path.name}.tmp")
+    tmp = path / _BUNDLE_TMP
     try:
         with open(tmp, "wb") as fh:
             fh.write(_BUNDLE_HEADER.pack(BUNDLE_MAGIC, VERSION, len(header))
                      + header + _crc(header))
             for arr in arrays.values():
                 write_tensor(fh, np.asarray(arr))
-        os.replace(tmp, path)
+        os.replace(tmp, bundle_file(path))
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
     return path
 
 
-def _is_bundle(path: Path) -> bool:
-    with open(path, "rb") as fh:
-        return fh.read(len(BUNDLE_MAGIC)) == BUNDLE_MAGIC
-
-
 def read_bundle(path) -> tuple[dict, dict]:
-    """Read a bundle file; returns (arrays, meta). Validates the header,
-    every record, and that nothing follows the last one."""
-    with _open(path) as fh:
+    """Read the bundle directory ``path``; returns (arrays, meta). Validates
+    the header, every record, and that nothing follows the last one."""
+    with _open(bundle_file(path)) as fh:
         magic, version, n = _BUNDLE_HEADER.unpack(
             _read(fh, _BUNDLE_HEADER.size, path, "bundle header"))
         if (magic, version) != (BUNDLE_MAGIC, VERSION):

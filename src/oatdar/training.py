@@ -47,7 +47,7 @@ from .models import (CIPAutoencoder, CIPEncoder, ConditionalDenoiser,
 from .operator import build_forward_operator, reconstruct_lbp
 from .optim import OptimizerState, adam_update
 from .patches import PatchGrid, split_patches
-from .tensorfile import read_bundle, write_bundle, write_tensor
+from .tensorfile import bundle_file, read_bundle, write_bundle, write_tensor
 
 log = logging.getLogger(__name__)
 
@@ -111,10 +111,14 @@ def load_checkpoint(path, cfg: dict | None = None, data_sha256=None,
         diffs.append(("data_sha256", meta.get("data_sha256"), data_sha256))
     for where, saved, run in diffs:
         if saved != run:
+            names = [Path(path).stem]
+            if where == "data_sha256" and names[0].startswith("denoiser"):
+                # the CIP it was tuned from trained on the same data
+                names.insert(0, names[0].replace("denoiser", "cip"))
+            commands = "' and then '".join(map(_train_command, names))
             raise PrerequisiteError(
                 f"{path} was trained with {where}={saved}, this run has "
-                f"{where}={run}; run '{_train_command(Path(path).stem)}' "
-                "first")
+                f"{where}={run}; run '{commands}' first")
     params = {k[2:]: v for k, v in arrays.items() if k.startswith("p.")}
     opt_arrays = {k[2:]: v for k, v in arrays.items() if k.startswith("o.")}
     return params, opt_arrays, meta
@@ -315,7 +319,7 @@ def stage_data_sha256(run_dir, data_sha256: str, condition_on: str) -> str:
     if condition_on == "lbp":
         return data_sha256
     digest = hashlib.sha256(data_sha256.encode())
-    digest.update(checkpoint(run_dir, "fdunet").read_bytes())
+    digest.update(bundle_file(checkpoint(run_dir, "fdunet")).read_bytes())
     return digest.hexdigest()
 
 

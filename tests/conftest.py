@@ -6,6 +6,7 @@ import pytest
 
 from oatdar.geometry import ImagingGeometry
 from oatdar.operator import entry_scale
+from oatdar.tensorfile import bundle_file
 
 
 def as_float64(module):
@@ -149,8 +150,9 @@ def render_capsules_loop(img, segs, vals):
 
 
 def set_bundle_header(path, text: bytes):
-    """Replace the header JSON of the bundle file ``path`` with ``text``,
+    """Replace the header JSON of the bundle at ``path`` with ``text``,
     with the length and CRC that match it, and keep its records."""
+    path = bundle_file(path)
     raw = path.read_bytes()
     (n,) = struct.unpack_from("<I", raw, 6)
     path.write_bytes(raw[:6] + struct.pack("<I", len(text)) + text

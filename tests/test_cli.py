@@ -36,8 +36,8 @@ from oatdar.errors import PrerequisiteError
 from oatdar.metrics import psnr
 from oatdar.operator import build_forward_operator
 from oatdar.pipeline import METHODS
-from oatdar.tensorfile import (read_bundle, read_tensor, write_bundle,
-                               write_tensor)
+from oatdar.tensorfile import (bundle_file, read_bundle, read_tensor,
+                               write_bundle, write_tensor)
 
 T = 20
 TINY = {"profile": "desk", "dataset": {"train": 2, "val": 0, "test": 1},
@@ -148,7 +148,8 @@ def test_checkpoint_not_matching_its_model_exits_2(tiny_run, tmp_path, argv):
     arrays, meta = read_bundle(data_dir.parent / "checkpoints" / "fdunet.ckpt")
     meta["config"]["fd_unet"]["growth"] = 8
     run = tmp_path / "run"
-    ckpt = write_bundle(run / "checkpoints" / "fdunet.ckpt", arrays, meta)
+    ckpt = bundle_file(write_bundle(run / "checkpoints" / "fdunet.ckpt",
+                                    arrays, meta))
     shutil.copytree(data_dir, run / "dataset")
     saved = ckpt.read_bytes()
     out = tmp_path / "out.oatd"
@@ -207,8 +208,8 @@ def test_enhancer_outputs_of_another_config_exit_3(tiny_run, tmp_path,
         ("training.epochs=1",
          [["eval", "--methods", "dar", "--out", str(tmp_path / "report")],
           ["train", "diffusion"]],
-         ["cip_fdunet.ckpt was trained with data_sha256=",
-          "; run 'train cip --condition-on fdunet' first"]),
+         ["_fdunet.ckpt was trained with data_sha256=",
+          "; run 'train cip --condition-on fdunet'"]),
     ]
     for i, (setting, stages, texts) in enumerate(cases):
         run = tmp_path / f"run{i}"
@@ -479,14 +480,14 @@ def test_resume_under_another_config_exits_3(tiny_run, tmp_path, caplog,
     shutil.copytree(data_dir.parent / "checkpoints", run / "checkpoints")
     shutil.copytree(data_dir, run / "dataset")
     ckpt = run / "checkpoints" / "fdunet.ckpt"
-    saved = ckpt.read_bytes()
+    saved = bundle_file(ckpt).read_bytes()
     flags = [arg for kv in sets for arg in ("--set", kv)]
     with caplog.at_level(logging.ERROR, logger="oatdar"):
         assert cli.main(["train", "fdunet", "--resume", *common[:2],
                          "--run-dir", str(run), *flags]) == 3
     assert f"{ckpt} was trained with {key}=" in caplog.text
     assert "'train fdunet'" in caplog.text
-    assert ckpt.read_bytes() == saved
+    assert bundle_file(ckpt).read_bytes() == saved
 
 
 @pytest.mark.parametrize("stage, ckpt, command", [
@@ -610,14 +611,14 @@ def test_corrupt_dataset_file_exits_2(tiny_run, tmp_path, caplog, command):
 
 
 def _corrupt(bundle, junk):
-    """Corrupt the checkpoint file ``bundle``: ``junk`` bytes replace its
-    header JSON, or a name says how its bytes are changed."""
+    """Corrupt the checkpoint ``bundle``: ``junk`` bytes replace its header
+    JSON, or a name says how the bytes of its file are changed."""
     if isinstance(junk, bytes):
         set_bundle_header(bundle, junk)
         return
-    raw = bytearray(bundle.read_bytes())
+    raw = bytearray(bundle_file(bundle).read_bytes())
     if junk == "directory":    # the older format, one file per array
-        bundle.unlink()
+        shutil.rmtree(bundle)
         bundle.mkdir()
         (bundle / "a0000.oatd").write_bytes(raw)
         (bundle / "bundle.json").write_text(json.dumps(
@@ -630,7 +631,7 @@ def _corrupt(bundle, junk):
         del raw[-10:]
     else:                      # trailing bytes
         raw += b"\0"
-    bundle.write_bytes(bytes(raw))
+    bundle_file(bundle).write_bytes(bytes(raw))
 
 
 @pytest.mark.parametrize("argv, ckpt, junk, command", [

@@ -7,8 +7,8 @@ from hypothesis import given, settings, strategies as st
 from conftest import set_bundle_header
 from oatdar import tensorfile
 from oatdar.errors import TensorFileError
-from oatdar.tensorfile import (read_bundle, read_tensor, write_bundle,
-                               write_tensor)
+from oatdar.tensorfile import (bundle_file, read_bundle, read_tensor,
+                               write_bundle, write_tensor)
 
 
 def test_roundtrip_f64(tmp_path):
@@ -74,9 +74,10 @@ def test_bundle_roundtrip(tmp_path):
     arrays = {"w": np.random.default_rng(2).standard_normal((4, 4)),
               "b": np.zeros(4, dtype=np.float32)}
     meta = {"note": "hello", "n": 3}
-    write_bundle(tmp_path / "b", arrays, meta)
-    assert (tmp_path / "b").is_file()
-    assert [p.name for p in tmp_path.iterdir()] == ["b"]
+    path = write_bundle(tmp_path / "b", arrays, meta)
+    assert list(tmp_path.iterdir()) == [path]
+    assert list(path.iterdir()) == [bundle_file(path)]
+    assert bundle_file(path).is_file()
     back, meta2 = read_bundle(tmp_path / "b")
     assert meta2 == meta
     assert list(back) == ["w", "b"]
@@ -86,11 +87,14 @@ def test_bundle_roundtrip(tmp_path):
 
 
 def test_bundle_missing_manifest(tmp_path):
-    """A directory (the older one-file-per-array format) or a missing
-    path is no bundle."""
+    """A directory of the older one-file-per-array format, an empty
+    directory, a file or a missing path is no bundle."""
     (tmp_path / "nb").mkdir()
     (tmp_path / "nb" / "bundle.json").write_text("{}")
-    for path in (tmp_path / "nb", tmp_path / "missing"):
+    (tmp_path / "empty").mkdir()
+    write_tensor(tmp_path / "a.oatd", np.zeros(2))
+    for path in (tmp_path / "nb", tmp_path / "empty", tmp_path / "a.oatd",
+                 tmp_path / "missing"):
         with pytest.raises(TensorFileError, match="cannot read"):
             read_bundle(path)
 
@@ -105,7 +109,7 @@ def test_bundle_corruption_rejected(tmp_path_factory, data):
     path = write_bundle(tmp_path / "b", {"w": np.arange(6.0).reshape(2, 3),
                                          "b": np.ones(2, dtype=np.float32)},
                         {"epoch": 3})
-    raw = bytearray(path.read_bytes())
+    raw = bytearray(bundle_file(path).read_bytes())
     mode = data.draw(st.sampled_from(["truncate", "flip", "extend"]))
     if mode == "truncate":
         raw = raw[:data.draw(st.integers(0, len(raw) - 1))]
@@ -114,7 +118,7 @@ def test_bundle_corruption_rejected(tmp_path_factory, data):
             st.integers(0, 7))
     else:
         raw += b"\x00" * data.draw(st.integers(1, 16))
-    path.write_bytes(bytes(raw))
+    bundle_file(path).write_bytes(bytes(raw))
     with pytest.raises(TensorFileError):
         read_bundle(path)
 
@@ -125,13 +129,13 @@ def test_bundle_lengths_past_the_end_are_refused_before_allocation(
     """A header length of 4 GB or a record dimension of 128 GB, in a file
     of 79 bytes, is refused, not allocated."""
     path = write_bundle(tmp_path / "b", {"w": np.zeros(2)})
-    raw = bytearray(path.read_bytes())
+    raw = bytearray(bundle_file(path).read_bytes())
     if field == "header-length":
         struct.pack_into("<I", raw, 6, 2**32 - 1)
     else:   # past the bundle header, its JSON and CRC, the record header
         n = len(b'{"arrays": ["w"], "meta": {}}')
         struct.pack_into("<Q", raw, 14 + n + 8, 2**34)
-    path.write_bytes(bytes(raw))
+    bundle_file(path).write_bytes(bytes(raw))
     with pytest.raises(TensorFileError, match="truncated"):
         read_bundle(path)
 
@@ -174,18 +178,19 @@ def test_bundle_write_failure_keeps_previous_bundle(tmp_path, monkeypatch):
     assert meta == {"epoch": 1}
     assert list(back) == list(a)
     assert all(np.array_equal(back[k], a[k]) for k in a)
-    assert [p.name for p in tmp_path.iterdir()] == ["ckpt"]
+    assert list(path.iterdir()) == [bundle_file(path)]
 
 
 def _killed_mid_write(tmp_path, monkeypatch):
-    """A bundle at ``ckpt`` plus the ``.ckpt.tmp`` a process killed while
-    writing the next one leaves: a complete newer bundle."""
+    """A bundle at ``ckpt`` plus the temp file a process killed while
+    writing the next one leaves: a complete newer bundle file."""
     path = write_bundle(tmp_path / "ckpt", {"w": np.ones(3)}, {"epoch": 1})
     monkeypatch.setattr(tensorfile.os, "replace", lambda src, dst: None)
     write_bundle(path, {"w": np.zeros(3)}, {"epoch": 2})
     monkeypatch.undo()
-    tmp = tmp_path / ".ckpt.tmp"
-    assert read_bundle(tmp)[1] == {"epoch": 2}
+    (tmp,) = set(path.iterdir()) - {bundle_file(path)}
+    newer = write_bundle(tmp_path / "newer", {"w": np.zeros(3)}, {"epoch": 2})
+    assert tmp.read_bytes() == bundle_file(newer).read_bytes()
     return path, tmp
 
 
@@ -194,14 +199,14 @@ def test_bundle_write_replaces_a_stale_tmp(tmp_path, monkeypatch):
     tmp.write_bytes(b"half a bundle")
     write_bundle(path, {"w": np.full(3, 2.0)}, {"epoch": 3})
     assert read_bundle(path)[1] == {"epoch": 3}
-    assert [p.name for p in tmp_path.iterdir()] == ["ckpt"]
+    assert list(path.iterdir()) == [bundle_file(path)]
 
 
 def test_bundle_read_ignores_a_stale_tmp(tmp_path, monkeypatch):
     path, tmp = _killed_mid_write(tmp_path, monkeypatch)
     arrays, meta = read_bundle(path)
     assert meta == {"epoch": 1} and np.array_equal(arrays["w"], np.ones(3))
-    path.unlink()
+    bundle_file(path).unlink()
     with pytest.raises(TensorFileError, match="cannot read"):
         read_bundle(path)
 
@@ -212,21 +217,38 @@ def test_bundle_overwrite_drops_stale_arrays(tmp_path):
     write_bundle(path, {"only": np.ones(2)}, {"v": 2})
     back, meta = read_bundle(path)
     assert list(back) == ["only"] and meta == {"v": 2}
-    assert [p.name for p in tmp_path.iterdir()] == ["ckpt"]
+    assert list(path.iterdir()) == [bundle_file(path)]
 
 
 def test_bundle_refuses_to_replace_other_content(tmp_path):
-    """A directory (empty, of other files, or a bundle of the older
-    format) or a file that is not a bundle stays as it is."""
-    for name in ("empty", "d", "old"):
+    """A directory of other files, a bundle of the older format, a directory
+    where the temp file goes (as the older format's crash leftovers named
+    ``.<name>.tmp`` are) or a file stays as it is."""
+    for name in ("d", "old", "tmpdir"):
         (tmp_path / name).mkdir()
     (tmp_path / "d" / "notes.txt").write_text("keep")
     (tmp_path / "old" / "bundle.json").write_text("{}")
+    write_bundle(tmp_path / "tmpdir", {"w": np.zeros(2)})
+    (tmp_path / "tmpdir" / tensorfile._BUNDLE_TMP).mkdir()
     (tmp_path / "notes.txt").write_text("keep")
-    for name in ("empty", "d", "old", "notes.txt"):
+    for name in ("d", "old", "tmpdir", "notes.txt"):
         with pytest.raises(TensorFileError, match="not a bundle"):
             write_bundle(tmp_path / name, {"w": np.zeros(2)})
     assert (tmp_path / "d" / "notes.txt").read_text() == "keep"
     assert (tmp_path / "notes.txt").read_text() == "keep"
+    assert (tmp_path / "tmpdir" / tensorfile._BUNDLE_TMP).is_dir()
     assert sorted(p.name for p in tmp_path.iterdir()) == [
-        "d", "empty", "notes.txt", "old"]
+        "d", "notes.txt", "old", "tmpdir"]
+
+
+def test_bundle_write_into_an_empty_directory(tmp_path):
+    """An empty directory, as a crash before a bundle's first rename
+    leaves, is replaced; the older format's crash leftovers beside it are
+    left alone."""
+    (tmp_path / "ckpt").mkdir()
+    (tmp_path / ".ckpt.tmp").mkdir()
+    (tmp_path / ".ckpt.old").mkdir()
+    write_bundle(tmp_path / "ckpt", {"w": np.ones(2)}, {"epoch": 0})
+    assert read_bundle(tmp_path / "ckpt")[1] == {"epoch": 0}
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        ".ckpt.old", ".ckpt.tmp", "ckpt"]

@@ -11,8 +11,8 @@ import numpy as np
 import pytest
 
 from oatdar import autodiff as ad
-from oatdar import cli, pipeline, training
-from oatdar.errors import ConfigError, NumericalError, PrerequisiteError
+from oatdar import cli, pipeline, tensorfile, training
+from oatdar.errors import ConfigError, NumericalError
 from oatdar.config import geometry_from_config, load_config
 from oatdar.dataset import MANIFEST_NAME, build_dataset, entry_file
 from oatdar.geometry import Sinogram
@@ -22,8 +22,8 @@ from oatdar.models import fd_unet_forward
 from oatdar.operator import build_forward_operator, reconstruct_lbp
 from oatdar.optim import OptimizerState
 from oatdar.patches import PatchGrid, split_patches
-from oatdar.tensorfile import (read_bundle, read_tensor, write_bundle,
-                               write_tensor)
+from oatdar.tensorfile import (bundle_file, read_bundle, read_tensor,
+                               write_bundle, write_tensor)
 
 TINY = {"profile": "desk", "dataset": {"train": 3, "val": 0, "test": 0},
         "schedule": {"T": 20}, "inference": {"nis": 5},
@@ -52,8 +52,8 @@ def base_run(tmp_path_factory):
 def _copy_run(base, dest):
     shutil.copytree(base / "dataset", dest / "dataset")
     (dest / "checkpoints").mkdir()
-    shutil.copy(base / "checkpoints" / "cip_lbp.ckpt",
-                dest / "checkpoints" / "cip_lbp.ckpt")
+    shutil.copytree(base / "checkpoints" / "cip_lbp.ckpt",
+                    dest / "checkpoints" / "cip_lbp.ckpt")
     return dest
 
 
@@ -124,7 +124,7 @@ def test_resume_refuses_an_aborted_checkpoint(tmp_path):
         training.fit(_cfg(2), tmp_path, "fdunet", "probe.ckpt", {"w": w}, 4,
                      lambda idx, rng: ad.add(ad.sum_(w), np.float32(np.inf)),
                      PROBE_DATA)
-    ckpt = tmp_path / "checkpoints" / "probe.ckpt"
+    ckpt = bundle_file(tmp_path / "checkpoints" / "probe.ckpt")
     saved = ckpt.read_bytes()
     with pytest.raises(NumericalError, match="without --resume"):
         training.fit(_cfg(2), tmp_path, "fdunet", "probe.ckpt", {"w": w}, 4,
@@ -144,15 +144,17 @@ def test_resume_rejects_a_checkpoint_of_another_model(tmp_path):
                      lambda idx, rng: ad.sum_(w), PROBE_DATA, resume=True)
 
 
-def _stale_tmp(ckpt):
-    """The ``.<name>.tmp`` a process killed while saving ``ckpt`` leaves:
-    a complete bundle of another epoch."""
+def _stale_tmp(ckpt, monkeypatch):
+    """The temp file a process killed while saving ``ckpt`` leaves: a
+    complete bundle file of another epoch."""
     arrays, meta = read_bundle(ckpt)
-    write_bundle(ckpt.with_name(f".{ckpt.name}.tmp"), arrays,
-                 {**meta, "epoch": 7, "losses": [0.0] * 8})
+    monkeypatch.setattr(tensorfile.os, "replace", lambda src, dst: None)
+    write_bundle(ckpt, arrays, {**meta, "epoch": 7, "losses": [0.0] * 8})
+    monkeypatch.undo()
+    assert len(list(ckpt.iterdir())) == 2
 
 
-def test_resume_ignores_a_stale_tmp(tmp_path, caplog):
+def test_resume_ignores_a_stale_tmp(tmp_path, caplog, monkeypatch):
     """Resume continues from the checkpoint, not from the temp file a crash
     left beside it, and the next save replaces that file."""
     w = ad.Tensor(np.ones(3, dtype=np.float32), requires_grad=True)
@@ -164,25 +166,26 @@ def test_resume_ignores_a_stale_tmp(tmp_path, caplog):
 
     ckpt = run(2, False)
     saved = read_bundle(ckpt)[1]["losses"]
-    _stale_tmp(ckpt)
+    _stale_tmp(ckpt, monkeypatch)
     with caplog.at_level(logging.INFO, logger="oatdar.training"):
         run(3, True)
     assert [r.getMessage().split(" loss")[0] for r in caplog.records
             if " epoch " in r.getMessage()] == ["fdunet epoch 3/3"]
     meta = read_bundle(ckpt)[1]
     assert meta["epoch"] == 2 and meta["losses"][:2] == saved
-    assert [p.name for p in ckpt.parent.iterdir()] == ["probe.ckpt"]
+    assert list(ckpt.iterdir()) == [bundle_file(ckpt)]
 
 
-def test_checkpoint_lookup_ignores_a_stale_tmp(tmp_path):
-    """A temp file without its checkpoint is a missing checkpoint."""
+def test_checkpoint_lookup_ignores_a_stale_tmp(tmp_path, monkeypatch):
+    """A temp file without its checkpoint file is not taken for it: the
+    checkpoint reads as damaged, naming the command that rewrites it."""
     path = write_bundle(tmp_path / "checkpoints" / "fdunet.ckpt",
                         {"w": np.ones(3)}, {"epoch": 0})
     assert training.checkpoint(tmp_path, "fdunet") == path
-    _stale_tmp(path)
-    path.unlink()
-    with pytest.raises(PrerequisiteError, match="'train fdunet'"):
-        training.checkpoint(tmp_path, "fdunet")
+    _stale_tmp(path, monkeypatch)
+    bundle_file(path).unlink()
+    with pytest.raises(ConfigError, match="cannot read.*'train fdunet'"):
+        training.load_fdunet(training.checkpoint(tmp_path, "fdunet"))
 
 
 # block -> the loader of the checkpoint its trainer writes
