@@ -51,9 +51,11 @@ class TensorFileError(OatdarError):
 @contextlib.contextmanager
 def blame(source, then: str = ""):
     """A file fault raised in this block is the :class:`ConfigError`
-    ``f"{source}: {exc}{then}"``."""
+    ``f"{source}: {exc}{then}"``, naming ``source`` once: a fault whose
+    message already starts with it is not prefixed again."""
     try:
         yield
     except (TensorFileError, ShapeError, OSError, UnicodeError,
             json.JSONDecodeError, ConfigError) as exc:
-        raise ConfigError(f"{source}: {exc}{then}") from None
+        named = str(exc).removeprefix(f"{source}: ")
+        raise ConfigError(f"{source}: {named}{then}") from None

@@ -3,10 +3,10 @@
 ``METHODS`` names every reconstruction. ``oatdar reconstruct``, ``oatdar
 eval`` and ``run-all`` run them in one order: :func:`check_methods` refuses
 a bad method, DAR step count or eta and returns the ``(method, nis)``
-variants to run; :func:`load_method_models` loads the checkpoints each
-method needs, if trained under the run's models and, in ``eval``, on its
-dataset; the reconstruction operator is built; and :func:`reconstruct` runs
-each variant. Every reconstruction is reported min-max scaled to
+variants to run; :func:`load_method_models` loads and freezes the models
+each method needs, if trained under the run's models and, in ``eval``, on
+its dataset; the reconstruction operator is built; and :func:`reconstruct`
+runs each variant. Every reconstruction is reported min-max scaled to
 [0, 1] by :func:`grayio.normalize01`.
 
 :func:`evaluate_methods` is one loop: for each entry of a split it reads the
@@ -36,7 +36,7 @@ from .config import config_hash, geometry_from_config
 from .dataset import (DatasetManifest, derive_seed, entry_file,
                       reading_dataset)
 from .diffusion import (check_eta, make_inference_timesteps, sample_batch,
-                        scale_from_model)
+                        scale_from_model, schedule_from_config)
 from .errors import ConfigError, NumericalError, PrerequisiteError
 from .geometry import (Image, ImagingGeometry, Sinogram, check_image,
                        check_sinogram)
@@ -47,8 +47,7 @@ from .operator import (add_noise, apply_forward, build_forward_operator,
                        check_snr, reconstruct_lbp, tikhonov_solve)
 from .patches import PatchGrid, merge_patches, split_patches
 from .tensorfile import read_tensor, write_tensor
-from .training import (CONDITIONS, checkpoint, load_denoiser, load_fdunet,
-                       stage_data_sha256)
+from .training import CONDITIONS, load_model, stage_data_sha256
 
 log = logging.getLogger(__name__)
 
@@ -61,8 +60,8 @@ DEFAULT_EVAL_METHODS = ("lbp", "fdunet", "dar")
 
 @dataclass
 class ModelBundle:
-    """The trainable blocks a reconstruction variant needs, plus schedule;
-    the fields after ``fdunet`` are in :func:`load_denoiser`'s return order."""
+    """The trained blocks a reconstruction variant needs, frozen, plus the
+    denoiser's schedule and patch size ``(h, w)``."""
 
     fdunet: object = None
     denoiser: object = None
@@ -73,16 +72,19 @@ class ModelBundle:
 
 def load_models(run_dir, condition_on: str, cfg: dict | None = None,
                 data_sha256=None) -> ModelBundle:
-    """The checkpoints of DAR conditioned on ``condition_on``: the denoiser
+    """The frozen models of DAR conditioned on ``condition_on``: the denoiser
     with its encoder, plus the enhancer when DAR conditions on it. Given
     the dataset's ``data_sha256``, the denoiser must have trained on
     :func:`training.stage_data_sha256`."""
-    return ModelBundle(
-        load_fdunet(checkpoint(run_dir, "fdunet"), cfg, data_sha256)
-        if condition_on == "fdunet" else None,
-        *load_denoiser(checkpoint(run_dir, f"denoiser_{condition_on}"), cfg,
-                       data_sha256 and stage_data_sha256(
-                           run_dir, data_sha256, condition_on)))
+    fdunet = (load_model(run_dir, "fdunet", cfg, data_sha256)[0].freeze()
+              if condition_on == "fdunet" else None)
+    joint, stored = load_model(
+        run_dir, f"denoiser_{condition_on}", cfg,
+        data_sha256 and stage_data_sha256(run_dir, data_sha256, condition_on))
+    joint.freeze()
+    return ModelBundle(fdunet=fdunet, denoiser=joint.den, encoder=joint.cip,
+                       schedule=schedule_from_config(stored),
+                       patch=(stored["patch"]["h"], stored["patch"]["w"]))
 
 
 def _listed_once(what: str, values: list):
@@ -122,8 +124,8 @@ def load_method_models(cfg: dict, run_dir, method: str,
     """The checkpoints ``method`` (checked by :func:`check_methods`) needs,
     trained under ``cfg`` (and on ``data_sha256``); None for lbp, tikhonov."""
     if method == "fdunet":
-        return ModelBundle(fdunet=load_fdunet(checkpoint(run_dir, "fdunet"),
-                                              cfg, data_sha256))
+        model, _ = load_model(run_dir, "fdunet", cfg, data_sha256)
+        return ModelBundle(fdunet=model.freeze())
     if method not in DAR_INITIAL:
         return None
     return load_models(run_dir, DAR_INITIAL[method], cfg, data_sha256)

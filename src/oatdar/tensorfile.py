@@ -129,9 +129,21 @@ def bundle_file(path) -> Path:
     return Path(path) / _BUNDLE_FILE
 
 
+def check_replaceable(path):
+    """Raise :class:`TensorFileError` unless :func:`write_bundle` may write
+    ``path``: it is missing, or a directory holding at most the bundle's
+    file and its temp file."""
+    path = Path(path)
+    if path.exists() and not (path.is_dir() and all(
+            f.name in (_BUNDLE_FILE, _BUNDLE_TMP) and f.is_file()
+            for f in path.iterdir())):
+        raise TensorFileError(f"{path}: exists and is not a bundle; "
+                              "not replacing it")
+
+
 def write_bundle(path, arrays: dict, meta: dict | None = None) -> Path:
     """Write named arrays + JSON metadata as the bundle directory ``path``;
-    refuses to replace anything but a bundle.
+    refuses to replace anything but a bundle (:func:`check_replaceable`).
 
     Its file is written as ``.bundle.oatb.tmp`` beside it and renamed onto
     it by one ``os.replace``, so a write that fails (or a crash of the
@@ -141,11 +153,7 @@ def write_bundle(path, arrays: dict, meta: dict | None = None) -> Path:
     until the next write. Nothing is fsynced.
     """
     path = Path(path)
-    if path.exists() and not (path.is_dir() and all(
-            f.name in (_BUNDLE_FILE, _BUNDLE_TMP) and f.is_file()
-            for f in path.iterdir())):
-        raise TensorFileError(f"{path}: exists and is not a bundle; "
-                              "not replacing it")
+    check_replaceable(path)
     path.mkdir(parents=True, exist_ok=True)
     header = json.dumps({"arrays": list(arrays), "meta": meta or {}},
                         sort_keys=True).encode("utf-8")

@@ -1,15 +1,18 @@
 """Training for the three trainable blocks through one resumable epoch loop.
 
-Each trainer builds its data, its ``{name: Tensor}`` parameters and a
-per-batch loss, then hands them to :func:`fit`, which owns batching, Adam,
-the non-finite-loss abort, per-epoch checkpoints and the loss log. Resume
-and every model loader read parameters through ``layers.load_parameters``,
-and :func:`checkpoint` is the one lookup of a checkpoint a later stage reads.
+A stage's one name is its checkpoint's stem (``fdunet``, ``cip_<cond>``,
+``denoiser_<cond>``); it also names its rng stream, loss log and ``train``
+command. Each trainer hands the model :func:`build_model` builds, its data
+and a per-batch loss to :func:`fit`, which owns batching, Adam, the
+non-finite-loss abort, per-epoch checkpoints and the loss log.
+:func:`load_model` is the one loader of a trained stage (trainable; its
+inference readers freeze it), and :func:`checkpoint` the one lookup of a
+checkpoint a later stage reads.
 
 A checkpoint's meta holds ``config``, the config its stage trained under,
 the ``data_sha256`` of its training data (:func:`stage_data_sha256`) and
 the resume state (``epoch``, ``losses``, ``opt_step``, ``rng_state``,
-``aborted``); its models are built from ``config``. :func:`load_checkpoint`
+``aborted``); its model is built from ``config``. :func:`load_checkpoint`
 is the one rule: a bad meta exits 2, and a config other than the run's in
 ``config.MODEL_SECTIONS`` (for a resume also ``training``, but epochs, and
 ``dataset``) or other data than the run's dataset exits 3.
@@ -41,20 +44,23 @@ from .diffusion import q_sample, scale_to_model, schedule_from_config
 from .errors import ConfigError, NumericalError, PrerequisiteError, blame
 from .geometry import Image, Sinogram, check_image
 from .grayio import normalize01
-from .layers import PARAM_DTYPE, load_parameters
-from .models import (CIPAutoencoder, CIPEncoder, ConditionalDenoiser,
-                     DenoiserConfig, FDUNet, FDUNetConfig, fd_unet_forward)
+from .layers import PARAM_DTYPE, Module, load_parameters
+from .models import (CIPAutoencoder, ConditionalDenoiser, DenoiserConfig,
+                     FDUNet, FDUNetConfig, fd_unet_forward)
 from .operator import build_forward_operator, reconstruct_lbp
 from .optim import OptimizerState, adam_update
 from .patches import PatchGrid, split_patches
-from .tensorfile import bundle_file, read_bundle, write_bundle, write_tensor
+from .tensorfile import (bundle_file, check_replaceable, read_bundle,
+                         write_bundle, write_tensor)
 
 log = logging.getLogger(__name__)
 
 # the initial reconstructions a conditioning encoder and denoiser train on
 CONDITIONS = ("fdunet", "lbp")
-_STAGE_IDS = {"fdunet": 11, "cip_fdunet": 12, "diffusion_fdunet": 13,
-              "cip_lbp": 14, "diffusion_lbp": 15}
+_STAGE_IDS = {"fdunet": 11, "cip_fdunet": 12, "denoiser_fdunet": 13,
+              "cip_lbp": 14, "denoiser_lbp": 15}
+# a stage's block -> the ``train`` command's block argument
+_TRAIN_BLOCKS = {"fdunet": "fdunet", "cip": "cip", "denoiser": "diffusion"}
 # the form of the resume state fit saves with every checkpoint
 _RESUME_FORM = {"epoch": 0, "losses": [], "opt_step": 0,
                 "rng_state": np.random.default_rng(0).bit_generator.state}
@@ -82,13 +88,14 @@ def save_checkpoint(path, params: dict, opt: OptimizerState, meta: dict,
 
 def load_checkpoint(path, cfg: dict | None = None, data_sha256=None,
                     resume: bool = False):
-    """(parameters, Adam arrays, meta) of a checkpoint, by the module's one
-    rule: :class:`ConfigError` (:func:`_rewritable`) if it is corrupt or its
-    config or resume state is bad, :class:`NumericalError` if its run
-    aborted and, given the run's ``cfg`` (and ``data_sha256``),
-    :class:`PrerequisiteError` naming the first difference and the command
-    that retrains it."""
-    with _rewritable(path):
+    """(parameters, Adam arrays, meta) of the checkpoint of stage
+    ``path.stem``, by the module's one rule: :class:`ConfigError` naming the
+    command that rewrites it if it is corrupt or its config or resume state
+    is bad, :class:`NumericalError` if its run aborted and, given the run's
+    ``cfg`` (and ``data_sha256``), :class:`PrerequisiteError` naming the
+    first difference and the command that retrains it."""
+    stages = [Path(path).stem]
+    with blame(path, f"; run '{_train_command(stages[0])}' to rewrite it"):
         arrays, meta = read_bundle(path)
         meta["config"] = checked_config(meta.get("config"), complete=True)
         if not _same_form(_RESUME_FORM, {k: meta.get(k)
@@ -111,11 +118,11 @@ def load_checkpoint(path, cfg: dict | None = None, data_sha256=None,
         diffs.append(("data_sha256", meta.get("data_sha256"), data_sha256))
     for where, saved, run in diffs:
         if saved != run:
-            names = [Path(path).stem]
-            if where == "data_sha256" and names[0].startswith("denoiser"):
+            block, _, cond = stages[0].partition("_")
+            if where == "data_sha256" and block == "denoiser":
                 # the CIP it was tuned from trained on the same data
-                names.insert(0, names[0].replace("denoiser", "cip"))
-            commands = "' and then '".join(map(_train_command, names))
+                stages.insert(0, f"cip_{cond}")
+            commands = "' and then '".join(map(_train_command, stages))
             raise PrerequisiteError(
                 f"{path} was trained with {where}={saved}, this run has "
                 f"{where}={run}; run '{commands}' first")
@@ -124,30 +131,25 @@ def load_checkpoint(path, cfg: dict | None = None, data_sha256=None,
     return params, opt_arrays, meta
 
 
-def _train_command(name: str) -> str:
-    """The ``train`` command that writes checkpoint ``name``."""
-    # 'train diffusion' writes denoiser_<cond>.ckpt
-    block, _, cond = name.replace("denoiser", "diffusion").partition("_")
+def _train_command(stage: str) -> str:
+    """The ``train`` command that writes ``stage``'s checkpoint."""
+    block, _, cond = stage.partition("_")
     flag = f" --condition-on {cond}" if cond else ""
-    return f"train {block}{flag}"
+    return f"train {_TRAIN_BLOCKS[block]}{flag}"
 
 
-def checkpoint(run_dir, name: str) -> Path:
-    """``run_dir/checkpoints/<name>.ckpt``; raises :class:`PrerequisiteError`
+def _ckpt_path(run_dir, stage: str) -> Path:
+    return Path(run_dir) / "checkpoints" / f"{stage}.ckpt"
+
+
+def checkpoint(run_dir, stage: str) -> Path:
+    """``run_dir/checkpoints/<stage>.ckpt``; raises :class:`PrerequisiteError`
     naming the ``train`` command that writes it when it is missing."""
-    path = Path(run_dir) / "checkpoints" / f"{name}.ckpt"
+    path = _ckpt_path(run_dir, stage)
     if not path.exists():
         raise PrerequisiteError(
-            f"{path} is missing; run '{_train_command(name)}' first")
+            f"{path} is missing; run '{_train_command(stage)}' first")
     return path
-
-
-def _rewritable(ckpt):
-    """A corrupt checkpoint ``ckpt``, or one whose meta is bad, read in this
-    block is a :class:`ConfigError` naming ``ckpt`` and the command that
-    rewrites it."""
-    command = _train_command(Path(ckpt).stem)
-    return blame(ckpt, f"; run '{command}' to rewrite it")
 
 
 def _same_form(own, saved) -> bool:
@@ -177,9 +179,9 @@ def _mse(pred: Tensor, target: Tensor) -> Tensor:
     return ad.mean_(ad.mul(d, d))
 
 
-def fit(cfg: dict, run_dir, stage: str, ckpt_name: str, params: dict,
-        n: int, batch_loss, data_sha256: str, resume: bool = False) -> Path:
-    """The epoch loop every trainer shares.
+def fit(cfg: dict, run_dir, stage: str, params: dict, n: int, batch_loss,
+        data_sha256: str, resume: bool = False) -> Path:
+    """The epoch loop every trainer shares; returns ``stage``'s checkpoint.
 
     ``params`` maps checkpoint names to the trainable tensors;
     ``batch_loss(idx, rng)`` returns the scalar loss Tensor of the training
@@ -189,10 +191,11 @@ def fit(cfg: dict, run_dir, stage: str, ckpt_name: str, params: dict,
     if it matches the run. A non-finite epoch loss saves an ``aborted``
     checkpoint and raises :class:`NumericalError`, and so does
     :func:`load_checkpoint` on such a checkpoint, on resume as in every
-    loader.
+    loader. A checkpoint path that the first save could not replace is
+    refused before the first batch.
     """
     run_dir = Path(run_dir)
-    ckpt = run_dir / "checkpoints" / ckpt_name
+    ckpt = _ckpt_path(run_dir, stage)
     tr = cfg["training"]
     opt = OptimizerState(tr["learning_rate"])
     rng = stage_rng(cfg["dataset"]["master_seed"], stage)
@@ -206,6 +209,8 @@ def fit(cfg: dict, run_dir, stage: str, ckpt_name: str, params: dict,
         rng.bit_generator.state = m["rng_state"]
         start_epoch = m["epoch"] + 1
         losses = list(m["losses"])
+    with blame(ckpt):
+        check_replaceable(ckpt)
 
     def arrays():
         return {k: t.data for k, t in params.items()}
@@ -239,6 +244,31 @@ def fit(cfg: dict, run_dir, stage: str, ckpt_name: str, params: dict,
     return ckpt
 
 
+def build_model(cfg: dict, stage: str) -> Module:
+    """``stage``'s untrained model under ``cfg``; the denoiser stage's has
+    children ``den`` and ``cip``, the denoiser and the encoder it tunes."""
+    if stage == "fdunet":
+        return FDUNet(FDUNetConfig.from_dict(cfg["fd_unet"]))
+    ae = CIPAutoencoder(cip_widths(cfg))
+    if stage.startswith("cip_"):
+        return ae
+    joint = Module()
+    joint.den = ConditionalDenoiser(DenoiserConfig.from_dict(cfg["denoiser"]))
+    joint.cip = ae.enc
+    return joint
+
+
+def load_model(run_dir, stage: str, cfg: dict | None = None,
+               data_sha256=None) -> tuple[Module, dict]:
+    """``stage``'s trained model, still trainable, and its stored config,
+    read by :func:`load_checkpoint`'s rule."""
+    ckpt = checkpoint(run_dir, stage)
+    params, _, meta = load_checkpoint(ckpt, cfg, data_sha256)
+    model = build_model(meta["config"], stage)
+    load_parameters(model.parameters(), params, ckpt)
+    return model, meta["config"]
+
+
 # ---------------------------------------------------------------------------
 # initial-reconstruction enhancer
 # ---------------------------------------------------------------------------
@@ -265,7 +295,7 @@ def _train_phantoms(cfg: dict, manifest: DatasetManifest, data_dir):
 def train_fdunet(cfg: dict, run_dir, manifest: DatasetManifest,
                  resume: bool = False) -> Path:
     data_dir = Path(run_dir) / "dataset"
-    model = FDUNet(FDUNetConfig.from_dict(cfg["fd_unet"]))
+    model = build_model(cfg, "fdunet")
     lbp = initial_images(cfg, manifest, data_dir, "lbp", "train")
     gt = _train_phantoms(cfg, manifest, data_dir)
     x_all = lbp[:, None].astype(PARAM_DTYPE)
@@ -274,16 +304,8 @@ def train_fdunet(cfg: dict, run_dir, manifest: DatasetManifest,
     def batch_loss(idx, rng):
         return _mse(model(Tensor(x_all[idx])), Tensor(y_all[idx]))
 
-    return fit(cfg, run_dir, "fdunet", "fdunet.ckpt", model.parameters(),
-               x_all.shape[0], batch_loss, manifest.data_sha256, resume)
-
-
-def load_fdunet(ckpt, cfg: dict | None = None, data_sha256=None) -> FDUNet:
-    """The trained enhancer, frozen for inference."""
-    params, _, meta = load_checkpoint(ckpt, cfg, data_sha256)
-    model = FDUNet(FDUNetConfig.from_dict(meta["config"]["fd_unet"]))
-    load_parameters(model.parameters(), params, ckpt)
-    return model.freeze()
+    return fit(cfg, run_dir, "fdunet", model.parameters(), x_all.shape[0],
+               batch_loss, manifest.data_sha256, resume)
 
 
 _EMIT_BATCH = 64  # images per enhancer forward in emit_fdunet_outputs
@@ -294,8 +316,8 @@ def emit_fdunet_outputs(cfg: dict, run_dir,
     """Run the trained enhancer over every entry; once every output is
     computed, replace the stored ``fdunet`` arrays with them. Returns
     ``manifest`` unchanged."""
-    model = load_fdunet(checkpoint(run_dir, "fdunet"), cfg,
-                        manifest.data_sha256)
+    model, _ = load_model(run_dir, "fdunet", cfg, manifest.data_sha256)
+    model.freeze()
     data_dir = Path(run_dir) / "dataset"
     lbp = initial_images(cfg, manifest, data_dir, "lbp")
     outs = np.concatenate([fd_unet_forward(model, lbp[s:s + _EMIT_BATCH])
@@ -344,7 +366,8 @@ def _cond_patches(cfg, run_dir, manifest, condition_on):
 
 def train_cip(cfg: dict, run_dir, manifest: DatasetManifest,
               condition_on: str, resume: bool = False) -> Path:
-    ae = CIPAutoencoder(cip_widths(cfg))
+    stage = f"cip_{condition_on}"
+    ae = build_model(cfg, stage)
     x_all, _, data_sha256 = _cond_patches(cfg, run_dir, manifest,
                                           condition_on)
 
@@ -352,18 +375,9 @@ def train_cip(cfg: dict, run_dir, manifest: DatasetManifest,
         xb = Tensor(x_all[idx])
         return _mse(ae(xb), xb)
 
-    stage = f"cip_{condition_on}"
     # the decoder is pretraining scaffolding, checkpointed so resume works
-    return fit(cfg, run_dir, stage, f"{stage}.ckpt", ae.parameters(),
-               x_all.shape[0], batch_loss, data_sha256, resume)
-
-
-def load_cip_encoder(ckpt, cfg: dict | None = None, data_sha256=None):
-    """The pretrained encoder, left trainable: the denoiser stage tunes it."""
-    params, _, meta = load_checkpoint(ckpt, cfg, data_sha256)
-    ae = CIPAutoencoder(cip_widths(meta["config"]))
-    load_parameters(ae.parameters(), params, ckpt)
-    return ae.enc
+    return fit(cfg, run_dir, stage, ae.parameters(), x_all.shape[0],
+               batch_loss, data_sha256, resume)
 
 
 # ---------------------------------------------------------------------------
@@ -371,21 +385,17 @@ def load_cip_encoder(ckpt, cfg: dict | None = None, data_sha256=None):
 # ---------------------------------------------------------------------------
 
 
-def _joint_parameters(denoiser, encoder) -> dict:
-    """The denoiser checkpoint's names: ``den.*``, then ``cip.*``."""
-    return dict([*denoiser.named_parameters("den."),
-                 *encoder.named_parameters("cip.")])
-
-
 def train_diffusion(cfg: dict, run_dir, manifest: DatasetManifest,
                     condition_on: str, resume: bool = False) -> Path:
     data_dir = Path(run_dir) / "dataset"
-    cip_ckpt = checkpoint(run_dir, f"cip_{condition_on}")
+    checkpoint(run_dir, f"cip_{condition_on}")   # before any data is read
+    stage = f"denoiser_{condition_on}"
     sched = schedule_from_config(cfg)
-    model = ConditionalDenoiser(DenoiserConfig.from_dict(cfg["denoiser"]))
+    model = build_model(cfg, stage)
     cond_flat, grid, data_sha256 = _cond_patches(cfg, run_dir, manifest,
                                                  condition_on)
-    encoder = load_cip_encoder(cip_ckpt, cfg, data_sha256)
+    model.cip = load_model(run_dir, f"cip_{condition_on}", cfg,
+                           data_sha256)[0].enc
     gt = _train_phantoms(cfg, manifest, data_dir)
     x0_all = scale_to_model(split_patches(gt, grid).reshape(
         -1, 1, grid.patch_h, grid.patch_w).astype(PARAM_DTYPE))
@@ -395,22 +405,8 @@ def train_diffusion(cfg: dict, run_dir, manifest: DatasetManifest,
         eps = rng.standard_normal((idx.size, 1, grid.patch_h, grid.patch_w),
                                   dtype=PARAM_DTYPE)
         xt = q_sample(x0_all[idx], t_batch, eps, sched)
-        cond_vec = encoder(Tensor(cond_flat[idx]))
-        return _mse(model(Tensor(xt), cond_vec, t_batch), Tensor(eps))
+        cond_vec = model.cip(Tensor(cond_flat[idx]))
+        return _mse(model.den(Tensor(xt), cond_vec, t_batch), Tensor(eps))
 
-    return fit(cfg, run_dir, f"diffusion_{condition_on}",
-               f"denoiser_{condition_on}.ckpt",
-               _joint_parameters(model, encoder), x0_all.shape[0],
+    return fit(cfg, run_dir, stage, model.parameters(), x0_all.shape[0],
                batch_loss, data_sha256, resume)
-
-
-def load_denoiser(ckpt, cfg: dict | None = None, data_sha256=None):
-    """Returns (denoiser, jointly tuned conditioning encoder, schedule,
-    (patch_h, patch_w)); both networks are frozen for inference."""
-    params, _, meta = load_checkpoint(ckpt, cfg, data_sha256)
-    stored = meta["config"]
-    model = ConditionalDenoiser(DenoiserConfig.from_dict(stored["denoiser"]))
-    encoder = CIPEncoder(cip_widths(stored), np.random.default_rng(0))
-    load_parameters(_joint_parameters(model, encoder), params, ckpt)
-    return (model.freeze(), encoder.freeze(), schedule_from_config(stored),
-            (stored["patch"]["h"], stored["patch"]["w"]))

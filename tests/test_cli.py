@@ -90,15 +90,15 @@ def test_eval_reads_the_enhancer_checkpoint_once(tiny_run, monkeypatch):
     common, data_dir, *_ = tiny_run
     calls = []
 
-    def load_fdunet(ckpt, *run):
-        calls.append(ckpt)
-        return training.load_fdunet(ckpt, *run)
+    def load_model(run_dir, stage, *run):
+        calls.append(stage)
+        return training.load_model(run_dir, stage, *run)
 
-    monkeypatch.setattr(pipeline, "load_fdunet", load_fdunet)
+    monkeypatch.setattr(pipeline, "load_model", load_model)
     report = pipeline.evaluate_methods(
         load_config(common[1]), data_dir.parent,
         DatasetManifest.read(data_dir), ["fdunet", "dar"])
-    assert len(calls) == 1
+    assert calls == ["fdunet", "denoiser_fdunet"]
     assert [r.method for r in report.records] == ["fdunet", "dar"]
 
 
@@ -739,7 +739,8 @@ def test_corrupt_checkpoint_exits_2(tiny_run, tmp_path, caplog, argv, ckpt,
     with caplog.at_level(logging.ERROR, logger="oatdar"):
         assert cli.main([*argv, *common[:2], "--run-dir", str(run),
                          *io]) == 2
-    assert f"{run / 'checkpoints' / ckpt}: " in caplog.text
+    # named once, as the fault's source
+    assert caplog.text.count(f"{run / 'checkpoints' / ckpt}: ") == 1
     assert f"run '{command}' to rewrite it" in caplog.text
     assert not out.exists()
 

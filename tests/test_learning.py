@@ -10,16 +10,15 @@ import pytest
 from oatdar import training
 from oatdar.autodiff import Tensor
 from oatdar.diffusion import make_linear_schedule, q_sample, scale_to_model
-from oatdar.models import (CIPAutoencoder, ConditionalDenoiser,
-                           DenoiserConfig, FDUNet, FDUNetConfig)
+from oatdar.models import CIPAutoencoder, FDUNet, FDUNetConfig
 from oatdar.patches import PatchGrid, split_patches
 from oatdar.phantoms import PhantomParams, generate_phantom
 
 LEARNING_RATE = 1e-3  # ten times the profiles' value: learns in few steps
 MARGIN = 0.5          # final loss / trivial predictor's loss must not exceed
 # Adam steps per block, about 1.4x the count at which each first passes
-# MARGIN (11, 143 and 33 steps); the ratios end near 0.36, 0.36 and 0.38.
-STEPS = {"fdunet": 15, "cip_lbp": 200, "diffusion_lbp": 45}
+# MARGIN (11, 143 and 33 steps); the ratios end near 0.36, 0.36 and 0.37.
+STEPS = {"fdunet": 15, "cip_lbp": 200, "denoiser_lbp": 45}
 
 
 @pytest.fixture(scope="module")
@@ -42,7 +41,7 @@ def _final_loss(tmp_path, stage, params, loss):
     cfg = {"training": {"learning_rate": LEARNING_RATE, "epochs": 1,
                         "batch_size": 1},
            "dataset": {"master_seed": 0}}
-    training.fit(cfg, tmp_path, stage, f"{stage}.ckpt", params, STEPS[stage],
+    training.fit(cfg, tmp_path, stage, params, STEPS[stage],
                  lambda idx, rng: loss(), "fixed batch")
     return float(loss().data)
 
@@ -72,18 +71,20 @@ def test_cip_learns_past_the_mean_patch(tmp_path, patches):
 
 def test_denoiser_learns_past_zero_noise(tmp_path, patches):
     n = len(patches)
-    den = ConditionalDenoiser(DenoiserConfig(
-        scales=(8, 16), resblocks_per_scale=1, cond_dim=16, cond_tokens=2,
-        time_embed_dim=16))
-    enc = CIPAutoencoder([64, 32, 16]).enc
+    # the stage's model: the denoiser and the encoder it tunes, whose widths
+    # narrow the 8x8 patch to cond_dim
+    joint = training.build_model({"patch": {"h": 8, "w": 8}, "denoiser": {
+        "scales": [8, 16], "resblocks_per_scale": 1, "cond_dim": 16,
+        "cond_tokens": 2, "time_embed_dim": 16}}, "denoiser_lbp")
     sched = make_linear_schedule(20, 1e-4, 0.02)
     # the batch is fixed: each patch keeps one step and one noise draw
     t = 1 + np.arange(n) % sched.T
     eps = np.random.default_rng(1).standard_normal((n, 1, 8, 8)) \
         .astype(np.float32)
     xt = q_sample(scale_to_model(patches.reshape(n, 1, 8, 8)), t, eps, sched)
+    cond = Tensor(patches)
     final = _final_loss(
-        tmp_path, "diffusion_lbp", training._joint_parameters(den, enc),
-        lambda: training._mse(den(Tensor(xt), enc(Tensor(patches)), t),
+        tmp_path, "denoiser_lbp", joint.parameters(),
+        lambda: training._mse(joint.den(Tensor(xt), joint.cip(cond), t),
                               Tensor(eps)))
     assert final <= MARGIN * np.mean(eps * eps)   # predicting eps = 0

@@ -1,5 +1,5 @@
-"""The package's public names, the names the benchmark traces, and the
-names and call signatures its workloads use."""
+"""The package's public names, the names the benchmark traces, the names
+and call signatures its workloads use, and the one fault rule."""
 
 import ast
 import builtins
@@ -8,8 +8,10 @@ import importlib.util
 import inspect
 from pathlib import Path
 
+import pytest
+
 import oatdar
-from oatdar.errors import ConfigError
+from oatdar.errors import ConfigError, TensorFileError, blame
 
 ROOT = Path(__file__).resolve().parents[1]
 TRACING = ROOT / "benchmarks" / "tracing.py"
@@ -151,3 +153,12 @@ def test_only_blame_turns_a_file_fault_into_a_config_error():
                       if isinstance(r, ast.Raise) and r.exc is not None
                       and _names(r.exc) & config_errors]
     assert found == []
+
+
+@pytest.mark.parametrize("message", ["a.ckpt: bad header", "bad header"])
+def test_blame_names_its_source_once(message):
+    """A fault whose message already starts with its source is not
+    prefixed with it again."""
+    with pytest.raises(ConfigError) as info, blame("a.ckpt", "; then"):
+        raise TensorFileError(message)
+    assert str(info.value) == "a.ckpt: bad header; then"

@@ -1,7 +1,9 @@
 """The shared epoch loop: resuming a stage reproduces the uninterrupted run
 bit for bit, never from the temp file a crash left mid-write, and the CLI
-hands ``--resume`` to every block; the enhancer's outputs replace the stored
-ones without a rewrite of the manifest."""
+hands ``--resume`` to every block; a stage's one name is its checkpoint's,
+its loss log's and its ``train`` command's; every inference reader freezes
+what it loads; the enhancer's outputs replace the stored ones without a
+rewrite of the manifest."""
 
 import json
 import logging
@@ -17,7 +19,7 @@ from oatdar.config import geometry_from_config, load_config
 from oatdar.dataset import MANIFEST_NAME, build_dataset, entry_file
 from oatdar.geometry import Sinogram
 from oatdar.grayio import normalize01
-from oatdar.layers import load_parameters
+from oatdar.layers import Module, load_parameters
 from oatdar.models import fd_unet_forward
 from oatdar.operator import build_forward_operator, reconstruct_lbp
 from oatdar.optim import OptimizerState
@@ -57,13 +59,13 @@ def _copy_run(base, dest):
     return dest
 
 
-# block -> (stage name of its loss log, trainer)
+# block -> (its stage, which names its checkpoint and loss log, trainer)
 TRAINERS = {
     "fdunet": ("fdunet", lambda cfg, run, m, resume: training.train_fdunet(
         cfg, run, m, resume=resume)),
     "cip": ("cip_lbp", lambda cfg, run, m, resume: training.train_cip(
         cfg, run, m, "lbp", resume=resume)),
-    "diffusion": ("diffusion_lbp", lambda cfg, run, m, resume:
+    "diffusion": ("denoiser_lbp", lambda cfg, run, m, resume:
                   training.train_diffusion(cfg, run, m, "lbp",
                                            resume=resume)),
 }
@@ -110,9 +112,9 @@ def test_non_finite_loss_saves_aborted_checkpoint(tmp_path):
         return ad.add(ad.sum_(w), np.float32(np.inf))
 
     with pytest.raises(NumericalError, match="non-finite loss"):
-        training.fit(_cfg(2), tmp_path, "fdunet", "probe.ckpt", {"w": w}, 4,
-                     batch_loss, PROBE_DATA)
-    arrays, meta = read_bundle(tmp_path / "checkpoints" / "probe.ckpt")
+        training.fit(_cfg(2), tmp_path, "fdunet", {"w": w}, 4, batch_loss,
+                     PROBE_DATA)
+    arrays, meta = read_bundle(tmp_path / "checkpoints" / "fdunet.ckpt")
     assert meta["aborted"] and meta["epoch"] == 0 and meta["losses"] == []
     assert np.array_equal(arrays["p.w"], w.data)
     assert "o.m.w" in arrays
@@ -121,26 +123,26 @@ def test_non_finite_loss_saves_aborted_checkpoint(tmp_path):
 def test_resume_refuses_an_aborted_checkpoint(tmp_path):
     w = ad.Tensor(np.ones(3, dtype=np.float32), requires_grad=True)
     with pytest.raises(NumericalError, match="non-finite loss"):
-        training.fit(_cfg(2), tmp_path, "fdunet", "probe.ckpt", {"w": w}, 4,
+        training.fit(_cfg(2), tmp_path, "fdunet", {"w": w}, 4,
                      lambda idx, rng: ad.add(ad.sum_(w), np.float32(np.inf)),
                      PROBE_DATA)
-    ckpt = bundle_file(tmp_path / "checkpoints" / "probe.ckpt")
+    ckpt = bundle_file(tmp_path / "checkpoints" / "fdunet.ckpt")
     saved = ckpt.read_bytes()
     with pytest.raises(NumericalError, match="without --resume"):
-        training.fit(_cfg(2), tmp_path, "fdunet", "probe.ckpt", {"w": w}, 4,
+        training.fit(_cfg(2), tmp_path, "fdunet", {"w": w}, 4,
                      lambda idx, rng: ad.sum_(w), PROBE_DATA, resume=True)
     assert ckpt.read_bytes() == saved
 
 
 def test_resume_rejects_a_checkpoint_of_another_model(tmp_path):
     w = ad.Tensor(np.ones(3, dtype=np.float32), requires_grad=True)
-    training.save_checkpoint(tmp_path / "checkpoints" / "probe.ckpt",
+    training.save_checkpoint(tmp_path / "checkpoints" / "fdunet.ckpt",
                              {"v": w.data}, OptimizerState(),
                              {"config": _cfg(2), "data_sha256": PROBE_DATA,
                               "epoch": 0, "losses": []},
                              np.random.default_rng(0))
     with pytest.raises(ConfigError, match="do not fit the model"):
-        training.fit(_cfg(2), tmp_path, "fdunet", "probe.ckpt", {"w": w}, 4,
+        training.fit(_cfg(2), tmp_path, "fdunet", {"w": w}, 4,
                      lambda idx, rng: ad.sum_(w), PROBE_DATA, resume=True)
 
 
@@ -160,9 +162,9 @@ def test_resume_ignores_a_stale_tmp(tmp_path, caplog, monkeypatch):
     w = ad.Tensor(np.ones(3, dtype=np.float32), requires_grad=True)
 
     def run(epochs, resume):
-        return training.fit(_cfg(epochs), tmp_path, "fdunet", "probe.ckpt",
-                            {"w": w}, 4, lambda idx, rng: ad.sum_(w),
-                            PROBE_DATA, resume=resume)
+        return training.fit(_cfg(epochs), tmp_path, "fdunet", {"w": w}, 4,
+                            lambda idx, rng: ad.sum_(w), PROBE_DATA,
+                            resume=resume)
 
     ckpt = run(2, False)
     saved = read_bundle(ckpt)[1]["losses"]
@@ -185,12 +187,7 @@ def test_checkpoint_lookup_ignores_a_stale_tmp(tmp_path, monkeypatch):
     _stale_tmp(path, monkeypatch)
     bundle_file(path).unlink()
     with pytest.raises(ConfigError, match="cannot read.*'train fdunet'"):
-        training.load_fdunet(training.checkpoint(tmp_path, "fdunet"))
-
-
-# block -> the loader of the checkpoint its trainer writes
-LOADERS = {"fdunet": training.load_fdunet, "cip": training.load_cip_encoder,
-           "diffusion": training.load_denoiser}
+        training.load_model(tmp_path, "fdunet")
 
 
 @pytest.mark.parametrize("block", sorted(TRAINERS))
@@ -206,7 +203,7 @@ def test_loader_names_parameters_as_the_trainer_saved_them(
         load_parameters(params, arrays, source)
 
     monkeypatch.setattr(training, "load_parameters", record)
-    LOADERS[block](ckpt)
+    training.load_model(run, TRAINERS[block][0])
     saved = [k[2:] for k in read_bundle(ckpt)[0] if k.startswith("p.")]
     assert loaded == [saved]
 
@@ -229,7 +226,7 @@ def test_trainers_backproject_the_stored_sinograms(base_run):
 
 def test_cip_checkpoint_still_loads_as_encoder(base_run):
     base, _ = base_run
-    enc = training.load_cip_encoder(base / "checkpoints" / "cip_lbp.ckpt")
+    enc = training.load_model(base, "cip_lbp")[0].enc
     arrays, _ = read_bundle(base / "checkpoints" / "cip_lbp.ckpt")
     for k, t in enc.parameters().items():
         assert np.array_equal(t.data, arrays[f"p.enc.{k}"])
@@ -267,29 +264,95 @@ def test_train_diffusion_tunes_the_cip_encoder(base_run, tmp_path):
         assert not np.array_equal(tuned["p.cip." + k[6:]], pretrained[k]), k
 
 
-def test_loaded_checkpoints_run_without_a_tape(base_run, tmp_path):
+@pytest.fixture(scope="module")
+def trained_run(base_run, tmp_path_factory):
+    """``base_run`` plus every other stage, trained for zero epochs."""
     base, manifest = base_run
-    run = _copy_run(base, tmp_path / "run")
+    run = tmp_path_factory.mktemp("trained") / "run"
+    shutil.copytree(base, run)
     cfg = _cfg(0)
     training.train_fdunet(cfg, run, manifest)
-    training.train_diffusion(cfg, run, manifest, "lbp")
-    fdunet = training.load_fdunet(run / "checkpoints" / "fdunet.ckpt")
-    denoiser, encoder, _, (ph, pw) = training.load_denoiser(
-        run / "checkpoints" / "denoiser_lbp.ckpt")
-    for model in (fdunet, denoiser, encoder):
+    training.emit_fdunet_outputs(cfg, run, manifest)
+    training.train_cip(cfg, run, manifest, "fdunet")
+    for cond in training.CONDITIONS:
+        training.train_diffusion(cfg, run, manifest, cond)
+    return run, manifest
+
+
+def test_each_checkpoint_has_the_loss_log_of_its_name(trained_run):
+    run, _ = trained_run
+    ckpts = sorted(p.name.removesuffix(".ckpt")
+                   for p in (run / "checkpoints").iterdir())
+    assert ckpts == sorted(training._STAGE_IDS)
+    assert sorted(p.name.removesuffix("_loss.tsv")
+                  for p in (run / "logs").iterdir()) == ckpts
+
+
+@pytest.mark.parametrize("stage", sorted(training._STAGE_IDS))
+def test_cli_accepts_each_stage_train_command(stage):
+    args = cli.build_parser().parse_args(
+        training._train_command(stage).split())
+    assert args.fn is cli.cmd_train
+
+
+def test_loaded_checkpoints_run_without_a_tape(trained_run, monkeypatch):
+    """Every inference reader freezes what it loads: the enhancer
+    ``emit_fdunet_outputs`` runs and every model of a method's bundle, which
+    ``eval`` and ``reconstruct`` run."""
+    run, manifest = trained_run
+    cfg = _cfg(0)
+    emitted = []
+
+    def record(model, images):
+        emitted.append(model)
+        return fd_unet_forward(model, images)
+
+    monkeypatch.setattr(training, "fd_unet_forward", record)
+    training.emit_fdunet_outputs(cfg, run, manifest)
+    bundles = [pipeline.load_method_models(cfg, run, m)
+               for m in ("fdunet", *pipeline.DAR_INITIAL)]
+    models = emitted + [m for b in bundles for m in vars(b).values()
+                        if isinstance(m, Module)]
+    assert len(models) == 1 + 1 + 3 + 2
+    for model in models:
         assert not any(t.requires_grad for t in model.parameters().values())
+    dar = bundles[1]
     n = cfg["geometry"]["grid_nx"]
     img = np.random.default_rng(0).random((2, 1, n, n), dtype=np.float32)
     patches = split_patches(img[0, 0], PatchGrid.for_image(
-        (n, n), ph, pw))[:, None]
-    cond = encoder(ad.Tensor(patches.reshape(len(patches), -1)))
-    outs = [fdunet(ad.Tensor(img)), cond,
-            denoiser(ad.Tensor(patches), cond, np.full(len(patches), 3))]
+        (n, n), *dar.patch))[:, None]
+    cond = dar.encoder(ad.Tensor(patches.reshape(len(patches), -1)))
+    outs = [dar.fdunet(ad.Tensor(img)), cond,
+            dar.denoiser(ad.Tensor(patches), cond, np.full(len(patches), 3))]
     for out in outs:
         assert out._vjp is None and out._parents == ()
     # the encoder the denoiser stage tunes is still loaded trainable
-    pretrained = training.load_cip_encoder(run / "checkpoints" / "cip_lbp.ckpt")
+    pretrained = training.load_model(run, "cip_lbp")[0].enc
     assert all(t.requires_grad for t in pretrained.parameters().values())
+
+
+def test_train_refuses_an_unreplaceable_checkpoint_before_a_batch(
+        base_run, tmp_path, monkeypatch, caplog):
+    """A checkpoint path the first save could not replace, here a checkpoint
+    directory of the older format, exits 2 naming it once, before any batch
+    runs or any loss log is written."""
+    base, _ = base_run
+    run = _copy_run(base, tmp_path / "run")
+    old = run / "checkpoints" / "fdunet.ckpt"
+    old.mkdir()
+    (old / "bundle.json").write_text("{}")
+    batches = []
+    monkeypatch.setattr(training, "adam_update",
+                        lambda *args: batches.append(args))
+    cfg_path = tmp_path / "tiny.json"
+    cfg_path.write_text(json.dumps(TINY))
+    with caplog.at_level(logging.ERROR, logger="oatdar"):
+        assert cli.main(["train", "fdunet", "--config", str(cfg_path),
+                         "--run-dir", str(run)]) == 2
+    assert caplog.text.count(str(old)) == 1
+    assert "exists and is not a bundle" in caplog.text
+    assert batches == []
+    assert not (run / "logs").exists()
 
 
 def test_emit_refuses_a_non_finite_enhancer(base_run, tmp_path):
@@ -323,5 +386,5 @@ def test_emit_replaces_every_output_and_leaves_the_manifest(base_run,
         entry_file(data_dir, "fdunet", e.index) for e in manifest.entries]
     stored = training.initial_images(cfg, manifest, data_dir, "fdunet")
     lbp = training.initial_images(cfg, manifest, data_dir, "lbp")
-    model = training.load_fdunet(run / "checkpoints" / "fdunet.ckpt")
+    model, _ = training.load_model(run, "fdunet")
     assert np.array_equal(stored, normalize01(fd_unet_forward(model, lbp)))
