@@ -72,8 +72,8 @@ def cmd_operator(args):
                                 jittered=args.jittered)
     with blame("--out"):
         op.to_bundle(args.out)
-    nnz = int(op.indptr[-1])
-    print(f"operator {op.n_rows}x{op.n_cols}, {nnz} entries -> {args.out}")
+    print(f"operator {op.n_rows}x{op.n_cols}, {op.values.size} entries "
+          f"-> {args.out}")
 
 
 def cmd_simulate(args):

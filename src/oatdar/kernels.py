@@ -3,19 +3,22 @@
 * :func:`forward_entries` emits one detector's block of the spreading
   matrix as COO triplets (row = time index), one vectorized pass per
   sub-element. The operator calls it once per detector.
-* :func:`assemble_csr` orders a block's triplets by two stable sorts,
-  column then row, which together equal ``np.lexsort((cols, rows))``, and
-  sums duplicates into a CSR matrix with int32 offsets and column indices.
+* :func:`assemble_csr` sums duplicate triplets into a *two-block* CSR
+  matrix: the top block holds the entries of the columns below
+  ``n_cols // 2`` (the image's top half, pixels being row-major and the
+  rows even in number), the bottom block the rest, each block a CSR
+  matrix over every row. The three arrays are one
+  ``(2, n_rows + 1)`` ``indptr`` of offsets into shared ``indices`` and
+  ``data``, which hold the top block's entries and then the bottom
+  block's, each row's in column order. :func:`stack_csr` stacks row blocks
+  of that layout, :func:`plain_csr` gives the one-block CSR (export and
+  test oracles).
 * :func:`csr_matvec` / :func:`csr_rmatvec` apply that matrix and its
   transpose. They call scipy's compiled ``csr_matvec`` and ``csc_matvec``
   routines (``scipy.sparse._sparsetools``) directly, writing into a zeroed
   float64 output, with no per-call matrix object: at desk size, building
-  one cost as much as the product. ``csr_matrix @ x`` runs the same
-  ``csr_matvec`` on the same arrays, and ``.T @ y`` the same ``csc_matvec``
-  (a CSR matrix's transpose is the CSC matrix of its three arrays), so
-  every product has the bits the matrix objects gave. The operator's
-  apply, adjoint and spectral-gain power iteration all run through these
-  two products.
+  one cost as much as the product. The operator's apply, adjoint and
+  spectral-gain power iteration all run through these two products.
 * :func:`render_capsules` rasterizes phantom vessels: every segment's
   clipped bounding box in one vectorized pass (in chunks of at most
   ``_RASTER_CHUNK`` box pixels), composited by ``np.maximum.at``. It
@@ -25,12 +28,33 @@ The CSR arrays are int32, half the index bytes of int64 (the compiled
 routines take either); :func:`check_index_count` therefore refuses
 matrices whose row, column or entry count does not fit in int32.
 
-Nothing here is threaded or uses fused/reordered arithmetic: the CSR
-product sums each row in stored order and the transpose product scatters
-rows in stored order, so results are a fixed function of the inputs.
+A product of a matrix of at least ``THREAD_MIN_ENTRIES`` entries runs on
+two threads, the caller's and one module-level worker thread, made on
+first use; scipy's compiled routines release the GIL. The forward product
+gives each thread half of the rows, and each thread runs the top block
+and then the bottom block into the same output rows; the transpose
+product scatters the top block into the top half of the output on one
+thread and the bottom block into the bottom half on the other. The
+worker waits idle between products, and ``concurrent.futures`` joins it
+at interpreter exit, so no thread outlives a run. The constant (2**18)
+is a property of the input, set from products timed on 2 cores at one
+BLAS thread, one thread against two: the 52 008-entry desk
+operator's take 36-44 us on one and 66-74 us on two (the handoff to the
+worker costs more than the half it saves), 218 268 entries take 199-250
+against 137-157 us, and the 3 920 864-entry paper operator's 3.0-3.4
+against 1.7-2.2 ms. Neither the threads nor the constant change a bit of
+any result: scipy's ``csr_matvec`` adds onto its output, so each output
+row is summed over its entries in column order from +0.0, and each pixel
+of the transpose receives its terms in row order, exactly as the
+one-block CSR products ``csr_matrix @ x`` and ``.T @ y`` do. No
+arithmetic here is fused or reordered, so results are a fixed function of
+the inputs.
 """
 
 from __future__ import annotations
+
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 from scipy.sparse import _sparsetools
@@ -105,20 +129,23 @@ def forward_entries(px, py, dsx, dsy, vs, dt, nt, base, detector):
 
 
 def assemble_csr(rows, cols, vals, n_rows, n_cols):
-    """Sort COO triplets into CSR, summing duplicates in stable order.
+    """Sort COO triplets into a two-block CSR matrix, summing duplicates in
+    stable order.
 
     Two stable argsorts order the triplets, least-significant key first:
-    by column, then by row. Stable passes compose, so the permutation
-    equals ``np.lexsort((cols, rows))`` whatever stable sort each pass
-    uses, and each duplicate run is summed (``np.add.reduceat``) in input
-    order. The row pass casts rows to ``np.min_scalar_type(n_rows - 1)``,
-    which numpy radix-sorts up to 16 bits. The column pass sorts the
-    columns as given: :func:`forward_entries` emits them in ascending
-    runs, one per (sub-element, candidate) pass, and numpy's timsort
-    merges those about three times faster than its radix sort at paper
-    scale.
+    by column, which puts the top block's entries (columns below
+    ``n_cols // 2``) first, then each block's by row. Stable passes
+    compose, so each block's permutation equals ``np.lexsort((cols,
+    rows))`` of its entries whatever stable sort each pass uses, and each
+    duplicate run is summed (``np.add.reduceat``) in input order. The row
+    passes cast rows to ``np.min_scalar_type(n_rows - 1)``, which numpy
+    radix-sorts up to 16 bits. The column pass sorts the columns as given:
+    :func:`forward_entries` emits them in ascending runs, one per
+    (sub-element, candidate) pass, and numpy's timsort merges those about
+    three times faster than its radix sort at paper scale.
 
-    Returns int32 ``indptr``/``indices`` and ``data`` in ``vals``' dtype.
+    Returns the int32 ``(2, n_rows + 1)`` ``indptr`` and ``indices`` and
+    ``data`` in ``vals``' dtype (the layout of the module docstring).
     Raises ``ValueError`` before sorting when a row lies outside
     ``[0, n_rows)`` or a column outside ``[0, n_cols)``, and
     :class:`GeometryError` before sorting when the column count exceeds
@@ -134,7 +161,9 @@ def assemble_csr(rows, cols, vals, n_rows, n_cols):
     check_index_count(n_cols, "columns")
     rows = rows.astype(np.min_scalar_type(n_rows - 1))
     order = np.argsort(cols, kind="stable")
-    order = order[np.argsort(rows[order], kind="stable")]
+    n_top = np.count_nonzero(cols < n_cols // 2)
+    for block in (order[:n_top], order[n_top:]):
+        block[...] = block[np.argsort(rows[block], kind="stable")]
     rows, cols, vals = rows[order], cols[order], vals[order]
     if rows.size:
         new = np.empty(rows.size, dtype=bool)
@@ -142,35 +171,119 @@ def assemble_csr(rows, cols, vals, n_rows, n_cols):
         np.not_equal(rows[1:], rows[:-1], out=new[1:])
         new[1:] |= cols[1:] != cols[:-1]
         starts = np.flatnonzero(new)
+        n_top = int(np.searchsorted(starts, n_top))
         vals = np.add.reduceat(vals, starts)
         rows, cols = rows[starts], cols[starts]
     check_index_count(vals.size, "entries")
     check_index_count(n_rows, "rows")
-    indptr = np.searchsorted(rows, np.arange(n_rows + 1))  # rows are sorted
+    # each block's rows are sorted
+    edges = np.arange(n_rows + 1)
+    indptr = np.stack((np.searchsorted(rows[:n_top], edges),
+                       n_top + np.searchsorted(rows[n_top:], edges)))
     return indptr.astype(INDEX_DTYPE), cols.astype(INDEX_DTYPE), vals
 
 
+def stack_csr(parts):
+    """The two-block CSR matrix whose rows are those of ``parts``, a
+    sequence of :func:`assemble_csr` results, in order.
+
+    Raises :class:`GeometryError` before allocating when the total entry
+    count exceeds int32."""
+    indptrs, indices, data = zip(*parts)
+    tops = [int(p[0, -1]) for p in indptrs]
+    # row lengths, the top block's over every part and then the bottom's
+    counts = np.concatenate([np.diff(p[b]) for b in (0, 1) for p in indptrs])
+    check_index_count(int(counts.sum(dtype=np.int64)), "entries")
+    n_rows = counts.size // 2
+    offsets = np.zeros(counts.size + 1, dtype=INDEX_DTYPE)
+    np.cumsum(counts, out=offsets[1:])
+
+    def blockwise(arrays):
+        return np.concatenate([a[:t] for a, t in zip(arrays, tops)]
+                              + [a[t:] for a, t in zip(arrays, tops)])
+
+    return (np.stack((offsets[:n_rows + 1], offsets[n_rows:])),
+            blockwise(indices), blockwise(data))
+
+
+def plain_csr(indptr, indices, data):
+    """The one-block CSR arrays of a two-block matrix: each row's entries
+    in column order, the top block's before the bottom block's."""
+    n_rows = indptr.shape[1] - 1
+    counts = np.diff(indptr, axis=1).ravel()
+    rows = np.repeat(np.tile(np.arange(n_rows), 2), counts)
+    order = np.argsort(rows, kind="stable")
+    return (indptr[0] + (indptr[1] - indptr[1, 0]),
+            indices[order], data[order])
+
+
 # ---------------------------------------------------------------------------
-# CSR apply / adjoint.
+# CSR apply / adjoint, on the caller's thread and at most one worker thread.
 # ---------------------------------------------------------------------------
+
+# Entries from which a product runs half of its work on the worker thread
+# (see the module docstring).
+THREAD_MIN_ENTRIES = 2 ** 18
+
+_worker = None
+_worker_lock = threading.Lock()
+
+
+def _in_parallel(first, second):
+    """Run ``first()`` here and ``second()`` on the worker thread; they
+    write disjoint outputs. Returns once both have finished; an exception
+    of either reaches the caller."""
+    global _worker
+    with _worker_lock:
+        if _worker is None:
+            _worker = ThreadPoolExecutor(max_workers=1,
+                                         thread_name_prefix="oatdar-csr")
+    job = _worker.submit(second)
+    try:
+        first()
+    finally:
+        job.result()
 
 
 def csr_matvec(indptr, indices, data, x):
-    """``A @ x`` for the CSR matrix ``A`` with ``x.size`` columns."""
+    """``A @ x`` for the two-block CSR matrix ``A`` with ``x.size``
+    columns."""
     x = np.ascontiguousarray(x, dtype=np.float64)
-    out = np.zeros(indptr.size - 1)
-    _sparsetools.csr_matvec(out.size, x.size, indptr, indices, data, x, out)
+    n_rows = indptr.shape[1] - 1
+    out = np.zeros(n_rows)
+
+    def rows(lo, hi):
+        # the bottom block adds onto the top block's partial row sums
+        for block in indptr:
+            _sparsetools.csr_matvec(hi - lo, x.size, block[lo:hi + 1],
+                                    indices, data, x, out[lo:hi])
+
+    if data.size < THREAD_MIN_ENTRIES:
+        rows(0, n_rows)
+    else:
+        half = n_rows // 2
+        _in_parallel(lambda: rows(0, half), lambda: rows(half, n_rows))
     return out
 
 
 def csr_rmatvec(indptr, indices, data, y, n_cols):
-    """``A.T @ y``: the CSR arrays read as the CSC arrays of ``A.T``."""
+    """``A.T @ y``: each block's CSR arrays read as the CSC arrays of its
+    transpose, which writes only its own half of the output."""
     y = np.ascontiguousarray(y, dtype=np.float64)
-    if y.size != indptr.size - 1:
+    if y.size != indptr.shape[1] - 1:
         raise ValueError(f"y has {y.size} entries, the matrix "
-                         f"{indptr.size - 1} rows")
+                         f"{indptr.shape[1] - 1} rows")
     out = np.zeros(int(n_cols))
-    _sparsetools.csc_matvec(out.size, y.size, indptr, indices, data, y, out)
+
+    def scatter(block):
+        _sparsetools.csc_matvec(out.size, y.size, block, indices, data, y,
+                                out)
+
+    if data.size < THREAD_MIN_ENTRIES:
+        scatter(indptr[0])
+        scatter(indptr[1])
+    else:
+        _in_parallel(lambda: scatter(indptr[0]), lambda: scatter(indptr[1]))
     return out
 
 

@@ -11,11 +11,14 @@ sub-element count; finite apertures average S point sub-detectors along a
 tangential chord). That window rule, and the refusal of a geometry whose
 arrivals outrun the last sample, are stated once, in
 :func:`kernels.forward_entries`. The spreading matrix is assembled once as
-CSR, one detector at a time: detector l owns the contiguous row block
+:mod:`kernels`' two-block CSR (one column block per half of the image),
+one detector at a time: detector l owns the contiguous row block
 ``l*nt .. (l+1)*nt - 1``, so assembling each block on its own and
-stitching the blocks gives the same arrays as one sort over all entries.
-Every product with it (apply, adjoint, and the power iteration below)
-goes through :func:`kernels.csr_matvec` / :func:`kernels.csr_rmatvec`.
+stacking the blocks (:func:`kernels.stack_csr`) gives the same arrays as
+one sort over all entries. Every product with it (apply, adjoint, and the
+power iteration below) goes through :func:`kernels.csr_matvec` /
+:func:`kernels.csr_rmatvec`, which run a paper-size matrix on two threads
+with the bits of one.
 
 The derivative along the time axis uses a central difference in the interior
 and one-sided first-order differences at both ends; the adjoint applies the
@@ -51,12 +54,16 @@ from .tensorfile import write_bundle
 class ForwardOperator:
     """Linear map image -> sinogram with an exact adjoint.
 
-    Immutable after construction; safe for concurrent read-only use.
+    The spreading matrix is held as :mod:`kernels`' two-block CSR arrays.
+    Immutable after construction; safe for concurrent read-only use. It
+    holds only arrays and plain values, so it pickles: the worker thread
+    that a large operator's products use belongs to :mod:`kernels`, never
+    to the operator.
     """
 
     geometry: ImagingGeometry
     jittered: bool
-    indptr: np.ndarray               # CSR of the spreading matrix (int32)
+    indptr: np.ndarray               # (2, n_rows + 1) block offsets (int32)
     indices: np.ndarray
     values: np.ndarray
     output_scale: float = 1.0
@@ -89,10 +96,14 @@ class ForwardOperator:
     # -- persistence ----------------------------------------------------------
 
     def to_bundle(self, path):
+        """Write the one-block CSR of the spreading matrix and the gain as
+        the bundle ``path``."""
+        indptr, indices, values = kernels.plain_csr(self.indptr, self.indices,
+                                                    self.values)
         # the container is float-only; offsets/indices are exact below 2**53
-        arrays = {"row_offsets": self.indptr.astype(np.float64),
-                  "col_indices": self.indices.astype(np.float64),
-                  "values": self.values}
+        arrays = {"row_offsets": indptr.astype(np.float64),
+                  "col_indices": indices.astype(np.float64),
+                  "values": values}
         meta = {"kind": "forward_operator", "jittered": self.jittered,
                 "output_scale": self.output_scale,
                 "geometry": self.geometry.to_dict()}
@@ -128,14 +139,7 @@ def build_forward_operator(geometry: ImagingGeometry,
             px, py, dsx[l], dsy[l], g.sound_speed, g.dt, nt, entry_scale(g),
             detector=l)
         blocks.append(kernels.assemble_csr(rows, cols, vals, nt, g.n_pixels))
-    indptrs, indices, values = zip(*blocks)
-    counts = np.concatenate([np.diff(p) for p in indptrs])
-    # each block fits int32 on its own; the stitched offsets must too
-    kernels.check_index_count(int(counts.sum(dtype=np.int64)), "entries")
-    indptr = np.zeros(n_rows + 1, dtype=kernels.INDEX_DTYPE)
-    np.cumsum(counts, out=indptr[1:])
-    op = ForwardOperator(geometry, jittered, indptr, np.concatenate(indices),
-                         np.concatenate(values))
+    op = ForwardOperator(geometry, jittered, *kernels.stack_csr(blocks))
     op.output_scale = _spectral_gain(op)
     return op
 

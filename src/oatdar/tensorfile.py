@@ -75,7 +75,8 @@ def _open(path):
     try:
         return open(path, "rb")
     except OSError as exc:
-        raise TensorFileError(f"cannot read {path}: {exc}") from exc
+        # the error's own text would name the path again
+        raise TensorFileError(f"cannot read {path}: {exc.strerror}") from exc
 
 
 def _read(fh, n: int, where, what: str, crc: bool = False) -> bytearray:
@@ -129,14 +130,19 @@ def bundle_file(path) -> Path:
     return Path(path) / _BUNDLE_FILE
 
 
-def check_replaceable(path):
-    """Raise :class:`TensorFileError` unless :func:`write_bundle` may write
-    ``path``: it is missing, or a directory holding at most the bundle's
-    file and its temp file."""
+def replaceable(path) -> bool:
+    """Whether :func:`write_bundle` may write ``path``: it is missing, or a
+    directory holding at most the bundle's file and its temp file."""
     path = Path(path)
-    if path.exists() and not (path.is_dir() and all(
-            f.name in (_BUNDLE_FILE, _BUNDLE_TMP) and f.is_file()
-            for f in path.iterdir())):
+    return not path.exists() or (path.is_dir() and all(
+        f.name in (_BUNDLE_FILE, _BUNDLE_TMP) and f.is_file()
+        for f in path.iterdir()))
+
+
+def check_replaceable(path):
+    """Raise :class:`TensorFileError` unless ``path`` is
+    :func:`replaceable`."""
+    if not replaceable(path):
         raise TensorFileError(f"{path}: exists and is not a bundle; "
                               "not replacing it")
 

@@ -51,7 +51,7 @@ from .operator import build_forward_operator, reconstruct_lbp
 from .optim import OptimizerState, adam_update
 from .patches import PatchGrid, split_patches
 from .tensorfile import (bundle_file, check_replaceable, read_bundle,
-                         write_bundle, write_tensor)
+                         replaceable, write_bundle, write_tensor)
 
 log = logging.getLogger(__name__)
 
@@ -93,9 +93,13 @@ def load_checkpoint(path, cfg: dict | None = None, data_sha256=None,
     command that rewrites it if it is corrupt or its config or resume state
     is bad, :class:`NumericalError` if its run aborted and, given the run's
     ``cfg`` (and ``data_sha256``), :class:`PrerequisiteError` naming the
-    first difference and the command that retrains it."""
+    first difference and the command that retrains it. A path that the
+    command would refuse to replace (:func:`tensorfile.replaceable`) is
+    named as one to remove first."""
     stages = [Path(path).stem]
-    with blame(path, f"; run '{_train_command(stages[0])}' to rewrite it"):
+    remove = "" if replaceable(path) else "remove the checkpoint, then "
+    with blame(path, f"; {remove}run '{_train_command(stages[0])}' to "
+                     "rewrite it"):
         arrays, meta = read_bundle(path)
         meta["config"] = checked_config(meta.get("config"), complete=True)
         if not _same_form(_RESUME_FORM, {k: meta.get(k)

@@ -86,12 +86,37 @@ def mask_forward_entries(px, py, dsx, dsy, vs, dt, nt, base):
             np.concatenate(vals_out))
 
 
+def plain_csr(indptr, indices, data, n_cols):
+    """The one-block CSR arrays (``indptr``, ``indices``, ``data``) of a
+    two-block matrix, rebuilt by a lexicographic (row, column) sort of its
+    entries, after checking that the top block holds exactly the columns
+    below ``n_cols // 2``, the bottom block the rest."""
+    n_rows = indptr.shape[1] - 1
+    top, bottom = (slice(p[0], p[-1]) for p in indptr)
+    assert indptr[0, 0] == 0 and indptr[1, 0] == indptr[0, -1]
+    assert indptr[1, -1] == indices.size == data.size
+    assert np.all(indices[top] < n_cols // 2)
+    assert np.all(indices[bottom] >= n_cols // 2)
+    rows = np.repeat(np.tile(np.arange(n_rows), 2),
+                     np.diff(indptr, axis=1).ravel())
+    order = np.lexsort((indices, rows))
+    out = np.zeros(n_rows + 1, dtype=indptr.dtype)
+    np.cumsum(np.bincount(rows, minlength=n_rows), out=out[1:])
+    return out, indices[order], data[order]
+
+
+def operator_csr(op):
+    """:func:`plain_csr` of an operator's spreading matrix."""
+    return plain_csr(op.indptr, op.indices, op.values, op.n_cols)
+
+
 def spreading_dense(op):
     """Dense copy of an operator's CSR spreading matrix (toy sizes only)."""
+    indptr, indices, values = operator_csr(op)
     out = np.zeros((op.n_rows, op.n_cols))
     for r in range(op.n_rows):
-        lo, hi = op.indptr[r], op.indptr[r + 1]
-        out[r, op.indices[lo:hi]] = op.values[lo:hi]
+        lo, hi = indptr[r], indptr[r + 1]
+        out[r, indices[lo:hi]] = values[lo:hi]
     return out
 
 

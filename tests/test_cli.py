@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import set_bundle_header
+from conftest import operator_csr, set_bundle_header
 from oatdar import cli, pipeline, training
 from oatdar.config import geometry_from_config, load_config
 from oatdar.dataset import DatasetManifest, derive_seed, entry_file
@@ -318,9 +318,10 @@ def test_operator_exports_the_built_csr(tmp_path, jittered):
     arrays, meta = read_bundle(out)
     op = build_forward_operator(geometry_from_config(load_config()),
                                 jittered=jittered)
-    assert np.array_equal(arrays["row_offsets"], op.indptr)
-    assert np.array_equal(arrays["col_indices"], op.indices)
-    assert np.array_equal(arrays["values"], op.values)
+    indptr, indices, values = operator_csr(op)
+    assert np.array_equal(arrays["row_offsets"], indptr)
+    assert np.array_equal(arrays["col_indices"], indices)
+    assert np.array_equal(arrays["values"], values)
     assert meta["jittered"] is jittered
     assert meta["output_scale"] == op.output_scale
 
@@ -742,7 +743,52 @@ def test_corrupt_checkpoint_exits_2(tiny_run, tmp_path, caplog, argv, ckpt,
     # named once, as the fault's source
     assert caplog.text.count(f"{run / 'checkpoints' / ckpt}: ") == 1
     assert f"run '{command}' to rewrite it" in caplog.text
+    # train refuses to replace a directory of the older format
+    assert ("remove the checkpoint, then run" in caplog.text) \
+        == (junk == "directory")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("old_format", [False, True],
+                         ids=["empty-directory", "old-format"])
+def test_missing_bundle_file_is_named_once(tiny_run, tmp_path, caplog,
+                                           old_format):
+    common, data_dir, *_ = tiny_run
+    run = tmp_path / "run"
+    shutil.copytree(data_dir.parent / "checkpoints", run / "checkpoints")
+    shutil.copytree(data_dir, run / "dataset")
+    bundle = run / "checkpoints" / "fdunet.ckpt"
+    if old_format:
+        _corrupt(bundle, "directory")
+    else:
+        bundle_file(bundle).unlink()
+    with caplog.at_level(logging.ERROR, logger="oatdar"):
+        assert cli.main(["eval", "--methods", "fdunet", *common[:2],
+                         "--run-dir", str(run), "--out",
+                         str(tmp_path / "out")]) == 2
+    assert caplog.text.count(str(bundle_file(bundle))) == 1
+    assert "No such file or directory" in caplog.text
+
+
+def test_old_format_checkpoint_hint_can_be_followed(tiny_run, tmp_path,
+                                                    caplog):
+    """The hint for a checkpoint that train cannot replace says to remove
+    it first; doing so, then running the named command, mends the run."""
+    common, data_dir, *_ = tiny_run
+    run = tmp_path / "run"
+    shutil.copytree(data_dir.parent / "checkpoints", run / "checkpoints")
+    shutil.copytree(data_dir, run / "dataset")
+    bundle = run / "checkpoints" / "fdunet.ckpt"
+    _corrupt(bundle, "directory")
+    argv = [*common[:2], "--run-dir", str(run)]
+    evaluate = ["eval", "--methods", "fdunet", *argv,
+                "--out", str(tmp_path / "out")]
+    with caplog.at_level(logging.ERROR, logger="oatdar"):
+        assert cli.main(evaluate) == 2
+    assert "remove the checkpoint, then run 'train fdunet'" in caplog.text
+    shutil.rmtree(bundle)
+    assert cli.main(["train", "fdunet", *argv]) == 0
+    assert cli.main(evaluate) == 0
 
 
 @pytest.mark.parametrize("command", ["train", "eval"])

@@ -1,6 +1,10 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.sparse import _sparsetools
 
 from oatdar import kernels
 from oatdar.config import desk_config, geometry_from_config, paper_config
@@ -15,7 +19,7 @@ from oatdar.tensorfile import read_bundle
 
 from conftest import (dense_derivative_oracle, dense_full_oracle,
                       dense_spreading_oracle, mask_forward_entries,
-                      spreading_dense)
+                      operator_csr, plain_csr, spreading_dense)
 
 
 # ---------------------------------------------------------------------------
@@ -76,9 +80,10 @@ def test_support_matches_travel_time_window(toy_geometry):
     op = build_forward_operator(g)
     px, py = g.pixel_coords()
     dsx, dsy = g.subelement_positions()
+    indptr, indices, _ = operator_csr(op)
     for r in range(op.n_rows):
         l, k = divmod(r, g.time_samples)
-        for j in op.indices[op.indptr[r]:op.indptr[r + 1]]:
+        for j in indices[indptr[r]:indptr[r + 1]]:
             ok = False
             for s in range(g.sir_subelements):
                 dist = np.sqrt((px[j] - dsx[l, s]) ** 2 + (py[j] - dsy[l, s]) ** 2)
@@ -142,7 +147,8 @@ def test_build_refuses_more_entries_than_int32_in_total(monkeypatch):
         ring_radius=3.065e-3, position_jitter_frac=0.0, sir_subelements=1,
         sound_speed=1500.0, dt=1e-7, time_samples=64)
     op = build_forward_operator(geom)
-    assert op.indptr[geom.time_samples] == 256 and op.indptr[-1] == 512
+    indptr = operator_csr(op)[0]
+    assert indptr[geom.time_samples] == 256 and indptr[-1] == 512
     monkeypatch.setattr(kernels, "_INDEX_MAX", 300)
     with pytest.raises(GeometryError, match="512 entries.*int32"):
         build_forward_operator(geom)
@@ -153,9 +159,10 @@ def test_operator_bundle_roundtrip(tmp_path, toy_geometry):
     op.to_bundle(tmp_path / "op")
     arrays, meta = read_bundle(tmp_path / "op")
     assert op.indptr.dtype == op.indices.dtype == kernels.INDEX_DTYPE
-    assert np.array_equal(arrays["row_offsets"], op.indptr)
-    assert np.array_equal(arrays["col_indices"], op.indices)
-    assert np.array_equal(arrays["values"], op.values)
+    indptr, indices, values = operator_csr(op)
+    assert np.array_equal(arrays["row_offsets"], indptr)
+    assert np.array_equal(arrays["col_indices"], indices)
+    assert np.array_equal(arrays["values"], values)
     assert meta["kind"] == "forward_operator" and meta["jittered"] is False
     assert meta["output_scale"] == op.output_scale
     assert ImagingGeometry.from_dict(meta["geometry"]) == op.geometry
@@ -167,6 +174,11 @@ def test_assemble_csr_int32_and_limit(monkeypatch):
     vals = np.array([1.0, 2.0, 3.0, 4.0])
     indptr, indices, data = kernels.assemble_csr(rows, cols, vals, 3, 4)
     assert indptr.dtype == indices.dtype == np.int32
+    # columns 0-1 are the top block, 2-3 the bottom block
+    assert indptr.tolist() == [[0, 1, 1, 2], [2, 3, 3, 3]]
+    assert indices.tolist() == [0, 1, 3]
+    assert data.tolist() == [4.0, 4.0, 2.0]
+    indptr, indices, data = plain_csr(indptr, indices, data, 4)
     assert indptr.tolist() == [0, 2, 2, 3]
     assert indices.tolist() == [0, 3, 1]
     assert data.tolist() == [4.0, 2.0, 4.0]
@@ -238,7 +250,7 @@ def test_assemble_csr_sums_duplicates_in_input_order(seed, n_rows, n_cols):
     vals = rng.choice([1e16, 1.0, -1e16, 0.5, 3.0], size=cells.size)
     got = kernels.assemble_csr(rows, cols, vals, n_rows, n_cols)
     want = lexsort_csr_reference(rows, cols, vals, n_rows)
-    assert_same_csr(got, want)
+    assert_same_csr(plain_csr(*got, n_cols), want)
     # the values really are order-sensitive: summing each cell's run in
     # sorted-value order changes some sums
     resorted = np.lexsort((vals, cols, rows))
@@ -250,8 +262,9 @@ def test_assemble_csr_sums_duplicates_in_input_order(seed, n_rows, n_cols):
 def test_assemble_csr_empty_input():
     empty = np.zeros(0, dtype=np.int64)
     got = kernels.assemble_csr(empty, empty, np.zeros(0), 4, 3)
-    assert_same_csr(got, lexsort_csr_reference(empty, empty, np.zeros(0), 4))
-    assert got[0].tolist() == [0, 0, 0, 0, 0]
+    assert_same_csr(plain_csr(*got, 3),
+                    lexsort_csr_reference(empty, empty, np.zeros(0), 4))
+    assert got[0].tolist() == [[0, 0, 0, 0, 0]] * 2
 
 
 def _entries_both_ways(geom, jittered):
@@ -308,7 +321,7 @@ def test_build_matches_reference_assembly_bit_for_bit(geom, jittered):
     _, (rows, cols, vals) = _entries_both_ways(geom, jittered=jittered)
     want = lexsort_csr_reference(rows, cols, vals, geom.detector_count
                                  * geom.time_samples)
-    assert_same_csr((op.indptr, op.indices, op.values), want)
+    assert_same_csr(operator_csr(op), want)
 
 
 # ---------------------------------------------------------------------------
@@ -386,7 +399,7 @@ def test_output_scale_matches_dense_power_iteration(toy_geometry):
 
 def test_csr_products_match_bincount_reference(toy_geometry):
     op = build_forward_operator(toy_geometry)
-    indptr, indices, data = op.indptr, op.indices, op.values
+    indptr, indices, data = operator_csr(op)
     rng = np.random.default_rng(8)
     x = rng.standard_normal(op.n_cols)
     y = rng.standard_normal(op.n_rows)
@@ -395,34 +408,192 @@ def test_csr_products_match_bincount_reference(toy_geometry):
                           minlength=op.n_rows)
     want_aty = np.bincount(indices, weights=data * y[row_ids],
                            minlength=op.n_cols)
-    assert np.array_equal(kernels.csr_matvec(indptr, indices, data, x),
-                          want_ax)
-    assert np.array_equal(
-        kernels.csr_rmatvec(indptr, indices, data, y, op.n_cols), want_aty)
+    blocks = op.indptr, op.indices, op.values
+    assert np.array_equal(kernels.csr_matvec(*blocks, x), want_ax)
+    assert np.array_equal(kernels.csr_rmatvec(*blocks, y, op.n_cols),
+                          want_aty)
+
+
+_GEOMETRIES = {"desk": geometry_from_config(desk_config()),
+               "paper": geometry_from_config(paper_config())}
+_JITTERED = {}
+
+
+def jittered_operator(name, toy_geometry):
+    """The jittered operator of the toy, desk or paper geometry, built
+    once per session."""
+    if name not in _JITTERED:
+        _JITTERED[name] = build_forward_operator(
+            _GEOMETRIES.get(name, toy_geometry), jittered=True)
+    return _JITTERED[name]
+
+
+def scipy_matrix(op, index_dtype=np.int32):
+    indptr, indices, values = operator_csr(op)
+    return sp.csr_matrix(
+        (values, indices.astype(index_dtype), indptr.astype(index_dtype)),
+        shape=(op.n_rows, op.n_cols))
+
+
+def scipy_gain(op, a):
+    """``_spectral_gain``'s 30 power-iteration steps on the scipy matrix."""
+    shape, dt = op.geometry.sinogram_shape, op.geometry.dt
+    v = np.full(op.n_cols, 1.0 / np.sqrt(op.n_cols))
+    for _ in range(30):
+        w = time_derivative((a @ v).reshape(shape), dt).ravel()
+        sigma = float(np.linalg.norm(w))
+        v = a.T @ time_derivative_adjoint(w.reshape(shape), dt).ravel()
+        v /= float(np.linalg.norm(v))
+    return 1.0 / sigma
+
+
+def count_handoffs(monkeypatch):
+    """Count the products that hand half of their work to the worker."""
+    handoffs = []
+    in_parallel = kernels._in_parallel
+
+    def counted(first, second):
+        handoffs.append(second)
+        in_parallel(first, second)
+
+    monkeypatch.setattr(kernels, "_in_parallel", counted)
+    return handoffs
 
 
 @pytest.mark.parametrize("index_dtype", [np.int32, np.int64])
-@pytest.mark.parametrize("geom", ["toy", "desk"])
+@pytest.mark.parametrize("geom", ["toy", "desk", "paper"])
 def test_csr_products_equal_scipy_matrix_products(toy_geometry, geom,
-                                                  index_dtype):
+                                                  index_dtype, monkeypatch):
     # the kernels call scipy's private compiled routines; a scipy release
-    # that changes them must fail here, not shift every operator bit
-    geometry = (toy_geometry if geom == "toy"
-                else geometry_from_config(desk_config()))
-    op = build_forward_operator(geometry, jittered=True)
-    indptr = op.indptr.astype(index_dtype)
-    indices = op.indices.astype(index_dtype)
-    a = sp.csr_matrix((op.values, indices, indptr),
-                      shape=(op.n_rows, op.n_cols))
+    # that changes them must fail here, not shift every operator bit. Only
+    # the paper operator is large enough for the worker thread.
+    op = jittered_operator(geom, toy_geometry)
+    a = scipy_matrix(op, index_dtype)
+    blocks = (op.indptr.astype(index_dtype), op.indices.astype(index_dtype),
+              op.values)
+    handoffs = count_handoffs(monkeypatch)
     rng = np.random.default_rng(5)
     for _ in range(3):
         x = rng.standard_normal(op.n_cols)
         y = rng.standard_normal(op.n_rows)
-        ax = kernels.csr_matvec(indptr, indices, op.values, x)
-        aty = kernels.csr_rmatvec(indptr, indices, op.values, y, op.n_cols)
+        ax = kernels.csr_matvec(*blocks, x)
+        aty = kernels.csr_rmatvec(*blocks, y, op.n_cols)
         assert ax.dtype == aty.dtype == np.float64
         assert np.array_equal(ax, a @ x)
         assert np.array_equal(aty, a.T @ y)
+    assert len(handoffs) == (6 if geom == "paper" else 0)
+    assert op.output_scale == scipy_gain(op, a)
+
+
+@pytest.mark.parametrize("geom", ["toy", "desk"])
+def test_threaded_products_keep_their_bits_at_any_size(toy_geometry, geom,
+                                                       monkeypatch):
+    op = jittered_operator(geom, toy_geometry)
+    a = scipy_matrix(op)
+    blocks = op.indptr, op.indices, op.values
+    monkeypatch.setattr(kernels, "THREAD_MIN_ENTRIES", 0)
+    handoffs = count_handoffs(monkeypatch)
+    rng = np.random.default_rng(6)
+    x = rng.standard_normal(op.n_cols)
+    y = rng.standard_normal(op.n_rows)
+    assert np.array_equal(kernels.csr_matvec(*blocks, x), a @ x)
+    assert np.array_equal(kernels.csr_rmatvec(*blocks, y, op.n_cols),
+                          a.T @ y)
+    assert len(handoffs) == 2
+    assert build_forward_operator(op.geometry, jittered=True).output_scale \
+        == op.output_scale
+
+
+class _FailingHalf:
+    """``_sparsetools`` whose routines raise on the worker thread (or, with
+    ``on_worker=False``, on the calling thread)."""
+
+    def __init__(self, on_worker):
+        self.on_worker = on_worker
+
+    def __getattr__(self, name):
+        routine = getattr(_sparsetools, name)
+
+        def call(*args):
+            if self.on_worker != (threading.current_thread()
+                                  is threading.main_thread()):
+                raise RuntimeError(f"{name} failed")
+            return routine(*args)
+
+        return call
+
+
+@pytest.mark.parametrize("on_worker", [True, False],
+                         ids=["worker", "caller"])
+def test_a_failed_half_reaches_the_caller(toy_geometry, monkeypatch,
+                                          on_worker):
+    op = jittered_operator("toy", toy_geometry)
+    a = scipy_matrix(op)
+    blocks = op.indptr, op.indices, op.values
+    x, y = np.ones(op.n_cols), np.ones(op.n_rows)
+    monkeypatch.setattr(kernels, "THREAD_MIN_ENTRIES", 0)
+    monkeypatch.setattr(kernels, "_sparsetools", _FailingHalf(on_worker))
+    with pytest.raises(RuntimeError, match="csr_matvec failed"):
+        kernels.csr_matvec(*blocks, x)
+    with pytest.raises(RuntimeError, match="csc_matvec failed"):
+        kernels.csr_rmatvec(*blocks, y, op.n_cols)
+    # the worker survives its job's failure
+    monkeypatch.setattr(kernels, "_sparsetools", _sparsetools)
+    assert np.array_equal(kernels.csr_matvec(*blocks, x), a @ x)
+    assert np.array_equal(kernels.csr_rmatvec(*blocks, y, op.n_cols),
+                          a.T @ y)
+
+
+def test_concurrent_callers_share_the_worker(toy_geometry, monkeypatch):
+    """Callers on more threads than cores, racing to create the worker and
+    queueing their halves on it, each get the one-thread bits."""
+    op = jittered_operator("toy", toy_geometry)
+    a = scipy_matrix(op)
+    blocks = op.indptr, op.indices, op.values
+    monkeypatch.setattr(kernels, "THREAD_MIN_ENTRIES", 0)
+    monkeypatch.setattr(kernels, "_worker", None)
+    rng = np.random.default_rng(8)
+    xs = rng.standard_normal((4, op.n_cols))
+    ys = rng.standard_normal((4, op.n_rows))
+    ok = []
+
+    def caller(i):
+        for _ in range(50):
+            if not (np.array_equal(kernels.csr_matvec(*blocks, xs[i]),
+                                   a @ xs[i])
+                    and np.array_equal(kernels.csr_rmatvec(
+                        *blocks, ys[i], op.n_cols), a.T @ ys[i])):
+                return
+        ok.append(i)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=caller, args=(i,))
+                   for i in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert sorted(ok) == [0, 1, 2, 3]
+    kernels._worker.shutdown()
+
+
+def test_desk_products_never_use_the_worker(monkeypatch):
+    def refuse(first, second):
+        raise AssertionError("a desk product handed work to the worker")
+
+    monkeypatch.setattr(kernels, "_in_parallel", refuse)
+    geom = _GEOMETRIES["desk"]
+    op = build_forward_operator(geom, jittered=True)
+    assert op.values.size < kernels.THREAD_MIN_ENTRIES
+    rng = np.random.default_rng(7)
+    sino = apply_forward(op, Image(rng.random(geom.image_shape)))
+    apply_adjoint(op, sino)
+    tikhonov_solve(op, sino, lam=1e-2, max_iters=3, tol=1e-12)
 
 
 def test_csr_rmatvec_refuses_a_vector_of_another_length(toy_geometry):
